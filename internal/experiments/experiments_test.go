@@ -1,11 +1,18 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 var quick = Opt{Seed: 1, Quick: true}
+
+var update = flag.Bool("update", false, "rewrite the testdata golden from this build's output")
 
 func TestIDsStableAndComplete(t *testing.T) {
 	ids := IDs()
@@ -276,5 +283,37 @@ func TestRunAllQuick(t *testing.T) {
 		if len(res.Notes) == 0 {
 			t.Errorf("%s: no notes", res.ID)
 		}
+	}
+
+	// The results must also match the committed golden byte for byte,
+	// pinning experiment output across commits. table1 prints host
+	// wall times, so it is left out.
+	var pinned []*Result
+	for _, res := range results {
+		if res.ID != "table1" {
+			pinned = append(pinned, res)
+		}
+	}
+	got, err := json.MarshalIndent(pinned, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "runall_quick.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: results differ from the committed golden (re-run with -update only for an intended change)", path)
 	}
 }
