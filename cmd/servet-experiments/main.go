@@ -46,14 +46,14 @@ func main() {
 	opt := experiments.Opt{Seed: *seed, Quick: *quick, Parallelism: *parallel}
 	var results []*experiments.Result
 	if *fig == "all" {
-		all, err := experiments.RunAllContext(ctx, opt)
+		all, err := experiments.RunAll(ctx, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "servet-experiments: %v\n", err)
 			os.Exit(1)
 		}
 		results = all
 	} else {
-		res, err := experiments.RunContext(ctx, *fig, opt)
+		res, err := experiments.Run(ctx, *fig, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "servet-experiments: %v\n", err)
 			os.Exit(1)

@@ -75,7 +75,10 @@ func TestDetectCachesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			levels, cal := s.DetectCaches()
+			levels, cal, err := s.DetectCaches(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 			data, err := json.MarshalIndent(struct {
 				Levels      []servet.DetectedCache
 				Calibration servet.Calibration

@@ -11,9 +11,9 @@ func bad(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// shim has no context parameter: the deprecated-shim shape, where
-// injecting context.Background at the API boundary is the point.
-func shim() error {
+// boundary has no context parameter: outside the engine packages it is
+// the API boundary, where creating the root context is the point.
+func boundary() error {
 	return work(context.Background())
 }
 

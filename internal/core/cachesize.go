@@ -206,49 +206,47 @@ func dedupLevels(levels []DetectedCache) []DetectedCache {
 // L1 (virtually indexed, so the peak position is the size); later runs
 // confined to a single array size indicate page coloring and are read
 // directly; wider runs go through the probabilistic estimator over the
-// transition window.
+// transition window of the raw curve. It is the in-suite cache-size
+// probe's pipeline, whose probe cost Table I pins.
 func DetectCacheSizes(cal Calibration, pageBytes int64, opt Options) []DetectedCache {
-	opt = opt.withDefaults(nil)
-	g := stats.Gradient(cal.Cycles)
-	var out []DetectedCache
-	for i, run := range levelRuns(g, opt) {
-		level := i + 1
-		switch {
-		case i == 0:
-			out = append(out, DetectedCache{
-				Level: level, SizeBytes: cal.Sizes[run.Peak], Method: "gradient",
-			})
-		case run.Width() == 1:
-			out = append(out, DetectedCache{
-				Level: level, SizeBytes: cal.Sizes[run.Start], Method: "gradient",
-			})
-		default:
-			loIdx, hiIdx := transitionWindow(g, run, opt.GradientThreshold, len(cal.Sizes))
-			size := ProbabilisticSize(cal.Sizes[loIdx:hiIdx+1], cal.Cycles[loIdx:hiIdx+1], pageBytes)
-			if size == 0 {
-				continue
-			}
-			out = append(out, DetectedCache{
-				Level: level, SizeBytes: size, Method: "probabilistic",
-			})
-		}
-	}
-	return dedupLevels(out)
+	levels, _ := detectLevels(cal, pageBytes, opt.withDefaults(nil), func(loIdx, hiIdx int) ([]int64, []float64, error) {
+		return cal.Sizes[loIdx : hiIdx+1], cal.Cycles[loIdx : hiIdx+1], nil
+	})
+	return levels
 }
 
-// DetectCaches is the adaptive pipeline the suite uses: run
-// mcalibrator over the standard grid, then re-measure each smeared
-// transition window on a refined size grid (midpoints included) with
-// three times the allocations, and fit the probabilistic estimator on
-// the refined series. Physically indexed caches with few page sets
-// (small capacities) give noisy single-allocation miss rates; the
-// refinement buys the estimator the statistics it needs.
-func DetectCaches(m *topology.Machine, coreID int, opt Options) ([]DetectedCache, Calibration) {
+// DetectCaches is the adaptive standalone pipeline: run mcalibrator
+// over the standard grid on the given core, then re-measure each
+// smeared transition window on a refined size grid (midpoints
+// included) with three times the allocations, and fit the
+// probabilistic estimator on the refined series. Physically indexed
+// caches with few page sets (small capacities) give noisy
+// single-allocation miss rates; the refinement buys the estimator the
+// statistics it needs. The returned calibration is the raw grid curve,
+// with the refinement's cost added to its ProbeCycles. Cancelling the
+// context aborts the calibration or refinement sweep between
+// measurements.
+func DetectCaches(ctx context.Context, m *topology.Machine, coreID int, opt Options) ([]DetectedCache, Calibration, error) {
 	opt = opt.withDefaults(m)
-	cal := Mcalibrator(m, coreID, opt)
-	pageBytes := m.PageBytes
-	g := stats.Gradient(cal.Cycles)
+	cal, err := McalibratorContext(ctx, m, coreID, opt)
+	if err != nil {
+		return nil, Calibration{}, err
+	}
+	levels, err := detectLevels(cal, m.PageBytes, opt, func(loIdx, hiIdx int) ([]int64, []float64, error) {
+		return refineWindow(ctx, m, coreID, &cal, opt, loIdx, hiIdx)
+	})
+	if err != nil {
+		return nil, Calibration{}, err
+	}
+	return levels, cal, nil
+}
 
+// detectLevels is the Fig. 4 loop both pipelines share: one level per
+// gradient run of the calibration curve, with window supplying the
+// (sizes, cycles) series the probabilistic estimator fits for a wide
+// run's transition window [loIdx, hiIdx]. opt must be default-filled.
+func detectLevels(cal Calibration, pageBytes int64, opt Options, window func(loIdx, hiIdx int) ([]int64, []float64, error)) ([]DetectedCache, error) {
+	g := stats.Gradient(cal.Cycles)
 	var out []DetectedCache
 	for i, run := range levelRuns(g, opt) {
 		level := i + 1
@@ -263,7 +261,10 @@ func DetectCaches(m *topology.Machine, coreID int, opt Options) ([]DetectedCache
 			})
 		default:
 			loIdx, hiIdx := transitionWindow(g, run, opt.GradientThreshold, len(cal.Sizes))
-			sizes, cycles := refineWindow(m, coreID, &cal, opt, loIdx, hiIdx)
+			sizes, cycles, err := window(loIdx, hiIdx)
+			if err != nil {
+				return nil, err
+			}
 			size := ProbabilisticSize(sizes, cycles, pageBytes)
 			if size == 0 {
 				continue
@@ -273,7 +274,7 @@ func DetectCaches(m *topology.Machine, coreID int, opt Options) ([]DetectedCache
 			})
 		}
 	}
-	return dedupLevels(out), cal
+	return dedupLevels(out), nil
 }
 
 // refineWindow re-measures a transition window on a denser size grid
@@ -285,7 +286,7 @@ func DetectCaches(m *topology.Machine, coreID int, opt Options) ([]DetectedCache
 // the grid sweep's placements and the refined series is
 // byte-identical at any Options.Parallelism. Probe cost is accounted
 // into the calibration in size order.
-func refineWindow(m *topology.Machine, coreID int, cal *Calibration, opt Options, loIdx, hiIdx int) ([]int64, []float64) {
+func refineWindow(ctx context.Context, m *topology.Machine, coreID int, cal *Calibration, opt Options, loIdx, hiIdx int) ([]int64, []float64, error) {
 	pageBytes := m.PageBytes
 	var sizes []int64
 	for i := loIdx; i <= hiIdx; i++ {
@@ -299,7 +300,7 @@ func refineWindow(m *topology.Machine, coreID int, cal *Calibration, opt Options
 		}
 	}
 	allocs := 3 * opt.Allocations
-	samples, err := sweepScratch(context.Background(), "mcal-refine", len(sizes), opt.Parallelism,
+	samples, err := sweepScratch(ctx, "mcal-refine", len(sizes), opt.Parallelism,
 		func() *memsys.Instance { return memsys.NewInstanceAt(m, opt.Seed) },
 		func(in *memsys.Instance, i int) (mcalSample, error) {
 			var s mcalSample
@@ -318,16 +319,14 @@ func refineWindow(m *topology.Machine, coreID int, cal *Calibration, opt Options
 			return s, nil
 		})
 	if err != nil {
-		// The background context cannot be cancelled and the
-		// measurements themselves never fail, so this is unreachable.
-		panic("core: refinement sweep failed without cancellation: " + err.Error())
+		return nil, nil, err
 	}
 	cycles := make([]float64, len(sizes))
 	for i, s := range samples {
 		cal.ProbeCycles += s.total
 		cycles[i] = s.avg / float64(allocs)
 	}
-	return sizes, cycles
+	return sizes, cycles, nil
 }
 
 // NaiveCacheSizes is the baseline the paper argues against (Section

@@ -24,8 +24,22 @@ var expectedCaches = map[string][]int64{
 
 func detect(t *testing.T, m *topology.Machine, seed int64) []DetectedCache {
 	t.Helper()
-	det, _ := DetectCaches(m, 0, Options{Seed: seed})
+	det, _, err := DetectCaches(context.Background(), m, 0, Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return det
+}
+
+// mcal runs McalibratorContext to completion, failing the test on
+// error.
+func mcal(t *testing.T, m *topology.Machine, core int, opt Options) Calibration {
+	t.Helper()
+	cal, err := McalibratorContext(context.Background(), m, core, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cal
 }
 
 func checkSizes(t *testing.T, name string, det []DetectedCache, want []int64) {
@@ -122,7 +136,7 @@ func TestRandomPlacementUsesProbabilisticPath(t *testing.T) {
 func TestNaiveEstimatorFailsOnDempsey(t *testing.T) {
 	m := topology.Dempsey()
 	opt := Options{Seed: 1}
-	cal := Mcalibrator(m, 0, opt)
+	cal := mcal(t, m, 0, opt)
 	naive := NaiveCacheSizes(cal, opt)
 	if len(naive) < 2 {
 		t.Fatalf("naive found %d levels", len(naive))
@@ -260,7 +274,7 @@ func TestMcalibratorCancelledContext(t *testing.T) {
 // around the 2 MB L2.
 func TestMcalibratorShape(t *testing.T) {
 	m := topology.Dempsey()
-	cal := Mcalibrator(m, 0, Options{Seed: 1})
+	cal := mcal(t, m, 0, Options{Seed: 1})
 	at := func(size int64) float64 {
 		for i, s := range cal.Sizes {
 			if s == size {
@@ -291,7 +305,7 @@ func TestMcalibratorShape(t *testing.T) {
 func TestMcalibratorStrideDefeatsPrefetcher(t *testing.T) {
 	m := topology.Dempsey()
 	gradAt16K := func(stride int64) float64 {
-		cal := Mcalibrator(m, 0, Options{Seed: 1, StrideBytes: stride, MaxCacheBytes: 128 * topology.KB})
+		cal := mcal(t, m, 0, Options{Seed: 1, StrideBytes: stride, MaxCacheBytes: 128 * topology.KB})
 		for i, s := range cal.Sizes {
 			if s == 16*topology.KB {
 				return cal.Cycles[i+1] / cal.Cycles[i]

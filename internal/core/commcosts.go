@@ -10,7 +10,7 @@ import (
 	"servet/internal/topology"
 )
 
-// CommunicationCosts implements the Fig. 7 benchmark and its two
+// CommunicationCostsContext implements the Fig. 7 benchmark and its two
 // follow-ups. First it measures the one-way latency of an L1-sized
 // message between every pair of cluster cores and clusters the pairs
 // into communication layers (first-match within SimilarTol, as the
@@ -24,17 +24,8 @@ import (
 // communications when sharing other cache levels".
 //
 // The returned float64 is the virtual time (ns) the probes consumed on
-// the simulated cluster.
-//
-// CommunicationCosts is CommunicationCostsContext with a background
-// context; both shard their measurements across Options.Parallelism
-// workers and produce byte-identical results at any parallelism.
-func CommunicationCosts(m *topology.Machine, messageBytes int64, opt Options) (report.CommResult, float64, error) {
-	return CommunicationCostsContext(context.Background(), m, messageBytes, opt)
-}
-
-// CommunicationCostsContext is the context-aware CommunicationCosts:
-// cancelling the context aborts the sweep between measurements.
+// the simulated cluster. Cancelling the context aborts the sweep
+// between measurements.
 //
 // Both phases run through the suite's sharded-sweep helper (see
 // shard.go): the O(n²) pair sweep over index-ordered chunks, the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"servet/internal/topology"
@@ -20,7 +21,7 @@ func benchCommCosts(b *testing.B, parallelism int) {
 		Parallelism: parallelism,
 	}
 	for i := 0; i < b.N; i++ {
-		res, _, err := CommunicationCosts(m, 16*topology.KB, opt)
+		res, _, err := CommunicationCostsContext(context.Background(), m, 16*topology.KB, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func TestCommLayersDunnington(t *testing.T) {
 		t.Skip("276-pair sweep")
 	}
 	m := topology.Dunnington()
-	res, probeNS, err := CommunicationCosts(m, 32*topology.KB, fastComm())
+	res, probeNS, err := CommunicationCostsContext(context.Background(), m, 32*topology.KB, fastComm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCommLayersFinisTerrae(t *testing.T) {
 		t.Skip("496-pair sweep")
 	}
 	m := topology.FinisTerrae(2)
-	res, _, err := CommunicationCosts(m, 16*topology.KB, fastComm())
+	res, _, err := CommunicationCostsContext(context.Background(), m, 16*topology.KB, fastComm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCommScalability(t *testing.T) {
 		t.Skip("sweeps")
 	}
 	m := topology.FinisTerrae(2)
-	res, _, err := CommunicationCosts(m, 16*topology.KB, fastComm())
+	res, _, err := CommunicationCostsContext(context.Background(), m, 16*topology.KB, fastComm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCommScalability(t *testing.T) {
 // with message size toward the channel plateau.
 func TestCommBandwidthSweep(t *testing.T) {
 	m := topology.SMTQuad()
-	res, _, err := CommunicationCosts(m, 32*topology.KB, fastComm())
+	res, _, err := CommunicationCostsContext(context.Background(), m, 32*topology.KB, fastComm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCommBandwidthSweep(t *testing.T) {
 
 func TestCommCostsRejectsBadMessage(t *testing.T) {
 	m := topology.SMTQuad()
-	if _, _, err := CommunicationCosts(m, 0, fastComm()); err == nil {
+	if _, _, err := CommunicationCostsContext(context.Background(), m, 0, fastComm()); err == nil {
 		t.Error("zero message size accepted")
 	}
 }
@@ -221,7 +221,7 @@ func TestCommCostsShardedGolden(t *testing.T) {
 			opt.NoiseSigma = 0.02
 			assertShardedGolden(t, func(parallelism int) string {
 				opt.Parallelism = parallelism
-				res, probeNS, err := CommunicationCosts(m, 16*topology.KB, opt)
+				res, probeNS, err := CommunicationCostsContext(context.Background(), m, 16*topology.KB, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -251,17 +251,13 @@ func TestCommCostsCancelledContext(t *testing.T) {
 
 // TestCalibrateCoresMatchesSequential: the per-core mcalibrator
 // fan-out returns, at any parallelism, exactly what sequential
-// per-core Mcalibrator calls produce.
+// per-core McalibratorContext calls produce.
 func TestCalibrateCoresMatchesSequential(t *testing.T) {
 	m := topology.SMTQuad()
 	opt := Options{Seed: 1, MaxCacheBytes: 128 * topology.KB, NoiseSigma: 0.02}
-	seq, err := NewSuite(m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want []Calibration
 	for c := 0; c < m.CoresPerNode; c++ {
-		want = append(want, seq.Mcalibrator(c))
+		want = append(want, mcal(t, m, c, opt))
 	}
 
 	opt.Parallelism = 4
@@ -298,7 +294,7 @@ func TestCommRepresentativeStandsForLayer(t *testing.T) {
 		t.Skip("sweep")
 	}
 	m := topology.Dunnington()
-	res, _, err := CommunicationCosts(m, 32*topology.KB, fastComm())
+	res, _, err := CommunicationCostsContext(context.Background(), m, 32*topology.KB, fastComm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +335,7 @@ func TestMultiSizeLayerDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	single, _, err := CommunicationCosts(m, 4*topology.KB, Options{
+	single, _, err := CommunicationCostsContext(context.Background(), m, 4*topology.KB, Options{
 		Seed: 1, CommReps: 2, BWSizes: []int64{4 * topology.KB},
 	})
 	if err != nil {
@@ -349,7 +345,7 @@ func TestMultiSizeLayerDetection(t *testing.T) {
 		t.Fatalf("single-size probing found %d layers; the channels should alias at 4 KB", len(single.Layers))
 	}
 
-	multi, _, err := CommunicationCosts(m, 4*topology.KB, Options{
+	multi, _, err := CommunicationCostsContext(context.Background(), m, 4*topology.KB, Options{
 		Seed: 1, CommReps: 2,
 		BWSizes:    []int64{4 * topology.KB},
 		LayerSizes: []int64{4 * topology.KB, 64 * topology.KB},

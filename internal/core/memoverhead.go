@@ -13,36 +13,24 @@ import (
 // moves, used only to account the probe's simulated running time.
 const memProbeBytes = 16 * topology.MB
 
-// MemoryOverhead implements the Fig. 6 benchmark: measure the
+// MemoryOverheadContext implements the Fig. 6 benchmark: measure the
 // STREAM-copy bandwidth of an isolated core (the reference), then of
 // one core of every pair while both access memory concurrently.
 // Bandwidths below the reference are clustered into overhead levels
 // (first-match within SimilarTol, exactly as the paper's algorithm
 // appends to BW/Pm); each level's pairs are folded into core groups
 // and one group per level is swept to produce the effective-bandwidth
-// scalability curve of Fig. 9(b).
+// scalability curve of Fig. 9(b). The returned simulated-probe
+// duration accounts for the traffic the measurements would move.
 //
-// The returned simulated-probe duration accounts for the traffic the
-// measurements would move.
-func MemoryOverhead(m *topology.Machine, opt Options) (report.MemoryResult, float64) {
-	res, probeNS, err := MemoryOverheadContext(context.Background(), m, opt)
-	if err != nil {
-		// The background context cannot be cancelled and the
-		// measurements themselves never fail, so this is unreachable.
-		panic("core: memory-overhead sweep failed without cancellation: " + err.Error())
-	}
-	return res, probeNS
-}
-
-// MemoryOverheadContext is the context-aware MemoryOverhead used by
-// the probe engine. The O(cores²) pair sweep is sharded over the
-// engine's scheduler through the suite's sweep helper: workers record
-// only raw bandwidths into disjoint slots (slot 0 the isolated
-// reference, slot 1+i pair i), while the order-sensitive probe-time
-// float sum, the stateless noise perturbation, the overhead-level
-// clustering and the scalability curves all run in a sequential merge
-// in measurement order — so the result is byte-identical at any
-// Options.Parallelism.
+// The O(cores²) pair sweep is sharded over the engine's scheduler
+// through the suite's sweep helper, and cancelling the context aborts
+// it between measurements. Workers record only raw bandwidths into
+// disjoint slots (slot 0 the isolated reference, slot 1+i pair i),
+// while the order-sensitive probe-time float sum, the stateless noise
+// perturbation, the overhead-level clustering and the scalability
+// curves all run in a sequential merge in measurement order — so the
+// result is byte-identical at any Options.Parallelism.
 func MemoryOverheadContext(ctx context.Context, m *topology.Machine, opt Options) (report.MemoryResult, float64, error) {
 	opt = opt.withDefaults(m)
 	var probeNS float64

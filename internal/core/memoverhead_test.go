@@ -9,15 +9,27 @@ import (
 	"reflect"
 	"testing"
 
+	"servet/internal/report"
 	"servet/internal/topology"
 )
+
+// memOverhead runs MemoryOverheadContext to completion, failing the
+// test on error.
+func memOverhead(t *testing.T, m *topology.Machine, opt Options) (report.MemoryResult, float64) {
+	t.Helper()
+	res, probeNS, err := MemoryOverheadContext(context.Background(), m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, probeNS
+}
 
 // TestMemoryOverheadDunnington reproduces Fig. 9(a)'s Dunnington
 // result: every pair collides on the single FSB with the same
 // magnitude — one overhead level covering all cores.
 func TestMemoryOverheadDunnington(t *testing.T) {
 	m := topology.Dunnington()
-	res, probeNS := MemoryOverhead(m, Options{Seed: 1})
+	res, probeNS := memOverhead(t, m, Options{Seed: 1})
 	if res.RefBandwidthGBs != 4.0 {
 		t.Errorf("ref = %g, want 4.0", res.RefBandwidthGBs)
 	}
@@ -44,7 +56,7 @@ func TestMemoryOverheadDunnington(t *testing.T) {
 // cell sharers (~25% below reference) — and no overhead across cells.
 func TestMemoryOverheadFinisTerrae(t *testing.T) {
 	m := topology.FinisTerrae(1)
-	res, _ := MemoryOverhead(m, Options{Seed: 1})
+	res, _ := memOverhead(t, m, Options{Seed: 1})
 	if len(res.Levels) != 2 {
 		t.Fatalf("levels = %d, want 2 (bus + cell)", len(res.Levels))
 	}
@@ -81,7 +93,7 @@ func TestMemoryOverheadFinisTerrae(t *testing.T) {
 // core counts.
 func TestMemoryScalabilityCurves(t *testing.T) {
 	m := topology.FinisTerrae(1)
-	res, _ := MemoryOverhead(m, Options{Seed: 1})
+	res, _ := memOverhead(t, m, Options{Seed: 1})
 	bus, cell := res.Levels[0], res.Levels[1]
 	for _, lvl := range res.Levels {
 		for i := 1; i < len(lvl.Scalability); i++ {
@@ -107,7 +119,7 @@ func TestMemoryScalabilityCurves(t *testing.T) {
 
 func TestMemoryOverheadUnicore(t *testing.T) {
 	m := topology.Athlon3200()
-	res, _ := MemoryOverhead(m, Options{Seed: 1})
+	res, _ := memOverhead(t, m, Options{Seed: 1})
 	if len(res.Levels) != 0 {
 		t.Errorf("unicore overhead levels: %+v", res.Levels)
 	}
@@ -121,7 +133,7 @@ func TestMemoryOverheadUnicore(t *testing.T) {
 // relative noise.
 func TestMemoryOverheadWithNoise(t *testing.T) {
 	m := topology.FinisTerrae(1)
-	res, _ := MemoryOverhead(m, Options{Seed: 3, NoiseSigma: 0.02})
+	res, _ := memOverhead(t, m, Options{Seed: 3, NoiseSigma: 0.02})
 	if len(res.Levels) != 2 {
 		t.Fatalf("levels under noise = %d, want 2", len(res.Levels))
 	}
@@ -198,7 +210,7 @@ func TestMemoryOverheadPaperGroupingExample(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := MemoryOverhead(m, Options{Seed: 1})
+	res, _ := memOverhead(t, m, Options{Seed: 1})
 	if len(res.Levels) != 1 {
 		t.Fatalf("levels = %d, want 1", len(res.Levels))
 	}

@@ -88,11 +88,11 @@ func (e *Env) CacheLevels() ([]DetectedCache, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: probe %s has not completed (missing dependency?)", probeCacheSize)
 	}
-	out, ok := p.Value.(cacheSizeOutput)
+	levels, ok := p.Value.([]DetectedCache)
 	if !ok {
 		return nil, fmt.Errorf("core: probe %s produced %T, want cache levels", probeCacheSize, p.Value)
 	}
-	return out.levels, nil
+	return levels, nil
 }
 
 // NoCacheLevelsError reports that the cache-size probe found no cache

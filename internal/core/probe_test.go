@@ -243,7 +243,7 @@ func TestParallelMatchesSequentialAllModels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := s.Run()
+				r, err := s.RunProbes(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +264,7 @@ func TestEngineMatchesLegacySequentialGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run()
+	r, err := s.RunProbes(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +276,15 @@ func TestEngineMatchesLegacySequentialGolden(t *testing.T) {
 		Nodes:        m.Nodes,
 		CoresPerNode: m.CoresPerNode,
 	}
-	levels, cal := s.DetectCaches()
+	cal, err := McalibratorContext(context.Background(), m, 0, s.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := DetectCacheSizes(cal, m.PageBytes, s.Options())
 	legacy.Timings = append(legacy.Timings, report.StageTiming{
 		Stage: "cache-size", SimulatedProbe: timeDuration(m.CyclesToNS(cal.ProbeCycles)),
 	})
-	shared := SharedCaches(m, levels, s.Options())
+	shared := sharedCaches(t, m, levels, s.Options())
 	var sharedCycles float64
 	for i, lvl := range levels {
 		cr := report.CacheResult{Level: lvl.Level, SizeBytes: lvl.SizeBytes, Method: lvl.Method}
@@ -293,12 +297,12 @@ func TestEngineMatchesLegacySequentialGolden(t *testing.T) {
 	legacy.Timings = append(legacy.Timings, report.StageTiming{
 		Stage: "shared-caches", SimulatedProbe: timeDuration(m.CyclesToNS(sharedCycles)),
 	})
-	memRes, memNS := MemoryOverhead(m, s.Options())
+	memRes, memNS := memOverhead(t, m, s.Options())
 	legacy.Memory = memRes
 	legacy.Timings = append(legacy.Timings, report.StageTiming{
 		Stage: "memory-overhead", SimulatedProbe: timeDuration(memNS),
 	})
-	commRes, commNS, err := CommunicationCosts(m, levels[0].SizeBytes, s.Options())
+	commRes, commNS, err := CommunicationCostsContext(context.Background(), m, levels[0].SizeBytes, s.Options())
 	if err != nil {
 		t.Fatal(err)
 	}

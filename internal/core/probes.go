@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"servet/internal/report"
-	"servet/internal/topology"
 )
 
 // The built-in probes: the four paper benchmarks (Sections III-A to
@@ -19,50 +18,21 @@ func init() {
 	Register(tlbProbe{})
 }
 
-// cacheSizeOutput is the cache-size probe's Value: the detected
-// levels and the raw calibration curve.
-type cacheSizeOutput struct {
-	levels []DetectedCache
-	cal    Calibration
-}
-
-// calibrateAndDetect runs mcalibrator on core 0 and the Fig. 4
-// driver on the raw curve — the exact sequence (and simulated probe
-// cost) of the original suite. Shared by Suite.DetectCaches and the
-// cache-size probe.
-func calibrateAndDetect(m *topology.Machine, opt Options) ([]DetectedCache, Calibration) {
-	det, cal, err := calibrateAndDetectContext(context.Background(), m, opt)
-	if err != nil {
-		// The background context cannot be cancelled and the
-		// measurements themselves never fail, so this is unreachable.
-		panic("core: calibration failed without cancellation: " + err.Error())
-	}
-	return det, cal
-}
-
-// calibrateAndDetectContext is the ctx-aware calibrateAndDetect the
-// probe engine runs: the sharded mcalibrator grid aborts between
-// measurements when the context is cancelled.
-func calibrateAndDetectContext(ctx context.Context, m *topology.Machine, opt Options) ([]DetectedCache, Calibration, error) {
-	cal, err := McalibratorContext(ctx, m, 0, opt)
-	if err != nil {
-		return nil, Calibration{}, err
-	}
-	return DetectCacheSizes(cal, m.PageBytes, opt), cal, nil
-}
-
-// cacheSizeProbe runs mcalibrator on core 0 and the Fig. 4 driver
-// (Section III-A).
+// cacheSizeProbe runs mcalibrator on core 0 and the Fig. 4 driver on
+// the raw curve (Section III-A), without the standalone DetectCaches
+// refinement: this sequence's simulated probe cost is what Table I
+// pins.
 type cacheSizeProbe struct{}
 
 func (cacheSizeProbe) Name() string   { return probeCacheSize }
 func (cacheSizeProbe) Deps() []string { return nil }
 
 func (cacheSizeProbe) Run(ctx context.Context, env *Env) (Partial, error) {
-	levels, cal, err := calibrateAndDetectContext(ctx, env.Machine, env.Opt)
+	cal, err := McalibratorContext(ctx, env.Machine, 0, env.Opt)
 	if err != nil {
 		return Partial{}, err
 	}
+	levels := DetectCacheSizes(cal, env.Machine.PageBytes, env.Opt)
 	if len(levels) == 0 {
 		return Partial{}, &NoCacheLevelsError{Machine: env.Machine.Name}
 	}
@@ -77,7 +47,7 @@ func (cacheSizeProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 			}
 		},
 		SimulatedProbe: time.Duration(env.Machine.CyclesToNS(cal.ProbeCycles)),
-		Value:          cacheSizeOutput{levels: levels, cal: cal},
+		Value:          levels,
 	}, nil
 }
 
@@ -116,7 +86,7 @@ func (cacheSizeProbe) restore(r *report.Report) (Partial, bool) {
 				})
 			}
 		},
-		Value: cacheSizeOutput{levels: levels},
+		Value: levels,
 	}, true
 }
 
@@ -301,7 +271,10 @@ func (tlbProbe) Name() string   { return probeTLB }
 func (tlbProbe) Deps() []string { return nil }
 
 func (tlbProbe) Run(ctx context.Context, env *Env) (Partial, error) {
-	res, ok := DetectTLB(env.Machine, 0, env.Opt)
+	res, ok, err := DetectTLB(ctx, env.Machine, 0, env.Opt)
+	if err != nil {
+		return Partial{}, err
+	}
 	return Partial{
 		Apply: func(r *report.Report) {
 			if ok {

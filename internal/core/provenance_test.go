@@ -130,7 +130,7 @@ func TestRunSeededPartialExecutesRest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.Run()
+	fresh, err := s.RunProbes(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

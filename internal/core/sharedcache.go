@@ -40,19 +40,13 @@ type SharedCacheLevel struct {
 	ProbeCycles float64
 }
 
-// SharedCaches implements the Fig. 5 benchmark: for every detected
-// cache level, traverse a (2/3)·CS array on one isolated core as
-// reference, then on every pair of node-local cores concurrently; a
+// SharedCachesContext implements the Fig. 5 benchmark: for every
+// detected cache level, traverse a (2/3)·CS array on one isolated core
+// as reference, then on every pair of node-local cores concurrently; a
 // pair whose cycle count is more than RatioThreshold times the
 // reference shares the level's cache. Machines with one core have no
-// pairs and report every level private.
-func SharedCaches(m *topology.Machine, levels []DetectedCache, opt Options) []SharedCacheLevel {
-	return SharedCachePairs(m, levels, allNodePairs(m), opt)
-}
-
-// SharedCachesContext is the context-aware SharedCaches used by the
-// probe engine: cancelling the context aborts the sweep between
-// measurements.
+// pairs and report every level private. Cancelling the context aborts
+// the sweep between measurements.
 func SharedCachesContext(ctx context.Context, m *topology.Machine, levels []DetectedCache, opt Options) ([]SharedCacheLevel, error) {
 	return SharedCachePairsContext(ctx, m, levels, allNodePairs(m), opt)
 }
@@ -67,19 +61,6 @@ func allNodePairs(m *topology.Machine) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// SharedCachePairs is SharedCaches restricted to an explicit list of
-// node-local core pairs (the Fig. 8 plots, for clarity, only show the
-// pairs containing core 0).
-func SharedCachePairs(m *topology.Machine, levels []DetectedCache, pairs [][2]int, opt Options) []SharedCacheLevel {
-	out, err := SharedCachePairsContext(context.Background(), m, levels, pairs, opt)
-	if err != nil {
-		// The background context cannot be cancelled and the
-		// measurements themselves never fail, so this is unreachable.
-		panic("core: shared-cache sweep failed without cancellation: " + err.Error())
-	}
-	return out
 }
 
 // scSample is one raw shared-cache measurement: the mean cycles per
@@ -130,20 +111,22 @@ func (sc *scScratch) measurePair(opt Options, level int64, pi int, pair [2]int, 
 	return avg, total
 }
 
-// SharedCachePairsContext runs the Fig. 5 sweep sharded over the
-// engine's scheduler: every (level, pair) measurement — and each
-// level's isolated reference — measures a memory system whose page
-// placement is seeded from (Seed, probe family, level, pair index),
-// so it is identical by construction no matter which worker runs the
-// measurement or in what order. Each worker owns one pooled
-// memsys.Instance reset in place per measurement (ResetAt is
-// bitwise-equivalent to building fresh), so the sweep — historically
-// ~1.9 GB of instance churn — allocates nothing in steady state.
-// Workers record only raw cycle counts into disjoint slots; noise
-// perturbation, ratio thresholding, component grouping and the
-// order-sensitive ProbeCycles float sum all happen in a sequential
-// merge in (level, pair) order, which keeps the result byte-identical
-// at any Options.Parallelism.
+// SharedCachePairsContext is SharedCachesContext restricted to an
+// explicit list of node-local core pairs (the Fig. 8 plots, for
+// clarity, only show the pairs containing core 0). It runs the Fig. 5
+// sweep sharded over the engine's scheduler: every (level, pair)
+// measurement — and each level's isolated reference — measures a
+// memory system whose page placement is seeded from (Seed, probe
+// family, level, pair index), so it is identical by construction no
+// matter which worker runs the measurement or in what order. Each
+// worker owns one pooled memsys.Instance reset in place per
+// measurement (ResetAt is bitwise-equivalent to building fresh), so
+// the sweep — historically ~1.9 GB of instance churn — allocates
+// nothing in steady state. Workers record only raw cycle counts into
+// disjoint slots; noise perturbation, ratio thresholding, component
+// grouping and the order-sensitive ProbeCycles float sum all happen
+// in a sequential merge in (level, pair) order, which keeps the
+// result byte-identical at any Options.Parallelism.
 func SharedCachePairsContext(ctx context.Context, m *topology.Machine, levels []DetectedCache, pairs [][2]int, opt Options) ([]SharedCacheLevel, error) {
 	opt = opt.withDefaults(m)
 

@@ -37,34 +37,21 @@ func (s *Suite) Machine() *topology.Machine { return s.m }
 // Options returns the effective (default-filled) options.
 func (s *Suite) Options() Options { return s.opt }
 
-// DetectCaches runs mcalibrator on core 0 and the Fig. 4 driver.
-func (s *Suite) DetectCaches() ([]DetectedCache, Calibration) {
-	return calibrateAndDetect(s.m, s.opt)
-}
-
-// DetectCachesRefined runs the adaptive standalone cache detection:
+// DetectCaches runs the adaptive standalone cache detection on core 0:
 // mcalibrator over the standard grid, then refined re-measurement of
-// each smeared transition window (see DetectCaches). It is the
-// algorithm behind the facade's single-benchmark entry point; the
-// in-suite probe uses the plain pipeline of DetectCaches (method on
-// Suite), whose probe-cost accounting Table I pins.
-func (s *Suite) DetectCachesRefined() ([]DetectedCache, Calibration) {
-	return DetectCaches(s.m, 0, s.opt)
-}
-
-// Mcalibrator runs the raw calibration loop of Fig. 1 on one core,
-// each measurement against its own per-(size, allocation)
-// memory-system instance.
-func (s *Suite) Mcalibrator(coreID int) Calibration {
-	return Mcalibrator(s.m, coreID, s.opt)
+// each smeared transition window (see the package-level DetectCaches).
+// The in-suite cache-size probe fits the raw curve instead, whose
+// probe-cost accounting Table I pins.
+func (s *Suite) DetectCaches(ctx context.Context) ([]DetectedCache, Calibration, error) {
+	return DetectCaches(ctx, s.m, 0, s.opt)
 }
 
 // CalibrateCores runs the Fig. 1 calibration loop on each of the given
 // node-local cores (no cores means all of them), fanning the per-core
 // runs over the engine's scheduler under Options.Parallelism. Each
-// measurement builds its own memory-system instance from stable keys —
-// exactly what Mcalibrator does per call — so the results are
-// identical to a sequential per-core loop at any parallelism.
+// measurement builds its own memory-system instance from stable keys,
+// so the results are identical to a sequential per-core loop at any
+// parallelism.
 // Calibrations come back in the order the cores were given.
 func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration, error) {
 	if len(cores) == 0 {
@@ -102,21 +89,10 @@ func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration
 	return cals, nil
 }
 
-// DetectTLB runs the TLB extension probe on core 0; ok is false when
-// the machine shows no translation-miss transition.
-func (s *Suite) DetectTLB() (DetectedTLB, bool) {
-	return DetectTLB(s.m, 0, s.opt)
-}
-
-// Run executes the whole suite — the four paper benchmarks of
-// DefaultProbes — recording per-stage wall and simulated-probe times
-// (Table I).
-func (s *Suite) Run() (*report.Report, error) {
-	return s.RunProbes(context.Background())
-}
-
 // RunProbes executes the named probes plus their transitive
-// dependencies (no names means DefaultProbes). Independent probes run
+// dependencies (no names means DefaultProbes, the four paper
+// benchmarks), recording per-stage wall and simulated-probe times
+// (Table I). Independent probes run
 // concurrently up to Options.Parallelism; results merge into the
 // report in registration order, with one StageTiming per executed
 // probe. A probe failure is returned as a *ProbeError; cancelling the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestSuiteRunDempsey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run()
+	r, err := s.RunProbes(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSuiteRunSMTQuad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run()
+	r, err := s.RunProbes(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestSuiteDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.Run()
+		r, err := s.RunProbes(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestSuiteRunNehalem2S(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run()
+	r, err := s.RunProbes(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestSuiteRunUnicore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run()
+	r, err := s.RunProbes(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestSuiteRunTLBBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Run()
+	r, err := s.RunProbes(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

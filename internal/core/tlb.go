@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"servet/internal/memsys"
 	"servet/internal/stats"
 	"servet/internal/topology"
@@ -26,8 +28,8 @@ type DetectedTLB struct {
 // first gradient jump. ok is false when no transition appears within
 // maxPages (e.g. on machines modelled without a TLB). The probe owns
 // its memory-system instance and reuses one address buffer across the
-// page-count steps.
-func DetectTLB(m *topology.Machine, coreID int, opt Options) (DetectedTLB, bool) {
+// page-count steps; cancelling the context aborts it between steps.
+func DetectTLB(ctx context.Context, m *topology.Machine, coreID int, opt Options) (DetectedTLB, bool, error) {
 	opt = opt.withDefaults(m)
 	in := memsys.NewInstance(m, opt.Seed)
 	stride := m.PageBytes + m.Caches[0].LineBytes
@@ -45,6 +47,9 @@ func DetectTLB(m *topology.Machine, coreID int, opt Options) (DetectedTLB, bool)
 	var addrs []int64
 	sp := in.NewSpace()
 	for np := 4; np <= maxPages; np *= 2 {
+		if err := ctx.Err(); err != nil {
+			return DetectedTLB{}, false, err
+		}
 		in.ResetCaches()
 		arr := sp.Alloc(int64(np) * stride)
 		addrs = addrs[:0]
@@ -65,12 +70,12 @@ func DetectTLB(m *topology.Machine, coreID int, opt Options) (DetectedTLB, bool)
 	g := stats.Gradient(cycles)
 	runs := stats.FindRuns(g, opt.GradientThreshold, opt.PeakMin)
 	if len(runs) == 0 {
-		return DetectedTLB{ProbeCycles: probeCycles}, false
+		return DetectedTLB{ProbeCycles: probeCycles}, false, nil
 	}
 	k := runs[0].Peak
 	return DetectedTLB{
 		Entries:     pages[k],
 		MissCycles:  cycles[len(cycles)-1] - cycles[0],
 		ProbeCycles: probeCycles,
-	}, true
+	}, true, nil
 }

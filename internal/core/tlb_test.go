@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -9,7 +11,10 @@ import (
 
 func TestDetectTLBOnTLBBox(t *testing.T) {
 	m := topology.TLBBox()
-	res, ok := DetectTLB(m, 0, Options{Seed: 1})
+	res, ok, err := DetectTLB(context.Background(), m, 0, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok {
 		t.Fatal("no TLB transition found on the TLB machine")
 	}
@@ -23,8 +28,8 @@ func TestDetectTLBOnTLBBox(t *testing.T) {
 
 func TestDetectTLBAbsentOnPlainMachines(t *testing.T) {
 	for _, m := range []*topology.Machine{topology.Dempsey(), topology.Athlon3200()} {
-		if res, ok := DetectTLB(m, 0, Options{Seed: 1}); ok {
-			t.Errorf("%s: phantom TLB detected: %+v", m.Name, res)
+		if res, ok, err := DetectTLB(context.Background(), m, 0, Options{Seed: 1}); err != nil || ok {
+			t.Errorf("%s: phantom TLB detected: %+v (err %v)", m.Name, res, err)
 		}
 	}
 }
@@ -35,7 +40,7 @@ func TestDetectTLBAbsentOnPlainMachines(t *testing.T) {
 // cost stays below the gradient threshold.
 func TestTLBDoesNotPerturbCacheDetection(t *testing.T) {
 	m := topology.TLBBox()
-	det, _ := DetectCaches(m, 0, Options{Seed: 1})
+	det := detect(t, m, 1)
 	if len(det) != 1 || det[0].SizeBytes != 64*topology.KB {
 		t.Errorf("detected = %+v, want a single 64 KB level", det)
 	}
@@ -52,5 +57,19 @@ func TestTLBValidation(t *testing.T) {
 func TestTLBBoxModelValidates(t *testing.T) {
 	if err := topology.TLBBox().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDetectTLBCancelledContext: a cancelled context stops the probe
+// before its first page-count step, with no simulated cost spent.
+func TestDetectTLBCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, ok, err := DetectTLB(ctx, topology.TLBBox(), 0, Options{Seed: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if ok || res.ProbeCycles != 0 {
+		t.Errorf("cancelled probe measured: %+v ok=%v", res, ok)
 	}
 }

@@ -64,7 +64,7 @@ func (o Opt) seed() int64 {
 // generator produces one experiment.
 type generator struct {
 	title string
-	run   func(Opt) (*Result, error)
+	run   func(context.Context, Opt) (*Result, error)
 }
 
 var registry = map[string]generator{
@@ -97,16 +97,10 @@ func IDs() []string {
 // Title returns the caption of an experiment id (empty if unknown).
 func Title(id string) string { return registry[id].title }
 
-// Run regenerates one experiment. It is RunContext with a background
-// context.
-func Run(id string, opt Opt) (*Result, error) {
-	return RunContext(context.Background(), id, opt)
-}
-
-// RunContext regenerates one experiment under a context: cancelling
-// it aborts before the generator starts (generators themselves run to
-// completion, mirroring probe granularity in the suite).
-func RunContext(ctx context.Context, id string, opt Opt) (*Result, error) {
+// Run regenerates one experiment under a context: cancelling it
+// aborts before the generator starts or, once it runs, between the
+// measurements of its core sweeps.
+func Run(ctx context.Context, id string, opt Opt) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -114,7 +108,7 @@ func RunContext(ctx context.Context, id string, opt Opt) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 	}
-	res, err := gen.run(opt)
+	res, err := gen.run(ctx, opt)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
@@ -128,14 +122,9 @@ func RunContext(ctx context.Context, id string, opt Opt) (*Result, error) {
 // at most Opt.Parallelism workers, and the results come back in id
 // order regardless of completion order. On failure it returns the
 // results that completed (still in id order) and the error of the
-// failed experiment earliest in id order.
-func RunAll(opt Opt) ([]*Result, error) {
-	return RunAllContext(context.Background(), opt)
-}
-
-// RunAllContext is RunAll under a context: cancelling it stops
-// launching experiments and aborts the fan-out.
-func RunAllContext(ctx context.Context, opt Opt) ([]*Result, error) {
+// failed experiment earliest in id order. Cancelling the context
+// stops launching experiments and aborts the running ones.
+func RunAll(ctx context.Context, opt Opt) ([]*Result, error) {
 	ids := IDs()
 	slots := make([]*Result, len(ids))
 	tasks := make([]sched.Task, len(ids))
@@ -144,7 +133,7 @@ func RunAllContext(ctx context.Context, opt Opt) ([]*Result, error) {
 		tasks[i] = sched.Task{
 			Name: id,
 			Run: func(ctx context.Context) error {
-				res, err := RunContext(ctx, id, opt)
+				res, err := Run(ctx, id, opt)
 				if err != nil {
 					return err
 				}

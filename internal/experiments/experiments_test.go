@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"servet/internal/obs"
 )
 
 var quick = Opt{Seed: 1, Quick: true}
@@ -36,13 +40,13 @@ func TestIDsStableAndComplete(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run("fig99", quick); err == nil {
+	if _, err := Run(context.Background(), "fig99", quick); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
 
 func TestFig2Shapes(t *testing.T) {
-	res, err := Run("fig2a", quick)
+	res, err := Run(context.Background(), "fig2a", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +63,7 @@ func TestFig2Shapes(t *testing.T) {
 		}
 	}
 
-	grad, err := Run("fig2b", quick)
+	grad, err := Run(context.Background(), "fig2b", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func TestSectionIVAAllMatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full detection on four machines")
 	}
-	res, err := Run("iva", Opt{Seed: 1})
+	res, err := Run(context.Background(), "iva", Opt{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +110,7 @@ func TestFig8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pair sweeps")
 	}
-	a, err := Run("fig8a", quick)
+	a, err := Run(context.Background(), "fig8a", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestFig8Shapes(t *testing.T) {
 			}
 		}
 	}
-	b, err := Run("fig8b", quick)
+	b, err := Run(context.Background(), "fig8b", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +151,7 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	res, err := Run("fig9a", quick)
+	res, err := Run(context.Background(), "fig9a", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestFig9Shapes(t *testing.T) {
 			t.Errorf("finisterrae hierarchy broken: %v", s.Y)
 		}
 	}
-	scal, err := Run("fig9b", quick)
+	scal, err := Run(context.Background(), "fig9b", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,7 @@ func TestFig10Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comm sweeps")
 	}
-	a, err := Run("fig10a", quick)
+	a, err := Run(context.Background(), "fig10a", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +198,7 @@ func TestFig10Shapes(t *testing.T) {
 			t.Errorf("inter/intra = %.2f", inter/intra)
 		}
 	}
-	b, err := Run("fig10b", quick)
+	b, err := Run(context.Background(), "fig10b", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +208,14 @@ func TestFig10Shapes(t *testing.T) {
 			t.Errorf("%s: slowdown %.1f, want visible contention", s.Name, last)
 		}
 	}
-	c, err := Run("fig10c", quick)
+	c, err := Run(context.Background(), "fig10c", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Series) != 3 {
 		t.Errorf("fig10c series = %d, want 3 layers", len(c.Series))
 	}
-	d, err := Run("fig10d", quick)
+	d, err := Run(context.Background(), "fig10d", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +228,7 @@ func TestTable1Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suites")
 	}
-	res, err := Run("table1", quick)
+	res, err := Run(context.Background(), "table1", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +240,7 @@ func TestTable1Runs(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	res, err := Run("ablation1", quick)
+	res, err := Run(context.Background(), "ablation1", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestAblations(t *testing.T) {
 		!strings.Contains(res.Text, "visible") {
 		t.Errorf("ablation1 table:\n%s", res.Text)
 	}
-	res2, err := Run("ablation2", quick)
+	res2, err := Run(context.Background(), "ablation2", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +265,7 @@ func TestRunAllQuick(t *testing.T) {
 	// still come back complete and in id order.
 	opt := quick
 	opt.Parallelism = 4
-	results, err := RunAll(opt)
+	results, err := RunAll(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,4 +320,40 @@ func TestRunAllQuick(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: results differ from the committed golden (re-run with -update only for an intended change)", path)
 	}
+}
+
+// TestRunAllCancelledInsideGenerator: a context cancelled while the
+// first generator (ablation1) is between its calibration sweeps stops
+// RunAll with the context error, and no later experiment runs.
+func TestRunAllCancelledInsideGenerator(t *testing.T) {
+	tr := obs.New()
+	base, cancel := context.WithCancel(obs.WithTracer(context.Background(), tr))
+	defer cancel()
+	ctx := &cancelAfterSweep{Context: base, tr: tr, cancel: cancel}
+	results, err := RunAll(ctx, quick)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(results) != 0 {
+		t.Errorf("%d experiments completed after the cancellation", len(results))
+	}
+	if tr.Counter(obs.CounterSweepMeasurements) == 0 {
+		t.Error("no sweep measured: the context was cancelled before any generator ran")
+	}
+}
+
+// cancelAfterSweep cancels itself at the first context lookup made
+// once the tracer has counted a sweep measurement — inside the first
+// generator, as it starts its next sweep.
+type cancelAfterSweep struct {
+	context.Context
+	tr     *obs.Tracer
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfterSweep) Value(key any) any {
+	if c.tr.Counter(obs.CounterSweepMeasurements) > 0 {
+		c.cancel()
+	}
+	return c.Context.Value(key)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"servet/internal/core"
@@ -11,22 +12,24 @@ import (
 )
 
 // calOptions picks mcalibrator options sized for figure generation.
-func calOptions(o Opt, m *topology.Machine) core.Options {
+func calOptions(o Opt) core.Options {
 	opt := core.Options{Seed: o.seed()}
 	if o.Quick {
 		opt.Allocations = 1
 		opt.Passes = 1
 	}
-	_ = m
 	return opt
 }
 
 // fig2a traverses the size grid on Dempsey and Dunnington and plots
 // cycles per access, as the paper's Fig. 2(a).
-func fig2a(o Opt) (*Result, error) {
+func fig2a(ctx context.Context, o Opt) (*Result, error) {
 	res := &Result{XLabel: "array bytes", YLabel: "cycles/access"}
 	for _, m := range []*topology.Machine{topology.Dempsey(), topology.Dunnington()} {
-		cal := core.Mcalibrator(m, 0, calOptions(o, m))
+		cal, err := core.McalibratorContext(ctx, m, 0, calOptions(o))
+		if err != nil {
+			return nil, err
+		}
 		s := Series{Name: m.Name}
 		for i := range cal.Sizes {
 			s.X = append(s.X, float64(cal.Sizes[i]))
@@ -39,8 +42,8 @@ func fig2a(o Opt) (*Result, error) {
 }
 
 // fig2b is the gradient view of fig2a.
-func fig2b(o Opt) (*Result, error) {
-	base, err := fig2a(o)
+func fig2b(ctx context.Context, o Opt) (*Result, error) {
+	base, err := fig2a(ctx, o)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +61,7 @@ func fig2b(o Opt) (*Result, error) {
 
 // sharedRatioFigure measures the Fig. 5 ratio for every pair that
 // contains core 0, one series per cache level, as Figs. 8(a)/8(b).
-func sharedRatioFigure(m *topology.Machine, levels []core.DetectedCache, o Opt) *Result {
+func sharedRatioFigure(ctx context.Context, m *topology.Machine, levels []core.DetectedCache, o Opt) (*Result, error) {
 	res := &Result{XLabel: "partner core of core 0", YLabel: "cache access overhead ratio"}
 	var pairs [][2]int
 	for b := 1; b < m.CoresPerNode; b++ {
@@ -68,7 +71,11 @@ func sharedRatioFigure(m *topology.Machine, levels []core.DetectedCache, o Opt) 
 	if o.Quick {
 		opt.Passes = 1
 	}
-	for li, lvl := range core.SharedCachePairs(m, levels, pairs, opt) {
+	shared, err := core.SharedCachePairsContext(ctx, m, levels, pairs, opt)
+	if err != nil {
+		return nil, err
+	}
+	for li, lvl := range shared {
 		s := Series{Name: fmt.Sprintf("L%d", levels[li].Level)}
 		flagged := 0
 		for _, pr := range lvl.Ratios {
@@ -82,28 +89,28 @@ func sharedRatioFigure(m *topology.Machine, levels []core.DetectedCache, o Opt) 
 		res.Notes = append(res.Notes, fmt.Sprintf("L%d: %d of %d pairs above ratio 2 -> groups %v",
 			levels[li].Level, flagged, len(lvl.Ratios), lvl.Groups))
 	}
-	return res
+	return res, nil
 }
 
-func fig8a(o Opt) (*Result, error) {
-	return sharedRatioFigure(topology.Dunnington(), []core.DetectedCache{
+func fig8a(ctx context.Context, o Opt) (*Result, error) {
+	return sharedRatioFigure(ctx, topology.Dunnington(), []core.DetectedCache{
 		{Level: 1, SizeBytes: 32 * topology.KB},
 		{Level: 2, SizeBytes: 3 * topology.MB},
 		{Level: 3, SizeBytes: 12 * topology.MB},
-	}, o), nil
+	}, o)
 }
 
-func fig8b(o Opt) (*Result, error) {
-	return sharedRatioFigure(topology.FinisTerrae(1), []core.DetectedCache{
+func fig8b(ctx context.Context, o Opt) (*Result, error) {
+	return sharedRatioFigure(ctx, topology.FinisTerrae(1), []core.DetectedCache{
 		{Level: 1, SizeBytes: 16 * topology.KB},
 		{Level: 2, SizeBytes: 256 * topology.KB},
 		{Level: 3, SizeBytes: 9 * topology.MB},
-	}, o), nil
+	}, o)
 }
 
 // fig9a plots the memory bandwidth of core 0 while it shares the
 // memory system with each partner core in turn.
-func fig9a(o Opt) (*Result, error) {
+func fig9a(_ context.Context, o Opt) (*Result, error) {
 	res := &Result{XLabel: "partner core of core 0", YLabel: "GB/s of core 0"}
 	for _, m := range []*topology.Machine{topology.Dunnington(), topology.FinisTerrae(1)} {
 		ref := memsys.StreamBandwidth(m, 0, []int{0})
@@ -125,11 +132,14 @@ func fig9a(o Opt) (*Result, error) {
 
 // fig9b plots the effective per-core bandwidth as cores of each
 // overhead group activate one by one.
-func fig9b(o Opt) (*Result, error) {
+func fig9b(ctx context.Context, o Opt) (*Result, error) {
 	res := &Result{XLabel: "concurrently accessing cores", YLabel: "GB/s per core"}
 	opt := core.Options{Seed: o.seed()}
 	for _, m := range []*topology.Machine{topology.Dunnington(), topology.FinisTerrae(1)} {
-		mem, _ := core.MemoryOverhead(m, opt)
+		mem, _, err := core.MemoryOverheadContext(ctx, m, opt)
+		if err != nil {
+			return nil, err
+		}
 		for i, lvl := range mem.Levels {
 			name := fmt.Sprintf("%s level %d", m.Name, i)
 			if m.Name == "finisterrae" {
@@ -167,7 +177,7 @@ func commOptions(o Opt) core.Options {
 }
 
 // fig10a plots the one-way latency from core 0 to every other core.
-func fig10a(o Opt) (*Result, error) {
+func fig10a(_ context.Context, o Opt) (*Result, error) {
 	res := &Result{XLabel: "destination core", YLabel: "one-way latency (us)"}
 	reps := 25
 	if o.Quick {
@@ -199,7 +209,7 @@ func fig10a(o Opt) (*Result, error) {
 // fig10b plots the concurrent-message slowdown of the slowest layer of
 // each machine (inter-processor for Dunnington, InfiniBand for Finis
 // Terrae).
-func fig10b(o Opt) (*Result, error) {
+func fig10b(ctx context.Context, o Opt) (*Result, error) {
 	res := &Result{XLabel: "concurrent messages", YLabel: "slowdown vs isolated message"}
 	for _, mc := range []struct {
 		m     *topology.Machine
@@ -209,7 +219,7 @@ func fig10b(o Opt) (*Result, error) {
 		{topology.Dunnington(), 32 * topology.KB, "inter-processor"},
 		{topology.FinisTerrae(2), 16 * topology.KB, "network"},
 	} {
-		comm, _, err := core.CommunicationCosts(mc.m, mc.msg, commOptions(o))
+		comm, _, err := core.CommunicationCostsContext(ctx, mc.m, mc.msg, commOptions(o))
 		if err != nil {
 			return nil, err
 		}
@@ -233,9 +243,9 @@ func fig10b(o Opt) (*Result, error) {
 
 // bandwidthFigure sweeps message sizes on each layer's representative
 // pair (Figs. 10(c)/(d)).
-func bandwidthFigure(m *topology.Machine, msg int64, o Opt) (*Result, error) {
+func bandwidthFigure(ctx context.Context, m *topology.Machine, msg int64, o Opt) (*Result, error) {
 	res := &Result{XLabel: "message bytes", YLabel: "GB/s"}
-	comm, _, err := core.CommunicationCosts(m, msg, commOptions(o))
+	comm, _, err := core.CommunicationCostsContext(ctx, m, msg, commOptions(o))
 	if err != nil {
 		return nil, err
 	}
@@ -255,12 +265,12 @@ func bandwidthFigure(m *topology.Machine, msg int64, o Opt) (*Result, error) {
 	return res, nil
 }
 
-func fig10c(o Opt) (*Result, error) {
-	return bandwidthFigure(topology.Dunnington(), 32*topology.KB, o)
+func fig10c(ctx context.Context, o Opt) (*Result, error) {
+	return bandwidthFigure(ctx, topology.Dunnington(), 32*topology.KB, o)
 }
 
-func fig10d(o Opt) (*Result, error) {
-	return bandwidthFigure(topology.FinisTerrae(2), 16*topology.KB, o)
+func fig10d(ctx context.Context, o Opt) (*Result, error) {
+	return bandwidthFigure(ctx, topology.FinisTerrae(2), 16*topology.KB, o)
 }
 
 func minOf(xs []float64) float64 {

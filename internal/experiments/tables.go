@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 // sectionIVA reproduces the §IV-A evaluation: detect every cache on
 // the four paper machines and compare against the specifications
 // (10 caches in total, all expected to match).
-func sectionIVA(o Opt) (*Result, error) {
+func sectionIVA(ctx context.Context, o Opt) (*Result, error) {
 	specs := map[string][]int64{
 		"dunnington":  {32 * topology.KB, 3 * topology.MB, 12 * topology.MB},
 		"finisterrae": {16 * topology.KB, 256 * topology.KB, 9 * topology.MB},
@@ -26,7 +27,10 @@ func sectionIVA(o Opt) (*Result, error) {
 	var rows [][]string
 	matches, total := 0, 0
 	for _, m := range machines {
-		det, _ := core.DetectCaches(m, 0, calOptions(o, m))
+		det, _, err := core.DetectCaches(ctx, m, 0, calOptions(o))
+		if err != nil {
+			return nil, err
+		}
 		spec := specs[m.Name]
 		for i, want := range spec {
 			got := int64(0)
@@ -57,7 +61,7 @@ func sectionIVA(o Opt) (*Result, error) {
 // table1 reproduces Table I: the execution time of each benchmark on
 // the two multicore clusters, in host wall time and simulated probe
 // time.
-func table1(o Opt) (*Result, error) {
+func table1(ctx context.Context, o Opt) (*Result, error) {
 	machines := []*topology.Machine{topology.Dunnington(), topology.FinisTerrae(2)}
 	var rows [][]string
 	res := &Result{}
@@ -71,7 +75,7 @@ func table1(o Opt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := suite.Run()
+		r, err := suite.RunProbes(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -101,15 +105,18 @@ func table1(o Opt) (*Result, error) {
 
 // ablationStride shows why the probe stride is 1 KB: with a 256 B
 // stride the hardware prefetcher hides the L1 transition.
-func ablationStride(o Opt) (*Result, error) {
+func ablationStride(ctx context.Context, o Opt) (*Result, error) {
 	m := topology.Dempsey()
 	res := &Result{XLabel: "array bytes", YLabel: "cycles/access"}
 	var rows [][]string
 	for _, stride := range []int64{256, 512, 1024} {
-		opt := calOptions(o, m)
+		opt := calOptions(o)
 		opt.StrideBytes = stride
 		opt.MaxCacheBytes = 256 * topology.KB
-		cal := core.Mcalibrator(m, 0, opt)
+		cal, err := core.McalibratorContext(ctx, m, 0, opt)
+		if err != nil {
+			return nil, err
+		}
 		s := Series{Name: fmt.Sprintf("stride %dB", stride)}
 		for i := range cal.Sizes {
 			s.X = append(s.X, float64(cal.Sizes[i]))
@@ -137,7 +144,7 @@ func ablationStride(o Opt) (*Result, error) {
 // ablationNaive compares the naive "read sizes off gradient peaks"
 // baseline against the probabilistic estimator (§III-A: the naive rule
 // reports 1 MB for Dempsey's 2 MB L2).
-func ablationNaive(o Opt) (*Result, error) {
+func ablationNaive(ctx context.Context, o Opt) (*Result, error) {
 	specs := map[string][]int64{
 		"dempsey":    {16 * topology.KB, 2 * topology.MB},
 		"dunnington": {32 * topology.KB, 3 * topology.MB, 12 * topology.MB},
@@ -145,10 +152,15 @@ func ablationNaive(o Opt) (*Result, error) {
 	var rows [][]string
 	res := &Result{}
 	for _, m := range []*topology.Machine{topology.Dempsey(), topology.Dunnington()} {
-		opt := calOptions(o, m)
-		cal := core.Mcalibrator(m, 0, opt)
+		opt := calOptions(o)
+		// Both estimators read the one calibration: the refinement
+		// behind DetectCaches adds only to its ProbeCycles, and the
+		// naive rule reads Sizes and Cycles.
+		full, cal, err := core.DetectCaches(ctx, m, 0, opt)
+		if err != nil {
+			return nil, err
+		}
 		naive := core.NaiveCacheSizes(cal, opt)
-		full, _ := core.DetectCaches(m, 0, opt)
 		spec := specs[m.Name]
 		for i, want := range spec {
 			n, f := int64(0), int64(0)

@@ -46,7 +46,7 @@ func ChannelClass(m *topology.Machine, srcCore, dstCore int) int {
 // PingPongOneWayNS, whose only inputs besides the message are the two
 // directed channels — produce bitwise-identical results, which lets
 // sweeps over all O(n²) pairs measure one representative per class and
-// share the raw result (see core.CommunicationCosts).
+// share the raw result (see core.CommunicationCostsContext).
 func PairClass(m *topology.Machine, a, b int) [2]int {
 	return [2]int{ChannelClass(m, a, b), ChannelClass(m, b, a)}
 }

@@ -33,7 +33,6 @@
 package servet
 
 import (
-	"context"
 	"time"
 
 	"servet/internal/autotune"
@@ -126,44 +125,12 @@ var (
 	Models = topology.Models
 )
 
-// Run executes the full suite (cache sizes, shared caches, memory
-// overhead, communication costs) on the machine and returns the
-// report.
-//
-// Deprecated: use NewSession(m, WithOptions(opt)) and Session.Run,
-// which adds context control and incremental probe caching. Run is a
-// thin shim over a cache-less session and produces the identical
-// report.
-func Run(m *Machine, opt Options) (*Report, error) {
-	return RunProbes(m, opt)
-}
-
-// RunProbes executes only the named probes, plus their transitive
-// dependencies (e.g. "communication-costs" pulls in "cache-size" for
-// the message size). No names means the full default suite.
-//
-// Deprecated: use NewSession and Session.Run(ctx, names...).
-func RunProbes(m *Machine, opt Options, names ...string) (*Report, error) {
-	return RunProbesContext(context.Background(), m, opt, names...)
-}
-
-// RunProbesContext is RunProbes with a context: cancelling it aborts
-// the run between probes.
-//
-// Deprecated: use NewSession and Session.Run(ctx, names...).
-func RunProbesContext(ctx context.Context, m *Machine, opt Options, names ...string) (*Report, error) {
-	s, err := NewSession(m, WithOptions(opt))
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(ctx, names...)
-}
-
 // Probe registry introspection and engine error types.
 var (
 	// ProbeNames lists every registered probe in canonical order.
 	ProbeNames = core.ProbeNames
-	// DefaultProbes lists the four paper benchmarks Run executes.
+	// DefaultProbes lists the four paper benchmarks Session.Run
+	// executes when no probe is named.
 	DefaultProbes = core.DefaultProbes
 )
 
@@ -176,54 +143,10 @@ type (
 	UnknownProbeError  = core.UnknownProbeError
 )
 
-// DetectCaches runs only the cache-size benchmark (mcalibrator plus
-// the Fig. 4 detection driver) and returns the detected levels along
-// with the raw calibration curve.
-//
-// Deprecated: use NewSession and Session.DetectCaches.
-func DetectCaches(m *Machine, opt Options) ([]DetectedCache, Calibration, error) {
-	s, err := NewSession(m, WithOptions(opt))
-	if err != nil {
-		return nil, Calibration{}, err
-	}
-	det, cal := s.DetectCaches()
-	return det, cal, nil
-}
-
-// Mcalibrator runs only the raw calibration loop of Fig. 1 on one core
-// and returns sizes and cycles per access.
-//
-// Deprecated: use NewSession and Session.Mcalibrator.
-func Mcalibrator(m *Machine, coreID int, opt Options) (Calibration, error) {
-	s, err := NewSession(m, WithOptions(opt))
-	if err != nil {
-		return Calibration{}, err
-	}
-	return s.Mcalibrator(coreID), nil
-}
-
 // LoadReport reads a report saved by Report.Save.
 func LoadReport(path string) (*Report, error) { return report.Load(path) }
 
-// DetectedTLB is the result of the TLB extension probe.
-type DetectedTLB = core.DetectedTLB
-
-// DetectTLB probes the machine's TLB (an extension beyond the paper's
-// suite, in the Saavedra & Smith lineage of mcalibrator): it returns
-// the detected entry count and miss penalty, with ok=false when the
-// machine shows no translation-miss transition.
-//
-// Deprecated: use NewSession and Session.DetectTLB.
-func DetectTLB(m *Machine, opt Options) (DetectedTLB, bool, error) {
-	s, err := NewSession(m, WithOptions(opt))
-	if err != nil {
-		return DetectedTLB{}, false, err
-	}
-	res, ok := s.DetectTLB()
-	return res, ok, nil
-}
-
-// TLBBox is the synthetic machine model with a TLB, for the DetectTLB
+// TLBBox is the synthetic machine model with a TLB, for the "tlb"
 // probe.
 var TLBBox = topology.TLBBox
 

@@ -1,16 +1,29 @@
 package servet_test
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"servet"
+	"servet/internal/obs"
 )
 
+// runSession runs the named probes (no names means the default suite)
+// on a fresh session with the given options.
+func runSession(t *testing.T, m *servet.Machine, opt servet.Options, probes ...string) (*servet.Report, error) {
+	t.Helper()
+	s, err := servet.NewSession(m, servet.WithOptions(opt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Run(context.Background(), probes...)
+}
+
 func TestRunDempseyEndToEnd(t *testing.T) {
-	m := servet.Dempsey()
-	rep, err := servet.Run(m, servet.Options{Seed: 1, CommReps: 2, BWSizes: []int64{4096, 65536}})
+	rep, err := runSession(t, servet.Dempsey(), servet.Options{Seed: 1, CommReps: 2, BWSizes: []int64{4096, 65536}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +60,7 @@ func TestRunDempseyEndToEnd(t *testing.T) {
 // requested probe (it has no dependencies), leaving the rest of the
 // report empty.
 func TestRunProbesCacheSizeOnly(t *testing.T) {
-	rep, err := servet.RunProbes(servet.Dempsey(), servet.Options{Seed: 1}, "cache-size")
+	rep, err := runSession(t, servet.Dempsey(), servet.Options{Seed: 1}, "cache-size")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +76,15 @@ func TestRunProbesCacheSizeOnly(t *testing.T) {
 }
 
 // TestRunProbesParallelFullSuite: a concurrent run of the full suite
-// merges into the same report as Run.
+// merges into the same report as a sequential one.
 func TestRunProbesParallelFullSuite(t *testing.T) {
 	opt := servet.Options{Seed: 1, CommReps: 2, BWSizes: []int64{4096, 65536}}
-	seq, err := servet.Run(servet.Dempsey(), opt)
+	seq, err := runSession(t, servet.Dempsey(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Parallelism = 4
-	par, err := servet.Run(servet.Dempsey(), opt)
+	par, err := runSession(t, servet.Dempsey(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +103,17 @@ func TestProbeRegistryFacade(t *testing.T) {
 	if len(names) < 5 {
 		t.Fatalf("probes = %v", names)
 	}
-	if _, err := servet.RunProbes(servet.Dempsey(), servet.Options{Seed: 1}, "no-such-probe"); err == nil {
+	if _, err := runSession(t, servet.Dempsey(), servet.Options{Seed: 1}, "no-such-probe"); err == nil {
 		t.Error("unknown probe accepted")
 	}
 }
 
 func TestDetectCachesOnly(t *testing.T) {
-	det, cal, err := servet.DetectCaches(servet.Athlon3200(), servet.Options{Seed: 1})
+	s, err := servet.NewSession(servet.Athlon3200(), servet.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, cal, err := s.DetectCaches(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +125,67 @@ func TestDetectCachesOnly(t *testing.T) {
 	}
 }
 
-func TestMcalibratorFacade(t *testing.T) {
-	cal, err := servet.Mcalibrator(servet.Dempsey(), 0, servet.Options{Seed: 1, MaxCacheBytes: 64 << 10})
+// TestDetectCachesCancelledDuringRefinement: cancelling the context
+// once the calibration grid is measured aborts the window refinement
+// that follows with context.Canceled.
+func TestDetectCachesCancelledDuringRefinement(t *testing.T) {
+	s, err := servet.NewSession(servet.Dempsey(), servet.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cal.Sizes) == 0 {
-		t.Error("no calibration points")
+	_, cal, err := s.DetectCaches(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := obs.New()
+	base, cancel := context.WithCancel(obs.WithTracer(context.Background(), tr))
+	defer cancel()
+	ctx := &cancelAfterSweep{Context: base, tr: tr, measurements: int64(len(cal.Sizes)), cancel: cancel}
+	if _, _, err := s.DetectCaches(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// The whole grid was measured and nothing of the refinement was:
+	// the cancellation landed between the two sweeps.
+	if got := tr.Counter(obs.CounterSweepMeasurements); got != int64(len(cal.Sizes)) {
+		t.Errorf("sweep measurements = %d, want the %d grid sizes only", got, len(cal.Sizes))
+	}
+}
+
+// cancelAfterSweep cancels itself at the first context lookup made
+// once the tracer has counted the given number of sweep measurements.
+type cancelAfterSweep struct {
+	context.Context
+	tr           *obs.Tracer
+	measurements int64
+	cancel       context.CancelFunc
+}
+
+func (c *cancelAfterSweep) Value(key any) any {
+	if c.tr.Counter(obs.CounterSweepMeasurements) >= c.measurements {
+		c.cancel()
+	}
+	return c.Context.Value(key)
+}
+
+func TestMcalibratorFacade(t *testing.T) {
+	s, err := servet.NewSession(servet.Dempsey(), servet.WithOptions(servet.Options{Seed: 1, MaxCacheBytes: 64 << 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cals, err := s.CalibrateCores(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cals) != 1 || len(cals[0].Sizes) == 0 {
+		t.Errorf("calibrations = %+v", cals)
+	}
+	if _, err := s.CalibrateCores(context.Background(), 2); err == nil {
+		t.Error("core outside the node accepted")
 	}
 	bad := servet.Dempsey()
 	bad.ClockGHz = 0
-	if _, err := servet.Mcalibrator(bad, 0, servet.Options{}); err == nil {
+	if _, err := servet.NewSession(bad); err == nil {
 		t.Error("invalid machine accepted")
 	}
 }
@@ -126,11 +193,8 @@ func TestMcalibratorFacade(t *testing.T) {
 func TestFacadeValidatesMachines(t *testing.T) {
 	bad := servet.Dempsey()
 	bad.CoresPerNode = 0
-	if _, err := servet.Run(bad, servet.Options{}); err == nil {
-		t.Error("Run accepted an invalid machine")
-	}
-	if _, _, err := servet.DetectCaches(bad, servet.Options{}); err == nil {
-		t.Error("DetectCaches accepted an invalid machine")
+	if _, err := servet.NewSession(bad, servet.WithOptions(servet.Options{})); err == nil {
+		t.Error("NewSession accepted an invalid machine")
 	}
 	if _, err := servet.NewMemorySimulator(bad, 1); err == nil {
 		t.Error("NewMemorySimulator accepted an invalid machine")
@@ -186,24 +250,22 @@ func TestModelsExposed(t *testing.T) {
 }
 
 func TestDetectTLBFacade(t *testing.T) {
-	res, ok, err := servet.DetectTLB(servet.TLBBox(), servet.Options{Seed: 1})
+	rep, err := runSession(t, servet.TLBBox(), servet.Options{Seed: 1}, "tlb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok || res.Entries != 64 {
-		t.Errorf("TLB = %+v ok=%v, want 64 entries", res, ok)
+	if rep.TLB == nil || rep.TLB.Entries != 64 {
+		t.Errorf("TLB = %+v, want 64 entries", rep.TLB)
 	}
-	_, ok, err = servet.DetectTLB(servet.Dempsey(), servet.Options{Seed: 1})
+	if len(rep.Timings) != 1 || rep.Timings[0].Stage != "tlb" || rep.Timings[0].SimulatedProbe <= 0 {
+		t.Errorf("timings = %+v, want one costed tlb row", rep.Timings)
+	}
+	rep, err = runSession(t, servet.Dempsey(), servet.Options{Seed: 1}, "tlb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Error("phantom TLB on Dempsey")
-	}
-	bad := servet.TLBBox()
-	bad.ClockGHz = 0
-	if _, _, err := servet.DetectTLB(bad, servet.Options{}); err == nil {
-		t.Error("invalid machine accepted")
+	if rep.TLB != nil {
+		t.Errorf("phantom TLB on Dempsey: %+v", rep.TLB)
 	}
 }
 

@@ -108,10 +108,9 @@ func WithRemoteCache(url string) Option {
 // Session is the stateful entry point of the suite: it owns the
 // validated machine, the effective options, the simulated-hardware
 // instances the direct probes use, and an optional probe-result
-// cache. A Session is safe for concurrent use of its Run method (the
-// probes themselves never mutate the machine), but the direct
-// single-probe helpers (Mcalibrator, DetectCaches, DetectTLB) each
-// build fresh simulator state, so concurrent calls are independent.
+// cache. A Session is safe for concurrent use: probes never mutate
+// the machine, and the direct measurements (DetectCaches,
+// CalibrateCores) build fresh simulator state per call.
 type Session struct {
 	suite       *core.Suite
 	cache       Cache
@@ -119,8 +118,7 @@ type Session struct {
 }
 
 // NewSession validates the machine and prepares a session. With no
-// options the session runs the paper's defaults, exactly like the
-// deprecated package-level Run did.
+// options the session runs the paper's defaults.
 func NewSession(m *Machine, opts ...Option) (*Session, error) {
 	var cfg sessionConfig
 	cfg.apply(opts)
@@ -383,32 +381,19 @@ func sortByCanonicalOrder(rep *Report) {
 // DetectCaches runs only the cache-size benchmark (mcalibrator plus
 // the Fig. 4 detection driver, with adaptive window refinement) and
 // returns the detected levels along with the raw calibration curve.
-func (s *Session) DetectCaches() ([]DetectedCache, Calibration) {
-	return s.suite.DetectCachesRefined()
+// Cancelling the context aborts the calibration or refinement sweep.
+func (s *Session) DetectCaches(ctx context.Context) ([]DetectedCache, Calibration, error) {
+	return s.suite.DetectCaches(ctx)
 }
 
-// Mcalibrator runs only the raw calibration loop of Fig. 1 on one
-// node-local core and returns sizes and cycles per access.
-func (s *Session) Mcalibrator(coreID int) Calibration {
-	return s.suite.Mcalibrator(coreID)
-}
-
-// CalibrateCores runs the Fig. 1 calibration loop on each of the
-// given node-local cores (no cores means every core of a node),
-// fanned out over the session's parallelism. Every core calibrates
-// against its own fresh memory-system instance, so the calibrations
-// are identical to sequential per-core Mcalibrator calls regardless
-// of parallelism. Results come back in the order the cores were
-// given.
+// CalibrateCores runs the raw calibration loop of Fig. 1 on each of
+// the given node-local cores (no cores means every core of a node),
+// fanned out over the session's parallelism, and returns sizes and
+// cycles per access. Every core calibrates against its own fresh
+// memory-system instance, so the calibrations are identical at any
+// parallelism. Results come back in the order the cores were given.
 func (s *Session) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration, error) {
 	return s.suite.CalibrateCores(ctx, cores...)
-}
-
-// DetectTLB probes the machine's TLB (an extension beyond the paper's
-// suite); ok is false when the machine shows no translation-miss
-// transition.
-func (s *Session) DetectTLB() (DetectedTLB, bool) {
-	return s.suite.DetectTLB()
 }
 
 // MemorySimulator builds the functional memory-system model of one

@@ -395,68 +395,6 @@ func TestFileCacheCorruptIsMiss(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShimsMatchSession: the legacy package-level entry
-// points are thin shims over a session and produce byte-identical
-// reports (volatile wall times and timestamps aside).
-func TestDeprecatedShimsMatchSession(t *testing.T) {
-	ctx := context.Background()
-	m := servet.Dunnington()
-
-	shim, err := servet.Run(m, quickOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := servet.NewSession(m, servet.WithOptions(quickOpt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := s.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonicalJSON(t, shim) != canonicalJSON(t, direct) {
-		t.Error("Run shim diverges from Session.Run")
-	}
-
-	shimSub, err := servet.RunProbes(m, quickOpt, "cache-size", "tlb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	directSub, err := s.Run(ctx, "cache-size", "tlb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canonicalJSON(t, shimSub) != canonicalJSON(t, directSub) {
-		t.Error("RunProbes shim diverges from Session.Run subset")
-	}
-
-	// Single-benchmark shims against their session methods.
-	detShim, calShim, err := servet.DetectCaches(m, quickOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detDirect, calDirect := s.DetectCaches()
-	if len(detShim) != len(detDirect) || detShim[0].SizeBytes != detDirect[0].SizeBytes {
-		t.Errorf("DetectCaches shim %v vs session %v", detShim, detDirect)
-	}
-	if len(calShim.Sizes) != len(calDirect.Sizes) {
-		t.Errorf("calibration shim %d points vs session %d", len(calShim.Sizes), len(calDirect.Sizes))
-	}
-
-	tlbShim, okShim, err := servet.DetectTLB(servet.TLBBox(), quickOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := servet.NewSession(servet.TLBBox(), servet.WithOptions(quickOpt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tlbDirect, okDirect := ts.DetectTLB()
-	if okShim != okDirect || tlbShim.Entries != tlbDirect.Entries {
-		t.Errorf("DetectTLB shim %+v/%v vs session %+v/%v", tlbShim, okShim, tlbDirect, okDirect)
-	}
-}
-
 func TestSessionUnknownProbe(t *testing.T) {
 	s, err := servet.NewSession(servet.Dempsey(), servet.WithOptions(quickOpt))
 	if err != nil {
