@@ -195,16 +195,16 @@ func IsSortCall(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 // wall-clock and stateful-randomness calls here (except at
 // //servet:wallclock-annotated provenance-stamping sites).
 var EnginePaths = map[string]bool{
-	"servet":                  true, // session provenance + facade
-	"servet/internal/core":    true,
-	"servet/internal/memsys":  true,
-	"servet/internal/mpisim":  true,
-	"servet/internal/netsim":  true,
-	"servet/internal/sim":     true,
-	"servet/internal/stats":   true,
+	"servet":                   true, // session provenance + facade
+	"servet/internal/core":     true,
+	"servet/internal/memsys":   true,
+	"servet/internal/mpisim":   true,
+	"servet/internal/netsim":   true,
+	"servet/internal/sim":      true,
+	"servet/internal/stats":    true,
 	"servet/internal/autotune": true,
-	"servet/internal/tune":    true,
-	"servet/internal/sched":   true,
+	"servet/internal/tune":     true,
+	"servet/internal/sched":    true,
 	// obs is the tracing layer the engine packages call into; its
 	// wall-clock reads (span timestamps) are annotated provenance, and
 	// nothing a report is computed from may depend on them.

@@ -1,17 +1,17 @@
 // Package floatmerge flags floating-point accumulation into captured
 // variables inside concurrently executed closures: `go func` literals
-// and sched task closures (sched.Task Run fields and function
-// literals handed to servet/internal/sched entry points). Two workers
-// adding into one float64 is a data race, and even under a mutex the
-// sum depends on completion order because float addition is not
-// associative — the result differs run to run and across parallelism
-// levels.
+// and sched closures (sched.Task Run fields and function literals
+// handed to servet/internal/sched entry points such as sched.Sweep).
+// Two workers adding into one float64 is a data race, and even under
+// a mutex the sum depends on completion order because float addition
+// is not associative — the result differs run to run and across
+// parallelism levels.
 //
-// The suite's discipline is the sweep idiom (internal/core/shard.go):
-// workers write measurements into disjoint slots of a shared slice,
-// and a single sequential merge walks the slots in index order doing
-// every order-sensitive reduction there. floatmerge steers authors
-// back to it whenever a closure reaches out for a shared float.
+// The suite's discipline is the sweep idiom of sched.Sweep: workers
+// write measurements into disjoint slots of a shared slice, and a
+// single sequential merge walks the slots in index order doing every
+// order-sensitive reduction there. floatmerge steers authors back to
+// it whenever a closure reaches out for a shared float.
 package floatmerge
 
 import (
@@ -69,8 +69,8 @@ func checkTaskLit(pass *analysis.Pass, lit *ast.CompositeLit) {
 }
 
 // checkSchedCall inspects function literals handed directly to
-// servet/internal/sched entry points (sched.Run task builders and the
-// like run their arguments concurrently).
+// servet/internal/sched entry points, which run them concurrently
+// (sched.Sweep's scratch builders and measurements).
 func checkSchedCall(pass *analysis.Pass, call *ast.CallExpr) {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "servet/internal/sched" {

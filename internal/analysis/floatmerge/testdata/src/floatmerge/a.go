@@ -54,3 +54,29 @@ func sweepOK() []float64 {
 	<-done
 	return slots
 }
+
+func sweepMeasure(ctx context.Context) (float64, error) {
+	var total float64
+	_, err := sched.Sweep(ctx, "t", 4, 2, nil, func(_ struct{}, i int) (int, error) {
+		total += float64(i) // want `float accumulation into captured "total" inside a sched-scheduled closure`
+		return i, nil
+	})
+	return total, err
+}
+
+// sweepSlotOK is the sweep idiom: each measurement writes only its
+// own slot, and the caller sums the slots in index order.
+func sweepSlotOK(ctx context.Context) (float64, error) {
+	slots := make([]float64, 4)
+	_, err := sched.Sweep(ctx, "t", 4, 2, nil, func(_ struct{}, i int) (struct{}, error) {
+		var v float64
+		v += float64(i)
+		slots[i] = v * 0.5
+		return struct{}{}, nil
+	})
+	var total float64
+	for _, v := range slots {
+		total += v
+	}
+	return total, err
+}

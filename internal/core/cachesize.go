@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"servet/internal/memsys"
+	"servet/internal/sched"
 	"servet/internal/stats"
 	"servet/internal/topology"
 )
@@ -300,8 +301,8 @@ func refineWindow(ctx context.Context, m *topology.Machine, coreID int, cal *Cal
 		}
 	}
 	allocs := 3 * opt.Allocations
-	samples, err := sweepScratch(ctx, "mcal-refine", len(sizes), opt.Parallelism,
-		func() *memsys.Instance { return memsys.NewInstanceAt(m, opt.Seed) },
+	samples, err := sched.Sweep(ctx, "mcal-refine", len(sizes), opt.Parallelism,
+		func() (*memsys.Instance, error) { return memsys.NewInstanceAt(m, opt.Seed), nil },
 		func(in *memsys.Instance, i int) (mcalSample, error) {
 			var s mcalSample
 			for a := 0; a < allocs; a++ {

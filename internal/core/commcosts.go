@@ -6,6 +6,7 @@ import (
 
 	"servet/internal/mpisim"
 	"servet/internal/report"
+	"servet/internal/sched"
 	"servet/internal/stats"
 	"servet/internal/topology"
 )
@@ -27,16 +28,15 @@ import (
 // the simulated cluster. Cancelling the context aborts the sweep
 // between measurements.
 //
-// Both phases run through the suite's sharded-sweep helper (see
-// shard.go): the O(n²) pair sweep over index-ordered chunks, the
-// per-layer bandwidth and scalability micro-benchmarks as one
-// measurement per layer. Workers only record raw latencies into
-// disjoint slots; probe-cost accounting, noise perturbation and layer
-// clustering all happen in a sequential merge over the measurements
-// in pair order, and noise is drawn statelessly per measurement
-// (perturbAt), so the result — including the simulated probe time, a
-// float sum sensitive to addition order — is byte-identical at any
-// Options.Parallelism.
+// Both phases run through sched.Sweep: the O(n²) pair sweep over
+// index-ordered chunks, the per-layer bandwidth and scalability
+// micro-benchmarks as one measurement per layer. Workers only record
+// raw latencies into disjoint slots; probe-cost accounting, noise
+// perturbation and layer clustering all happen in a sequential merge
+// over the measurements in pair order, and noise is drawn statelessly
+// per measurement (perturbAt), so the result — including the simulated
+// probe time, a float sum sensitive to addition order — is
+// byte-identical at any Options.Parallelism.
 func CommunicationCostsContext(ctx context.Context, m *topology.Machine, messageBytes int64, opt Options) (report.CommResult, float64, error) {
 	opt = opt.withDefaults(m)
 	if messageBytes <= 0 {
@@ -83,7 +83,7 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 		}
 		classOf[i] = ci
 	}
-	repLats, err := sweep(ctx, "pairs", len(reps), opt.Parallelism, func(i int) ([]float64, error) {
+	repLats, err := sched.Sweep(ctx, "pairs", len(reps), opt.Parallelism, nil, func(_ struct{}, i int) ([]float64, error) {
 		a, b := reps[i][0], reps[i][1]
 		vec := make([]float64, len(layerSizes))
 		for si, size := range layerSizes {
@@ -150,7 +150,7 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 		bw   []float64
 		scal []float64
 	}
-	layerRaws, err := sweep(ctx, "layer", len(lats), opt.Parallelism, func(i int) (layerRaw, error) {
+	layerRaws, err := sched.Sweep(ctx, "layer", len(lats), opt.Parallelism, nil, func(_ struct{}, i int) (layerRaw, error) {
 		rep := pairsPerLayer[i][0]
 		raw := layerRaw{
 			bw:   make([]float64, len(opt.BWSizes)),

@@ -5,6 +5,7 @@ import (
 
 	"servet/internal/memsys"
 	"servet/internal/obs"
+	"servet/internal/sched"
 	"servet/internal/topology"
 )
 
@@ -69,10 +70,10 @@ func McalibratorContext(ctx context.Context, m *topology.Machine, core int, opt 
 	// The tracer (nil when untraced) counts pooled-instance traffic:
 	// fresh builds per worker vs in-place resets per measurement.
 	tr := obs.FromContext(ctx)
-	samples, err := sweepScratch(ctx, "mcal", len(sizes), opt.Parallelism,
-		func() *memsys.Instance {
+	samples, err := sched.Sweep(ctx, "mcal", len(sizes), opt.Parallelism,
+		func() (*memsys.Instance, error) {
 			tr.Count(obs.CounterMemsysFresh, 1)
-			return memsys.NewInstanceAt(m, opt.Seed)
+			return memsys.NewInstanceAt(m, opt.Seed), nil
 		},
 		func(in *memsys.Instance, i int) (mcalSample, error) {
 			s, err := measureMcalSize(ctx, in, core, opt, i, sizes[i])

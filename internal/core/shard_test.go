@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"runtime"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 // assertShardedGolden is the one parallelism-parity harness every
@@ -21,184 +17,5 @@ func assertShardedGolden(t *testing.T, run func(parallelism int) string) {
 		if par := run(p); par != seq {
 			t.Errorf("parallelism %d diverges from sequential:\nseq: %s\npar: %s", p, seq, par)
 		}
-	}
-}
-
-// checkPlan verifies the sharded-sweep plan invariants for one (n,
-// parallelism) input: chunks are in index order, disjoint, contiguous
-// and cover exactly [0, n).
-func checkPlan(t *testing.T, n, parallelism int) {
-	t.Helper()
-	ranges := chunkRanges(n, parallelism)
-	if n <= 0 {
-		if ranges != nil {
-			t.Errorf("chunkRanges(%d,%d) = %v, want nil", n, parallelism, ranges)
-		}
-		return
-	}
-	prevEnd := 0
-	for _, r := range ranges {
-		if r[0] != prevEnd {
-			t.Errorf("chunkRanges(%d,%d): gap or overlap before %v", n, parallelism, r)
-		}
-		if r[1] < r[0] {
-			t.Errorf("chunkRanges(%d,%d): inverted range %v", n, parallelism, r)
-		}
-		prevEnd = r[1]
-	}
-	if prevEnd != n {
-		t.Errorf("chunkRanges(%d,%d) covers [0,%d), want [0,%d)", n, parallelism, prevEnd, n)
-	}
-}
-
-// TestChunkRangesProperty: for arbitrary (n, parallelism) the plan is
-// disjoint, in-order and covers [0, n) — the invariant the whole
-// sharded-sweep framework rests on.
-func TestChunkRangesProperty(t *testing.T) {
-	f := func(n uint16, parallelism uint8) bool {
-		ranges := chunkRanges(int(n), int(parallelism))
-		if n == 0 {
-			return ranges == nil
-		}
-		prevEnd := 0
-		for _, r := range ranges {
-			if r[0] != prevEnd || r[1] < r[0] {
-				return false
-			}
-			prevEnd = r[1]
-		}
-		return prevEnd == int(n)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	// Pinned edges: empty, singleton, fewer items than workers, more
-	// chunks than items, degenerate parallelism, and a large sweep.
-	for _, c := range []struct{ n, parallelism int }{
-		{0, 4}, {-3, 4}, {1, 4}, {3, 8}, {5, 0}, {5, -1}, {17, 1}, {100000, 7},
-	} {
-		checkPlan(t, c.n, c.parallelism)
-	}
-}
-
-// TestSweepOrderedResults: measurements land in their own slots in
-// index order at any parallelism, regardless of completion order.
-func TestSweepOrderedResults(t *testing.T) {
-	for _, parallelism := range []int{1, 3, 8} {
-		out, err := sweep(context.Background(), "t", 100, parallelism, func(i int) (int, error) {
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != 100 {
-			t.Fatalf("parallelism %d: %d results", parallelism, len(out))
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("parallelism %d: slot %d = %d, want %d", parallelism, i, v, i*i)
-			}
-		}
-	}
-}
-
-func TestSweepEmpty(t *testing.T) {
-	out, err := sweep(context.Background(), "t", 0, 4, func(i int) (int, error) {
-		t.Error("measure called on an empty sweep")
-		return 0, nil
-	})
-	if out != nil || err != nil {
-		t.Errorf("empty sweep = %v, %v", out, err)
-	}
-}
-
-// TestSweepPropagatesMeasurementError: a failing measurement aborts
-// the sweep and surfaces its own error, unwrapped from the scheduler's
-// task wrapper — the same text an inline loop would have reported.
-func TestSweepPropagatesMeasurementError(t *testing.T) {
-	boom := errors.New("measurement 7 failed")
-	_, err := sweep(context.Background(), "t", 20, 4, func(i int) (int, error) {
-		if i == 7 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want the measurement's own error", err)
-	}
-}
-
-func TestSweepCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := sweep(ctx, "t", 20, 4, func(i int) (int, error) { return i, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestSweepScratchSequentialReuse: at parallelism 1 exactly one
-// scratch is built and threaded through every chunk, and every
-// measurement still lands in its own slot.
-func TestSweepScratchSequentialReuse(t *testing.T) {
-	built := 0
-	out, err := sweepScratch(context.Background(), "t", 20, 1,
-		func() *int { built++; v := 0; return &v },
-		func(sc *int, i int) (int, error) {
-			*sc++ // scratch is worker-private state
-			return i * 10, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built != 1 {
-		t.Errorf("built %d scratches at parallelism 1, want 1", built)
-	}
-	for i, v := range out {
-		if v != i*10 {
-			t.Fatalf("slot %d = %d, want %d", i, v, i*10)
-		}
-	}
-}
-
-// TestSweepScratchBoundedPool: concurrent chunks never build more
-// scratches than the chunk count (the free list recycles idle ones),
-// and results stay index-ordered.
-func TestSweepScratchBoundedPool(t *testing.T) {
-	var built atomic.Int32
-	for _, parallelism := range []int{2, 4, 8} {
-		built.Store(0)
-		n := 100
-		out, err := sweepScratch(context.Background(), "t", n, parallelism,
-			func() *int32 { built.Add(1); v := int32(0); return &v },
-			func(sc *int32, i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, max := built.Load(), int32(len(chunkRanges(n, parallelism))); got < 1 || got > max {
-			t.Errorf("parallelism %d: built %d scratches, want 1..%d", parallelism, got, max)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("parallelism %d: slot %d = %d, want %d", parallelism, i, v, i*i)
-			}
-		}
-	}
-}
-
-// TestSweepScratchPropagatesError: errors unwrap exactly as in the
-// plain sweep.
-func TestSweepScratchPropagatesError(t *testing.T) {
-	boom := errors.New("measurement 3 failed")
-	_, err := sweepScratch(context.Background(), "t", 10, 2,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (int, error) {
-			if i == 3 {
-				return 0, boom
-			}
-			return i, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want the measurement's own error", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"servet/internal/memsys"
 	"servet/internal/obs"
+	"servet/internal/sched"
 	"servet/internal/stats"
 	"servet/internal/topology"
 )
@@ -150,10 +151,10 @@ func SharedCachePairsContext(ctx context.Context, m *topology.Machine, levels []
 	// The tracer (nil when untraced) counts pooled-instance traffic:
 	// fresh builds per worker vs in-place resets per placement.
 	tr := obs.FromContext(ctx)
-	samples, err := sweepScratch(ctx, "shared", len(levels)*stride, opt.Parallelism,
-		func() *scScratch {
+	samples, err := sched.Sweep(ctx, "shared", len(levels)*stride, opt.Parallelism,
+		func() (*scScratch, error) {
 			tr.Count(obs.CounterMemsysFresh, 1)
-			return &scScratch{in: memsys.NewInstanceAt(m, opt.Seed)}
+			return &scScratch{in: memsys.NewInstanceAt(m, opt.Seed)}, nil
 		},
 		func(sc *scScratch, i int) (scSample, error) {
 			li, slot := i/stride, i%stride

@@ -48,7 +48,7 @@ func (s *Suite) DetectCaches(ctx context.Context) ([]DetectedCache, Calibration,
 
 // CalibrateCores runs the Fig. 1 calibration loop on each of the given
 // node-local cores (no cores means all of them), fanning the per-core
-// runs over the engine's scheduler under Options.Parallelism. Each
+// runs through sched.Sweep under Options.Parallelism. Each
 // measurement builds its own memory-system instance from stable keys,
 // so the results are identical to a sequential per-core loop at any
 // parallelism.
@@ -65,28 +65,9 @@ func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration
 			return nil, fmt.Errorf("core: calibrate core %d: machine %s has %d cores per node", c, s.m.Name, s.m.CoresPerNode)
 		}
 	}
-	cals := make([]Calibration, len(cores))
-	tasks := make([]sched.Task, len(cores))
-	for i, c := range cores {
-		i, c := i, c
-		tasks[i] = sched.Task{
-			// Cores may repeat in the request; the index keeps task
-			// names unique.
-			Name: fmt.Sprintf("mcal:%d:%d", i, c),
-			Run: func(ctx context.Context) error {
-				cal, err := McalibratorContext(ctx, s.m, c, s.opt)
-				if err != nil {
-					return err
-				}
-				cals[i] = cal
-				return nil
-			},
-		}
-	}
-	if err := runShards(ctx, tasks, s.opt.Parallelism); err != nil {
-		return nil, err
-	}
-	return cals, nil
+	return sched.Sweep(ctx, "cores", len(cores), s.opt.Parallelism, nil, func(_ struct{}, i int) (Calibration, error) {
+		return McalibratorContext(ctx, s.m, cores[i], s.opt)
+	})
 }
 
 // RunProbes executes the named probes plus their transitive

@@ -32,8 +32,8 @@ func poolingTrace(in *Instance) []float64 {
 	sp2 := in.NewSpace()
 	c := sp2.Alloc(128 * topology.KB)
 	streams := []Stream{
-		{Core: 0, Space: sp, Addrs: strided(a, 1 * topology.KB)},
-		{Core: in.Machine().CoresPerNode - 1, Space: sp2, Addrs: strided(c, 1 * topology.KB)},
+		{Core: 0, Space: sp, Addrs: strided(a, 1*topology.KB)},
+		{Core: in.Machine().CoresPerNode - 1, Space: sp2, Addrs: strided(c, 1*topology.KB)},
 	}
 	for _, st := range RunConcurrent(in, streams, 3) {
 		trace = append(trace, float64(st.Accesses), st.Cycles)
@@ -149,8 +149,8 @@ func TestRunConcurrentIntoAllocFree(t *testing.T) {
 	spA, spB := in.NewSpace(), in.NewSpace()
 	arrA, arrB := spA.Alloc(64*topology.KB), spB.Alloc(64*topology.KB)
 	got := RunConcurrent(in, []Stream{
-		{Core: 0, Space: spA, Addrs: strided(arrA, 1 * topology.KB)},
-		{Core: 1, Space: spB, Addrs: strided(arrB, 1 * topology.KB)},
+		{Core: 0, Space: spA, Addrs: strided(arrA, 1*topology.KB)},
+		{Core: 1, Space: spB, Addrs: strided(arrB, 1*topology.KB)},
 	}, 3)
 	for i := range got {
 		if got[i] != want[i] {

@@ -44,8 +44,9 @@ const (
 	// recycles of a pooled instance. Their ratio is the pooling win.
 	CounterMemsysFresh = "memsys.instance.fresh"
 	CounterMemsysReset = "memsys.instance.reset"
-	// CounterScratchFresh / CounterScratchReused count per-worker sweep
-	// scratch builds vs free-list reuses.
+	// CounterScratchFresh counts sweep scratch builds, one per worker;
+	// CounterScratchReused counts each later chunk a worker runs on the
+	// scratch it already holds.
 	CounterScratchFresh  = "sweep.scratch.fresh"
 	CounterScratchReused = "sweep.scratch.reused"
 	// CounterSweepMeasurements counts individual sweep measurements.
@@ -57,11 +58,8 @@ const (
 	// from cache vs measured by the engine in a session run.
 	CounterProbesRestored = "cache.probe.restored"
 	CounterProbesRan      = "cache.probe.ran"
-	// CounterTuneEvaluations counts objective evaluations;
-	// CounterTuneScratchFresh counts per-worker objective scratch
-	// builds (reuses are the difference to evaluations).
-	CounterTuneEvaluations  = "tune.evaluations"
-	CounterTuneScratchFresh = "tune.scratch.fresh"
+	// CounterTuneEvaluations counts objective evaluations.
+	CounterTuneEvaluations = "tune.evaluations"
 )
 
 // SpanRecord is one finished span: a named interval on a lane of its

@@ -1,11 +1,10 @@
-// Package sched runs a set of named tasks with declared dependencies
-// on a bounded worker pool. It is the execution engine behind the
-// probe pipeline of internal/core and the experiment fan-out of
-// internal/experiments: callers describe a DAG of tasks, the
-// scheduler starts every task whose dependencies have completed (up
-// to the parallelism bound), and results come back indexed by the
-// input order, so output assembly is deterministic regardless of
-// completion order.
+// Package sched is the engine's bounded fan-out. Run executes a DAG
+// of named tasks — the probe pipeline of internal/core and the
+// experiment fan-out of internal/experiments — starting every task
+// whose dependencies have completed, up to the parallelism bound;
+// Sweep measures independent items in index-ordered chunks. Results
+// come back indexed by input order either way, so output assembly is
+// deterministic regardless of completion order.
 package sched
 
 import (

@@ -50,7 +50,7 @@ type Registry struct {
 	// other just measured. The singleflight group only covers
 	// byte-identical run requests; this covers the rest.
 	fpMu    sync.Mutex
-	fpLocks map[string]*sync.Mutex
+	fpLocks map[string]*fpLock
 
 	runSessions    atomic.Int64
 	runsCoalesced  atomic.Int64
@@ -69,21 +69,36 @@ type Registry struct {
 	accessLog *slog.Logger
 }
 
-// fingerprintLock returns the mutex serializing writes to one
-// fingerprint's entry. Locks are never freed; the map is bounded by
-// the number of distinct machine models the registry ever sees.
-func (reg *Registry) fingerprintLock(fp string) *sync.Mutex {
+// fpLock is one fingerprint's write lock, counted by the holders and
+// waiters that reference it.
+type fpLock struct {
+	mu   sync.Mutex
+	refs int
+}
+
+// lockFingerprint takes the lock serializing writes to one
+// fingerprint's entry and returns its release. The last release
+// deletes the entry, so the map holds only fingerprints with a write
+// in flight or waiting, however many distinct fingerprints are PUT.
+func (reg *Registry) lockFingerprint(fp string) (unlock func()) {
 	reg.fpMu.Lock()
-	defer reg.fpMu.Unlock()
-	if reg.fpLocks == nil {
-		reg.fpLocks = make(map[string]*sync.Mutex)
+	l := reg.fpLocks[fp]
+	if l == nil {
+		l = &fpLock{}
+		reg.fpLocks[fp] = l
 	}
-	m := reg.fpLocks[fp]
-	if m == nil {
-		m = &sync.Mutex{}
-		reg.fpLocks[fp] = m
+	l.refs++
+	reg.fpMu.Unlock()
+
+	l.mu.Lock()
+	return func() {
+		l.mu.Unlock()
+		reg.fpMu.Lock()
+		defer reg.fpMu.Unlock()
+		if l.refs--; l.refs == 0 {
+			delete(reg.fpLocks, fp)
+		}
 	}
-	return m
 }
 
 // Option configures a Registry.
@@ -108,7 +123,8 @@ func WithBaseContext(ctx context.Context) Option {
 
 // New builds a registry over the store.
 func New(store Store, opts ...Option) *Registry {
-	reg := &Registry{store: store, parallelism: 1, baseCtx: context.Background(), metrics: newHTTPMetrics()}
+	reg := &Registry{store: store, parallelism: 1, baseCtx: context.Background(), metrics: newHTTPMetrics(),
+		fpLocks: make(map[string]*fpLock)}
 	for _, o := range opts {
 		o(reg)
 	}
@@ -259,10 +275,9 @@ func (reg *Registry) handlePutReport(w http.ResponseWriter, req *http.Request) {
 	}
 	// Serialize with on-demand runs on the same fingerprint so a PUT
 	// landing mid-run is not reverted by the run's store.
-	lock := reg.fingerprintLock(fp)
-	lock.Lock()
+	unlock := reg.lockFingerprint(fp)
 	err := reg.store.Put(&r)
-	lock.Unlock()
+	unlock()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, regproto.Error{Code: regproto.CodeInternal, Message: err.Error()})
 		return
@@ -391,9 +406,7 @@ func (reg *Registry) resolveRun(m *servet.Machine, rr regproto.RunRequest) (rep 
 		// the waiter's Lookup then sees the finished entry and its
 		// carryLeftovers keeps every section both runs produced,
 		// instead of last-write-wins dropping one run's measurements.
-		lock := reg.fingerprintLock(fp)
-		lock.Lock()
-		defer lock.Unlock()
+		defer reg.lockFingerprint(fp)()
 		opts := []servet.Option{
 			servet.WithCache(storeCache{reg}),
 			servet.WithParallelism(reg.parallelism),

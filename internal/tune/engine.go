@@ -2,7 +2,6 @@ package tune
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -136,7 +135,7 @@ const maxBarrenRounds = 8
 
 // Tune searches the space for the configuration minimizing the
 // objective against the report. Candidate batches are evaluated
-// concurrently (Options.Parallelism) over the scheduler with results
+// concurrently (Options.Parallelism) through sched.Sweep with results
 // merged in proposal order, so the result — best point, score, and
 // full trace — is byte-identical at any parallelism. Duplicate
 // proposals are never re-evaluated: the budget counts distinct
@@ -261,103 +260,46 @@ func Tune(ctx context.Context, r *report.Report, sp Space, obj Objective, opt Op
 	return res, nil
 }
 
-// evalBatch scores the batch's points concurrently, sharded into
-// proposal-ordered chunks over the scheduler (the sweep discipline of
-// internal/core: plan, measure into disjoint slots, merge in order).
-// Objectives implementing scratchEvaluator evaluate against pooled
-// per-worker scratch (a free list bounds live scratches to the peak
-// number of concurrently running chunks); scores are bit-identical
-// either way, so the pooling never shows in the result.
+// evalBatch scores the batch's points through sched.Sweep, in
+// proposal-ordered chunks merged back in order. Objectives
+// implementing scratchEvaluator evaluate against one scratch per
+// worker; scores are bit-identical either way, so the pooling never
+// shows in the result.
 func evalBatch(ctx context.Context, r *report.Report, sp *Space, obj Objective, pts []Point, parallelism int) ([]float64, error) {
-	scores := make([]float64, len(pts))
-	ranges := chunkRanges(len(pts), parallelism)
-	// Chunk spans and evaluation counters record into the context's
-	// tracer (nil when untraced).
+	// Evaluation spans and counters record into the context's tracer
+	// (nil when untraced).
 	tr := obs.FromContext(ctx)
+	ev := tr.Start("tune", "eval:"+obj.Name())
+	defer ev.End()
+	wrap := func(i int, err error) error {
+		return fmt.Errorf("tune: objective %s on [%s]: %w", obj.Name(), sp.Describe(sp.Materialize(pts[i])), err)
+	}
 	se, pooled := obj.(scratchEvaluator)
-	var pool chan any
+	var newScratch func() (any, error)
 	if pooled {
-		pool = make(chan any, len(ranges))
-	}
-	tasks := make([]sched.Task, 0, len(ranges))
-	for ci, ch := range ranges {
-		start, end := ch[0], ch[1]
-		tasks = append(tasks, sched.Task{
-			Name: fmt.Sprintf("tune:%d", ci),
-			Run: func(ctx context.Context) error {
-				ev := tr.Start("tune", "eval:"+obj.Name())
-				defer ev.End()
-				var scratch any
-				if pooled {
-					defer func() {
-						if scratch != nil {
-							pool <- scratch
-						}
-					}()
-				}
-				for i := start; i < end; i++ {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					var s float64
-					var err error
-					if pooled {
-						// Lazy scratch creation keeps a scratch-build failure
-						// (e.g. an unknown machine model) attributed to the
-						// point being evaluated, with the same wrapped error
-						// text the unpooled Eval path reports.
-						if scratch == nil {
-							select {
-							case scratch = <-pool:
-							default:
-								scratch, err = se.newScratch(r)
-								tr.Count(obs.CounterTuneScratchFresh, 1)
-							}
-						}
-						if err == nil {
-							s, err = se.evalScratch(ctx, r, sp, sp.Materialize(pts[i]), scratch)
-						}
-					} else {
-						s, err = obj.Eval(ctx, r, sp, sp.Materialize(pts[i]))
-					}
-					if err != nil {
-						return fmt.Errorf("tune: objective %s on [%s]: %w", obj.Name(), sp.Describe(sp.Materialize(pts[i])), err)
-					}
-					tr.Count(obs.CounterTuneEvaluations, 1)
-					scores[i] = s
-				}
-				return nil
-			},
-		})
-	}
-	if _, err := sched.Run(ctx, tasks, parallelism); err != nil {
-		var te *sched.TaskError
-		if errors.As(err, &te) {
-			return nil, te.Err
+		newScratch = func() (any, error) {
+			// A scratch-build failure (e.g. an unknown machine model) is
+			// charged to the batch's first point, with the text the
+			// unpooled Eval path reports.
+			scratch, err := se.newScratch(r)
+			if err != nil {
+				err = wrap(0, err)
+			}
+			return scratch, err
 		}
-		return nil, err
 	}
-	return scores, nil
-}
-
-// chunkRanges splits n work items into index-ordered contiguous
-// ranges, about four per worker (the same planning rule as the probe
-// sweeps), so one expensive candidate cannot stall the whole batch
-// behind a single worker.
-func chunkRanges(n, parallelism int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	chunks := parallelism * 4
-	if chunks > n {
-		chunks = n
-	}
-	out := make([][2]int, 0, chunks)
-	for c := 0; c < chunks; c++ {
-		out = append(out, [2]int{c * n / chunks, (c + 1) * n / chunks})
-	}
-	return out
+	return sched.Sweep(ctx, "tune", len(pts), parallelism, newScratch, func(scratch any, i int) (float64, error) {
+		var s float64
+		var err error
+		if pooled {
+			s, err = se.evalScratch(ctx, r, sp, sp.Materialize(pts[i]), scratch)
+		} else {
+			s, err = obj.Eval(ctx, r, sp, sp.Materialize(pts[i]))
+		}
+		if err != nil {
+			return 0, wrap(i, err)
+		}
+		tr.Count(obs.CounterTuneEvaluations, 1)
+		return s, nil
+	})
 }

@@ -30,7 +30,7 @@ type Objective interface {
 // scratchEvaluator is implemented by objectives whose evaluations can
 // reuse expensive per-worker state — a pooled memory-system instance,
 // reset in place per candidate. The engine builds one scratch per
-// concurrently running chunk and routes evaluations through
+// worker and routes evaluations through
 // evalScratch; its scores must be bit-identical to Eval's (for pooled
 // instances, ResetAt's bitwise-equivalence contract guarantees it),
 // so results stay byte-identical at any parallelism whether or not

@@ -2,7 +2,6 @@ package servet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"servet/internal/sched"
@@ -22,8 +21,8 @@ func (e *SweepError) Unwrap() error { return e.Err }
 
 // Sweep runs one session per machine and returns their reports in
 // machine order — the cluster-wide aggregate the install-time files
-// of a heterogeneous cluster are built from. Sessions fan out over
-// the same scheduler that runs probes: WithParallelism bounds how
+// of a heterogeneous cluster are built from. Sessions fan out like
+// the suite's measurement sweeps: WithParallelism bounds how
 // many machines are probed concurrently, defaulting to all of them
 // (each machine's own probes stay sequential unless the option says
 // otherwise).
@@ -39,8 +38,8 @@ func (e *SweepError) Unwrap() error { return e.Err }
 // replace another machine's file fails with a
 // *FingerprintMismatchError instead of clobbering it.
 //
-// On the first failing session the sweep stops launching machines,
-// and the error is a *SweepError naming the machine.
+// A failing session stops the machines after it, and the error is a
+// *SweepError naming the first failing machine.
 func Sweep(ctx context.Context, machines []*Machine, opts ...Option) ([]*Report, error) {
 	if len(machines) == 0 {
 		return nil, nil
@@ -65,36 +64,11 @@ func Sweep(ctx context.Context, machines []*Machine, opts ...Option) ([]*Report,
 		sessions[i] = s
 	}
 
-	reports := make([]*Report, len(machines))
-	tasks := make([]sched.Task, len(machines))
-	for i := range sessions {
-		i := i
-		tasks[i] = sched.Task{
-			// Machine names may repeat in a sweep (same model, different
-			// seeds); the index keeps task names unique.
-			Name: fmt.Sprintf("%d:%s", i, machines[i].Name),
-			Run: func(ctx context.Context) error {
-				rep, err := sessions[i].Run(ctx)
-				if err != nil {
-					return err
-				}
-				reports[i] = rep
-				return nil
-			},
+	return sched.Sweep(ctx, "machines", len(machines), fanout, nil, func(_ struct{}, i int) (*Report, error) {
+		rep, err := sessions[i].Run(ctx)
+		if err != nil {
+			return nil, &SweepError{Machine: machines[i].Name, Err: err}
 		}
-	}
-
-	if _, err := sched.Run(ctx, tasks, fanout); err != nil {
-		var te *sched.TaskError
-		if errors.As(err, &te) {
-			for i := range tasks {
-				if tasks[i].Name == te.Name {
-					return nil, &SweepError{Machine: machines[i].Name, Err: te.Err}
-				}
-			}
-			return nil, &SweepError{Machine: te.Name, Err: te.Err}
-		}
-		return nil, err
-	}
-	return reports, nil
+		return rep, nil
+	})
 }
