@@ -115,9 +115,9 @@ func (c *FileCache) Store(fingerprint string, r *Report) error {
 
 // FingerprintMismatchError reports a FileCache.Store that would have
 // replaced the install-time file of a different machine. It typically
-// means several machine models were pointed at one WithCacheFile path;
-// give each model its own file, or share a fingerprint-keyed cache
-// (e.g. MemoryCache) instead.
+// means sessions of several machine models shared one FileCache, or
+// FileCaches on one path; give each model its own file, or share a
+// fingerprint-keyed cache (DirCache, MemoryCache, RemoteCache) instead.
 type FingerprintMismatchError struct {
 	// Path is the backing file that was protected.
 	Path string

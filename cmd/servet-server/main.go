@@ -5,8 +5,8 @@
 // Identical concurrent run requests coalesce into one engine
 // execution.
 //
-// Nodes connect with servet.WithRemoteCache (or cmd/servet
-// -cache-url), or speak the HTTP API directly:
+// Nodes connect with servet.WithCache over a servet.NewRemoteCache
+// (or cmd/servet -cache-url), or speak the HTTP API directly:
 //
 //	GET  /v1/reports                          list stored reports
 //	GET  /v1/reports/{fp}                     one machine's report

@@ -100,11 +100,11 @@ func main() {
 		exit(2)
 	}
 	if *cachePath != "" {
-		opts = append(opts, servet.WithCacheFile(*cachePath))
+		opts = append(opts, servet.WithCache(servet.NewFileCache(*cachePath)))
 	}
-	// The RemoteCache is built here rather than via WithRemoteCache so
-	// the final status line can tell whether the publish actually
-	// reached the registry (Store swallows network errors by design).
+	// The RemoteCache is kept so the final status line can tell
+	// whether the publish actually reached the registry (Store swallows
+	// network errors by design).
 	var remote *servet.RemoteCache
 	if *cacheURL != "" {
 		rc, err := servet.NewRemoteCache(*cacheURL)

@@ -18,7 +18,7 @@ func TestDirCacheHeterogeneousSweep(t *testing.T) {
 	machines := []*servet.Machine{servet.Dempsey(), servet.Athlon3200()}
 
 	reports, err := servet.Sweep(ctx, machines,
-		servet.WithOptions(quickOpt), servet.WithCacheDir(dir))
+		servet.WithOptions(quickOpt), servet.WithCache(servet.NewDirCache(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestDirCacheHeterogeneousSweep(t *testing.T) {
 
 	// The warm sweep restores every probe on every machine.
 	again, err := servet.Sweep(ctx, machines,
-		servet.WithOptions(quickOpt), servet.WithCacheDir(dir))
+		servet.WithOptions(quickOpt), servet.WithCache(servet.NewDirCache(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDirCacheMissAndRepair(t *testing.T) {
 	if _, ok := cache.Lookup(m.Fingerprint()); ok {
 		t.Fatal("phantom entry")
 	}
-	s, err := servet.NewSession(m, servet.WithOptions(quickOpt), servet.WithCacheDir(dir))
+	s, err := servet.NewSession(m, servet.WithOptions(quickOpt), servet.WithCache(servet.NewDirCache(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}

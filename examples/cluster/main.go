@@ -2,7 +2,7 @@
 // fills a DirCache directory with per-fingerprint install-time
 // reports; a registry server (the same code cmd/servet-server runs)
 // serves that directory over HTTP; and a "node" with the same
-// hardware fingerprint opens a session with WithRemoteCache and gets
+// hardware fingerprint opens a session on a RemoteCache and gets
 // a fully cached run — zero probes executed, every section restored
 // from the cluster-shared registry.
 package main
@@ -33,7 +33,7 @@ func main() {
 	machines := []*servet.Machine{servet.Dempsey(), servet.Athlon3200()}
 	fmt.Println("sweeping install-time reports into", storeDir)
 	if _, err := servet.Sweep(ctx, machines,
-		servet.WithQuick(), servet.WithCacheDir(storeDir)); err != nil {
+		servet.WithQuick(), servet.WithCache(servet.NewDirCache(storeDir))); err != nil {
 		log.Fatal(err)
 	}
 	entries, err := os.ReadDir(storeDir)
@@ -53,8 +53,11 @@ func main() {
 
 	// A worker node with Dempsey hardware: its session consults the
 	// registry and restores everything — nothing is re-measured.
-	node, err := servet.NewSession(servet.Dempsey(),
-		servet.WithQuick(), servet.WithRemoteCache(reg.URL))
+	rc, err := servet.NewRemoteCache(reg.URL)
+	if err != nil {
+		log.Fatal(err)
+	}
+	node, err := servet.NewSession(servet.Dempsey(), servet.WithQuick(), servet.WithCache(rc))
 	if err != nil {
 		log.Fatal(err)
 	}

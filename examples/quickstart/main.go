@@ -34,7 +34,7 @@ func main() {
 		// Trim the slowest sweeps a little for a snappy demo; drop
 		// WithQuick for full-fidelity runs.
 		servet.WithQuick(),
-		servet.WithCacheFile(path),
+		servet.WithCache(servet.NewFileCache(path)),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -48,7 +48,7 @@ func main() {
 	// A later session (say, after a reboot) consults the file and
 	// re-measures nothing: every probe's provenance says "cached".
 	again, err := servet.NewSession(m,
-		servet.WithSeed(1), servet.WithQuick(), servet.WithCacheFile(path))
+		servet.WithSeed(1), servet.WithQuick(), servet.WithCache(servet.NewFileCache(path)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 	cache := filepath.Join(os.TempDir(), "servet-tune-example.json")
 	os.Remove(cache)
 	ses, err := servet.NewSession(servet.Dempsey(),
-		servet.WithCacheFile(cache),
+		servet.WithCache(servet.NewFileCache(cache)),
 		servet.WithOptions(servet.Options{Seed: 1, CommReps: 2, BWSizes: []int64{4096, 65536}}),
 	)
 	if err != nil {

@@ -22,6 +22,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"servet/internal/regproto"
 )
 
 // Endpoint labels of the instrumented routes, in the fixed order the
@@ -37,6 +39,41 @@ const (
 	epHealth  = "health"
 	epMetrics = "metrics"
 )
+
+// counter indexes the registry's run counters (see counters).
+type counter int
+
+const (
+	runSessions counter = iota
+	runsCoalesced
+	probesExecuted
+	tuneRequests
+	tunesCoalesced
+	tuneEvaluations
+	storeHits
+	storeMisses
+	numCounters
+)
+
+// counters names every run counter once: the regproto.Stats field
+// /v1/stats reports it in, and the Prometheus series /metrics renders
+// it as, in this order. Consecutive entries of one family form a
+// single labelled family under the first entry's HELP text.
+var counters = [numCounters]struct {
+	stat   func(*regproto.Stats) *int64
+	family string
+	labels string
+	help   string
+}{
+	runSessions:     {func(s *regproto.Stats) *int64 { return &s.RunSessions }, "servet_run_sessions_total", "", "Engine sessions executed by POST runs."},
+	runsCoalesced:   {func(s *regproto.Stats) *int64 { return &s.RunsCoalesced }, "servet_runs_coalesced_total", "", "Run requests that piggybacked on an identical in-flight run."},
+	probesExecuted:  {func(s *regproto.Stats) *int64 { return &s.ProbesExecuted }, "servet_probes_executed_total", "", "Probes the engine actually measured."},
+	tuneRequests:    {func(s *regproto.Stats) *int64 { return &s.TuneRequests }, "servet_tune_requests_total", "", "Tune requests served."},
+	tunesCoalesced:  {func(s *regproto.Stats) *int64 { return &s.TunesCoalesced }, "servet_tunes_coalesced_total", "", "Tune requests that piggybacked on an identical in-flight search."},
+	tuneEvaluations: {func(s *regproto.Stats) *int64 { return &s.TuneEvaluations }, "servet_tune_evaluations_total", "", "Objective evaluations the tune engine executed."},
+	storeHits:       {func(s *regproto.Stats) *int64 { return &s.StoreHits }, "servet_store_requests_total", `{result="hit"}`, "Per-fingerprint store reads, by outcome."},
+	storeMisses:     {func(s *regproto.Stats) *int64 { return &s.StoreMisses }, "servet_store_requests_total", `{result="miss"}`, ""},
+}
 
 // endpoints lists every instrumented endpoint in exposition order.
 var endpoints = []string{epList, epGet, epPut, epProbe, epRun, epTune, epStats, epHealth, epMetrics}
@@ -226,27 +263,10 @@ func (reg *Registry) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE servet_http_in_flight_requests gauge")
 	fmt.Fprintf(w, "servet_http_in_flight_requests %d\n", m.inFlight.Load())
 
-	fmt.Fprintln(w, "# HELP servet_run_sessions_total Engine sessions executed by POST runs.")
-	fmt.Fprintln(w, "# TYPE servet_run_sessions_total counter")
-	fmt.Fprintf(w, "servet_run_sessions_total %d\n", reg.runSessions.Load())
-	fmt.Fprintln(w, "# HELP servet_runs_coalesced_total Run requests that piggybacked on an identical in-flight run.")
-	fmt.Fprintln(w, "# TYPE servet_runs_coalesced_total counter")
-	fmt.Fprintf(w, "servet_runs_coalesced_total %d\n", reg.runsCoalesced.Load())
-	fmt.Fprintln(w, "# HELP servet_probes_executed_total Probes the engine actually measured.")
-	fmt.Fprintln(w, "# TYPE servet_probes_executed_total counter")
-	fmt.Fprintf(w, "servet_probes_executed_total %d\n", reg.probesExecuted.Load())
-	fmt.Fprintln(w, "# HELP servet_tune_requests_total Tune requests served.")
-	fmt.Fprintln(w, "# TYPE servet_tune_requests_total counter")
-	fmt.Fprintf(w, "servet_tune_requests_total %d\n", reg.tuneRequests.Load())
-	fmt.Fprintln(w, "# HELP servet_tunes_coalesced_total Tune requests that piggybacked on an identical in-flight search.")
-	fmt.Fprintln(w, "# TYPE servet_tunes_coalesced_total counter")
-	fmt.Fprintf(w, "servet_tunes_coalesced_total %d\n", reg.tunesCoalesced.Load())
-	fmt.Fprintln(w, "# HELP servet_tune_evaluations_total Objective evaluations the tune engine executed.")
-	fmt.Fprintln(w, "# TYPE servet_tune_evaluations_total counter")
-	fmt.Fprintf(w, "servet_tune_evaluations_total %d\n", reg.tuneEvaluations.Load())
-
-	fmt.Fprintln(w, "# HELP servet_store_requests_total Per-fingerprint store reads, by outcome.")
-	fmt.Fprintln(w, "# TYPE servet_store_requests_total counter")
-	fmt.Fprintf(w, "servet_store_requests_total{result=\"hit\"} %d\n", reg.storeHits.Load())
-	fmt.Fprintf(w, "servet_store_requests_total{result=\"miss\"} %d\n", reg.storeMisses.Load())
+	for c, def := range counters {
+		if c == 0 || counters[c-1].family != def.family {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", def.family, def.help, def.family)
+		}
+		fmt.Fprintf(w, "%s%s %d\n", def.family, def.labels, reg.counts[c].Load())
+	}
 }

@@ -52,16 +52,9 @@ type Registry struct {
 	fpMu    sync.Mutex
 	fpLocks map[string]*fpLock
 
-	runSessions    atomic.Int64
-	runsCoalesced  atomic.Int64
-	probesExecuted atomic.Int64
-
-	tuneRequests    atomic.Int64
-	tunesCoalesced  atomic.Int64
-	tuneEvaluations atomic.Int64
-
-	storeHits   atomic.Int64
-	storeMisses atomic.Int64
+	// counts holds the run counters, indexed by the counters table
+	// (metrics.go) that both /v1/stats and /metrics render.
+	counts [numCounters]atomic.Int64
 
 	// metrics is the per-endpoint HTTP metrics layer (see metrics.go);
 	// accessLog, when set, records one structured line per request.
@@ -154,15 +147,9 @@ func (reg *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // (stats, health, metrics) are excluded from the request map so that
 // reading the stats never changes the next stats body.
 func (reg *Registry) Stats() regproto.Stats {
-	st := regproto.Stats{
-		RunSessions:     reg.runSessions.Load(),
-		RunsCoalesced:   reg.runsCoalesced.Load(),
-		ProbesExecuted:  reg.probesExecuted.Load(),
-		TuneRequests:    reg.tuneRequests.Load(),
-		TunesCoalesced:  reg.tunesCoalesced.Load(),
-		TuneEvaluations: reg.tuneEvaluations.Load(),
-		StoreHits:       reg.storeHits.Load(),
-		StoreMisses:     reg.storeMisses.Load(),
+	var st regproto.Stats
+	for c, def := range counters {
+		*def.stat(&st) = reg.counts[c].Load()
 	}
 	for _, ep := range endpoints {
 		if statsExcluded[ep] {
@@ -217,9 +204,9 @@ func (reg *Registry) storeGet(fp string) (*report.Report, error) {
 	r, err := reg.store.Get(fp)
 	switch {
 	case err == nil:
-		reg.storeHits.Add(1)
+		reg.counts[storeHits].Add(1)
 	case errors.Is(err, ErrNotFound):
-		reg.storeMisses.Add(1)
+		reg.counts[storeMisses].Add(1)
 	}
 	return r, err
 }
@@ -378,7 +365,7 @@ func (reg *Registry) handleRun(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if shared {
-		reg.runsCoalesced.Add(1)
+		reg.counts[runsCoalesced].Add(1)
 		w.Header().Set("Servet-Run", "coalesced")
 	} else {
 		w.Header().Set("Servet-Run", "executed")
@@ -427,10 +414,10 @@ func (reg *Registry) resolveRun(m *servet.Machine, rr regproto.RunRequest) (rep 
 		if err != nil {
 			return nil, err
 		}
-		reg.runSessions.Add(1)
+		reg.counts[runSessions].Add(1)
 		for _, p := range out.Provenance {
 			if p.Status == report.ProvenanceRan {
-				reg.probesExecuted.Add(1)
+				reg.counts[probesExecuted].Add(1)
 			}
 		}
 		return out, nil
@@ -446,7 +433,7 @@ func (reg *Registry) resolveRun(m *servet.Machine, rr regproto.RunRequest) (rep 
 // distinct tunes over the same cold report coalesce the underlying
 // engine run.
 func (reg *Registry) handleTune(w http.ResponseWriter, req *http.Request) {
-	reg.tuneRequests.Add(1)
+	reg.counts[tuneRequests].Add(1)
 	var tr regproto.TuneRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxReportBytes)).Decode(&tr); err != nil {
 		writeError(w, http.StatusBadRequest, regproto.Error{
@@ -507,11 +494,11 @@ func (reg *Registry) handleTune(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		reg.tuneEvaluations.Add(int64(out.Evaluations))
+		reg.counts[tuneEvaluations].Add(int64(out.Evaluations))
 		return out, nil
 	})
 	if shared {
-		reg.tunesCoalesced.Add(1)
+		reg.counts[tunesCoalesced].Add(1)
 	}
 	if err != nil {
 		var unknown *servet.UnknownProbeError

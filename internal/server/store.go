@@ -62,29 +62,22 @@ func validatePut(r *report.Report) error {
 	return nil
 }
 
-// memKey addresses one MemStore entry: the fingerprint under one
-// schema version.
-type memKey struct {
-	fingerprint string
-	schema      int
-}
-
 // MemStore is an in-process Store. The zero value is not usable; call
 // NewMemStore.
 type MemStore struct {
 	mu sync.RWMutex
-	m  map[memKey]*report.Report
+	m  map[string]*report.Report // by fingerprint
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{m: make(map[memKey]*report.Report)}
+	return &MemStore{m: make(map[string]*report.Report)}
 }
 
 // Get implements Store. The returned report is a deep copy.
 func (s *MemStore) Get(fingerprint string) (*report.Report, error) {
 	s.mu.RLock()
-	r, ok := s.m[memKey{fingerprint, report.CurrentSchema}]
+	r, ok := s.m[fingerprint]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, fingerprint)
@@ -101,7 +94,7 @@ func (s *MemStore) Put(r *report.Report) error {
 	cp := r.Clone()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[memKey{r.Fingerprint, r.Schema}] = cp
+	s.m[r.Fingerprint] = cp
 	return nil
 }
 
@@ -109,10 +102,7 @@ func (s *MemStore) Put(r *report.Report) error {
 func (s *MemStore) List() ([]*report.Report, error) {
 	s.mu.RLock()
 	out := make([]*report.Report, 0, len(s.m))
-	for k, r := range s.m {
-		if k.schema != report.CurrentSchema {
-			continue
-		}
+	for _, r := range s.m {
 		out = append(out, r.Clone())
 	}
 	s.mu.RUnlock()

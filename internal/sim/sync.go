@@ -32,46 +32,6 @@ func (s *Signal) Fire() {
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Semaphore is a counting semaphore with FIFO granting.
-type Semaphore struct {
-	avail int
-	queue []semWaiter
-}
-
-type semWaiter struct {
-	n    int
-	wake func()
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
-
-// Acquire takes n permits, blocking the process in FIFO order until
-// they are available.
-func (s *Semaphore) Acquire(p *Proc, n int) {
-	if len(s.queue) == 0 && s.avail >= n {
-		s.avail -= n
-		return
-	}
-	p.Park(func(wake func()) {
-		s.queue = append(s.queue, semWaiter{n: n, wake: wake})
-	})
-}
-
-// Release returns n permits and grants queued waiters in FIFO order.
-func (s *Semaphore) Release(n int) {
-	s.avail += n
-	for len(s.queue) > 0 && s.avail >= s.queue[0].n {
-		w := s.queue[0]
-		s.queue = s.queue[1:]
-		s.avail -= w.n
-		w.wake()
-	}
-}
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }
-
 // Resource is a FIFO rate server: a shared facility (a NIC link, a
 // front-side bus) that serves work sequentially at a fixed rate.
 // Concurrent users queue; the queue is implicit in the busy horizon.

@@ -49,51 +49,6 @@ func TestSignalWaitAfterFire(t *testing.T) {
 	}
 }
 
-func TestSemaphoreFIFO(t *testing.T) {
-	k := New()
-	sem := NewSemaphore(1)
-	var order []string
-	worker := func(name string) func(p *Proc) {
-		return func(p *Proc) {
-			sem.Acquire(p, 1)
-			order = append(order, name)
-			p.Sleep(10)
-			sem.Release(1)
-		}
-	}
-	k.Go("first", worker("first"))
-	k.Go("second", worker("second"))
-	k.Go("third", worker("third"))
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"first", "second", "third"}) {
-		t.Errorf("order = %v", order)
-	}
-	if sem.Available() != 1 {
-		t.Errorf("available = %d, want 1", sem.Available())
-	}
-}
-
-func TestSemaphoreMultiPermit(t *testing.T) {
-	k := New()
-	sem := NewSemaphore(2)
-	var got int64 = -1
-	k.Go("big", func(p *Proc) {
-		sem.Acquire(p, 2) // immediate
-		p.Sleep(5)
-		sem.Release(2)
-		sem.Acquire(p, 2) // immediate again
-		got = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 5 {
-		t.Errorf("acquired at %d, want 5", got)
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	k := New()
 	r := NewResource(k)

@@ -21,7 +21,7 @@
 // Typical use:
 //
 //	m := servet.Dunnington()
-//	s, err := servet.NewSession(m, servet.WithCacheFile("servet.json"))
+//	s, err := servet.NewSession(m, servet.WithCache(servet.NewFileCache("servet.json")))
 //	...
 //	rep, err := s.Run(ctx) // re-runs execute only stale probes
 //	tile, _ := servet.TileSize(rep, 1, 8, 3, 0.5)

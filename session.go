@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"servet/internal/core"
-	"servet/internal/memsys"
 	"servet/internal/obs"
 	"servet/internal/report"
 )
@@ -17,17 +16,8 @@ import (
 type Option func(*sessionConfig)
 
 type sessionConfig struct {
-	opt       core.Options
-	cache     Cache
-	cachePath string
-	cacheDir  string
-	cacheURL  string
-}
-
-// setCache records one cache choice, clearing the others: the cache
-// options below are mutually exclusive and the last one applied wins.
-func (c *sessionConfig) setCache(cache Cache, path, dir, url string) {
-	c.cache, c.cachePath, c.cacheDir, c.cacheURL = cache, path, dir, url
+	opt   core.Options
+	cache Cache
 }
 
 func (c *sessionConfig) apply(opts []Option) {
@@ -76,33 +66,13 @@ func WithQuick() Option {
 
 // WithCache attaches a probe-result cache: Session.Run consults it
 // before executing probes and stores the merged report back into it.
+// The cache decides where entries live: NewFileCache on the
+// install-time JSON report (re-runs execute only probes whose options
+// changed, or whose dependencies did), NewDirCache on a directory of
+// per-fingerprint files, NewRemoteCache on a cmd/servet-server probe
+// registry, or NewMemoryCache in process.
 func WithCache(cache Cache) Option {
-	return func(c *sessionConfig) { c.setCache(cache, "", "", "") }
-}
-
-// WithCacheFile attaches a FileCache on the install-time JSON report
-// at path: the file the suite writes once at installation becomes an
-// incremental cache, and re-runs execute only probes whose options
-// changed (or whose dependencies did).
-func WithCacheFile(path string) Option {
-	return func(c *sessionConfig) { c.setCache(nil, path, "", "") }
-}
-
-// WithCacheDir attaches a DirCache on a directory of per-fingerprint
-// report files — the multi-entry counterpart of WithCacheFile, safe
-// to share across the machines of a heterogeneous Sweep.
-func WithCacheDir(path string) Option {
-	return func(c *sessionConfig) { c.setCache(nil, "", path, "") }
-}
-
-// WithRemoteCache attaches a RemoteCache talking to the probe
-// registry at url (a cmd/servet-server instance): the session
-// restores probes from the cluster-shared registry and publishes its
-// merged report back, so nodes with the same hardware fingerprint
-// measure once. A malformed url fails NewSession; an unreachable
-// registry degrades to measuring locally.
-func WithRemoteCache(url string) Option {
-	return func(c *sessionConfig) { c.setCache(nil, "", "", url) }
+	return func(c *sessionConfig) { c.cache = cache }
 }
 
 // Session is the stateful entry point of the suite: it owns the
@@ -126,22 +96,9 @@ func NewSession(m *Machine, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache := cfg.cache
-	switch {
-	case cfg.cachePath != "":
-		cache = NewFileCache(cfg.cachePath)
-	case cfg.cacheDir != "":
-		cache = NewDirCache(cfg.cacheDir)
-	case cfg.cacheURL != "":
-		rc, err := NewRemoteCache(cfg.cacheURL)
-		if err != nil {
-			return nil, err
-		}
-		cache = rc
-	}
 	return &Session{
 		suite:       suite,
-		cache:       cache,
+		cache:       cfg.cache,
 		fingerprint: m.Fingerprint(),
 	}, nil
 }
@@ -394,20 +351,4 @@ func (s *Session) DetectCaches(ctx context.Context) ([]DetectedCache, Calibratio
 // parallelism. Results come back in the order the cores were given.
 func (s *Session) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration, error) {
 	return s.suite.CalibrateCores(ctx, cores...)
-}
-
-// MemorySimulator builds the functional memory-system model of one
-// node under the session's seed, for evaluating access patterns (e.g.
-// tiled vs naive traversals).
-func (s *Session) MemorySimulator() *MemorySimulator {
-	in := memsys.NewInstance(s.Machine(), s.Options().Seed)
-	return &MemorySimulator{in: in, sp: in.NewSpace()}
-}
-
-// RunApp executes a message-passing application on the session's
-// simulated cluster: nranks processes placed on the given global
-// cores (nil = rank r on core r) run body concurrently in virtual
-// time, returning the simulated makespan.
-func (s *Session) RunApp(nranks int, placement []int, body func(*Rank)) (time.Duration, error) {
-	return RunApp(s.Machine(), nranks, placement, body)
 }

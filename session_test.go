@@ -118,7 +118,7 @@ func TestSessionIncrementalRerun(t *testing.T) {
 
 	run := func(opt servet.Options) *servet.Report {
 		t.Helper()
-		s, err := servet.NewSession(m, servet.WithOptions(opt), servet.WithCacheFile(path))
+		s, err := servet.NewSession(m, servet.WithOptions(opt), servet.WithCache(servet.NewFileCache(path)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestSubsetRunPreservesCacheEntry(t *testing.T) {
 
 	session := func(opt servet.Options) *servet.Session {
 		t.Helper()
-		s, err := servet.NewSession(m, servet.WithOptions(opt), servet.WithCacheFile(path))
+		s, err := servet.NewSession(m, servet.WithOptions(opt), servet.WithCache(servet.NewFileCache(path)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func TestFileCacheCorruptIsMiss(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{{{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := servet.NewSession(servet.Dempsey(), servet.WithOptions(quickOpt), servet.WithCacheFile(path))
+	s, err := servet.NewSession(servet.Dempsey(), servet.WithOptions(quickOpt), servet.WithCache(servet.NewFileCache(path)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,6 +450,51 @@ func TestSweep(t *testing.T) {
 		if measuredJSON(t, rep) != measuredJSON(t, reports[i]) {
 			t.Errorf("warm sweep machine %d diverges", i)
 		}
+	}
+}
+
+// TestSweepSharedFileCacheRefusesClobber: a heterogeneous Sweep
+// sharing one FileCache instance fails with a *FingerprintMismatchError
+// for the machine that lost the race, and the file holds exactly the
+// winner's report — the cache's lock makes the fingerprint check and
+// the write one step, so no session overwrites another's entry.
+func TestSweepSharedFileCacheRefusesClobber(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "servet.json")
+	machines := []*servet.Machine{servet.Dempsey(), servet.Athlon3200()}
+	_, err := servet.Sweep(ctx, machines, servet.WithOptions(quickOpt),
+		servet.WithParallelism(2), servet.WithCache(servet.NewFileCache(path)))
+	var se *servet.SweepError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want *SweepError", err)
+	}
+	var fe *servet.FingerprintMismatchError
+	if !errors.As(err, &fe) {
+		t.Fatalf("err = %v, want it to wrap *FingerprintMismatchError", err)
+	}
+
+	loser, winner := machines[0], machines[1]
+	if se.Machine != loser.Name {
+		loser, winner = winner, loser
+	}
+	if fe.Have != winner.Fingerprint() || fe.Want != loser.Fingerprint() {
+		t.Fatalf("failing machine %s, mismatch %+v: want %s's entry kept and %s's refused",
+			se.Machine, fe, winner.Name, loser.Name)
+	}
+	kept, err := servet.LoadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses, err := servet.NewSession(winner, servet.WithOptions(quickOpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ses.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.Fingerprint != fe.Have || measuredJSON(t, kept) != measuredJSON(t, want) {
+		t.Errorf("cache file does not hold exactly %s's report", winner.Name)
 	}
 }
 

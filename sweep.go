@@ -27,16 +27,18 @@ func (e *SweepError) Unwrap() error { return e.Err }
 // (each machine's own probes stay sequential unless the option says
 // otherwise).
 //
-// The options apply to every session, so the cache options share one
-// cache across the sweep — safe for the fingerprint-keyed caches:
-// WithCacheDir gives every machine its own per-fingerprint file in
-// one directory (the install-time layout of a heterogeneous cluster,
-// servable as-is by cmd/servet-server), and WithCache(NewMemoryCache())
-// or WithRemoteCache key entries by fingerprint too. Do not use
-// WithCacheFile here unless all machines are the same model: a
-// FileCache holds a single machine's report, and a session that would
-// replace another machine's file fails with a
-// *FingerprintMismatchError instead of clobbering it.
+// The options apply to every session, so WithCache shares one cache
+// instance across the sweep — safe for the fingerprint-keyed caches:
+// WithCache(NewDirCache(dir)) gives every machine its own
+// per-fingerprint file in one directory (the install-time layout of a
+// heterogeneous cluster, servable as-is by cmd/servet-server), and
+// WithCache(NewMemoryCache()) or WithCache(rc) with rc from
+// NewRemoteCache key entries by fingerprint too. Do not share
+// WithCache(NewFileCache(path)) unless all machines are the same
+// model: a FileCache holds a single machine's report, and a session
+// that would replace another machine's file fails with a
+// *FingerprintMismatchError instead of clobbering it (the FileCache's
+// lock makes that check and the write one step for the whole sweep).
 //
 // A failing session stops the machines after it, and the error is a
 // *SweepError naming the first failing machine.
