@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"servet/internal/obs"
 	"servet/internal/report"
 	"servet/internal/topology"
 )
@@ -164,8 +165,8 @@ func TestRunProbesTLB(t *testing.T) {
 
 // TestRunProbesNoCacheLevelsTypedError: a probe range that ends below
 // the smallest cache produces a typed *NoCacheLevelsError through the
-// DAG — and the dependent communication-costs probe never indexes
-// into the empty level slice.
+// engine — and its dependents (shared-caches, communication-costs)
+// never start, so neither indexes into the empty level slice.
 func TestRunProbesNoCacheLevelsTypedError(t *testing.T) {
 	opt := Options{Seed: 1, MinCacheBytes: 4 * topology.KB, MaxCacheBytes: 8 * topology.KB}
 	for _, parallelism := range []int{1, 4} {
@@ -174,7 +175,14 @@ func TestRunProbesNoCacheLevelsTypedError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = s.RunProbes(context.Background())
+		tr := obs.New()
+		_, err = s.RunProbes(obs.WithTracer(context.Background(), tr))
+		counts := tr.SpanCounts()
+		for _, dep := range []string{"shared-caches", "communication-costs"} {
+			if counts["probe/"+dep] != 0 {
+				t.Errorf("parallelism %d: dependent probe %s ran after cache-size failed", parallelism, dep)
+			}
+		}
 		var pe *ProbeError
 		if !errors.As(err, &pe) || pe.Probe != "cache-size" {
 			t.Fatalf("parallelism %d: err = %v, want ProbeError{cache-size}", parallelism, err)
