@@ -18,19 +18,6 @@ func goStmt() float64 {
 	return total
 }
 
-func taskClosure(ctx context.Context) (float64, error) {
-	var sum float64
-	tasks := []sched.Task{{
-		Name: "t",
-		Run: func(ctx context.Context) error {
-			sum = sum + 2 // want `float accumulation into captured "sum" inside a sched\.Task closure`
-			return nil
-		},
-	}}
-	_, err := sched.Run(ctx, tasks, 1)
-	return sum, err
-}
-
 func schedArg(ctx context.Context) (float64, error) {
 	var acc float64
 	err := sched.Go(ctx, func(ctx context.Context) error {

@@ -281,7 +281,7 @@ func detectLevels(cal Calibration, pageBytes int64, opt Options, window func(loI
 // refineWindow re-measures a transition window on a denser size grid
 // (grid points plus page-aligned midpoints) with 3x the allocations,
 // returning the refined series. The refined sizes are sharded over
-// the engine's scheduler like the main grid, each worker owning one
+// sched.Sweep like the main grid, each worker owning one
 // pooled instance reset in place per (size, allocation) under the
 // refinement's own key family, so refined measurements never alias
 // the grid sweep's placements and the refined series is

@@ -48,8 +48,8 @@ type mcalSample struct {
 
 // McalibratorContext measures the average access cost of strided
 // traversals over the size grid, on one core of the machine: the
-// Fig. 1 calibration loop, with its size grid sharded over the
-// engine's scheduler. Sizes are independent measurements, and each (size,
+// Fig. 1 calibration loop, with its size grid sharded through
+// sched.Sweep. Sizes are independent measurements, and each (size,
 // allocation) measures a memory system whose page placement is seeded
 // from (Seed, probe family, core, size index, allocation) — identical
 // by construction no matter which worker measures it or in what

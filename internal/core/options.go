@@ -66,19 +66,17 @@ type Options struct {
 	// size, which separates channels that happen to coincide at a
 	// single probe size. Empty means [message size].
 	LayerSizes []int64
-	// Parallelism bounds how many tasks each fan-out level runs
-	// concurrently (default 1: the paper's sequential stage order).
-	// One knob governs every level: independent probes of one run,
-	// and the sharded measurements inside a probe (the
+	// Parallelism bounds how many measurements each sched.Sweep runs
+	// concurrently (default 1: fully sequential). One knob governs
+	// every sweep: the mcalibrator size grid and its refinement, the
 	// communication-costs, shared-cache and memory-overhead pair
 	// sweeps, the per-layer micro-benchmarks, the per-core
-	// CalibrateCores loop). Levels nest — a probe's internal shards
-	// get their own worker pool — so a full-suite run may briefly
-	// execute up to ~2x this many simulation tasks. The merged report
-	// is byte-identical at any parallelism — measurements merge in
-	// index order, noise is drawn statelessly per measurement, and
-	// memory-system instances are built per measurement from stable
-	// keys — only wall times change.
+	// CalibrateCores loop. Probes themselves run one after another in
+	// the paper's stage order. The merged report is byte-identical at
+	// any parallelism — measurements merge in index order, noise is
+	// drawn statelessly per measurement, and memory-system instances
+	// are built per measurement from stable keys — only wall times
+	// change.
 	Parallelism int
 	// Seed drives page placement and measurement noise (default 1).
 	Seed int64

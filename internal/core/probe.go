@@ -13,10 +13,9 @@ import (
 )
 
 // Probe is one pluggable benchmark of the suite. Probes declare the
-// probes they depend on by name; the engine runs them over the
-// dependency DAG (concurrently when Options.Parallelism allows) and
-// merges their Partials into the final report in registration order,
-// so the assembled report does not depend on completion order.
+// probes they depend on by name; the engine runs them one after
+// another in registration order, which Register keeps topological,
+// and merges their Partials into the final report in that order.
 type Probe interface {
 	// Name identifies the probe ("cache-size", ...). Names are unique
 	// across the registry.
@@ -24,8 +23,8 @@ type Probe interface {
 	// Deps names the probes whose outputs this probe consumes. They
 	// are guaranteed to have completed before Run is called.
 	Deps() []string
-	// Run executes the probe against the environment's machine. The
-	// context is cancelled when the engine aborts the run.
+	// Run executes the probe against the environment's machine. It
+	// should return promptly once ctx is cancelled.
 	Run(ctx context.Context, env *Env) (Partial, error)
 }
 
@@ -46,10 +45,11 @@ type Partial struct {
 
 // Env is the shared environment a probe run executes in: the machine
 // under test, the effective options, and the outputs of completed
-// probes.
+// probes. Its outputs are guarded by a mutex, so a probe may read
+// them from the workers of its own sweeps.
 type Env struct {
 	// Machine is the machine under test. Probes must treat it as
-	// read-only: probes run concurrently.
+	// read-only: the workers of their sweeps share it.
 	Machine *topology.Machine
 	// Opt holds the effective (default-filled) options.
 	Opt Options
@@ -68,11 +68,10 @@ func (e *Env) put(name string, p Partial) {
 	e.outs[name] = p
 }
 
-// Output returns the Partial of a probe that has completed. Only
-// reads of probes named in the caller's Deps are reliable: the
-// scheduler guarantees those completed first, while anything else may
-// or may not have finished depending on scheduling, so its presence
-// here is timing-dependent.
+// Output returns the Partial of a probe that has completed or was
+// seeded. Only read probes named in the caller's Deps: the engine
+// guarantees those are present, while whether anything else is
+// depends on which probes the run requested.
 func (e *Env) Output(name string) (Partial, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -107,9 +106,8 @@ func (e *NoCacheLevelsError) Error() string {
 	return fmt.Sprintf("core: no cache levels detected on %s", e.Machine)
 }
 
-// ProbeError wraps a probe failure with the probe's name. When
-// several probes fail in one run, the engine reports the one earliest
-// in registration order.
+// ProbeError wraps a probe failure with the probe's name. The engine
+// stops at the first failing probe, so a run reports at most one.
 type ProbeError struct {
 	// Probe is the failing probe's name.
 	Probe string

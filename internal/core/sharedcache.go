@@ -115,7 +115,7 @@ func (sc *scScratch) measurePair(opt Options, level int64, pi int, pair [2]int, 
 // SharedCachePairsContext is SharedCachesContext restricted to an
 // explicit list of node-local core pairs (the Fig. 8 plots, for
 // clarity, only show the pairs containing core 0). It runs the Fig. 5
-// sweep sharded over the engine's scheduler: every (level, pair)
+// sweep sharded through sched.Sweep: every (level, pair)
 // measurement — and each level's isolated reference — measures a
 // memory system whose page placement is seeded from (Seed, probe
 // family, level, pair index), so it is identical by construction no

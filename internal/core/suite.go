@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"servet/internal/obs"
 	"servet/internal/report"
@@ -12,11 +13,11 @@ import (
 )
 
 // Suite runs Servet probes on a machine and assembles the
-// install-time report. Probes come from the package registry; the
-// engine schedules them over their dependency DAG, concurrently when
-// Options.Parallelism allows, and merges their results in
-// registration order so the report is identical regardless of
-// completion order.
+// install-time report. Probes come from the package registry and run
+// one after another in registration order, which is topological, so
+// every probe sees its dependencies' outputs; Options.Parallelism
+// fans out the sweeps inside each probe. Results merge into the
+// report in registration order.
 type Suite struct {
 	m   *topology.Machine
 	opt Options
@@ -73,11 +74,11 @@ func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration
 // RunProbes executes the named probes plus their transitive
 // dependencies (no names means DefaultProbes, the four paper
 // benchmarks), recording per-stage wall and simulated-probe times
-// (Table I). Independent probes run
-// concurrently up to Options.Parallelism; results merge into the
-// report in registration order, with one StageTiming per executed
-// probe. A probe failure is returned as a *ProbeError; cancelling the
-// context aborts the run.
+// (Table I). Probes run sequentially in registration order; results
+// merge into the report in that order, with one StageTiming per
+// executed probe. A probe failure is returned as a *ProbeError and
+// stops the run before the next probe starts; cancelling the context
+// aborts the run with the plain context error.
 func (s *Suite) RunProbes(ctx context.Context, names ...string) (*report.Report, error) {
 	r, _, err := s.RunSeeded(ctx, nil, names...)
 	return r, err
@@ -87,7 +88,7 @@ func (s *Suite) RunProbes(ctx context.Context, names ...string) (*report.Report,
 // seeded (typically restored from a cache via Restore) are not
 // executed — their partial goes straight into the environment, where
 // it both satisfies dependents and merges into the report in the
-// usual canonical order. Only the remaining probes are scheduled.
+// usual canonical order. Only the remaining probes run.
 // executed lists the probes that actually ran, in canonical order;
 // seeded probes keep a Table I timing row with zero wall time.
 func (s *Suite) RunSeeded(ctx context.Context, seeded map[string]Partial, names ...string) (_ *report.Report, executed []string, _ error) {
@@ -99,60 +100,42 @@ func (s *Suite) RunSeeded(ctx context.Context, seeded map[string]Partial, names 
 		return nil, nil, err
 	}
 
+	// Probes run one after another in canonical order, which the
+	// registry makes topological: every dependency has completed (or
+	// was seeded) before its dependents start. Probe spans record into
+	// the context's tracer (nil when the run is untraced): one "probe"
+	// span per executed probe, so a trace shows which stages dominated
+	// the run.
 	env := newEnv(s.m, s.opt)
-	runs := make(map[string]bool, len(probes))
+	tr := obs.FromContext(ctx)
+	walls := make(map[string]time.Duration, len(probes))
 	for _, p := range probes {
 		name := p.Name()
 		if part, ok := seeded[name]; ok {
 			env.put(name, part)
-		} else {
-			runs[name] = true
-		}
-	}
-
-	// Probe spans record into the context's tracer (nil when the run
-	// is untraced): one "probe" span per executed probe, so a trace
-	// shows which stages dominated the run.
-	tr := obs.FromContext(ctx)
-
-	var tasks []sched.Task
-	taskIdx := make(map[string]int, len(runs))
-	for _, p := range probes {
-		if !runs[p.Name()] {
 			continue
 		}
-		p := p
-		// Seeded dependencies are already satisfied; the scheduler only
-		// needs the edges between probes that actually run.
-		var deps []string
-		for _, d := range p.Deps() {
-			if runs[d] {
-				deps = append(deps, d)
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		sp := tr.Start("probe", name)
+		t0 := time.Now() //servet:wallclock — probe wall-time provenance (report Timings), never a measurement input
+		part, err := p.Run(ctx, env)
+		//servet:wallclock
+		wall := time.Since(t0)
+		sp.End()
+		if err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+				return nil, nil, ctxErr
 			}
+			return nil, nil, &ProbeError{Probe: name, Err: err}
 		}
-		taskIdx[p.Name()] = len(tasks)
-		tasks = append(tasks, sched.Task{
-			Name: p.Name(),
-			Deps: deps,
-			Run: func(ctx context.Context) error {
-				sp := tr.Start("probe", p.Name())
-				part, err := p.Run(ctx, env)
-				sp.End()
-				if err != nil {
-					return err
-				}
-				env.put(p.Name(), part)
-				return nil
-			},
-		})
+		env.put(name, part)
+		walls[name] = wall
 	}
-
-	results, err := sched.Run(ctx, tasks, s.opt.Parallelism)
-	if err != nil {
-		var te *sched.TaskError
-		if errors.As(err, &te) {
-			return nil, nil, &ProbeError{Probe: te.Name, Err: te.Err}
-		}
+	// A caller that cancelled during (or before) the run gets its
+	// context error, even when every probe was seeded.
+	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 
@@ -172,8 +155,8 @@ func (s *Suite) RunSeeded(ctx context.Context, seeded map[string]Partial, names 
 			Stage:          name,
 			SimulatedProbe: part.SimulatedProbe,
 		}
-		if runs[name] {
-			timing.Wall = results[taskIdx[name]].Wall
+		if wall, ok := walls[name]; ok {
+			timing.Wall = wall
 			executed = append(executed, name)
 		}
 		r.Timings = append(r.Timings, timing)

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -117,36 +116,22 @@ func Run(ctx context.Context, id string, opt Opt) (*Result, error) {
 	return res, nil
 }
 
-// RunAll regenerates every experiment through the probe-engine
-// scheduler (internal/sched): the independent generators fan out over
-// at most Opt.Parallelism workers, and the results come back in id
-// order regardless of completion order. On failure it returns the
-// results that completed (still in id order) and the error of the
-// failed experiment earliest in id order. Cancelling the context
-// stops launching experiments and aborts the running ones.
+// RunAll regenerates every experiment through sched.Sweep: the
+// independent generators fan out over at most Opt.Parallelism
+// workers, and the results come back in id order regardless of
+// completion order. On failure it returns the results that completed
+// (still in id order) and the error of the failed experiment earliest
+// in id order; experiments after it that have not started are not
+// run, while generators already running finish. Cancelling the
+// context stops launching experiments and aborts the running ones.
 func RunAll(ctx context.Context, opt Opt) ([]*Result, error) {
 	ids := IDs()
 	slots := make([]*Result, len(ids))
-	tasks := make([]sched.Task, len(ids))
-	for i, id := range ids {
-		i, id := i, id
-		tasks[i] = sched.Task{
-			Name: id,
-			Run: func(ctx context.Context) error {
-				res, err := Run(ctx, id, opt)
-				if err != nil {
-					return err
-				}
-				slots[i] = res
-				return nil
-			},
-		}
-	}
-	_, err := sched.Run(ctx, tasks, opt.Parallelism)
-	var te *sched.TaskError
-	if errors.As(err, &te) {
-		err = te.Err // Run already prefixed the experiment id
-	}
+	_, err := sched.Sweep(ctx, "experiments", len(ids), opt.Parallelism, nil, func(_ struct{}, i int) (struct{}, error) {
+		res, err := Run(ctx, ids[i], opt)
+		slots[i] = res
+		return struct{}{}, err
+	})
 	out := make([]*Result, 0, len(ids))
 	for _, res := range slots {
 		if res != nil {

@@ -1,8 +1,7 @@
 // Package obs is the suite's zero-perturbation observability layer: a
 // stdlib-only tracer that records spans (probe runs, sweep chunks,
-// scheduler task lifecycles, tune rounds) and named counters (cache
-// hits, pooled-instance resets, objective evaluations) as the engine
-// runs. It exists to answer "where did the time go" — which probes
+// tune rounds) and named counters (cache hits, pooled-instance
+// resets, objective evaluations) as the engine runs. It exists to answer "where did the time go" — which probes
 // dominated a report, how sweep chunks scheduled across workers,
 // what the pooling saved — without ever feeding anything back into a
 // measurement.
@@ -69,7 +68,7 @@ type SpanRecord struct {
 	// "sched", "tune", "cache".
 	Cat string
 	// Name identifies the work within the category (probe name, sweep
-	// name, sched task name, ...).
+	// name, sweep chunk "<sweep>:<chunk>", ...).
 	Name string
 	// Lane is the span's track within the category: the lowest lane
 	// free when it started, so concurrent spans of one category render
@@ -107,7 +106,7 @@ func New() *Tracer {
 type ctxKey struct{}
 
 // WithTracer returns a context carrying the tracer; the engine layers
-// below it (sessions, probes, sweeps, tunes, the scheduler) record
+// below it (sessions, probes, sweeps, tunes) record
 // into it. A nil tracer returns ctx unchanged.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	if t == nil {

@@ -1,3 +1,9 @@
+// Package sched is the engine's one bounded fan-out. Sweep measures
+// the independent items of a probe sweep, a tuner's candidate batch or
+// a cluster of sessions in index-ordered chunks over at most a
+// parallelism bound of workers, and returns the measurements indexed
+// by input order, so output assembly is deterministic regardless of
+// completion order.
 package sched
 
 import (

@@ -211,6 +211,8 @@ func TestTuneBadRequests(t *testing.T) {
 		{"unknown machine", `{"run":{"machine":"warp-core"},"space":{"axes":[{"name":"x","kind":"pow2","min":1,"max":2}]},"objective":{"name":"tiled-kernel"}}`},
 		{"empty space", `{"run":{"machine":"dempsey"},"space":{},"objective":{"name":"tiled-kernel"}}`},
 		{"bad axis", `{"run":{"machine":"dempsey"},"space":{"axes":[{"name":"x","kind":"pow2","min":3,"max":8}]},"objective":{"name":"tiled-kernel"}}`},
+		{"full int64 range", `{"run":{"machine":"dempsey"},"space":{"axes":[{"name":"x","kind":"int-range","min":-9223372036854775808,"max":9223372036854775807,"step":1}]},"objective":{"name":"tiled-kernel"}}`},
+		{"2^63-point range", `{"run":{"machine":"dempsey"},"space":{"axes":[{"name":"x","kind":"int-range","min":0,"max":9223372036854775807,"step":1}]},"objective":{"name":"tiled-kernel"},"strategy":"random"}`},
 		{"unknown strategy", `{"run":{"machine":"dempsey"},"space":{"axes":[{"name":"x","kind":"pow2","min":1,"max":2}]},"objective":{"name":"tiled-kernel"},"strategy":"psychic"}`},
 		{"unknown objective", `{"run":{"machine":"dempsey"},"space":{"axes":[{"name":"x","kind":"pow2","min":1,"max":2}]},"objective":{"name":"mystery"}}`},
 		{"bad objective params", `{"run":{"machine":"dempsey"},"space":{"axes":[{"name":"x","kind":"pow2","min":1,"max":2}]},"objective":{"name":"bcast-model","params":{"ranks":1,"bytes":8}}}`},

@@ -87,6 +87,9 @@ func (a Axis) validate() error {
 		if a.Max < a.Min {
 			return fmt.Errorf("tune: axis %s: max %d < min %d", a.Name, a.Max, a.Min)
 		}
+		if (uint64(a.Max)-uint64(a.Min))/uint64(a.Step) >= math.MaxInt {
+			return fmt.Errorf("tune: axis %s: int-range [%d, %d] step %d has too many points", a.Name, a.Min, a.Max, a.Step)
+		}
 	case KindPow2:
 		if a.Min <= 0 || a.Max <= 0 {
 			return fmt.Errorf("tune: axis %s: pow2 bounds must be positive, got [%d, %d]", a.Name, a.Min, a.Max)
@@ -121,7 +124,8 @@ func (a Axis) validate() error {
 func (a Axis) size() int {
 	switch a.Kind {
 	case KindIntRange:
-		return int((a.Max-a.Min)/a.Step) + 1
+		// Max-Min can exceed int64; its uint64 difference cannot.
+		return int((uint64(a.Max)-uint64(a.Min))/uint64(a.Step)) + 1
 	case KindPow2:
 		return bits.Len64(uint64(a.Max)) - bits.Len64(uint64(a.Min)) + 1
 	case KindChoice:

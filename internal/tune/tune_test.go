@@ -130,6 +130,8 @@ func TestSpaceValidateRejects(t *testing.T) {
 		{Axes: []Axis{Choice("x", "a", "a")}},
 		{Axes: []Axis{Choice("x", "")}},
 		{Axes: []Axis{IntRange("x", 1, 2, 1), Choice("x", "a")}},
+		{Axes: []Axis{IntRange("x", math.MinInt64, math.MaxInt64, 1)}}, // 2^64 points
+		{Axes: []Axis{IntRange("x", 0, math.MaxInt64, 1)}},             // 2^63 points: more than an int counts
 	}
 	for i, sp := range bad {
 		if err := sp.Validate(); err == nil {

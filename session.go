@@ -45,11 +45,11 @@ func WithNoise(sigma float64) Option {
 	return func(c *sessionConfig) { c.opt.NoiseSigma = sigma }
 }
 
-// WithParallelism bounds how many tasks run concurrently: independent
-// probes of one run, the sharded measurements inside the
-// communication-costs probe and CalibrateCores, and how many machines
-// Sweep probes at once. Reports are byte-identical at any
-// parallelism; only wall times change.
+// WithParallelism bounds how many measurements each sched.Sweep runs
+// concurrently: the sweeps inside every probe, CalibrateCores, and
+// how many machines Sweep probes at once. The probes of one run still
+// execute one after another in canonical order. Reports are
+// byte-identical at any parallelism; only wall times change.
 func WithParallelism(n int) Option {
 	return func(c *sessionConfig) { c.opt.Parallelism = n }
 }
@@ -121,7 +121,7 @@ func (s *Session) Options() Options { return s.suite.Options() }
 // When the session has a cache, probes whose cached section is still
 // fresh — same machine fingerprint, same options digest, and every
 // dependency fresh too — are restored instead of executed; only stale
-// probes (and their dependents) run, through the usual scheduler. The
+// probes (and their dependents) run, in the usual canonical order. The
 // merged report is identical to a fresh run's, with provenance rows
 // saying which sections were measured now ("ran") and which were
 // reused ("cached", keeping their original measurement timestamp).

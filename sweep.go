@@ -24,8 +24,8 @@ func (e *SweepError) Unwrap() error { return e.Err }
 // of a heterogeneous cluster are built from. Sessions fan out like
 // the suite's measurement sweeps: WithParallelism bounds how
 // many machines are probed concurrently, defaulting to all of them
-// (each machine's own probes stay sequential unless the option says
-// otherwise).
+// (inside each session the sweeps stay sequential unless the option
+// says otherwise).
 //
 // The options apply to every session, so WithCache shares one cache
 // instance across the sweep — safe for the fingerprint-keyed caches:
@@ -49,7 +49,7 @@ func Sweep(ctx context.Context, machines []*Machine, opts ...Option) ([]*Report,
 
 	// The sweep's fan-out width comes from the raw (not default-filled)
 	// options: an unset parallelism means "all machines at once" here,
-	// while inside each session it keeps meaning "sequential probes".
+	// while inside each session it keeps meaning "sequential sweeps".
 	var cfg sessionConfig
 	cfg.apply(opts)
 	fanout := cfg.opt.Parallelism
