@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"servet"
+	"servet/internal/obs"
 )
 
 // quickOpt keeps the simulated sweeps fast in tests.
@@ -307,6 +308,133 @@ func TestSubsetRunPreservesCacheEntry(t *testing.T) {
 			t.Errorf("%s status %q after accumulating runs", probe, st[probe])
 		}
 	}
+}
+
+// TestSessionCacheWalk pins the cached-report walk step by step on
+// one MemoryCache: the ordered timing and provenance rows (sections
+// carried from the entry sit in canonical order next to the ones this
+// run restored or measured), zero wall time on every row that did not
+// run, the original timestamp and wall cost on every cached row, the
+// traced restored/ran counters (carried sections count in neither),
+// and a stored entry equal to the returned report.
+func TestSessionCacheWalk(t *testing.T) {
+	ctx := context.Background()
+	m := servet.Dempsey()
+	cache := servet.NewMemoryCache()
+	const (
+		ran    = servet.ProvenanceRan
+		cached = servet.ProvenanceCached
+	)
+	type row struct{ probe, status string }
+
+	commOpt := quickOpt
+	commOpt.CommReps = 3
+	calOpt := commOpt
+	calOpt.Allocations = 3
+
+	// origin remembers the provenance of each section's last
+	// measurement; cached rows must keep it.
+	origin := map[string]servet.ProbeProvenance{}
+	step := func(name string, opt servet.Options, probes []string, want []row, restored, executed int64) {
+		t.Helper()
+		s, err := servet.NewSession(m, servet.WithOptions(opt), servet.WithCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.New()
+		rep, err := s.Run(obs.WithTracer(ctx, tr), probes...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(rep.Timings) != len(want) || len(rep.Provenance) != len(want) {
+			t.Fatalf("%s: %d timing and %d provenance rows, want %d", name, len(rep.Timings), len(rep.Provenance), len(want))
+		}
+		for i, w := range want {
+			tm, p := rep.Timings[i], rep.Provenance[i]
+			if tm.Stage != w.probe || p.Probe != w.probe || p.Status != w.status {
+				t.Errorf("%s: row %d = (%s, %s/%s), want (%s, %s)", name, i, tm.Stage, p.Probe, p.Status, w.probe, w.status)
+				continue
+			}
+			switch w.status {
+			case ran:
+				if tm.Wall <= 0 || p.Wall != tm.Wall {
+					t.Errorf("%s: %s ran with timing wall %v, provenance wall %v", name, w.probe, tm.Wall, p.Wall)
+				}
+				origin[w.probe] = p
+			case cached:
+				if tm.Wall != 0 {
+					t.Errorf("%s: %s did not run but has wall %v", name, w.probe, tm.Wall)
+				}
+				o := origin[w.probe]
+				if !p.Timestamp.Equal(o.Timestamp) || p.Wall != o.Wall || p.OptionsDigest != o.OptionsDigest {
+					t.Errorf("%s: cached %s provenance %+v, want the original %+v", name, w.probe, p, o)
+				}
+			}
+		}
+		if got := tr.Counter(obs.CounterProbesRestored); got != restored {
+			t.Errorf("%s: probes restored = %d, want %d", name, got, restored)
+		}
+		if got := tr.Counter(obs.CounterProbesRan); got != executed {
+			t.Errorf("%s: probes ran = %d, want %d", name, got, executed)
+		}
+		stored, ok := cache.Lookup(s.Fingerprint())
+		if !ok {
+			t.Fatalf("%s: no cache entry stored", name)
+		}
+		a, err := json.Marshal(stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("%s: stored entry differs from the returned report:\n%s\nvs\n%s", name, a, b)
+		}
+	}
+
+	step("cold", quickOpt, nil, []row{
+		{"cache-size", ran}, {"shared-caches", ran}, {"memory-overhead", ran}, {"communication-costs", ran},
+	}, 0, 4)
+	step("warm", quickOpt, nil, []row{
+		{"cache-size", cached}, {"shared-caches", cached}, {"memory-overhead", cached}, {"communication-costs", cached},
+	}, 4, 0)
+	step("comm change", commOpt, nil, []row{
+		{"cache-size", cached}, {"shared-caches", cached}, {"memory-overhead", cached}, {"communication-costs", ran},
+	}, 3, 1)
+	// The four suite sections are carried from the entry around the
+	// tlb-only closure.
+	step("tlb subset", commOpt, []string{"tlb"}, []row{
+		{"cache-size", cached}, {"shared-caches", cached}, {"memory-overhead", cached}, {"communication-costs", cached},
+		{"tlb", ran},
+	}, 0, 1)
+	// Allocations feeds cache-size, so communication-costs (measured
+	// against the old levels) is dropped; memory-overhead and tlb do
+	// not depend on it and are carried.
+	step("shared-caches subset", calOpt, []string{"shared-caches"}, []row{
+		{"cache-size", ran}, {"shared-caches", ran}, {"memory-overhead", cached}, {"tlb", cached},
+	}, 0, 2)
+	step("full after subset", calOpt, nil, []row{
+		{"cache-size", cached}, {"shared-caches", cached}, {"memory-overhead", cached}, {"communication-costs", ran},
+		{"tlb", cached},
+	}, 3, 1)
+
+	// An entry whose memory section is zeroed while its provenance row
+	// stays: the digest matches, but restoring refuses the empty
+	// section, so the probe re-runs.
+	ent, ok := cache.Lookup(m.Fingerprint())
+	if !ok {
+		t.Fatal("no cache entry")
+	}
+	ent.Memory = servet.MemoryResult{}
+	if err := cache.Store(m.Fingerprint(), ent); err != nil {
+		t.Fatal(err)
+	}
+	step("zeroed memory section", calOpt, nil, []row{
+		{"cache-size", cached}, {"shared-caches", cached}, {"memory-overhead", ran}, {"communication-costs", cached},
+		{"tlb", cached},
+	}, 3, 1)
 }
 
 // TestSessionSeedChangeInvalidatesEverything: the seed feeds every
