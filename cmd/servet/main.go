@@ -48,7 +48,7 @@ func main() {
 		quick      = flag.Bool("quick", false, "fewer repetitions (faster, less precise)")
 		list       = flag.Bool("list", false, "list machine models and exit")
 		probes     = flag.String("probes", "", "comma-separated probe subset (default: full suite; see -list-probes)")
-		parallel   = flag.Int("parallel", 1, "worker count for probe-level and intra-probe fan-out (reports are identical at any value)")
+		parallel   = flag.Int("parallel", 1, "worker count for the sweeps inside each probe (reports are identical at any value)")
 		listProbes = flag.Bool("list-probes", false, "list probe names and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path (pprof format)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this path on exit (pprof format)")

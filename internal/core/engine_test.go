@@ -7,42 +7,33 @@ import (
 	"testing"
 
 	"servet/internal/obs"
+	"servet/internal/report"
 	"servet/internal/topology"
 )
 
 // TestProbeEngineContract pins what the probe engine promises its
 // callers, whatever runs the probes underneath: one "probe" span per
 // executed probe (in canonical order at parallelism 1), none for a
-// seeded probe, the caller's cancellation surfacing as the plain
-// context error — even when every probe was seeded and nothing runs —
-// and no probe starting once the context is done.
+// probe seeded by restoring it from the cached report, the caller's
+// cancellation surfacing as the plain context error — even when every
+// probe was seeded and nothing runs — and no probe starting once the
+// context is done.
 func TestProbeEngineContract(t *testing.T) {
 	opt := Options{Seed: 1, CommReps: 2, BWSizes: []int64{4096}}
 	base, err := NewSuite(topology.Dempsey(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := base.RunProbes(context.Background())
+	fresh, prov, err := base.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	restore := func(names ...string) map[string]Partial {
-		seeded := map[string]Partial{}
-		for _, name := range names {
-			part, ok := Restore(name, fresh)
-			if !ok {
-				t.Fatalf("%s not restorable", name)
-			}
-			seeded[name] = part
-		}
-		return seeded
 	}
 
 	all := DefaultProbes()
 	cases := []struct {
 		name        string
 		parallelism int
-		seeded      map[string]Partial
+		cached      *report.Report
 		// ctx derives the run's context from a traced base; cancel
 		// cancels that base.
 		ctx       func(base context.Context, tr *obs.Tracer, cancel context.CancelFunc) context.Context
@@ -60,12 +51,12 @@ func TestProbeEngineContract(t *testing.T) {
 		},
 		{
 			name: "cache-size seeded", parallelism: 1,
-			seeded:    restore("cache-size"),
+			cached:    cachedReport(fresh, prov, "cache-size"),
 			wantSpans: all[1:], ordered: true,
 		},
 		{
 			name: "fully seeded, cancelled", parallelism: 1,
-			seeded: restore(all...),
+			cached: cachedReport(fresh, prov, all...),
 			ctx: func(base context.Context, _ *obs.Tracer, cancel context.CancelFunc) context.Context {
 				cancel()
 				return base
@@ -100,7 +91,7 @@ func TestProbeEngineContract(t *testing.T) {
 				ctx = tc.ctx(ctx, tr, cancel)
 			}
 
-			_, _, err = s.RunSeeded(ctx, tc.seeded)
+			_, _, err = s.Run(ctx, tc.cached)
 			if err != tc.wantErr {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}

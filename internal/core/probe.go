@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -12,10 +11,10 @@ import (
 	"servet/internal/topology"
 )
 
-// Probe is one pluggable benchmark of the suite. Probes declare the
-// probes they depend on by name; the engine runs them one after
-// another in registration order, which Register keeps topological,
-// and merges their Partials into the final report in that order.
+// Probe is one benchmark of the suite. Probes declare the probes they
+// depend on by name; the engine runs them one after another in
+// registry order, which is topological, and merges their Partials
+// into the final report in that order.
 type Probe interface {
 	// Name identifies the probe ("cache-size", ...). Names are unique
 	// across the registry.
@@ -26,12 +25,23 @@ type Probe interface {
 	// Run executes the probe against the environment's machine. It
 	// should return promptly once ctx is cancelled.
 	Run(ctx context.Context, env *Env) (Partial, error)
+	// scope returns the effective option fields the probe's
+	// measurements depend on, as a plain JSON-marshalable struct. Two
+	// option sets with equal scopes produce identical probe results,
+	// so the scope's digest is the cache key component that
+	// invalidates only the probes an option change actually affects.
+	scope(opt Options) any
+	// restore rebuilds the probe's Partial (report section plus the
+	// typed Value dependent probes consume) from a saved report, so a
+	// cached probe never has to execute. ok is false when the report
+	// lacks a usable section.
+	restore(r *report.Report) (Partial, bool)
 }
 
 // Partial is one probe's contribution to the final report.
 type Partial struct {
 	// Apply merges the probe's results into the report. Apply
-	// functions are invoked sequentially in registration order after
+	// functions are invoked sequentially in registry order after
 	// every probe has completed; they never run concurrently. Nil
 	// means the probe contributes only its timing.
 	Apply func(r *report.Report)
@@ -69,9 +79,9 @@ func (e *Env) put(name string, p Partial) {
 }
 
 // Output returns the Partial of a probe that has completed or was
-// seeded. Only read probes named in the caller's Deps: the engine
-// guarantees those are present, while whether anything else is
-// depends on which probes the run requested.
+// restored from the cached report. Only read probes named in the
+// caller's Deps: the engine guarantees those are present, while
+// whether anything else is depends on which probes the run requested.
 func (e *Env) Output(name string) (Partial, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -141,42 +151,8 @@ const (
 	probeTLB       = "tlb"
 )
 
-var (
-	regMu    sync.RWMutex
-	registry []Probe
-	regIndex = map[string]int{}
-)
-
-// Register adds a probe to the registry. Probe order at registration
-// is the canonical order: the engine merges Partials and emits
-// timings in it, so a probe's dependencies must be registered before
-// it — that keeps registration order topological and lets an Apply
-// build on what its dependencies merged. Register panics on an empty
-// or duplicate name or an unregistered dependency — registration is
-// an init-time programming act, not a runtime input.
-func Register(p Probe) {
-	name := p.Name()
-	if name == "" {
-		panic("core: Register: probe with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := regIndex[name]; dup {
-		panic(fmt.Sprintf("core: Register: duplicate probe %q", name))
-	}
-	for _, d := range p.Deps() {
-		if _, ok := regIndex[d]; !ok {
-			panic(fmt.Sprintf("core: Register: probe %q depends on unregistered probe %q (register dependencies first)", name, d))
-		}
-	}
-	regIndex[name] = len(registry)
-	registry = append(registry, p)
-}
-
-// ProbeNames lists every registered probe in canonical order.
+// ProbeNames lists every probe in canonical order.
 func ProbeNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	names := make([]string, len(registry))
 	for i, p := range registry {
 		names[i] = p.Name()
@@ -185,39 +161,37 @@ func ProbeNames() []string {
 }
 
 // DefaultProbes lists the four paper benchmarks in the paper's order.
-// The TLB extension probe is registered but not part of the default
-// suite, matching the paper's Table I.
+// The TLB extension probe is in the registry but not part of the
+// default suite, matching the paper's Table I.
 func DefaultProbes() []string {
 	return []string{probeCacheSize, probeShared, probeMemory, probeComm}
 }
 
-// knownNamesLocked snapshots the registered probe names; the caller
-// holds regMu.
-func knownNamesLocked() []string {
-	known := make([]string, len(registry))
-	for i, p := range registry {
-		known[i] = p.Name()
+// probeByName finds a probe in the registry.
+func probeByName(name string) (Probe, error) {
+	for _, p := range registry {
+		if p.Name() == name {
+			return p, nil
+		}
 	}
-	return known
+	return nil, &UnknownProbeError{Name: name, Known: ProbeNames()}
 }
 
 // probeClosure expands names to the requested probes plus their
 // transitive dependencies, in canonical order.
 func probeClosure(names []string) ([]Probe, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	want := map[string]bool{}
 	var expand func(name string) error
 	expand = func(name string) error {
 		if want[name] {
 			return nil
 		}
-		i, ok := regIndex[name]
-		if !ok {
-			return &UnknownProbeError{Name: name, Known: knownNamesLocked()}
+		p, err := probeByName(name)
+		if err != nil {
+			return err
 		}
 		want[name] = true
-		for _, d := range registry[i].Deps() {
+		for _, d := range p.Deps() {
 			if err := expand(d); err != nil {
 				return err
 			}
@@ -229,14 +203,11 @@ func probeClosure(names []string) ([]Probe, error) {
 			return nil, err
 		}
 	}
-	idx := make([]int, 0, len(want))
-	for name := range want {
-		idx = append(idx, regIndex[name])
-	}
-	sort.Ints(idx)
-	probes := make([]Probe, len(idx))
-	for i, k := range idx {
-		probes[i] = registry[k]
+	var probes []Probe
+	for _, p := range registry {
+		if want[p.Name()] {
+			probes = append(probes, p)
+		}
 	}
 	return probes, nil
 }

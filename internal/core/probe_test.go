@@ -31,37 +31,25 @@ func TestProbeRegistryCanonicalOrder(t *testing.T) {
 	}
 }
 
-// stubProbe lets tests exercise Register's validation.
-type stubProbe struct {
-	name string
-	deps []string
-}
-
-func (s stubProbe) Name() string   { return s.name }
-func (s stubProbe) Deps() []string { return s.deps }
-func (s stubProbe) Run(context.Context, *Env) (Partial, error) {
-	return Partial{}, nil
-}
-
-// TestRegisterRejectsUnregisteredDep: registration order is the merge
-// order, so a probe whose dependency is not yet registered must be
-// refused — otherwise its Apply would merge before its dependency's.
-func TestRegisterRejectsUnregisteredDep(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("probe with unregistered dependency accepted")
+// TestRegistryTopological pins the registry invariant the engine
+// relies on: names are non-empty and unique, and every dependency
+// precedes its dependent, so running and merging in registry order
+// lets each probe (and its Apply) build on what its dependencies
+// produced.
+func TestRegistryTopological(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range registry {
+		name := p.Name()
+		if name == "" || seen[name] {
+			t.Errorf("probe name %q is empty or duplicated", name)
 		}
-	}()
-	Register(stubProbe{name: "test-orphan", deps: []string{"not-registered-yet"}})
-}
-
-func TestRegisterRejectsDuplicate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate probe name accepted")
+		for _, d := range p.Deps() {
+			if !seen[d] {
+				t.Errorf("probe %q depends on %q, which does not precede it", name, d)
+			}
 		}
-	}()
-	Register(stubProbe{name: probeCacheSize})
+		seen[name] = true
+	}
 }
 
 func TestProbeClosurePullsDependencies(t *testing.T) {
@@ -224,10 +212,9 @@ func goldenJSON(t *testing.T, r *report.Report) string {
 }
 
 // TestParallelMatchesSequentialAllModels is the engine's golden test:
-// for every predefined machine model, the concurrently scheduled run —
-// probe-level fan-out plus the intra-probe sharding inside the
-// communication-costs sweep — merges into a report byte-identical
-// (wall times aside) to the sequential order, at parallelism 2, 4 and
+// for every predefined machine model, a run whose probes fan their
+// sweeps out over several workers merges into a report byte-identical
+// (wall times aside) to the sequential run, at parallelism 2, 4 and
 // NumCPU.
 func TestParallelMatchesSequentialAllModels(t *testing.T) {
 	models := topology.Models(2)

@@ -7,16 +7,11 @@ import (
 	"servet/internal/report"
 )
 
-// The built-in probes: the four paper benchmarks (Sections III-A to
-// III-D) plus the TLB extension. Registration order is the paper's
-// stage order, which fixes the merge and timing order of the report.
-func init() {
-	Register(cacheSizeProbe{})
-	Register(sharedCachesProbe{})
-	Register(memoryOverheadProbe{})
-	Register(commCostsProbe{})
-	Register(tlbProbe{})
-}
+// registry holds the probes: the four paper benchmarks (Sections
+// III-A to III-D) plus the TLB extension, in the paper's stage order.
+// That order is canonical: it fixes the run, merge and timing order
+// of the report, so every probe's dependencies come before it.
+var registry = []Probe{cacheSizeProbe{}, sharedCachesProbe{}, memoryOverheadProbe{}, commCostsProbe{}, tlbProbe{}}
 
 // cacheSizeProbe runs mcalibrator on core 0 and the Fig. 4 driver on
 // the raw curve (Section III-A), without the standalone DetectCaches
@@ -115,7 +110,7 @@ func (sharedCachesProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 	return Partial{
 		Apply: func(r *report.Report) {
 			// The cache-size probe merges before this one (it is a
-			// dependency, hence earlier in registration order), so the
+			// dependency, hence earlier in registry order), so the
 			// level entries already exist.
 			for i := range r.Caches {
 				if i < len(shared) {
@@ -131,7 +126,7 @@ func (sharedCachesProbe) Run(ctx context.Context, env *Env) (Partial, error) {
 // scope: the Fig. 5 concurrent-traversal options, including the
 // per-measurement allocation count the sweep averages over. The probe
 // also consumes the cache-size probe's output, but dependency
-// freshness is the cache's job, not the digest's.
+// freshness is the cache walk's job (Suite.Run), not the digest's.
 func (sharedCachesProbe) scope(o Options) any {
 	return struct {
 		Seed           int64
@@ -262,8 +257,8 @@ func (commCostsProbe) restore(r *report.Report) (Partial, bool) {
 	}, true
 }
 
-// tlbProbe is the TLB extension probe. It is registered (so -probes
-// can request it) but not part of DefaultProbes: the paper's suite is
+// tlbProbe is the TLB extension probe. It is in the registry (so
+// -probes can request it) but not part of DefaultProbes: the paper's suite is
 // the four stages above.
 type tlbProbe struct{}
 

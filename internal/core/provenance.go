@@ -10,111 +10,37 @@ import (
 )
 
 // Probe-result caching plumbing: per-probe option digests decide
-// whether a saved section is still valid, and restorers rebuild a
-// probe's Partial (report section plus the typed Value dependent
-// probes consume) from a previously saved report, so a cached probe
+// whether a saved section is still valid, and restore rebuilds a
+// probe's Partial from a previously saved report, so a cached probe
 // never has to execute.
 
-// scopedProbe is implemented by probes that declare which fields of
-// the effective Options their measurements depend on. The scope is a
-// plain JSON-marshalable struct; two option sets with equal scopes
-// produce identical probe results, so the digest of the scope is the
-// cache key component that invalidates only the probes an option
-// change actually affects.
-type scopedProbe interface {
-	scope(opt Options) any
-}
-
-// restorableProbe is implemented by probes that can rebuild their
-// Partial from a saved report instead of executing.
-type restorableProbe interface {
-	restore(r *report.Report) (Partial, bool)
-}
-
-// OptionsDigest returns the digest of the effective option fields the
-// named probe's measurements depend on. Probes that do not declare a
-// scope are digested over the full effective options (any option
-// change invalidates them).
-func (s *Suite) OptionsDigest(name string) (string, error) {
-	p, err := probeByName(name)
-	if err != nil {
-		return "", err
-	}
-	var scope any = s.opt
-	if sp, ok := p.(scopedProbe); ok {
-		scope = sp.scope(s.opt)
-	}
+// digest returns the digest of the effective option fields p's
+// measurements depend on (its scope).
+func (s *Suite) digest(p Probe) (string, error) {
 	data, err := json.Marshal(struct {
 		Probe string
 		Scope any
-	}{name, scope})
+	}{p.Name(), p.scope(s.opt)})
 	if err != nil {
-		return "", fmt.Errorf("core: digest %s: %w", name, err)
+		return "", fmt.Errorf("core: digest %s: %w", p.Name(), err)
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:8]), nil
 }
 
-// Restore rebuilds the named probe's Partial from a saved report. ok
-// is false when the probe does not support restoration or the report
-// lacks its section; the caller then executes the probe normally.
-// The Partial's SimulatedProbe is recovered from the report's timing
-// row, so restored runs keep their Table I entries.
-func Restore(name string, r *report.Report) (Partial, bool) {
-	p, err := probeByName(name)
-	if err != nil {
-		return Partial{}, false
-	}
-	rp, ok := p.(restorableProbe)
-	if !ok {
-		return Partial{}, false
-	}
-	part, ok := rp.restore(r)
+// restore rebuilds p's Partial from a saved report. ok is false when
+// the report lacks p's section; the caller then executes the probe
+// normally. The Partial's SimulatedProbe is recovered from the
+// report's timing row, so restored runs keep their Table I entries.
+func restore(p Probe, r *report.Report) (Partial, bool) {
+	part, ok := p.restore(r)
 	if !ok {
 		return Partial{}, false
 	}
 	for _, tm := range r.Timings {
-		if tm.Stage == name {
+		if tm.Stage == p.Name() {
 			part.SimulatedProbe = tm.SimulatedProbe
 		}
 	}
 	return part, true
-}
-
-// probeByName finds a registered probe.
-func probeByName(name string) (Probe, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	i, ok := regIndex[name]
-	if !ok {
-		return nil, &UnknownProbeError{Name: name, Known: knownNamesLocked()}
-	}
-	return registry[i], nil
-}
-
-// ProbeDeps returns the declared dependencies of the named probe.
-func ProbeDeps(name string) ([]string, error) {
-	p, err := probeByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return append([]string(nil), p.Deps()...), nil
-}
-
-// ProbeClosureNames expands the requested probe names (empty means
-// DefaultProbes) to their transitive dependency closure, in canonical
-// (registration, hence topological) order.
-func ProbeClosureNames(names ...string) ([]string, error) {
-	if len(names) == 0 {
-		names = DefaultProbes()
-	}
-	probes, err := probeClosure(names)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(probes))
-	for i, p := range probes {
-		out[i] = p.Name()
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,17 +22,17 @@ func TestOptionsDigestScopesProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range ProbeNames() {
-		a, err := base.OptionsDigest(name)
+	for _, p := range registry {
+		a, err := base.digest(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := spelled.OptionsDigest(name)
+		b, err := spelled.digest(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a != b {
-			t.Errorf("%s: default-filled digests differ: %s vs %s", name, a, b)
+			t.Errorf("%s: default-filled digests differ: %s vs %s", p.Name(), a, b)
 		}
 	}
 
@@ -41,15 +42,15 @@ func TestOptionsDigestScopesProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range ProbeNames() {
-		a, _ := base.OptionsDigest(name)
-		b, _ := tweaked.OptionsDigest(name)
-		if name == "communication-costs" {
+	for _, p := range registry {
+		a, _ := base.digest(p)
+		b, _ := tweaked.digest(p)
+		if p.Name() == "communication-costs" {
 			if a == b {
-				t.Errorf("%s: CommReps change did not alter digest", name)
+				t.Errorf("%s: CommReps change did not alter digest", p.Name())
 			}
 		} else if a != b {
-			t.Errorf("%s: CommReps change leaked into digest", name)
+			t.Errorf("%s: CommReps change leaked into digest", p.Name())
 		}
 	}
 
@@ -58,16 +59,16 @@ func TestOptionsDigestScopesProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range ProbeNames() {
-		a, _ := base.OptionsDigest(name)
-		b, _ := reseeded.OptionsDigest(name)
+	for _, p := range registry {
+		a, _ := base.digest(p)
+		b, _ := reseeded.digest(p)
 		if a == b {
-			t.Errorf("%s: seed change did not alter digest", name)
+			t.Errorf("%s: seed change did not alter digest", p.Name())
 		}
 	}
 
-	if _, err := base.OptionsDigest("no-such-probe"); err == nil {
-		t.Error("unknown probe digested")
+	if _, err := probeByName("no-such-probe"); err == nil {
+		t.Error("unknown probe found")
 	}
 }
 
@@ -79,29 +80,27 @@ func TestRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.RunProbes(context.Background(), "cache-size", "shared-caches", "memory-overhead", "communication-costs", "tlb")
+	fresh, prov, err := s.Run(context.Background(), nil, "cache-size", "shared-caches", "memory-overhead", "communication-costs", "tlb")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	seeded := map[string]Partial{}
-	for _, name := range ProbeNames() {
-		part, ok := Restore(name, fresh)
+	for _, p := range registry {
+		part, ok := restore(p, fresh)
 		if !ok {
-			t.Fatalf("probe %s not restorable from its own report", name)
+			t.Fatalf("probe %s not restorable from its own report", p.Name())
 		}
-		if part.SimulatedProbe != timingFor(fresh, name) {
-			t.Errorf("%s: restored simulated time %v, want %v", name, part.SimulatedProbe, timingFor(fresh, name))
+		if part.SimulatedProbe != timingFor(fresh, p.Name()) {
+			t.Errorf("%s: restored simulated time %v, want %v", p.Name(), part.SimulatedProbe, timingFor(fresh, p.Name()))
 		}
-		seeded[name] = part
 	}
 
-	restored, executed, err := s.RunSeeded(context.Background(), seeded, ProbeNames()...)
+	restored, rprov, err := s.Run(context.Background(), cachedReport(fresh, prov, ProbeNames()...), ProbeNames()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(executed) != 0 {
-		t.Errorf("fully seeded run executed %v", executed)
+	if executed := ranProbes(rprov); len(executed) != 0 {
+		t.Errorf("fully cached run executed %v", executed)
 	}
 	if len(restored.Caches) != len(fresh.Caches) ||
 		restored.Caches[1].SizeBytes != fresh.Caches[1].SizeBytes ||
@@ -121,27 +120,24 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunSeededPartialExecutesRest: seeding only the cache-size probe
-// still satisfies its dependents, which execute and produce the same
-// sections as a fresh run.
-func TestRunSeededPartialExecutesRest(t *testing.T) {
+// TestRunPartialCacheExecutesRest: a cached report whose provenance
+// covers only the cache-size probe still satisfies its dependents,
+// which execute and produce the same sections as a fresh run.
+func TestRunPartialCacheExecutesRest(t *testing.T) {
 	opt := Options{Seed: 1, CommReps: 2, BWSizes: []int64{4096}}
 	s, err := NewSuite(topology.Dempsey(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.RunProbes(context.Background())
+	fresh, prov, err := s.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, ok := Restore("cache-size", fresh)
-	if !ok {
-		t.Fatal("cache-size not restorable")
-	}
-	rep, executed, err := s.RunSeeded(context.Background(), map[string]Partial{"cache-size": part})
+	rep, rprov, err := s.Run(context.Background(), cachedReport(fresh, prov, "cache-size"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	executed := ranProbes(rprov)
 	want := []string{"shared-caches", "memory-overhead", "communication-costs"}
 	if len(executed) != len(want) {
 		t.Fatalf("executed = %v, want %v", executed, want)
@@ -155,6 +151,29 @@ func TestRunSeededPartialExecutesRest(t *testing.T) {
 		t.Errorf("dependent probe did not see restored L1: %d vs %d",
 			rep.Comm.MessageBytes, fresh.Comm.MessageBytes)
 	}
+}
+
+// cachedReport returns a copy of a run's report, as a cache would
+// hold it, whose provenance covers only the named probes.
+func cachedReport(r *report.Report, prov []report.ProbeProvenance, names ...string) *report.Report {
+	cp := r.Clone()
+	for _, row := range prov {
+		if slices.Contains(names, row.Probe) {
+			cp.Provenance = append(cp.Provenance, row)
+		}
+	}
+	return cp
+}
+
+// ranProbes lists the probes a run executed, in canonical order.
+func ranProbes(prov []report.ProbeProvenance) []string {
+	var ran []string
+	for _, row := range prov {
+		if row.Status == report.ProvenanceRan {
+			ran = append(ran, row.Probe)
+		}
+	}
+	return ran
 }
 
 // timingFor returns the simulated-probe time of one stage row.

@@ -14,10 +14,10 @@ import (
 
 // Suite runs Servet probes on a machine and assembles the
 // install-time report. Probes come from the package registry and run
-// one after another in registration order, which is topological, so
+// one after another in its canonical order, which is topological, so
 // every probe sees its dependencies' outputs; Options.Parallelism
 // fans out the sweeps inside each probe. Results merge into the
-// report in registration order.
+// report in canonical order.
 type Suite struct {
 	m   *topology.Machine
 	opt Options
@@ -74,47 +74,111 @@ func (s *Suite) CalibrateCores(ctx context.Context, cores ...int) ([]Calibration
 // RunProbes executes the named probes plus their transitive
 // dependencies (no names means DefaultProbes, the four paper
 // benchmarks), recording per-stage wall and simulated-probe times
-// (Table I). Probes run sequentially in registration order; results
-// merge into the report in that order, with one StageTiming per
-// executed probe. A probe failure is returned as a *ProbeError and
-// stops the run before the next probe starts; cancelling the context
-// aborts the run with the plain context error.
+// (Table I). It is Run without a cached report, minus the provenance.
 func (s *Suite) RunProbes(ctx context.Context, names ...string) (*report.Report, error) {
-	r, _, err := s.RunSeeded(ctx, nil, names...)
+	r, _, err := s.Run(ctx, nil, names...)
 	return r, err
 }
 
-// RunSeeded is RunProbes with precomputed partials: probes named in
-// seeded (typically restored from a cache via Restore) are not
-// executed — their partial goes straight into the environment, where
-// it both satisfies dependents and merges into the report in the
-// usual canonical order. Only the remaining probes run.
-// executed lists the probes that actually ran, in canonical order;
-// seeded probes keep a Table I timing row with zero wall time.
-func (s *Suite) RunSeeded(ctx context.Context, seeded map[string]Partial, names ...string) (_ *report.Report, executed []string, _ error) {
+// Run executes the named probes plus their transitive dependencies
+// (no names means DefaultProbes) against a cached report (nil means
+// none), and returns the merged report together with one provenance
+// row per section it holds. Sections, timing rows and provenance rows
+// all follow the canonical order.
+//
+// Run walks the registry once and gives each probe one of four
+// outcomes:
+//   - restored: the probe is in the closure, its cached options digest
+//     equals this run's, every dependency was restored, and its
+//     section restores from the cached report. The row is "cached" and
+//     keeps the original measurement timestamp and wall cost.
+//   - ran: any other probe in the closure. It executes now.
+//   - carried: the probe is outside the closure and has cached
+//     provenance, each dependency is either in the closure with its
+//     cached digest equal to this run's (probes are deterministic, so
+//     an equal digest means an identical output whether it ran or was
+//     restored) or was itself carried, and its section restores. The
+//     row is "cached" and keeps its old digest, timestamp and wall, so
+//     a subset run narrows neither the report nor a cache entry it is
+//     stored back into.
+//   - dropped: anything else. A stale section and its row are left
+//     out, so a later run re-measures the probe.
+//
+// Probes that did not run keep a Table I timing row with zero wall
+// time. A probe failure is returned as a *ProbeError and stops the run
+// before the next probe starts; cancelling the context aborts the run
+// with the plain context error, even when no probe had to execute.
+func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string) (*report.Report, []report.ProbeProvenance, error) {
 	if len(names) == 0 {
 		names = DefaultProbes()
 	}
-	probes, err := probeClosure(names)
+	closure, err := probeClosure(names)
 	if err != nil {
 		return nil, nil, err
 	}
+	inClosure := make(map[string]bool, len(closure))
+	for _, p := range closure {
+		inClosure[p.Name()] = true
+	}
 
-	// Probes run one after another in canonical order, which the
-	// registry makes topological: every dependency has completed (or
-	// was seeded) before its dependents start. Probe spans record into
-	// the context's tracer (nil when the run is untraced): one "probe"
-	// span per executed probe, so a trace shows which stages dominated
-	// the run.
-	env := newEnv(s.m, s.opt)
+	// Probe spans and counters record into the context's tracer (nil
+	// when the run is untraced): one "probe" span per executed probe,
+	// so a trace shows which stages dominated the run.
 	tr := obs.FromContext(ctx)
-	walls := make(map[string]time.Duration, len(probes))
-	for _, p := range probes {
+	env := newEnv(s.m, s.opt)
+	type section struct {
+		part Partial
+		prov report.ProbeProvenance
+	}
+	var sections []section
+	digests := make(map[string]string, len(closure))
+	restored := map[string]bool{}
+	carried := map[string]bool{}
+	var ran int64
+	for _, p := range registry {
 		name := p.Name()
-		if part, ok := seeded[name]; ok {
-			env.put(name, part)
+		var old *report.ProbeProvenance
+		if cached != nil {
+			old = cached.ProvenanceFor(name)
+		}
+		if !inClosure[name] {
+			if old == nil || !allDeps(p, func(d string) bool {
+				if inClosure[d] {
+					dold := cached.ProvenanceFor(d)
+					return dold != nil && dold.OptionsDigest == digests[d]
+				}
+				return carried[d]
+			}) {
+				continue
+			}
+			part, ok := restore(p, cached)
+			if !ok {
+				continue
+			}
+			carried[name] = true
+			row := *old
+			row.Status = report.ProvenanceCached
+			sections = append(sections, section{part, row})
 			continue
 		}
+
+		digest, err := s.digest(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		digests[name] = digest
+		if old != nil && old.OptionsDigest == digest && allDeps(p, func(d string) bool { return restored[d] }) {
+			if part, ok := restore(p, cached); ok {
+				env.put(name, part)
+				restored[name] = true
+				sections = append(sections, section{part, report.ProbeProvenance{
+					Probe: name, Status: report.ProvenanceCached,
+					OptionsDigest: digest, Timestamp: old.Timestamp, Wall: old.Wall,
+				}})
+				continue
+			}
+		}
+
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -131,35 +195,48 @@ func (s *Suite) RunSeeded(ctx context.Context, seeded map[string]Partial, names 
 			return nil, nil, &ProbeError{Probe: name, Err: err}
 		}
 		env.put(name, part)
-		walls[name] = wall
+		ran++
+		sections = append(sections, section{part, report.ProbeProvenance{
+			Probe: name, Status: report.ProvenanceRan, OptionsDigest: digest, Wall: wall,
+		}})
 	}
 	// A caller that cancelled during (or before) the run gets its
-	// context error, even when every probe was seeded.
+	// context error, even when no probe executed.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 
+	now := time.Now().UTC() //servet:wallclock — provenance timestamp, never a measurement input
 	r := &report.Report{
 		Machine:      s.m.Name,
 		ClockGHz:     s.m.ClockGHz,
 		Nodes:        s.m.Nodes,
 		CoresPerNode: s.m.CoresPerNode,
 	}
-	for _, p := range probes {
-		name := p.Name()
-		part, _ := env.Output(name)
-		if part.Apply != nil {
-			part.Apply(r)
+	prov := make([]report.ProbeProvenance, len(sections))
+	for i, sec := range sections {
+		if sec.part.Apply != nil {
+			sec.part.Apply(r)
 		}
-		timing := report.StageTiming{
-			Stage:          name,
-			SimulatedProbe: part.SimulatedProbe,
-		}
-		if wall, ok := walls[name]; ok {
-			timing.Wall = wall
-			executed = append(executed, name)
+		timing := report.StageTiming{Stage: sec.prov.Probe, SimulatedProbe: sec.part.SimulatedProbe}
+		if sec.prov.Status == report.ProvenanceRan {
+			timing.Wall = sec.prov.Wall
+			sec.prov.Timestamp = now
 		}
 		r.Timings = append(r.Timings, timing)
+		prov[i] = sec.prov
 	}
-	return r, executed, nil
+	tr.Count(obs.CounterProbesRestored, int64(len(restored)))
+	tr.Count(obs.CounterProbesRan, ran)
+	return r, prov, nil
+}
+
+// allDeps reports whether ok holds for every dependency of p.
+func allDeps(p Probe, ok func(dep string) bool) bool {
+	for _, d := range p.Deps() {
+		if !ok(d) {
+			return false
+		}
+	}
+	return true
 }

@@ -263,17 +263,25 @@ func (e *SchemaError) Error() string {
 // Save writes the report as indented JSON, the install-time file the
 // paper describes, stamping the current schema version.
 func (r *Report) Save(path string) error {
-	cp := *r
-	cp.Schema = CurrentSchema
-	data, err := json.MarshalIndent(&cp, "", "  ")
+	data, err := r.encode()
 	if err != nil {
-		return fmt.Errorf("report: marshal: %w", err)
+		return err
 	}
-	data = append(data, '\n')
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
 	return nil
+}
+
+// encode renders the bytes Save writes.
+func (r *Report) encode() ([]byte, error) {
+	cp := *r
+	cp.Schema = CurrentSchema
+	data, err := json.MarshalIndent(&cp, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("report: marshal: %w", err)
+	}
+	return append(data, '\n'), nil
 }
 
 // Load reads a report previously written by Save. Files with a
@@ -283,6 +291,12 @@ func Load(path string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
+	return parse(data, path)
+}
+
+// parse decodes the bytes of a report file; path names the file in
+// errors. Every cached report enters through here.
+func parse(data []byte, path string) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("report: parse %s: %w", path, err)

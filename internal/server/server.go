@@ -98,8 +98,8 @@ func (reg *Registry) lockFingerprint(fp string) (unlock func()) {
 type Option func(*Registry)
 
 // WithParallelism sets the worker count on-demand runs hand to their
-// session (probe-level and intra-probe fan-out; reports are identical
-// at any value).
+// session (the sweeps inside each probe; reports are identical at any
+// value).
 func WithParallelism(n int) Option {
 	return func(r *Registry) { r.parallelism = n }
 }
@@ -390,9 +390,10 @@ func (reg *Registry) resolveRun(m *servet.Machine, rr regproto.RunRequest) (rep 
 	}
 	return reg.flight.do(fp+"|"+string(keyBytes), func() (*report.Report, error) {
 		// Serialize against other runs and PUTs on this fingerprint:
-		// the waiter's Lookup then sees the finished entry and its
-		// carryLeftovers keeps every section both runs produced,
-		// instead of last-write-wins dropping one run's measurements.
+		// the waiter's Lookup then sees the finished entry, and the
+		// session's cache walk carries every section both runs
+		// produced, instead of last-write-wins dropping one run's
+		// measurements.
 		defer reg.lockFingerprint(fp)()
 		opts := []servet.Option{
 			servet.WithCache(storeCache{reg}),

@@ -127,7 +127,7 @@ var (
 
 // Probe registry introspection and engine error types.
 var (
-	// ProbeNames lists every registered probe in canonical order.
+	// ProbeNames lists every probe of the registry in canonical order.
 	ProbeNames = core.ProbeNames
 	// DefaultProbes lists the four paper benchmarks Session.Run
 	// executes when no probe is named.

@@ -3,8 +3,6 @@ package servet
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
 
 	"servet/internal/core"
 	"servet/internal/obs"
@@ -76,9 +74,8 @@ func WithCache(cache Cache) Option {
 }
 
 // Session is the stateful entry point of the suite: it owns the
-// validated machine, the effective options, the simulated-hardware
-// instances the direct probes use, and an optional probe-result
-// cache. A Session is safe for concurrent use: probes never mutate
+// validated machine, the effective options and an optional
+// probe-result cache. A Session is safe for concurrent use: probes never mutate
 // the machine, and the direct measurements (DetectCaches,
 // CalibrateCores) build fresh simulator state per call.
 type Session struct {
@@ -139,19 +136,6 @@ func (s *Session) Run(ctx context.Context, probes ...string) (*Report, error) {
 	sp := tr.Start("session", "run")
 	defer sp.End()
 
-	closure, err := core.ProbeClosureNames(probes...)
-	if err != nil {
-		return nil, err
-	}
-	digests := make(map[string]string, len(closure))
-	for _, name := range closure {
-		d, err := s.suite.OptionsDigest(name)
-		if err != nil {
-			return nil, err
-		}
-		digests[name] = d
-	}
-
 	var cached *Report
 	if s.cache != nil {
 		lk := tr.Start("session", "cache-lookup")
@@ -165,81 +149,13 @@ func (s *Session) Run(ctx context.Context, probes ...string) (*Report, error) {
 		}
 	}
 
-	// Walk the closure in canonical (topological) order deciding, probe
-	// by probe, whether the cached section is still fresh.
-	fresh := make(map[string]bool, len(closure))
-	seeded := make(map[string]core.Partial)
-	for _, name := range closure {
-		if cached == nil {
-			break
-		}
-		prov := cached.ProvenanceFor(name)
-		if prov == nil || prov.OptionsDigest != digests[name] {
-			continue
-		}
-		deps, err := core.ProbeDeps(name)
-		if err != nil {
-			return nil, err
-		}
-		stale := false
-		for _, d := range deps {
-			if !fresh[d] {
-				stale = true
-				break
-			}
-		}
-		if stale {
-			continue
-		}
-		part, ok := core.Restore(name, cached)
-		if !ok {
-			continue
-		}
-		fresh[name] = true
-		seeded[name] = part
-	}
-
-	rep, executed, err := s.suite.RunSeeded(ctx, seeded, closure...)
+	rep, prov, err := s.suite.Run(ctx, cached, probes...)
 	if err != nil {
 		return nil, err
 	}
-	tr.Count(obs.CounterProbesRestored, int64(len(seeded)))
-	tr.Count(obs.CounterProbesRan, int64(len(executed)))
-
 	rep.Schema = report.CurrentSchema
 	rep.Fingerprint = s.fingerprint
-	now := time.Now().UTC() //servet:wallclock — provenance timestamp, never a measurement input
-	wall := make(map[string]time.Duration, len(rep.Timings))
-	for _, tm := range rep.Timings {
-		wall[tm.Stage] = tm.Wall
-	}
-	for _, name := range closure {
-		prov := report.ProbeProvenance{Probe: name, OptionsDigest: digests[name]}
-		if fresh[name] {
-			// A restored section keeps the measurement time and cost of
-			// the run that produced it.
-			orig := cached.ProvenanceFor(name)
-			prov.Status = report.ProvenanceCached
-			prov.Timestamp = orig.Timestamp
-			prov.Wall = orig.Wall
-		} else {
-			prov.Status = report.ProvenanceRan
-			prov.Timestamp = now
-			prov.Wall = wall[name]
-		}
-		rep.Provenance = append(rep.Provenance, prov)
-	}
-
-	// A subset run must not shrink the cache entry: cached sections of
-	// probes outside the closure are carried into the merged report
-	// (and hence the stored entry) as long as they are still consistent
-	// with it, so the install-time file keeps accumulating instead of
-	// being clobbered by e.g. a tlb-only re-run.
-	if cached != nil {
-		if err := s.carryLeftovers(rep, cached, closure, digests); err != nil {
-			return nil, err
-		}
-	}
+	rep.Provenance = prov
 
 	if s.cache != nil {
 		st := tr.Start("session", "cache-store")
@@ -250,89 +166,6 @@ func (s *Session) Run(ctx context.Context, probes ...string) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// carryLeftovers merges into rep the cached sections of probes that
-// were not part of this run's closure. A leftover is carried only
-// when every dependency it was measured against is unchanged in the
-// merged report: a dependency inside the closure must carry the same
-// options digest as before (probes are deterministic, so an equal
-// digest means an identical output whether it ran or was restored),
-// and a dependency outside the closure must itself have been carried.
-// Stale leftovers are dropped from the entry — their provenance rows
-// disappear, so a later run re-measures them.
-func (s *Session) carryLeftovers(rep, cached *Report, closure []string, digests map[string]string) error {
-	inClosure := make(map[string]bool, len(closure))
-	for _, name := range closure {
-		inClosure[name] = true
-	}
-	carried := map[string]bool{}
-	for _, name := range core.ProbeNames() { // canonical, hence topological
-		if inClosure[name] {
-			continue
-		}
-		prov := cached.ProvenanceFor(name)
-		if prov == nil {
-			continue
-		}
-		deps, err := core.ProbeDeps(name)
-		if err != nil {
-			return err
-		}
-		consistent := true
-		for _, d := range deps {
-			if inClosure[d] {
-				dprov := cached.ProvenanceFor(d)
-				consistent = dprov != nil && dprov.OptionsDigest == digests[d]
-			} else {
-				consistent = carried[d]
-			}
-			if !consistent {
-				break
-			}
-		}
-		if !consistent {
-			continue
-		}
-		part, ok := core.Restore(name, cached)
-		if !ok {
-			continue
-		}
-		if part.Apply != nil {
-			part.Apply(rep)
-		}
-		carried[name] = true
-		rep.Timings = append(rep.Timings, report.StageTiming{
-			Stage:          name,
-			SimulatedProbe: part.SimulatedProbe,
-		})
-		rep.Provenance = append(rep.Provenance, report.ProbeProvenance{
-			Probe:         name,
-			Status:        report.ProvenanceCached,
-			OptionsDigest: prov.OptionsDigest,
-			Timestamp:     prov.Timestamp,
-			Wall:          prov.Wall,
-		})
-	}
-	if len(carried) > 0 {
-		sortByCanonicalOrder(rep)
-	}
-	return nil
-}
-
-// sortByCanonicalOrder restores the canonical probe order of the
-// timing and provenance rows after leftover sections were appended.
-func sortByCanonicalOrder(rep *Report) {
-	order := make(map[string]int)
-	for i, name := range core.ProbeNames() {
-		order[name] = i
-	}
-	sort.SliceStable(rep.Timings, func(i, j int) bool {
-		return order[rep.Timings[i].Stage] < order[rep.Timings[j].Stage]
-	})
-	sort.SliceStable(rep.Provenance, func(i, j int) bool {
-		return order[rep.Provenance[i].Probe] < order[rep.Provenance[j].Probe]
-	})
 }
 
 // DetectCaches runs only the cache-size benchmark (mcalibrator plus
