@@ -1,7 +1,8 @@
 // Command benchjson normalizes `go test -bench` output into the
 // repo's BENCH_*.json perf-trajectory format: one entry per benchmark
 // with ns/op, B/op and allocs/op (best of -count runs), the platform
-// header, and — when a baseline is supplied — the baseline numbers and
+// header with the host's CPU count and the GOMAXPROCS the benchmarks
+// ran at, and — when a baseline is supplied — the baseline numbers and
 // the ns/op speedup of current over baseline.
 //
 // Usage:
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,6 +50,8 @@ type File struct {
 	Goos       string             `json:"goos,omitempty"`
 	Goarch     string             `json:"goarch,omitempty"`
 	CPU        string             `json:"cpu,omitempty"`
+	NumCPU     int                `json:"num_cpu,omitempty"`    // host CPUs, to read Par rows against
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"` // the benchmarks' -P suffix
 	Benchmarks map[string]Result  `json:"benchmarks"`
 	Baseline   map[string]Result  `json:"baseline,omitempty"`
 	Speedup    map[string]float64 `json:"speedup,omitempty"`
@@ -72,6 +76,12 @@ func main() {
 	}
 	doc.Schema = "servet-bench/v1"
 	doc.Issue = *issue
+	// benchjson reads the benchmarks through a pipe on the host that ran
+	// them; the -P name suffix, when present, already gave GOMAXPROCS.
+	doc.NumCPU = runtime.NumCPU()
+	if doc.GOMAXPROCS == 0 {
+		doc.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	}
 	if len(doc.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark results on stdin"))
 	}
@@ -168,8 +178,9 @@ func round3(f float64) float64 {
 }
 
 // parseBench reads `go test -bench` text: goos/goarch/cpu headers and
-// "BenchmarkName-P  N  ns/op [B/op allocs/op]" result lines. Repeated
-// runs of one benchmark (from -count) keep the fastest ns/op.
+// "BenchmarkName-P  N  ns/op [B/op allocs/op]" result lines. The -P
+// suffix is GOMAXPROCS, recorded once and stripped from the names.
+// Repeated runs of one benchmark (from -count) keep the fastest ns/op.
 func parseBench(r io.Reader) (*File, error) {
 	doc := &File{Benchmarks: map[string]Result{}}
 	sc := bufio.NewScanner(r)
@@ -196,8 +207,9 @@ func parseBench(r io.Reader) (*File, error) {
 		name := f[0]
 		if i := strings.LastIndexByte(name, '-'); i > 0 {
 			// Strip the GOMAXPROCS suffix so names are stable across hosts.
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			if p, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
+				doc.GOMAXPROCS = p
 			}
 		}
 		res, ok := parseLine(f)

@@ -24,6 +24,9 @@ BenchmarkFoo-8   10   300.0 ns/op   768 B/op   6 allocs/op
 	if res.NsPerOp != 100 || res.BPerOp != 256 || res.AllocsPerOp != 2 || res.Runs != 3 {
 		t.Errorf("best-of-count = %+v, want 100 ns, 256 B, 2 allocs over 3 runs", res)
 	}
+	if doc.GOMAXPROCS != 8 {
+		t.Errorf("GOMAXPROCS = %d, want 8 from the -8 name suffix", doc.GOMAXPROCS)
+	}
 }
 
 func TestMemRegressionsGate(t *testing.T) {

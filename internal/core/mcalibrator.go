@@ -141,8 +141,12 @@ func traverse(in *memsys.Instance, core int, sp *memsys.Space, a *memsys.Array, 
 // appendTraversalAddrs appends the address sequence of one strided
 // traversal to dst — for the concurrent streams of the shared-cache
 // benchmark, whose pooled scratch reuses the buffer across
-// measurements.
+// measurements. A buffer too small for the traversal grows once, to
+// its exact length, instead of doubling its way there.
 func appendTraversalAddrs(dst []int64, a *memsys.Array, stride int64) []int64 {
+	if n := int((a.Bytes + stride - 1) / stride); cap(dst)-len(dst) < n {
+		dst = append(make([]int64, 0, len(dst)+n), dst...)
+	}
 	for off := int64(0); off < a.Bytes; off += stride {
 		dst = append(dst, a.Base+off)
 	}

@@ -19,6 +19,14 @@
 // page it last touched. AccessRun batches whole traversals through
 // that path. The BENCH_*.json perf trajectory (see `make bench`)
 // tracks the cost of these operations across PRs.
+//
+// Cache tags and page frames are stored as 32-bit values: a tag is the
+// physical line number and a frame the physical page number, so a node
+// may have at most 2^32 of each (topology.Machine.CheckPhysBound, which
+// Validate applies and NewInstanceAt enforces). At half the width of
+// int64 they halve the tag and page-table memory a cold measurement
+// grows — an 8 MB last-level cache model holds 512 KiB of tags, not
+// 1 MiB.
 package memsys
 
 import (
@@ -36,8 +44,10 @@ import (
 type cache struct {
 	spec *topology.CacheLevel
 	// lines holds the physical line tags, set-major, MRU first within
-	// each set; nil until the first access touches the instance.
-	lines []int64
+	// each set; nil until the first access touches the instance. A tag
+	// is the physical line number, which CheckPhysBound keeps below
+	// 2^32.
+	lines []uint32
 	// lens is the number of valid tags per set.
 	lens     []int32
 	numSets  int64
@@ -99,7 +109,7 @@ func (c *cache) setIndex(vLine, pLine int64) int64 {
 // access; untouched cache instances (other cores' private caches) cost
 // nothing beyond the struct.
 func (c *cache) grow() {
-	c.lines = make([]int64, c.numSets*c.assoc)
+	c.lines = make([]uint32, c.numSets*c.assoc)
 	c.lens = make([]int32, c.numSets)
 }
 
@@ -115,11 +125,12 @@ func (c *cache) access(vLine, pLine int64) bool {
 	base := idx * c.assoc
 	n := int64(c.lens[idx])
 	set := c.lines[base : base+n : base+n]
+	want := uint32(pLine)
 	for i, tag := range set {
-		if tag == pLine {
+		if tag == want {
 			// Move to front (MRU).
 			copy(set[1:i+1], set[:i])
-			set[0] = pLine
+			set[0] = want
 			return true
 		}
 	}
@@ -130,7 +141,7 @@ func (c *cache) access(vLine, pLine int64) bool {
 		set = c.lines[base : base+n : base+n]
 	}
 	copy(set[1:], set)
-	set[0] = pLine
+	set[0] = want
 	return false
 }
 
@@ -143,7 +154,7 @@ func (c *cache) contains(vLine, pLine int64) bool {
 	idx := c.setIndex(vLine, pLine)
 	base := idx * c.assoc
 	for _, tag := range c.lines[base : base+int64(c.lens[idx])] {
-		if tag == pLine {
+		if tag == uint32(pLine) {
 			return true
 		}
 	}

@@ -78,6 +78,11 @@ func NewInstance(m *topology.Machine, seed int64) *Instance {
 // placement seed, the space and the virtual page — so every
 // measurement of a sharded sweep gets an identical-by-construction
 // memory system no matter which worker builds it or in what order.
+//
+// It panics on a machine it cannot model: a page size that is not a
+// positive power of two, a cache level newCache rejects, or more
+// physical frames or lines than 32-bit frames and tags can number
+// (topology.Machine.CheckPhysBound).
 func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 	if m.PageBytes <= 0 || m.PageBytes&(m.PageBytes-1) != 0 {
 		panic(fmt.Sprintf("memsys: page size %d bytes is not a positive power of two", m.PageBytes))
@@ -99,6 +104,10 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 		for core := 0; core < m.CoresPerNode; core++ {
 			in.coreCache[li][core] = spec.CacheInstance(core)
 		}
+	}
+	// newCache has validated every line size, so the bound is computable.
+	if err := m.CheckPhysBound(); err != nil {
+		panic(fmt.Sprintf("memsys: %v", err))
 	}
 	in.plan = make([]planLevel, m.CoresPerNode*in.levels)
 	for core := 0; core < m.CoresPerNode; core++ {

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 
 	"servet/internal/stats"
 )
@@ -111,10 +112,11 @@ func (o *osAllocator) freePage(p int64) {
 
 // pageRegion is the page table of one allocation: a dense frame slice
 // indexed by (vpage - first). Allocations never overlap and bases grow
-// monotonically, so a space's regions stay sorted by first page.
+// monotonically, so a space's regions stay sorted by first page. Frames
+// are 32-bit: CheckPhysBound keeps a node's frame count within 2^32.
 type pageRegion struct {
-	first  int64   // first virtual page of the region
-	ppages []int64 // physical frame of page first+i
+	first  int64    // first virtual page of the region
+	ppages []uint32 // physical frame of page first+i
 }
 
 // Space is a process address space: a private virtual address range
@@ -179,6 +181,9 @@ func (sp *Space) Alloc(bytes int64) *Array {
 	// Reuse a pooled region slot (and its frame slice) when one sits
 	// between the list's length and capacity — recycle and Free park
 	// them there — so a steady-state allocation is pure page mapping.
+	// The frame slice grows with append's amortized policy, so an
+	// ascending size grid (mcalibrator's) reallocates it only every few
+	// sizes instead of at every one.
 	var r *pageRegion
 	if n := len(sp.regions); n < cap(sp.regions) {
 		sp.regions = sp.regions[:n+1]
@@ -188,13 +193,9 @@ func (sp *Space) Alloc(bytes int64) *Array {
 		r = &sp.regions[len(sp.regions)-1]
 	}
 	r.first = first
-	if int64(cap(r.ppages)) >= npages {
-		r.ppages = r.ppages[:npages]
-	} else {
-		r.ppages = make([]int64, npages)
-	}
+	r.ppages = slices.Grow(r.ppages[:0], int(npages))[:npages]
 	for i := range r.ppages {
-		r.ppages[i] = in.os.allocPage(sp.id, first+int64(i))
+		r.ppages[i] = uint32(in.os.allocPage(sp.id, first+int64(i)))
 	}
 	// Leave a guard page between allocations.
 	sp.nextV = base + (npages+1)*in.m.PageBytes
@@ -230,7 +231,7 @@ func (sp *Space) Free(a *Array) {
 	}
 	freed := sp.regions[ri].ppages
 	for _, p := range freed {
-		in.os.freePage(p)
+		in.os.freePage(int64(p))
 	}
 	// Shift the tail left and park the freed frame slice in the vacated
 	// last slot: a naive append-splice would leave that slot aliasing a
@@ -289,7 +290,7 @@ func (sp *Space) translate(vaddr int64) int64 {
 		panic(fmt.Sprintf("memsys: access to unmapped address %#x", vaddr))
 	}
 	r := &sp.regions[ri]
-	return r.ppages[vpage-r.first]<<in.pageShift + (vaddr & in.pageMask)
+	return int64(r.ppages[vpage-r.first])<<in.pageShift + (vaddr & in.pageMask)
 }
 
 // mapped reports whether the virtual address is mapped (the prefetcher

@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -53,14 +52,14 @@ func (k *Kernel) After(d int64, fn func()) {
 
 func (k *Kernel) schedule(t int64, fn func()) {
 	k.seq++
-	heap.Push(&k.events, &event{t: t, seq: k.seq, fn: fn})
+	k.events.push(event{t: t, seq: k.seq, fn: fn})
 }
 
 // Run processes events until the queue is empty. It returns a
 // DeadlockError if processes are still parked when no event remains.
 func (k *Kernel) Run() error {
 	for len(k.events) > 0 {
-		ev := heap.Pop(&k.events).(*event)
+		ev := k.events.pop()
 		if ev.t < k.now {
 			panic("sim: event queue went backwards")
 		}
@@ -83,7 +82,7 @@ func (k *Kernel) Run() error {
 // events beyond the horizon.
 func (k *Kernel) RunUntil(t int64) {
 	for len(k.events) > 0 && k.events[0].t <= t {
-		ev := heap.Pop(&k.events).(*event)
+		ev := k.events.pop()
 		k.now = ev.t
 		ev.fn()
 	}
@@ -122,22 +121,53 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events ordered by (t, seq). It
+// holds the events by value, so scheduling one costs no allocation
+// beyond the slice's amortized growth.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for c := len(q) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !q.less(c, p) {
+			break
+		}
+		q[c], q[p] = q[p], q[c]
+		c = p
+	}
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	ev := q[0]
+	q[0] = q[n]
+	q[n] = event{} // drop the closure reference
+	q = q[:n]
+	for c := 0; ; {
+		min, l, r := c, 2*c+1, 2*c+2
+		if l < n && q.less(l, min) {
+			min = l
+		}
+		if r < n && q.less(r, min) {
+			min = r
+		}
+		if min == c {
+			break
+		}
+		q[c], q[min] = q[min], q[c]
+		c = min
+	}
+	*h = q
 	return ev
 }

@@ -108,6 +108,29 @@ func TestEventHeapOrderProperty(t *testing.T) {
 	}
 }
 
+// TestScheduleAllocFree: events are held by value, so once the queue
+// has grown to a run's depth, scheduling and firing allocate nothing.
+func TestScheduleAllocFree(t *testing.T) {
+	k := New()
+	fired := 0
+	fn := func() { fired++ }
+	burst := func() {
+		for i := int64(0); i < 64; i++ {
+			k.After(i%7, fn)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst() // warm: grows the queue to 64 events
+	if n := testing.AllocsPerRun(20, burst); n != 0 {
+		t.Errorf("scheduling and running 64 events allocates %v/op on a warm kernel, want 0", n)
+	}
+	if fired != 64*22 {
+		t.Errorf("fired %d events, want %d", fired, 64*22)
+	}
+}
+
 func TestNS(t *testing.T) {
 	if NS(10.4) != 10 || NS(10.6) != 11 {
 		t.Error("NS rounding broken")

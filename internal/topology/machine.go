@@ -161,6 +161,10 @@ type Machine struct {
 	// PageBytes is the OS page size.
 	PageBytes int64
 	// PhysPagesPerNode is the number of physical page frames per node.
+	// The simulator stores frames and physical cache-line tags in 32
+	// bits, so the frame count and every level's physical line count
+	// (PhysPagesPerNode·PageBytes / LineBytes) must not exceed 2^32;
+	// see CheckPhysBound.
 	PhysPagesPerNode int64
 	// PageColoring selects the OS page-placement policy: true means
 	// the OS colors pages (physical page congruent to virtual page
@@ -304,6 +308,9 @@ func (m *Machine) Validate() error {
 		}
 		prevLevel, prevSize = c.Level, c.SizeBytes
 	}
+	if err := m.CheckPhysBound(); err != nil {
+		return err
+	}
 	if m.TLBEntries > 0 && m.TLBMissCycles <= 0 {
 		return fmt.Errorf("topology: %s: TLB model needs a positive miss penalty", m.Name)
 	}
@@ -335,6 +342,32 @@ func (m *Machine) Validate() error {
 		}
 		if ch.SharedCacheLevel != 0 && m.CacheLevelByNumber(ch.SharedCacheLevel) == nil {
 			return fmt.Errorf("topology: %s: channel %q references missing cache level %d", m.Name, ch.Name, ch.SharedCacheLevel)
+		}
+	}
+	return nil
+}
+
+// MaxPhysIndexes is the largest number of physical page frames, and of
+// physical cache lines at any level, a node may have: the memory-system
+// simulator stores frame numbers and line tags as 32-bit values.
+const MaxPhysIndexes = 1 << 32
+
+// CheckPhysBound returns a descriptive error when the node's physical
+// frame count, or its physical line count at some cache level, exceeds
+// MaxPhysIndexes. Page and line sizes must be positive powers of two
+// (Validate checks them first).
+func (m *Machine) CheckPhysBound() error {
+	if m.PhysPagesPerNode > MaxPhysIndexes {
+		return fmt.Errorf("topology: %s: %d physical pages exceed the 2^32 frame bound", m.Name, m.PhysPagesPerNode)
+	}
+	for i := range m.Caches {
+		c := &m.Caches[i]
+		if c.LineBytes <= 0 || c.LineBytes >= m.PageBytes {
+			continue // bad sizes are Validate's to report; big lines are bounded by the frames
+		}
+		if linesPerPage := m.PageBytes / c.LineBytes; m.PhysPagesPerNode > MaxPhysIndexes/linesPerPage {
+			return fmt.Errorf("topology: %s: L%d: %d physical pages of %d %d-byte lines exceed the 2^32 line bound",
+				m.Name, c.Level, m.PhysPagesPerNode, linesPerPage, c.LineBytes)
 		}
 	}
 	return nil

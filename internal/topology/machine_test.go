@@ -97,6 +97,9 @@ func TestValidateRejectsBadMachines(t *testing.T) {
 		{"no cores", func(m *Machine) { m.CoresPerNode = 0 }, "at least one"},
 		{"bad page", func(m *Machine) { m.PageBytes = 3000 }, "page size"},
 		{"no phys pages", func(m *Machine) { m.PhysPagesPerNode = 0 }, "physical pages"},
+		{"frames past 2^32", func(m *Machine) { m.PhysPagesPerNode = MaxPhysIndexes + 1 }, "2^32 frame bound"},
+		// 4 KB pages of 64-byte lines: 2^26 frames already number 2^32 lines.
+		{"lines past 2^32", func(m *Machine) { m.PhysPagesPerNode = 1<<26 + 1 }, "L1: 67108865 physical pages of 64 64-byte lines exceed the 2^32 line bound"},
 		{"no caches", func(m *Machine) { m.Caches = nil }, "cache level"},
 		{"non-consecutive levels", func(m *Machine) { m.Caches[1].Level = 3 }, "consecutive"},
 		{"shrinking size", func(m *Machine) { m.Caches[1].SizeBytes = m.Caches[0].SizeBytes }, "not larger"},
@@ -129,6 +132,23 @@ func TestValidateRejectsBadMachines(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestValidateAcceptsPhysBound: a node whose frames and lines number
+// exactly 2^32 is at the bound, not past it; a level whose lines are
+// larger than a page is bounded by the frame count alone.
+func TestValidateAcceptsPhysBound(t *testing.T) {
+	m := Dempsey()
+	m.PhysPagesPerNode = 1 << 26 // 2^26 pages x 64 lines = 2^32 lines
+	if err := m.Validate(); err != nil {
+		t.Errorf("lines at the bound: %v", err)
+	}
+	m = Dempsey()
+	m.PageBytes = 32
+	m.PhysPagesPerNode = MaxPhysIndexes
+	if err := m.Validate(); err != nil {
+		t.Errorf("frames at the bound: %v", err)
 	}
 }
 
