@@ -68,6 +68,30 @@ func validateAddrs(addr, debugAddr string) error {
 	return nil
 }
 
+// Connection timeouts for both listeners. They bound how long a slow
+// or stalled client can hold a connection: while sending its headers,
+// while sending its whole request, and while idle between keep-alive
+// requests. There is deliberately no write timeout: a cold /v1/run
+// measures the machine before it answers, and a pprof profile streams
+// for as long as it was asked to.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds a listener's http.Server with the connection
+// timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // debugMux builds the pprof handler served on the debug listener.
 func debugMux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -113,7 +137,7 @@ func main() {
 		regOpts = append(regOpts, server.WithAccessLog(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
 	}
 	reg := server.New(store, regOpts...)
-	srv := &http.Server{Addr: *addr, Handler: reg}
+	srv := newHTTPServer(*addr, reg)
 
 	started := time.Now()
 	errc := make(chan error, 2)
@@ -123,7 +147,7 @@ func main() {
 	}()
 	var dbg *http.Server
 	if *debugAddr != "" {
-		dbg = &http.Server{Addr: *debugAddr, Handler: debugMux()}
+		dbg = newHTTPServer(*debugAddr, debugMux())
 		go func() {
 			log.Printf("servet-server: pprof on http://%s/debug/pprof/", *debugAddr)
 			errc <- dbg.ListenAndServe()

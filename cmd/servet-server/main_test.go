@@ -27,6 +27,23 @@ func TestValidateAddrs(t *testing.T) {
 	}
 }
 
+// TestNewHTTPServerTimeouts: both listeners bound slow and idle
+// clients, and neither bounds how long a response may take to write.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newHTTPServer(":8077", h)
+	if srv.Addr != ":8077" || srv.Handler != h {
+		t.Errorf("server serves %q with %v, want :8077 with the given handler", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("timeouts read-header %v, read %v, idle %v: want all positive",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("write timeout %v would cut off long runs; want none", srv.WriteTimeout)
+	}
+}
+
 // TestDebugMux: the debug handler serves the pprof index and nothing
 // of the registry API.
 func TestDebugMux(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"servet/internal/memsys"
+	"servet/internal/obs"
 	"servet/internal/sched"
 	"servet/internal/stats"
 	"servet/internal/topology"
@@ -301,6 +302,7 @@ func refineWindow(ctx context.Context, m *topology.Machine, coreID int, cal *Cal
 		}
 	}
 	allocs := 3 * opt.Allocations
+	tr := obs.FromContext(ctx)
 	samples, err := sched.Sweep(ctx, "mcal-refine", len(sizes), opt.Parallelism,
 		func() (*memsys.Instance, error) { return memsys.NewInstanceAt(m, opt.Seed), nil },
 		func(in *memsys.Instance, i int) (mcalSample, error) {
@@ -313,8 +315,8 @@ func refineWindow(ctx context.Context, m *topology.Machine, coreID int, cal *Cal
 				in.ResetAt(opt.Seed, noiseMcalRefine, int64(coreID), int64(loIdx), int64(i), int64(a))
 				sp := in.NewSpace()
 				arr := sp.Alloc(sizes[i])
-				avg, total := traverse(in, coreID, sp, arr, opt.StrideBytes, opt.Passes)
-				s.avg += avg
+				var total float64
+				s.avg += traverse(tr, in, coreID, sp, arr, opt.StrideBytes, opt.Passes, &total)
 				s.total += total
 			}
 			return s, nil

@@ -59,7 +59,10 @@ type mcalSample struct {
 // measured on opt.Allocations freshly placed arrays (physically
 // indexed caches behave probabilistically, so one mapping is one
 // sample) with one warm-up traversal (the array initialization of
-// Fig. 1 warms the cache) and opt.Passes measured traversals. Workers
+// Fig. 1 warms the cache) and opt.Passes measured traversals, run as
+// one traverse: a measured pass that ends in the state it started from
+// is simulated once and repeated arithmetically, bit-identical to
+// simulating it again. Workers
 // record raw cycle counts into disjoint slots; the order-sensitive
 // ProbeCycles float sum and the stateless noise perturbation happen
 // in a sequential merge in size order, so the calibration is
@@ -76,7 +79,7 @@ func McalibratorContext(ctx context.Context, m *topology.Machine, core int, opt 
 			return memsys.NewInstanceAt(m, opt.Seed), nil
 		},
 		func(in *memsys.Instance, i int) (mcalSample, error) {
-			s, err := measureMcalSize(ctx, in, core, opt, i, sizes[i])
+			s, err := measureMcalSize(ctx, tr, in, core, opt, i, sizes[i])
 			if err == nil {
 				tr.Count(obs.CounterMemsysReset, int64(opt.Allocations))
 			}
@@ -99,8 +102,9 @@ func McalibratorContext(ctx context.Context, m *topology.Machine, core int, opt 
 // a pooled instance: opt.Allocations independent placements, each
 // resetting the instance to exactly the state a fresh per-(size,
 // allocation) instance would have. Allocation-free on a warm
-// instance.
-func measureMcalSize(ctx context.Context, in *memsys.Instance, core int, opt Options, i int, size int64) (mcalSample, error) {
+// instance. The tracer is the sweep's, so a measurement makes no
+// context lookup beyond its cancellation checks.
+func measureMcalSize(ctx context.Context, tr *obs.Tracer, in *memsys.Instance, core int, opt Options, i int, size int64) (mcalSample, error) {
 	var s mcalSample
 	for alloc := 0; alloc < opt.Allocations; alloc++ {
 		// Each allocation is a full traversal; keep cancellation at
@@ -111,8 +115,8 @@ func measureMcalSize(ctx context.Context, in *memsys.Instance, core int, opt Opt
 		in.ResetAt(opt.Seed, noiseMcal, int64(core), int64(i), int64(alloc))
 		sp := in.NewSpace()
 		a := sp.Alloc(size)
-		avg, total := traverse(in, core, sp, a, opt.StrideBytes, opt.Passes)
-		s.avg += avg
+		var total float64
+		s.avg += traverse(tr, in, core, sp, a, opt.StrideBytes, opt.Passes, &total)
 		s.total += total
 	}
 	s.avg /= float64(opt.Allocations)
@@ -120,22 +124,24 @@ func measureMcalSize(ctx context.Context, in *memsys.Instance, core int, opt Opt
 }
 
 // traverse walks the array with the probe stride: one warm-up pass and
-// `passes` measured passes. It returns the measured average cycles per
-// access and the total cycles of all passes including warm-up. Passes
-// run through the batched memsys.AccessRunAccum path, which preserves
-// the per-access float summation order of the historical Access loop,
-// so results are bit-identical to it.
-func traverse(in *memsys.Instance, core int, sp *memsys.Space, a *memsys.Array, stride int64, passes int) (avg, total float64) {
+// `passes` measured passes, adding the cost of every access to *total
+// in issue order. It returns the measured average cycles per access.
+// The passes run as one memsys.AccessStridePasses call, which
+// simulates a steady-state pass once and adds the passes that repeat
+// it arithmetically, bit-identical to simulating each access. The
+// tracer (nil when untraced) counts the traversal's accesses and how
+// many of them were replayed.
+func traverse(tr *obs.Tracer, in *memsys.Instance, core int, sp *memsys.Space, a *memsys.Array, stride int64, passes int, total *float64) (avg float64) {
 	var measured float64
-	in.AccessStrideAccum(core, sp, a.Base, a.Bytes, stride, &total, nil) // warm-up pass
-	for pass := 1; pass <= passes; pass++ {
-		in.AccessStrideAccum(core, sp, a.Base, a.Bytes, stride, &total, &measured)
-	}
-	n := int64(passes) * ((a.Bytes + stride - 1) / stride)
+	replayed := in.AccessStridePasses(core, sp, a.Base, a.Bytes, stride, passes, total, &measured)
+	perPass := (a.Bytes + stride - 1) / stride
+	tr.Count(obs.CounterMemsysAccesses, int64(passes+1)*perPass)
+	tr.Count(obs.CounterMemsysReplayed, replayed)
+	n := int64(passes) * perPass
 	if n == 0 {
-		return 0, total
+		return 0
 	}
-	return measured / float64(n), total
+	return measured / float64(n)
 }
 
 // appendTraversalAddrs appends the address sequence of one strided

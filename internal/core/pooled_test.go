@@ -19,11 +19,11 @@ func TestPooledMcalMeasurementAllocFree(t *testing.T) {
 	in := memsys.NewInstanceAt(m, opt.Seed)
 	ctx := context.Background()
 	size := int64(256 * topology.KB)
-	if _, err := measureMcalSize(ctx, in, 0, opt, 3, size); err != nil {
+	if _, err := measureMcalSize(ctx, nil, in, 0, opt, 3, size); err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(5, func() {
-		if _, err := measureMcalSize(ctx, in, 0, opt, 4, size); err != nil {
+		if _, err := measureMcalSize(ctx, nil, in, 0, opt, 4, size); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -37,10 +37,10 @@ func TestPooledSharedCacheMeasurementAllocFree(t *testing.T) {
 	opt := Options{Seed: 1, Allocations: 1}.withDefaults(m)
 	sc := &scScratch{in: memsys.NewInstanceAt(m, opt.Seed)}
 	ab := int64(64 * topology.KB)
-	sc.measureRef(opt, 1, 0, ab)
+	sc.measureRef(nil, opt, 1, 0, ab)
 	sc.measurePair(opt, 1, 0, [2]int{0, 1}, 0, ab)
 	n := testing.AllocsPerRun(5, func() {
-		sc.measureRef(opt, 2, 1, ab)
+		sc.measureRef(nil, opt, 2, 1, ab)
 		sc.measurePair(opt, 2, 1, [2]int{0, 2}, 1, ab)
 	})
 	if n != 0 {
@@ -59,10 +59,10 @@ func TestPooledMeasurementMatchesFreshInstance(t *testing.T) {
 
 	in := memsys.NewInstanceAt(m, opt.Seed)
 	// Dirty the pool with a different measurement first.
-	if _, err := measureMcalSize(context.Background(), in, 0, opt, 9, 128*topology.KB); err != nil {
+	if _, err := measureMcalSize(context.Background(), nil, in, 0, opt, 9, 128*topology.KB); err != nil {
 		t.Fatal(err)
 	}
-	got, err := measureMcalSize(context.Background(), in, 0, opt, 5, size)
+	got, err := measureMcalSize(context.Background(), nil, in, 0, opt, 5, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestPooledMeasurementMatchesFreshInstance(t *testing.T) {
 		fresh := memsys.NewInstanceAt(m, opt.Seed, noiseMcal, 0, 5, int64(alloc))
 		sp := fresh.NewSpace()
 		a := sp.Alloc(size)
-		avg, total := traverse(fresh, 0, sp, a, opt.StrideBytes, opt.Passes)
-		want.avg += avg
+		var total float64
+		want.avg += traverse(nil, fresh, 0, sp, a, opt.StrideBytes, opt.Passes, &total)
 		want.total += total
 	}
 	want.avg /= float64(opt.Allocations)

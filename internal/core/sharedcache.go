@@ -86,11 +86,12 @@ type scScratch struct {
 // measureRef measures a level's isolated single-core reference
 // traversal for one placement, resetting the pooled instance to the
 // state a fresh (Seed, family, level, -1, alloc) instance would have.
-func (sc *scScratch) measureRef(opt Options, level, alloc, ab int64) (avg, total float64) {
+func (sc *scScratch) measureRef(tr *obs.Tracer, opt Options, level, alloc, ab int64) (avg, total float64) {
 	sc.in.ResetAt(opt.Seed, noiseShared, level, -1, alloc)
 	sp := sc.in.NewSpace()
 	a := sp.Alloc(ab)
-	return traverse(sc.in, 0, sp, a, opt.StrideBytes, opt.Passes)
+	avg = traverse(tr, sc.in, 0, sp, a, opt.StrideBytes, opt.Passes, &total)
+	return avg, total
 }
 
 // measurePair measures one (level, pair) concurrent traversal for one
@@ -169,7 +170,7 @@ func SharedCachePairsContext(ctx context.Context, m *topology.Machine, levels []
 				tr.Count(obs.CounterMemsysReset, 1)
 				var avg, total float64
 				if slot == 0 {
-					avg, total = sc.measureRef(opt, level, int64(alloc), ab)
+					avg, total = sc.measureRef(tr, opt, level, int64(alloc), ab)
 				} else {
 					pi := slot - 1
 					avg, total = sc.measurePair(opt, level, pi, pairs[pi], int64(alloc), ab)

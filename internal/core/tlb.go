@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"servet/internal/memsys"
+	"servet/internal/obs"
 	"servet/internal/stats"
 	"servet/internal/topology"
 )
@@ -27,8 +28,10 @@ type DetectedTLB struct {
 // capacity stays out of the way), and read the entry count off the
 // first gradient jump. ok is false when no transition appears within
 // maxPages (e.g. on machines modelled without a TLB). The probe owns
-// its memory-system instance and reuses one address buffer across the
-// page-count steps; cancelling the context aborts it between steps.
+// its memory-system instance; each page-count step is one strided
+// traversal of an np·stride-byte array, so it runs through the same
+// traverse as mcalibrator. Cancelling the context aborts the probe
+// between steps.
 func DetectTLB(ctx context.Context, m *topology.Machine, coreID int, opt Options) (DetectedTLB, bool, error) {
 	opt = opt.withDefaults(m)
 	in := memsys.NewInstance(m, opt.Seed)
@@ -44,7 +47,7 @@ func DetectTLB(ctx context.Context, m *topology.Machine, coreID int, opt Options
 	var pages []int
 	var cycles []float64
 	var probeCycles float64
-	var addrs []int64
+	tr := obs.FromContext(ctx)
 	sp := in.NewSpace()
 	for np := 4; np <= maxPages; np *= 2 {
 		if err := ctx.Err(); err != nil {
@@ -52,19 +55,10 @@ func DetectTLB(ctx context.Context, m *topology.Machine, coreID int, opt Options
 		}
 		in.ResetCaches()
 		arr := sp.Alloc(int64(np) * stride)
-		addrs = addrs[:0]
-		for i := 0; i < np; i++ {
-			addrs = append(addrs, arr.Base+int64(i)*stride)
-		}
-		var sum float64
-		in.AccessRunAccum(coreID, sp, addrs, &probeCycles, nil) // warm-up pass
-		for pass := 1; pass <= opt.Passes; pass++ {
-			in.AccessRunAccum(coreID, sp, addrs, &probeCycles, &sum)
-		}
-		n := int64(opt.Passes) * int64(np)
+		avg := traverse(tr, in, coreID, sp, arr, stride, opt.Passes, &probeCycles)
 		sp.Free(arr)
 		pages = append(pages, np)
-		cycles = append(cycles, sum/float64(n))
+		cycles = append(cycles, avg)
 	}
 
 	g := stats.Gradient(cycles)

@@ -20,6 +20,16 @@
 // that path. The BENCH_*.json perf trajectory (see `make bench`)
 // tracks the cost of these operations across PRs.
 //
+// A whole single-core strided measurement — a warm-up traversal and
+// the measured ones — runs as one AccessStridePasses call, which
+// simulates each steady-state pass once. Before a measured pass it
+// snapshots the core's caches, TLB and prefetcher; when the pass ends
+// in exactly that state, the remaining passes would repeat it access
+// for access, and their cost is added arithmetically. With integral
+// access costs, as on every built-in model, that addition is exact, so
+// results stay bit-identical to simulating every access. The
+// concurrent streams of RunConcurrent are always simulated.
+//
 // Cache tags and page frames are stored as 32-bit values: a tag is the
 // physical line number and a frame the physical page number, so a node
 // may have at most 2^32 of each (topology.Machine.CheckPhysBound, which

@@ -50,7 +50,10 @@ type Instance struct {
 	pageMask  int64
 	memLat    float64
 	tlbMiss   float64
-	spaceSeq  int64
+	// exact records integralCosts: AccessStridePasses may replay a
+	// fixed-point pass arithmetically.
+	exact    bool
+	spaceSeq int64
 	// spaces pools every Space ever created, in creation order. ResetAt
 	// rewinds spaceSeq and recycles them; NewSpace then hands the pooled
 	// spaces out again before allocating new ones.
@@ -126,6 +129,7 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 		in.pref[i] = &prefetcher{maxStride: m.PrefetchMaxStrideBytes}
 		in.tlbs[i] = newTLB(m.TLBEntries)
 	}
+	in.exact = in.integralCosts()
 	return in
 }
 

@@ -1,0 +1,242 @@
+package memsys
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"servet/internal/topology"
+)
+
+// strideRun is one strided measurement and what it leaves behind: the
+// two accumulators, the accesses AccessStridePasses replayed, and the
+// per-access costs of one further traversal, which differ between two
+// instances whose end states differ.
+type strideRun struct {
+	total, measured float64
+	replayed        int64
+	after           []float64
+}
+
+// runStridePasses measures bytes of an array, starting lead bytes into
+// it, on a fresh instance: one access every stride bytes of the lead-in
+// first, then the measurement, through AccessStridePasses when replay
+// is set and through the plain loop of AccessStrideAccum passes
+// otherwise.
+func runStridePasses(m *topology.Machine, seed int64, core int, lead, bytes, stride int64, passes int, total0 float64, replay bool) strideRun {
+	in := NewInstanceAt(m, seed)
+	sp := in.NewSpace()
+	a := sp.Alloc(lead + bytes)
+	for off := int64(0); off < lead; off += stride {
+		in.Access(core, sp, a.Base+off)
+	}
+	base := a.Base + lead
+	r := strideRun{total: total0}
+	if replay {
+		r.replayed = in.AccessStridePasses(core, sp, base, bytes, stride, passes, &r.total, &r.measured)
+	} else {
+		in.AccessStrideAccum(core, sp, base, bytes, stride, &r.total, nil)
+		for pass := 1; pass <= passes; pass++ {
+			in.AccessStrideAccum(core, sp, base, bytes, stride, &r.total, &r.measured)
+		}
+	}
+	for off := int64(0); off < bytes; off += stride {
+		r.after = append(r.after, in.Access(core, sp, base+off))
+	}
+	return r
+}
+
+// assertReplayMatches checks a replayed run against its simulated twin
+// bit for bit.
+func assertReplayMatches(t *testing.T, got, want strideRun) {
+	t.Helper()
+	if math.Float64bits(got.total) != math.Float64bits(want.total) || math.Float64bits(got.measured) != math.Float64bits(want.measured) {
+		t.Fatalf("replayed total/measured %v/%v, simulated %v/%v", got.total, got.measured, want.total, want.measured)
+	}
+	assertTraceEqual(t, "replay", "further traversal", 0, nil, got.after, want.after)
+}
+
+// FuzzStridePassesMatchSimulated: over machine shapes decoded like
+// FuzzResetAtMatchesFresh's, with latencies that may be non-integral,
+// strides the prefetcher follows or below a line, 1 to 4 measured
+// passes and any starting total, AccessStridePasses equals the plain
+// pass loop on a twin instance bit for bit — whether it replays or
+// declines — and leaves the same state behind.
+func FuzzStridePassesMatchSimulated(f *testing.F) {
+	for _, m := range fastpathMachines() {
+		f.Add(shapeBytes(m), int64(1), uint16(4095), uint16(1023), uint8(1), int32(0), int8(0), uint8(0))
+	}
+	nehalem := shapeBytes(topology.Nehalem2S())
+	f.Add(nehalem, int64(2), uint16(600), uint16(63), uint8(2), int32(5), int8(0), uint8(0))           // prefetched stride
+	f.Add(nehalem, int64(3), uint16(300), uint16(7), uint8(3), int32(0), int8(0), uint8(0))            // sub-line stride
+	f.Add(nehalem, int64(4), uint16(4095), uint16(1023), uint8(1), int32(0), int8(0), uint8(77))       // non-integral latency
+	f.Add(nehalem, int64(5), uint16(4095), uint16(1023), uint8(2), int32(3), int8(-1), uint8(0))       // non-integral total
+	f.Add(nehalem, int64(6), uint16(4095), uint16(1023), uint8(1), int32(1<<30-1), int8(23), uint8(0)) // total near 2^53
+	f.Add(nehalem, int64(7), uint16(4095), uint16(1023), uint8(1), int32(1<<30+1), int8(23), uint8(0)) // total past 2^53
+	f.Fuzz(func(t *testing.T, shape []byte, seed int64, lines, stride uint16, passes uint8, start int32, exp int8, frac uint8) {
+		m := fuzzMachine(shape)
+		// A non-zero frac adds frac/100 cycles to one level's latency,
+		// or to the memory latency: mostly a fraction float64 cannot
+		// represent, so sums of such costs round.
+		if frac != 0 {
+			if li := int(frac) % (len(m.Caches) + 1); li < len(m.Caches) {
+				m.Caches[li].LatencyCycles += float64(frac) / 100
+			} else {
+				m.Memory.LatencyCycles += float64(frac) / 100
+			}
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("decoded shape %v is invalid: %v", shape, err)
+		}
+		// Up to 1 MB, in at most 4096 accesses per pass.
+		bytes := 1 + int64(lines)*16
+		step := max(1+int64(stride), bytes/4096)
+		np := 1 + int(passes%4)
+		total0 := math.Ldexp(float64(start), int(exp)%40)
+		core := int(uint64(seed) % uint64(m.CoresPerNode))
+
+		want := runStridePasses(m, seed, core, 0, bytes, step, np, total0, false)
+		got := runStridePasses(m, seed, core, 0, bytes, step, np, total0, true)
+		assertReplayMatches(t, got, want)
+		if n := int64(len(got.after)); got.replayed < 0 || got.replayed > int64(np-1)*n || got.replayed%n != 0 {
+			t.Fatalf("replayed %d accesses of %d passes of %d", got.replayed, np, n)
+		}
+	})
+}
+
+// TestStridePassesDeclineMovedState pins the decline path on two
+// traversals whose measured passes cost the same but do not start from
+// a fixed point, so equal sums alone would wrongly allow a replay.
+// Each declines at 2 measured passes, replays the third of 3 once the
+// state has settled, and matches simulation bit for bit either way.
+func TestStridePassesDeclineMovedState(t *testing.T) {
+	level := func(l int, sets, assoc int64, latency float64) topology.CacheLevel {
+		return topology.CacheLevel{
+			Level: l, SizeBytes: sets * assoc * 16, Assoc: int(assoc), LineBytes: 16,
+			LatencyCycles: latency, Indexing: topology.VirtuallyIndexed, Groups: topology.PrivateGroups(1),
+		}
+	}
+	machine := func(caches ...topology.CacheLevel) *topology.Machine {
+		return &topology.Machine{
+			Name: "decline", ClockGHz: 1, Nodes: 1, CoresPerNode: 1,
+			PageBytes: 4096, PhysPagesPerNode: 1 << 10,
+			Memory: topology.Memory{LatencyCycles: 100, PerCoreGBs: 1},
+			Caches: caches,
+		}
+	}
+	// LRU order: lines B, A, C (0, 1, 2) share the 3-way L2 set. A has
+	// a direct-mapped L1 set to itself and hits there from the first
+	// measured pass on, while B and C evict each other from theirs and
+	// go on to the L2. The warm-up leaves the L2 set as C, A, B; every
+	// measured pass touches B then C, which leaves C, B, A.
+	lru := machine(level(1, 2, 1, 1), level(2, 1, 3, 10))
+	// Prefetcher: a three-access lead-in starts a stream the
+	// prefetcher follows. The warm-up continues it and ends with a
+	// streak of 7; every measured pass restarts the stream after its
+	// wrap-around jump and ends with 4. Each line has a direct-mapped
+	// L1 set to itself, so the caches are at a fixed point throughout
+	// and only the prefetcher moved.
+	pref := machine(level(1, 16, 1, 1))
+	pref.PrefetchMaxStrideBytes = 256
+
+	for _, tc := range []struct {
+		name        string
+		m           *topology.Machine
+		lead, bytes int64
+	}{
+		{"LRU order", lru, 0, 48},
+		{"prefetcher", pref, 48, 96},
+	} {
+		if err := tc.m.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		n := tc.bytes / 16
+		for passes, wantReplayed := range map[int]int64{2: 0, 3: n} {
+			got := runStridePasses(tc.m, 1, 0, tc.lead, tc.bytes, 16, passes, 0, true)
+			if got.replayed != wantReplayed {
+				t.Errorf("%s, %d passes: replayed %d accesses, want %d", tc.name, passes, got.replayed, wantReplayed)
+			}
+			assertReplayMatches(t, got, runStridePasses(tc.m, 1, 0, tc.lead, tc.bytes, 16, passes, 0, false))
+		}
+	}
+}
+
+// TestPassSnapshotCoversState: a snapshot equals the state it was
+// taken from, and no longer does once any one part of the state a pass
+// can move has changed — a cache on the core's plan, its TLB or its
+// prefetcher. Strided passes alone cannot show every part: a TLB, or a
+// cache that sees every access, ends each pass in the same state
+// whatever it started from.
+func TestPassSnapshotCoversState(t *testing.T) {
+	m := fastpathMachines()["dunnington-tlb"]
+	const core = 0
+	perturb := map[string]func(in *Instance, a *Array){
+		"prefetcher": func(in *Instance, a *Array) { in.pref[core].observe(a.Base, in.pageShift) },
+		"TLB":        func(in *Instance, a *Array) { in.tlbs[core].access(-1) },
+	}
+	for li := range m.Caches {
+		perturb[fmt.Sprintf("L%d", li+1)] = func(in *Instance, a *Array) {
+			in.planFor(core)[li].c.access(1<<31, 1<<31)
+		}
+	}
+	for name, change := range perturb {
+		in := NewInstanceAt(m, 1)
+		a := in.NewSpace().Alloc(64 * topology.KB)
+		var total, measured float64
+		in.AccessStridePasses(core, a.sp, a.Base, a.Bytes, 1024, 1, &total, &measured)
+		var s passSnapshot
+		s.take(in, core)
+		if !s.unchanged(in, core) {
+			t.Fatalf("%s: a fresh snapshot differs from its state", name)
+		}
+		change(in, a)
+		if s.unchanged(in, core) {
+			t.Errorf("the snapshot missed a change to the %s", name)
+		}
+	}
+}
+
+// TestIntegralCostsGate: replay is allowed only on machines whose every
+// access costs a non-negative integer below 2^53 — all built-in models.
+// A fractional or negative cost component turns it off, a TLB's miss
+// penalty only when the machine models a TLB.
+func TestIntegralCostsGate(t *testing.T) {
+	for name, m := range fastpathMachines() {
+		if !NewInstanceAt(m, 1).exact {
+			t.Errorf("%s: replay is off on a built-in model", name)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		edit  func(m *topology.Machine)
+		exact bool
+	}{
+		{"fractional L2 latency", func(m *topology.Machine) { m.Caches[1].LatencyCycles += 0.5 }, false},
+		{"fractional memory latency", func(m *topology.Machine) { m.Memory.LatencyCycles += 0.1 }, false},
+		{"fractional TLB miss penalty", func(m *topology.Machine) { m.TLBEntries, m.TLBMissCycles = 16, 30.5 }, false},
+		{"fractional penalty, no TLB", func(m *topology.Machine) { m.TLBEntries, m.TLBMissCycles = 0, 30.5 }, true},
+		{"access cost of 2^53", func(m *topology.Machine) { m.Memory.LatencyCycles = 1 << 53 }, false},
+		{"negative L1 latency", func(m *topology.Machine) { m.Caches[0].LatencyCycles = -1 }, false},
+	} {
+		m := topology.Nehalem2S()
+		tc.edit(m)
+		if got := NewInstanceAt(m, 1).exact; got != tc.exact {
+			t.Errorf("%s: replay allowed = %v, want %v", tc.name, got, tc.exact)
+		}
+	}
+}
+
+// TestStridePassesReplayBuiltinModels: on every built-in model a
+// probe-stride traversal reaches its fixed point after the warm-up, so
+// all measured passes but the first replay, matching simulation.
+func TestStridePassesReplayBuiltinModels(t *testing.T) {
+	for name, m := range fastpathMachines() {
+		for _, bytes := range []int64{16 * topology.KB, 384 * topology.KB, 3 * topology.MB} {
+			got := runStridePasses(m, 1, 0, 0, bytes, 1024, 3, 0, true)
+			if want := 2 * bytes / 1024; got.replayed != want {
+				t.Errorf("%s, %d bytes: replayed %d accesses, want %d", name, bytes, got.replayed, want)
+			}
+			assertReplayMatches(t, got, runStridePasses(m, 1, 0, 0, bytes, 1024, 3, 0, false))
+		}
+	}
+}

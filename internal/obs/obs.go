@@ -43,6 +43,13 @@ const (
 	// recycles of a pooled instance. Their ratio is the pooling win.
 	CounterMemsysFresh = "memsys.instance.fresh"
 	CounterMemsysReset = "memsys.instance.reset"
+	// CounterMemsysAccesses counts the accesses of single-core strided
+	// traversals, warm-up included; CounterMemsysReplayed counts those
+	// of them memsys.Instance.AccessStridePasses added arithmetically
+	// instead of simulating, because the pass before them had reached
+	// a fixed point.
+	CounterMemsysAccesses = "memsys.accesses"
+	CounterMemsysReplayed = "memsys.accesses_replayed"
 	// CounterScratchFresh counts sweep scratch builds, one per worker;
 	// CounterScratchReused counts each later chunk a worker runs on the
 	// scratch it already holds.
