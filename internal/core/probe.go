@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"servet/internal/report"
@@ -13,95 +12,32 @@ import (
 
 // Probe is one benchmark of the suite. Probes declare the probes they
 // depend on by name; the engine runs them one after another in
-// registry order, which is topological, and merges their Partials
-// into the final report in that order.
+// registry order, which is topological, and each writes its own
+// section of the report, so a probe reads its dependencies' results
+// from the sections they wrote before it.
 type Probe interface {
 	// Name identifies the probe ("cache-size", ...). Names are unique
 	// across the registry.
 	Name() string
-	// Deps names the probes whose outputs this probe consumes. They
-	// are guaranteed to have completed before Run is called.
+	// Deps names the probes whose sections this probe reads. Their
+	// sections are in the report before Run is called.
 	Deps() []string
-	// Run executes the probe against the environment's machine. It
-	// should return promptly once ctx is cancelled.
-	Run(ctx context.Context, env *Env) (Partial, error)
+	// Run measures the probe on m, writes its section into r, and
+	// returns the simulated probe time (the Table I analogue). r
+	// already holds every dependency's section. m is read-only: the
+	// workers of the probe's sweeps share it. Run should return
+	// promptly once ctx is cancelled.
+	Run(ctx context.Context, m *topology.Machine, opt Options, r *report.Report) (time.Duration, error)
 	// scope returns the effective option fields the probe's
 	// measurements depend on, as a plain JSON-marshalable struct. Two
 	// option sets with equal scopes produce identical probe results,
 	// so the scope's digest is the cache key component that
 	// invalidates only the probes an option change actually affects.
 	scope(opt Options) any
-	// restore rebuilds the probe's Partial (report section plus the
-	// typed Value dependent probes consume) from a saved report, so a
-	// cached probe never has to execute. ok is false when the report
-	// lacks a usable section.
-	restore(r *report.Report) (Partial, bool)
-}
-
-// Partial is one probe's contribution to the final report.
-type Partial struct {
-	// Apply merges the probe's results into the report. Apply
-	// functions are invoked sequentially in registry order after
-	// every probe has completed; they never run concurrently. Nil
-	// means the probe contributes only its timing.
-	Apply func(r *report.Report)
-	// SimulatedProbe is the virtual time the probe's measurements
-	// consumed on the simulated machine (the Table I analogue).
-	SimulatedProbe time.Duration
-	// Value is the probe's typed output, available to dependent
-	// probes through Env.Output.
-	Value any
-}
-
-// Env is the shared environment a probe run executes in: the machine
-// under test, the effective options, and the outputs of completed
-// probes. Its outputs are guarded by a mutex, so a probe may read
-// them from the workers of its own sweeps.
-type Env struct {
-	// Machine is the machine under test. Probes must treat it as
-	// read-only: the workers of their sweeps share it.
-	Machine *topology.Machine
-	// Opt holds the effective (default-filled) options.
-	Opt Options
-
-	mu   sync.Mutex
-	outs map[string]Partial
-}
-
-func newEnv(m *topology.Machine, opt Options) *Env {
-	return &Env{Machine: m, Opt: opt, outs: make(map[string]Partial)}
-}
-
-func (e *Env) put(name string, p Partial) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.outs[name] = p
-}
-
-// Output returns the Partial of a probe that has completed or was
-// restored from the cached report. Only read probes named in the
-// caller's Deps: the engine guarantees those are present, while
-// whether anything else is depends on which probes the run requested.
-func (e *Env) Output(name string) (Partial, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p, ok := e.outs[name]
-	return p, ok
-}
-
-// CacheLevels returns the cache levels detected by the cache-size
-// probe. It fails when the cache-size probe has not completed, which
-// means the calling probe forgot to declare it in Deps.
-func (e *Env) CacheLevels() ([]DetectedCache, error) {
-	p, ok := e.Output(probeCacheSize)
-	if !ok {
-		return nil, fmt.Errorf("core: probe %s has not completed (missing dependency?)", probeCacheSize)
-	}
-	levels, ok := p.Value.([]DetectedCache)
-	if !ok {
-		return nil, fmt.Errorf("core: probe %s produced %T, want cache levels", probeCacheSize, p.Value)
-	}
-	return levels, nil
+	// restore copies the probe's section from the saved report src
+	// into dst, so a cached probe never has to execute. It returns
+	// false, writing nothing, when src lacks a usable section.
+	restore(dst, src *report.Report) bool
 }
 
 // NoCacheLevelsError reports that the cache-size probe found no cache

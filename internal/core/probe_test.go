@@ -33,9 +33,8 @@ func TestProbeRegistryCanonicalOrder(t *testing.T) {
 
 // TestRegistryTopological pins the registry invariant the engine
 // relies on: names are non-empty and unique, and every dependency
-// precedes its dependent, so running and merging in registry order
-// lets each probe (and its Apply) build on what its dependencies
-// produced.
+// precedes its dependent, so running in registry order lets each
+// probe build on the sections its dependencies wrote.
 func TestRegistryTopological(t *testing.T) {
 	seen := map[string]bool{}
 	for _, p := range registry {

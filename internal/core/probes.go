@@ -5,11 +5,12 @@ import (
 	"time"
 
 	"servet/internal/report"
+	"servet/internal/topology"
 )
 
 // registry holds the probes: the four paper benchmarks (Sections
 // III-A to III-D) plus the TLB extension, in the paper's stage order.
-// That order is canonical: it fixes the run, merge and timing order
+// That order is canonical: it fixes the run, section and timing order
 // of the report, so every probe's dependencies come before it.
 var registry = []Probe{cacheSizeProbe{}, sharedCachesProbe{}, memoryOverheadProbe{}, commCostsProbe{}, tlbProbe{}}
 
@@ -22,28 +23,30 @@ type cacheSizeProbe struct{}
 func (cacheSizeProbe) Name() string   { return probeCacheSize }
 func (cacheSizeProbe) Deps() []string { return nil }
 
-func (cacheSizeProbe) Run(ctx context.Context, env *Env) (Partial, error) {
-	cal, err := McalibratorContext(ctx, env.Machine, 0, env.Opt)
+func (cacheSizeProbe) Run(ctx context.Context, m *topology.Machine, opt Options, r *report.Report) (time.Duration, error) {
+	cal, err := McalibratorContext(ctx, m, 0, opt)
 	if err != nil {
-		return Partial{}, err
+		return 0, err
 	}
-	levels := DetectCacheSizes(cal, env.Machine.PageBytes, env.Opt)
+	levels := DetectCacheSizes(cal, m.PageBytes, opt)
 	if len(levels) == 0 {
-		return Partial{}, &NoCacheLevelsError{Machine: env.Machine.Name}
+		return 0, &NoCacheLevelsError{Machine: m.Name}
 	}
-	return Partial{
-		Apply: func(r *report.Report) {
-			for _, lvl := range levels {
-				r.Caches = append(r.Caches, report.CacheResult{
-					Level:     lvl.Level,
-					SizeBytes: lvl.SizeBytes,
-					Method:    lvl.Method,
-				})
-			}
-		},
-		SimulatedProbe: time.Duration(env.Machine.CyclesToNS(cal.ProbeCycles)),
-		Value:          levels,
-	}, nil
+	for _, lvl := range levels {
+		r.Caches = append(r.Caches, report.CacheResult{Level: lvl.Level, SizeBytes: lvl.SizeBytes, Method: lvl.Method})
+	}
+	return time.Duration(m.CyclesToNS(cal.ProbeCycles)), nil
+}
+
+// cacheLevels returns the levels the cache-size probe wrote into r
+// (levels, sizes and methods round-trip losslessly through the
+// report).
+func cacheLevels(r *report.Report) []DetectedCache {
+	levels := make([]DetectedCache, len(r.Caches))
+	for i, c := range r.Caches {
+		levels[i] = DetectedCache{Level: c.Level, SizeBytes: c.SizeBytes, Method: c.Method}
+	}
+	return levels
 }
 
 // scope: mcalibrator grid, traversal and gradient-detection options.
@@ -59,30 +62,16 @@ func (cacheSizeProbe) scope(o Options) any {
 		o.StrideBytes, o.Passes, o.Allocations, o.GradientThreshold, o.PeakMin}
 }
 
-// restore rebuilds the detected levels from the report's cache
-// section (sizes, levels and methods round-trip losslessly; the raw
-// calibration curve is not persisted and dependent probes do not
-// consume it).
-func (cacheSizeProbe) restore(r *report.Report) (Partial, bool) {
-	if len(r.Caches) == 0 {
-		return Partial{}, false
+// restore copies the detected levels without their sharing groups,
+// which belong to the shared-caches probe's section.
+func (cacheSizeProbe) restore(dst, src *report.Report) bool {
+	if len(src.Caches) == 0 {
+		return false
 	}
-	levels := make([]DetectedCache, len(r.Caches))
-	for i, c := range r.Caches {
-		levels[i] = DetectedCache{Level: c.Level, SizeBytes: c.SizeBytes, Method: c.Method}
+	for _, c := range src.Caches {
+		dst.Caches = append(dst.Caches, report.CacheResult{Level: c.Level, SizeBytes: c.SizeBytes, Method: c.Method})
 	}
-	return Partial{
-		Apply: func(r2 *report.Report) {
-			for _, lvl := range levels {
-				r2.Caches = append(r2.Caches, report.CacheResult{
-					Level:     lvl.Level,
-					SizeBytes: lvl.SizeBytes,
-					Method:    lvl.Method,
-				})
-			}
-		},
-		Value: levels,
-	}, true
+	return true
 }
 
 // sharedCachesProbe determines which cores share each detected cache
@@ -92,40 +81,24 @@ type sharedCachesProbe struct{}
 func (sharedCachesProbe) Name() string   { return probeShared }
 func (sharedCachesProbe) Deps() []string { return []string{probeCacheSize} }
 
-func (sharedCachesProbe) Run(ctx context.Context, env *Env) (Partial, error) {
-	levels, err := env.CacheLevels()
+func (sharedCachesProbe) Run(ctx context.Context, m *topology.Machine, opt Options, r *report.Report) (time.Duration, error) {
+	shared, err := SharedCachesContext(ctx, m, cacheLevels(r), opt)
 	if err != nil {
-		return Partial{}, err
-	}
-	shared, err := SharedCachesContext(ctx, env.Machine, levels, env.Opt)
-	if err != nil {
-		return Partial{}, err
+		return 0, err
 	}
 	var cycles float64
-	for i := range levels {
+	for i := range r.Caches {
 		if i < len(shared) {
+			r.Caches[i].SharedGroups = shared[i].Groups
 			cycles += shared[i].ProbeCycles
 		}
 	}
-	return Partial{
-		Apply: func(r *report.Report) {
-			// The cache-size probe merges before this one (it is a
-			// dependency, hence earlier in registry order), so the
-			// level entries already exist.
-			for i := range r.Caches {
-				if i < len(shared) {
-					r.Caches[i].SharedGroups = shared[i].Groups
-				}
-			}
-		},
-		SimulatedProbe: time.Duration(env.Machine.CyclesToNS(cycles)),
-		Value:          shared,
-	}, nil
+	return time.Duration(m.CyclesToNS(cycles)), nil
 }
 
 // scope: the Fig. 5 concurrent-traversal options, including the
 // per-measurement allocation count the sweep averages over. The probe
-// also consumes the cache-size probe's output, but dependency
+// also reads the cache-size probe's section, but dependency
 // freshness is the cache walk's job (Suite.Run), not the digest's.
 func (sharedCachesProbe) scope(o Options) any {
 	return struct {
@@ -138,46 +111,36 @@ func (sharedCachesProbe) scope(o Options) any {
 	}{o.Seed, o.NoiseSigma, o.StrideBytes, o.Passes, o.Allocations, o.RatioThreshold}
 }
 
-// restore rebuilds the sharing groups from the report's cache
-// section. A report with detected levels but no sharing groups is a
-// valid restoration target: the probe legitimately finds every cache
-// private on some machines.
-func (sharedCachesProbe) restore(r *report.Report) (Partial, bool) {
-	if len(r.Caches) == 0 {
-		return Partial{}, false
+// restore copies the sharing groups onto the levels already in dst.
+// A report with detected levels but no sharing groups is a valid
+// source: the probe legitimately finds every cache private on some
+// machines.
+func (sharedCachesProbe) restore(dst, src *report.Report) bool {
+	if len(src.Caches) == 0 {
+		return false
 	}
-	groups := make([][][]int, len(r.Caches))
-	for i, c := range r.Caches {
-		groups[i] = c.SharedGroups
+	for i := range dst.Caches {
+		if i < len(src.Caches) {
+			dst.Caches[i].SharedGroups = src.Caches[i].SharedGroups
+		}
 	}
-	return Partial{
-		Apply: func(r2 *report.Report) {
-			for i := range r2.Caches {
-				if i < len(groups) {
-					r2.Caches[i].SharedGroups = groups[i]
-				}
-			}
-		},
-	}, true
+	return true
 }
 
 // memoryOverheadProbe characterizes concurrent memory-access
-// overheads (Section III-C). It needs no other probe's output.
+// overheads (Section III-C). It reads no other probe's section.
 type memoryOverheadProbe struct{}
 
 func (memoryOverheadProbe) Name() string   { return probeMemory }
 func (memoryOverheadProbe) Deps() []string { return nil }
 
-func (memoryOverheadProbe) Run(ctx context.Context, env *Env) (Partial, error) {
-	memRes, memNS, err := MemoryOverheadContext(ctx, env.Machine, env.Opt)
+func (memoryOverheadProbe) Run(ctx context.Context, m *topology.Machine, opt Options, r *report.Report) (time.Duration, error) {
+	memRes, memNS, err := MemoryOverheadContext(ctx, m, opt)
 	if err != nil {
-		return Partial{}, err
+		return 0, err
 	}
-	return Partial{
-		Apply:          func(r *report.Report) { r.Memory = memRes },
-		SimulatedProbe: time.Duration(memNS),
-		Value:          memRes,
-	}, nil
+	r.Memory = memRes
+	return time.Duration(memNS), nil
 }
 
 // scope: the Fig. 6 bandwidth-characterization options.
@@ -189,18 +152,15 @@ func (memoryOverheadProbe) scope(o Options) any {
 	}{o.Seed, o.NoiseSigma, o.SimilarTol}
 }
 
-// restore rebuilds the memory section from the report.
-func (memoryOverheadProbe) restore(r *report.Report) (Partial, bool) {
-	if r.Memory.RefBandwidthGBs <= 0 {
+// restore copies the memory section.
+func (memoryOverheadProbe) restore(dst, src *report.Report) bool {
+	if src.Memory.RefBandwidthGBs <= 0 {
 		// A ran probe always records the (validated positive) reference
 		// bandwidth; zero means the section was never filled.
-		return Partial{}, false
+		return false
 	}
-	memRes := r.Memory
-	return Partial{
-		Apply: func(r2 *report.Report) { r2.Memory = memRes },
-		Value: memRes,
-	}, true
+	dst.Memory = src.Memory
+	return true
 }
 
 // commCostsProbe characterizes the communication layers (Section
@@ -212,22 +172,16 @@ type commCostsProbe struct{}
 func (commCostsProbe) Name() string   { return probeComm }
 func (commCostsProbe) Deps() []string { return []string{probeCacheSize} }
 
-func (commCostsProbe) Run(ctx context.Context, env *Env) (Partial, error) {
+func (commCostsProbe) Run(ctx context.Context, m *topology.Machine, opt Options, r *report.Report) (time.Duration, error) {
 	// The cache-size probe fails with NoCacheLevelsError rather than
-	// complete with an empty slice, so levels is never empty here.
-	levels, err := env.CacheLevels()
+	// write an empty section, and does not restore from one, so the
+	// L1 entry is here.
+	commRes, commNS, err := CommunicationCostsContext(ctx, m, r.Caches[0].SizeBytes, opt)
 	if err != nil {
-		return Partial{}, err
+		return 0, err
 	}
-	commRes, commNS, err := CommunicationCostsContext(ctx, env.Machine, levels[0].SizeBytes, env.Opt)
-	if err != nil {
-		return Partial{}, err
-	}
-	return Partial{
-		Apply:          func(r *report.Report) { r.Comm = commRes },
-		SimulatedProbe: time.Duration(commNS),
-		Value:          commRes,
-	}, nil
+	r.Comm = commRes
+	return time.Duration(commNS), nil
 }
 
 // scope: the Fig. 7 ping-pong and sweep options.
@@ -242,19 +196,16 @@ func (commCostsProbe) scope(o Options) any {
 	}{o.Seed, o.NoiseSigma, o.SimilarTol, o.CommReps, o.BWSizes, o.LayerSizes}
 }
 
-// restore rebuilds the communication section from the report. A ran
-// probe always records a positive message size (the detected L1); an
-// empty layer list is legitimate on unicore machines, which have no
-// core pairs to characterize.
-func (commCostsProbe) restore(r *report.Report) (Partial, bool) {
-	if r.Comm.MessageBytes <= 0 {
-		return Partial{}, false
+// restore copies the communication section. A ran probe always
+// records a positive message size (the detected L1); an empty layer
+// list is legitimate on unicore machines, which have no core pairs to
+// characterize.
+func (commCostsProbe) restore(dst, src *report.Report) bool {
+	if src.Comm.MessageBytes <= 0 {
+		return false
 	}
-	commRes := r.Comm
-	return Partial{
-		Apply: func(r2 *report.Report) { r2.Comm = commRes },
-		Value: commRes,
-	}, true
+	dst.Comm = src.Comm
+	return true
 }
 
 // tlbProbe is the TLB extension probe. It is in the registry (so
@@ -265,20 +216,15 @@ type tlbProbe struct{}
 func (tlbProbe) Name() string   { return probeTLB }
 func (tlbProbe) Deps() []string { return nil }
 
-func (tlbProbe) Run(ctx context.Context, env *Env) (Partial, error) {
-	res, ok, err := DetectTLB(ctx, env.Machine, 0, env.Opt)
+func (tlbProbe) Run(ctx context.Context, m *topology.Machine, opt Options, r *report.Report) (time.Duration, error) {
+	res, ok, err := DetectTLB(ctx, m, 0, opt)
 	if err != nil {
-		return Partial{}, err
+		return 0, err
 	}
-	return Partial{
-		Apply: func(r *report.Report) {
-			if ok {
-				r.TLB = &report.TLBResult{Entries: res.Entries, MissCycles: res.MissCycles}
-			}
-		},
-		SimulatedProbe: time.Duration(env.Machine.CyclesToNS(res.ProbeCycles)),
-		Value:          res,
-	}, nil
+	if ok {
+		r.TLB = &report.TLBResult{Entries: res.Entries, MissCycles: res.MissCycles}
+	}
+	return time.Duration(m.CyclesToNS(res.ProbeCycles)), nil
 }
 
 // scope: the traversal and gradient-detection options the TLB sweep
@@ -292,22 +238,14 @@ func (tlbProbe) scope(o Options) any {
 	}{o.Seed, o.NoiseSigma, o.Passes, o.GradientThreshold, o.PeakMin}
 }
 
-// restore rebuilds the TLB section from the report. A nil TLB section
-// is restorable: it is exactly what the probe reports on machines
-// without a detectable TLB (provenance, not section presence, tells
-// the cache the probe ran).
-func (tlbProbe) restore(r *report.Report) (Partial, bool) {
-	var res *report.TLBResult
-	if r.TLB != nil {
-		cp := *r.TLB
-		res = &cp
+// restore copies the TLB section. A nil TLB section is restorable: it
+// is exactly what the probe reports on machines without a detectable
+// TLB (provenance, not section presence, tells the cache the probe
+// ran).
+func (tlbProbe) restore(dst, src *report.Report) bool {
+	if src.TLB != nil {
+		cp := *src.TLB
+		dst.TLB = &cp
 	}
-	return Partial{
-		Apply: func(r2 *report.Report) {
-			if res != nil {
-				cp := *res
-				r2.TLB = &cp
-			}
-		},
-	}, true
+	return true
 }

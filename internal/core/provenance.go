@@ -10,9 +10,8 @@ import (
 )
 
 // Probe-result caching plumbing: per-probe option digests decide
-// whether a saved section is still valid, and restore rebuilds a
-// probe's Partial from a previously saved report, so a cached probe
-// never has to execute.
+// whether a saved section is still valid, and a restored section keeps
+// its saved Table I row, so a cached probe never has to execute.
 
 // digest returns the digest of the effective option fields p's
 // measurements depend on (its scope).
@@ -28,19 +27,15 @@ func (s *Suite) digest(p Probe) (string, error) {
 	return hex.EncodeToString(sum[:8]), nil
 }
 
-// restore rebuilds p's Partial from a saved report. ok is false when
-// the report lacks p's section; the caller then executes the probe
-// normally. The Partial's SimulatedProbe is recovered from the
-// report's timing row, so restored runs keep their Table I entries.
-func restore(p Probe, r *report.Report) (Partial, bool) {
-	part, ok := p.restore(r)
-	if !ok {
-		return Partial{}, false
-	}
-	for _, tm := range r.Timings {
-		if tm.Stage == p.Name() {
-			part.SimulatedProbe = tm.SimulatedProbe
+// cachedTiming returns the Table I row of a section restored or
+// carried from the cached report: the saved simulated probe time, and
+// zero wall time because nothing executed.
+func cachedTiming(cached *report.Report, name string) report.StageTiming {
+	row := report.StageTiming{Stage: name}
+	for _, tm := range cached.Timings {
+		if tm.Stage == name {
+			row.SimulatedProbe = tm.SimulatedProbe
 		}
 	}
-	return part, true
+	return row
 }

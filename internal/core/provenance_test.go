@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"slices"
 	"testing"
 	"time"
@@ -86,12 +87,11 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 
 	for _, p := range registry {
-		part, ok := restore(p, fresh)
-		if !ok {
+		if !p.restore(&report.Report{}, fresh) {
 			t.Fatalf("probe %s not restorable from its own report", p.Name())
 		}
-		if part.SimulatedProbe != timingFor(fresh, p.Name()) {
-			t.Errorf("%s: restored simulated time %v, want %v", p.Name(), part.SimulatedProbe, timingFor(fresh, p.Name()))
+		if got := cachedTiming(fresh, p.Name()).SimulatedProbe; got != timingFor(fresh, p.Name()) {
+			t.Errorf("%s: restored simulated time %v, want %v", p.Name(), got, timingFor(fresh, p.Name()))
 		}
 	}
 
@@ -118,6 +118,106 @@ func TestRestoreRoundTrip(t *testing.T) {
 	if len(restored.Timings) != len(fresh.Timings) {
 		t.Errorf("timings: %d vs %d rows", len(restored.Timings), len(fresh.Timings))
 	}
+}
+
+// TestProbeRestoreContract pins restore's contract for every probe in
+// the registry. From a source without the probe's section it returns
+// false and writes nothing, even into a full report (tlb returns true,
+// as its nil section is restorable, but writes nothing either). From a
+// full run into a report holding only the dependencies' sections it
+// reproduces the section that run wrote and leaves every other section
+// as it was. Dunnington detects no TLB, so the tlb section comes from
+// tlb-box.
+func TestProbeRestoreContract(t *testing.T) {
+	run := func(m *topology.Machine, names ...string) *report.Report {
+		s, err := NewSuite(m, Options{Seed: 1, CommReps: 2, Allocations: 2, BWSizes: []int64{4096, 65536}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := s.Run(context.Background(), nil, names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	full := run(topology.Dunnington(), DefaultProbes()...)
+	withTLB := run(topology.TLBBox(), probeTLB)
+	// sections project a report onto each probe's section.
+	sections := map[string]func(r *report.Report) any{
+		probeCacheSize: func(r *report.Report) any { return cacheLevels(r) },
+		probeShared: func(r *report.Report) any {
+			groups := map[int][][]int{}
+			for _, c := range r.Caches {
+				if len(c.SharedGroups) > 0 {
+					groups[c.Level] = c.SharedGroups
+				}
+			}
+			return groups
+		},
+		probeMemory: func(r *report.Report) any { return r.Memory },
+		probeComm:   func(r *report.Report) any { return r.Comm },
+		probeTLB:    func(r *report.Report) any { return r.TLB },
+	}
+	for _, p := range registry {
+		t.Run(p.Name(), func(t *testing.T) {
+			section, ok := sections[p.Name()]
+			if !ok {
+				t.Fatalf("no section projection for probe %s", p.Name())
+			}
+			deps, err := probeClosure(p.Deps())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := full
+			if p.Name() == probeTLB {
+				fresh = withTLB
+			}
+			dst := &report.Report{Machine: fresh.Machine}
+			for _, d := range deps {
+				if !d.restore(dst, fresh) {
+					t.Fatalf("dependency %s not restorable", d.Name())
+				}
+			}
+			for _, into := range []*report.Report{dst, fresh.Clone()} {
+				before := mustJSON(t, into)
+				if got, want := p.restore(into, &report.Report{}), p.Name() == probeTLB; got != want {
+					t.Errorf("restore from an empty report = %v, want %v", got, want)
+				}
+				if after := mustJSON(t, into); after != before {
+					t.Errorf("restore from an empty report wrote into dst:\nbefore %s\nafter  %s", before, after)
+				}
+			}
+
+			want := mustJSON(t, section(fresh))
+			if want == mustJSON(t, section(dst)) {
+				t.Fatalf("fresh run wrote no %s section to compare against: %s", p.Name(), want)
+			}
+			others := map[string]string{}
+			for name, other := range sections {
+				others[name] = mustJSON(t, other(dst))
+			}
+			if !p.restore(dst, fresh) {
+				t.Fatalf("probe %s not restorable from a full run", p.Name())
+			}
+			if got := mustJSON(t, section(dst)); got != want {
+				t.Errorf("restored section differs:\ngot  %s\nwant %s", got, want)
+			}
+			for name, other := range sections {
+				if got := mustJSON(t, other(dst)); name != p.Name() && got != others[name] {
+					t.Errorf("restore changed the %s section:\nbefore %s\nafter  %s", name, others[name], got)
+				}
+			}
+		})
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestRunPartialCacheExecutesRest: a cached report whose provenance

@@ -15,9 +15,9 @@ import (
 // Suite runs Servet probes on a machine and assembles the
 // install-time report. Probes come from the package registry and run
 // one after another in its canonical order, which is topological, so
-// every probe sees its dependencies' outputs; Options.Parallelism
-// fans out the sweeps inside each probe. Results merge into the
-// report in canonical order.
+// every probe reads its dependencies' sections from the report;
+// Options.Parallelism fans out the sweeps inside each probe. Each
+// probe writes its own section of the report in canonical order.
 type Suite struct {
 	m   *topology.Machine
 	opt Options
@@ -82,7 +82,7 @@ func (s *Suite) RunProbes(ctx context.Context, names ...string) (*report.Report,
 
 // Run executes the named probes plus their transitive dependencies
 // (no names means DefaultProbes) against a cached report (nil means
-// none), and returns the merged report together with one provenance
+// none), and returns the report together with one provenance
 // row per section it holds. Sections, timing rows and provenance rows
 // all follow the canonical order.
 //
@@ -125,12 +125,13 @@ func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string)
 	// when the run is untraced): one "probe" span per executed probe,
 	// so a trace shows which stages dominated the run.
 	tr := obs.FromContext(ctx)
-	env := newEnv(s.m, s.opt)
-	type section struct {
-		part Partial
-		prov report.ProbeProvenance
+	r := &report.Report{
+		Machine:      s.m.Name,
+		ClockGHz:     s.m.ClockGHz,
+		Nodes:        s.m.Nodes,
+		CoresPerNode: s.m.CoresPerNode,
 	}
-	var sections []section
+	var prov []report.ProbeProvenance
 	digests := make(map[string]string, len(closure))
 	restored := map[string]bool{}
 	carried := map[string]bool{}
@@ -148,17 +149,14 @@ func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string)
 					return dold != nil && dold.OptionsDigest == digests[d]
 				}
 				return carried[d]
-			}) {
-				continue
-			}
-			part, ok := restore(p, cached)
-			if !ok {
+			}) || !p.restore(r, cached) {
 				continue
 			}
 			carried[name] = true
 			row := *old
 			row.Status = report.ProvenanceCached
-			sections = append(sections, section{part, row})
+			r.Timings = append(r.Timings, cachedTiming(cached, name))
+			prov = append(prov, row)
 			continue
 		}
 
@@ -167,16 +165,14 @@ func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string)
 			return nil, nil, err
 		}
 		digests[name] = digest
-		if old != nil && old.OptionsDigest == digest && allDeps(p, func(d string) bool { return restored[d] }) {
-			if part, ok := restore(p, cached); ok {
-				env.put(name, part)
-				restored[name] = true
-				sections = append(sections, section{part, report.ProbeProvenance{
-					Probe: name, Status: report.ProvenanceCached,
-					OptionsDigest: digest, Timestamp: old.Timestamp, Wall: old.Wall,
-				}})
-				continue
-			}
+		if old != nil && old.OptionsDigest == digest && allDeps(p, func(d string) bool { return restored[d] }) && p.restore(r, cached) {
+			restored[name] = true
+			r.Timings = append(r.Timings, cachedTiming(cached, name))
+			prov = append(prov, report.ProbeProvenance{
+				Probe: name, Status: report.ProvenanceCached,
+				OptionsDigest: digest, Timestamp: old.Timestamp, Wall: old.Wall,
+			})
+			continue
 		}
 
 		if err := ctx.Err(); err != nil {
@@ -184,7 +180,7 @@ func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string)
 		}
 		sp := tr.Start("probe", name)
 		t0 := time.Now() //servet:wallclock — probe wall-time provenance (report Timings), never a measurement input
-		part, err := p.Run(ctx, env)
+		sim, err := p.Run(ctx, s.m, s.opt, r)
 		//servet:wallclock
 		wall := time.Since(t0)
 		sp.End()
@@ -194,11 +190,11 @@ func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string)
 			}
 			return nil, nil, &ProbeError{Probe: name, Err: err}
 		}
-		env.put(name, part)
 		ran++
-		sections = append(sections, section{part, report.ProbeProvenance{
+		r.Timings = append(r.Timings, report.StageTiming{Stage: name, Wall: wall, SimulatedProbe: sim})
+		prov = append(prov, report.ProbeProvenance{
 			Probe: name, Status: report.ProvenanceRan, OptionsDigest: digest, Wall: wall,
-		}})
+		})
 	}
 	// A caller that cancelled during (or before) the run gets its
 	// context error, even when no probe executed.
@@ -207,24 +203,10 @@ func (s *Suite) Run(ctx context.Context, cached *report.Report, names ...string)
 	}
 
 	now := time.Now().UTC() //servet:wallclock — provenance timestamp, never a measurement input
-	r := &report.Report{
-		Machine:      s.m.Name,
-		ClockGHz:     s.m.ClockGHz,
-		Nodes:        s.m.Nodes,
-		CoresPerNode: s.m.CoresPerNode,
-	}
-	prov := make([]report.ProbeProvenance, len(sections))
-	for i, sec := range sections {
-		if sec.part.Apply != nil {
-			sec.part.Apply(r)
+	for i := range prov {
+		if prov[i].Status == report.ProvenanceRan {
+			prov[i].Timestamp = now
 		}
-		timing := report.StageTiming{Stage: sec.prov.Probe, SimulatedProbe: sec.part.SimulatedProbe}
-		if sec.prov.Status == report.ProvenanceRan {
-			timing.Wall = sec.prov.Wall
-			sec.prov.Timestamp = now
-		}
-		r.Timings = append(r.Timings, timing)
-		prov[i] = sec.prov
 	}
 	tr.Count(obs.CounterProbesRestored, int64(len(restored)))
 	tr.Count(obs.CounterProbesRan, ran)

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -435,42 +436,7 @@ func (reg *Registry) resolveRun(m *servet.Machine, rr regproto.RunRequest) (rep 
 // engine run.
 func (reg *Registry) handleTune(w http.ResponseWriter, req *http.Request) {
 	reg.counts[tuneRequests].Add(1)
-	var tr regproto.TuneRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxReportBytes)).Decode(&tr); err != nil {
-		writeError(w, http.StatusBadRequest, regproto.Error{
-			Code: regproto.CodeBadRequest, Message: "malformed tune request: " + err.Error(),
-		})
-		return
-	}
-	m, err := normalizeRun(&tr.Run)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, regproto.Error{Code: regproto.CodeBadRequest, Message: err.Error()})
-		return
-	}
-	// Normalize the tune side too, so spelled-out defaults coalesce
-	// with omitted ones ("" and "auto" are the same strategy; the
-	// engine's own defaults fill seed and budget).
-	if tr.Strategy == "" {
-		tr.Strategy = tune.StrategyAuto
-	}
-	if tr.Seed == 0 {
-		tr.Seed = tune.DefaultSeed
-	}
-	if tr.Budget <= 0 {
-		tr.Budget = tune.DefaultBudget
-	}
-	// Validate everything cheap before touching the engines: bad
-	// spaces, strategies and objectives are the client's fault and
-	// must not produce (or wait on) a probe run.
-	if err := tr.Space.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, regproto.Error{Code: regproto.CodeBadRequest, Message: err.Error()})
-		return
-	}
-	if _, err := tune.NewStrategy(tr.Strategy); err != nil {
-		writeError(w, http.StatusBadRequest, regproto.Error{Code: regproto.CodeBadRequest, Message: err.Error()})
-		return
-	}
-	obj, err := tune.NewObjective(tr.Objective)
+	tr, m, obj, err := decodeTune(http.MaxBytesReader(w, req.Body, maxReportBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, regproto.Error{Code: regproto.CodeBadRequest, Message: err.Error()})
 		return
@@ -516,6 +482,46 @@ func (reg *Registry) handleTune(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Servet-Tune", "executed")
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// decodeTune decodes a POST /v1/tune body and validates everything
+// cheap before any engine runs: bad bodies, machines, spaces,
+// strategies and objectives are the client's fault and must not
+// produce (or wait on) a probe run. Every error it returns is a bad
+// request. The request comes back normalized, with its machine and
+// resolved objective.
+func decodeTune(body io.Reader) (regproto.TuneRequest, *servet.Machine, tune.Objective, error) {
+	var tr regproto.TuneRequest
+	if err := json.NewDecoder(body).Decode(&tr); err != nil {
+		return tr, nil, nil, fmt.Errorf("malformed tune request: %w", err)
+	}
+	m, err := normalizeRun(&tr.Run)
+	if err != nil {
+		return tr, nil, nil, err
+	}
+	// Normalize the tune side too, so spelled-out defaults coalesce
+	// with omitted ones ("" and "auto" are the same strategy; the
+	// engine's own defaults fill seed and budget).
+	if tr.Strategy == "" {
+		tr.Strategy = tune.StrategyAuto
+	}
+	if tr.Seed == 0 {
+		tr.Seed = tune.DefaultSeed
+	}
+	if tr.Budget <= 0 {
+		tr.Budget = tune.DefaultBudget
+	}
+	if err := tr.Space.Validate(); err != nil {
+		return tr, nil, nil, err
+	}
+	if _, err := tune.NewStrategy(tr.Strategy); err != nil {
+		return tr, nil, nil, err
+	}
+	obj, err := tune.NewObjective(tr.Objective)
+	if err != nil {
+		return tr, nil, nil, err
+	}
+	return tr, m, obj, nil
 }
 
 // handleStats serves GET /v1/stats.

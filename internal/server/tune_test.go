@@ -29,6 +29,25 @@ const tuneBody = `{
 	"budget": 16
 }`
 
+// overflowTuneBody asks for a tiled kernel whose n×n arrays overflow
+// int64 bytes; oversizedTuneBody for two 2 GiB arrays on a Dempsey
+// with 2 GiB of page frames. Both once panicked the simulated
+// allocator.
+const (
+	overflowTuneBody = `{
+	"run": {"machine": "dempsey", "quick": true, "probes": ["cache-size"]},
+	"space": {"axes": [{"name": "tile", "kind": "pow2", "min": 4, "max": 32}]},
+	"objective": {"name": "tiled-kernel", "params": {"n": 3037000500}},
+	"strategy": "grid"
+}`
+	oversizedTuneBody = `{
+	"run": {"machine": "dempsey", "quick": true, "probes": ["cache-size"]},
+	"space": {"axes": [{"name": "tile", "kind": "pow2", "min": 4, "max": 32}]},
+	"objective": {"name": "tiled-kernel", "params": {"n": 16384}},
+	"strategy": "grid"
+}`
+)
+
 func postTune(t *testing.T, url, body string) (*tune.Result, *http.Response) {
 	t.Helper()
 	resp, err := http.Post(url+regproto.TunePath, "application/json", strings.NewReader(body))
@@ -259,4 +278,68 @@ func TestTuneStatsInStatsEndpoint(t *testing.T) {
 	if st.TuneRequests != 1 || st.TuneEvaluations != 4 || st.TunesCoalesced != 0 {
 		t.Errorf("stats after one tune = %+v", st)
 	}
+}
+
+// TestTuneUnrunnableKernelKeepsServing: at parallelism 2 tile
+// evaluations run in sweep workers, where a panic would end the whole
+// process. A kernel shape that overflows int64 is a bad request, one
+// that does not fit the machine's memory fails with a JSON error, and
+// the registry goes on serving.
+func TestTuneUnrunnableKernelKeepsServing(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.NewMemStore(), server.WithParallelism(2)))
+	t.Cleanup(ts.Close)
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"overflowing shape", overflowTuneBody, http.StatusBadRequest},
+		{"shape larger than memory", oversizedTuneBody, http.StatusInternalServerError},
+	} {
+		res, resp := postTune(t, ts.URL, c.body)
+		if res != nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.status)
+		}
+		if e := decodeError(t, resp); e.Message == "" {
+			t.Errorf("%s: error body without a message: %+v", c.name, e)
+		}
+	}
+	if res, resp := postTune(t, ts.URL, tuneBody); res == nil {
+		t.Fatalf("next tune status %d: %+v", resp.StatusCode, decodeError(t, resp))
+	}
+}
+
+// FuzzTuneRequest: request validation never panics, and a request it
+// accepts has a machine, an objective, a non-empty space, and axes
+// whose last points materialize inside their bounds.
+func FuzzTuneRequest(f *testing.F) {
+	for _, body := range []string{tuneBody, overflowTuneBody, oversizedTuneBody, `{`, `{"run":{"machine":"dempsey"},"space":{"axes":[{"name":"x","kind":"int-range","min":-9223372036854775808,"max":9223372036854775806,"step":2},{"name":"a","kind":"choice","choices":["flat","binomial-tree"]}]},"objective":{"name":"bcast-model","params":{"ranks":2,"bytes":8}}}`} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		tr, m, obj, err := server.DecodeTune(strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		if m == nil || obj == nil {
+			t.Fatalf("%q: accepted without machine (%v) or objective (%v)", body, m, obj)
+		}
+		if n := tr.Space.Size(); n < 1 {
+			t.Fatalf("%q: Size() = %d, want >= 1", body, n)
+		}
+		for _, ax := range tr.Space.Axes {
+			one := tune.Space{Axes: []tune.Axis{ax}}
+			last := one.Materialize(tune.Point{one.Size() - 1})[0]
+			if ax.Kind == tune.KindChoice {
+				if last.Str != ax.Choices[len(ax.Choices)-1] {
+					t.Fatalf("%q: axis %s: last choice %q, want %q", body, ax.Name, last.Str, ax.Choices[len(ax.Choices)-1])
+				}
+			} else if last.Int < ax.Min || last.Int > ax.Max {
+				t.Fatalf("%q: axis %s: last point %d outside [%d, %d]", body, ax.Name, last.Int, ax.Min, ax.Max)
+			}
+		}
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"servet/internal/autotune"
 	"servet/internal/memsys"
@@ -69,33 +68,20 @@ type ObjectiveSpec struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-// objective registry. Like the probe registry of internal/core it is
-// populated at init time and read-only afterwards; the mutex guards
-// tests that register scratch objectives.
-var (
-	objMu       sync.RWMutex
-	objBuilders = map[string]func(params json.RawMessage) (Objective, error){}
-)
-
-// RegisterObjective adds a named objective builder. Registering a
-// duplicate name panics: names are the wire vocabulary.
-func RegisterObjective(name string, build func(params json.RawMessage) (Objective, error)) {
-	objMu.Lock()
-	defer objMu.Unlock()
-	if name == "" {
-		panic("tune: objective with empty name")
-	}
-	if _, dup := objBuilders[name]; dup {
-		panic(fmt.Sprintf("tune: duplicate objective %q", name))
-	}
-	objBuilders[name] = build
+// objectives maps each built-in objective name, the wire vocabulary,
+// to its builder. Like the probe registry of internal/core it is a
+// fixed table.
+var objectives = map[string]func(params json.RawMessage) (Objective, error){
+	ObjectiveBcastModel:       newBcastModel,
+	ObjectiveBcastSim:         newBcastSim,
+	ObjectiveAggregationModel: newAggregationModel,
+	ObjectiveTiledKernel:      newTiledKernel,
+	ObjectiveConcurrencyModel: newConcurrencyModel,
 }
 
-// NewObjective resolves a spec against the registry.
+// NewObjective resolves a spec against the objective table.
 func NewObjective(spec ObjectiveSpec) (Objective, error) {
-	objMu.RLock()
-	build, ok := objBuilders[spec.Name]
-	objMu.RUnlock()
+	build, ok := objectives[spec.Name]
 	if !ok {
 		return nil, fmt.Errorf("tune: unknown objective %q (have %v)", spec.Name, ObjectiveNames())
 	}
@@ -106,12 +92,10 @@ func NewObjective(spec ObjectiveSpec) (Objective, error) {
 	return obj, nil
 }
 
-// ObjectiveNames lists the registered objectives.
+// ObjectiveNames lists the built-in objectives.
 func ObjectiveNames() []string {
-	objMu.RLock()
-	defer objMu.RUnlock()
-	names := make([]string, 0, len(objBuilders))
-	for n := range objBuilders {
+	names := make([]string, 0, len(objectives))
+	for n := range objectives {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -172,14 +156,6 @@ const (
 	// axis "cores").
 	ObjectiveConcurrencyModel = "concurrency-model"
 )
-
-func init() {
-	RegisterObjective(ObjectiveBcastModel, newBcastModel)
-	RegisterObjective(ObjectiveBcastSim, newBcastSim)
-	RegisterObjective(ObjectiveAggregationModel, newAggregationModel)
-	RegisterObjective(ObjectiveTiledKernel, newTiledKernel)
-	RegisterObjective(ObjectiveConcurrencyModel, newConcurrencyModel)
-}
 
 // bcastModel predicts the makespan (µs) of broadcasting Bytes to
 // Ranks over the named layer, for the algorithm the "algorithm" axis
@@ -401,10 +377,32 @@ func newTiledKernel(params json.RawMessage) (Objective, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.N < 1 || o.ElemBytes < 1 {
+	if o.N < 1 || o.ElemBytes < 1 || int64(o.N) > math.MaxInt64/int64(o.N)/o.ElemBytes {
 		return nil, fmt.Errorf("invalid kernel shape (n %d, elem_bytes %d)", o.N, o.ElemBytes)
 	}
 	return o, nil
+}
+
+// machine resolves the report's machine and checks that the kernel
+// runs on it: the core exists, and the two n×n arrays fit in one
+// node's physical page frames (the simulated OS cannot swap).
+func (o *tiledKernel) machine(r *report.Report) (*topology.Machine, error) {
+	m, err := machineFor(r)
+	if err != nil {
+		return nil, err
+	}
+	if o.Core < 0 || o.Core >= m.CoresPerNode {
+		return nil, fmt.Errorf("core %d is not a core of %s (%d per node)", o.Core, m.Name, m.CoresPerNode)
+	}
+	bytes := int64(o.N) * int64(o.N) * o.ElemBytes
+	pages := bytes / m.PageBytes
+	if bytes%m.PageBytes != 0 {
+		pages++
+	}
+	if pages > m.PhysPagesPerNode/2 {
+		return nil, fmt.Errorf("two %d-byte arrays need %d page frames, %s has %d per node", bytes, 2*pages, m.Name, m.PhysPagesPerNode)
+	}
+	return m, nil
 }
 
 func (o *tiledKernel) Name() string { return ObjectiveTiledKernel }
@@ -418,7 +416,7 @@ type tiledScratch struct {
 }
 
 func (o *tiledKernel) newScratch(r *report.Report) (any, error) {
-	m, err := machineFor(r)
+	m, err := o.machine(r)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +433,7 @@ func (o *tiledKernel) evalScratch(ctx context.Context, r *report.Report, sp *Spa
 }
 
 func (o *tiledKernel) Eval(ctx context.Context, r *report.Report, sp *Space, cfg Config) (float64, error) {
-	m, err := machineFor(r)
+	m, err := o.machine(r)
 	if err != nil {
 		return 0, err
 	}

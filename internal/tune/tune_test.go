@@ -597,3 +597,50 @@ func TestSimObjectivesRejectUnknownMachine(t *testing.T) {
 		t.Error("tiled kernel accepted a report with an unknown machine model")
 	}
 }
+
+// TestTiledKernelRejectsShapesThatCannotRun: a shape whose byte count
+// overflows int64 is a bad request, and a shape, or a core, the
+// report's machine cannot host fails the evaluation with an error
+// instead of panicking inside the simulated allocator or a sweep
+// worker.
+func TestTiledKernelRejectsShapesThatCannotRun(t *testing.T) {
+	for _, params := range []string{`{"n": 3037000500}`, `{"n": 1073741824, "elem_bytes": 16}`} {
+		if _, err := NewObjective(ObjectiveSpec{Name: ObjectiveTiledKernel, Params: json.RawMessage(params)}); err == nil {
+			t.Errorf("%s: accepted", params)
+		}
+	}
+
+	// Dempsey has 2^19 page frames of 4 KiB: two 1 GiB arrays fill
+	// them exactly, and one more byte per element does not fit.
+	dempsey := &report.Report{Machine: "dempsey", Nodes: 1}
+	sp := Space{Axes: []Axis{Pow2("tile", 4, 8)}}
+	for _, c := range []struct {
+		params string
+		fits   bool
+	}{
+		{`{"n": 8192, "elem_bytes": 16}`, true},
+		{`{"n": 8192, "elem_bytes": 17}`, false},
+		{`{"n": 16384}`, false},
+		{`{"n": 16, "core": 1}`, true},
+		{`{"n": 16, "core": 2}`, false},
+		{`{"n": 16, "core": -1}`, false},
+	} {
+		obj, err := NewObjective(ObjectiveSpec{Name: ObjectiveTiledKernel, Params: json.RawMessage(c.params)})
+		if err != nil {
+			t.Fatalf("%s: %v", c.params, err)
+		}
+		tk := obj.(*tiledKernel)
+		if _, err := tk.newScratch(dempsey); (err == nil) != c.fits {
+			t.Errorf("%s: newScratch error %v, want fits=%v", c.params, err, c.fits)
+		}
+		if c.fits {
+			continue
+		}
+		if _, err := obj.Eval(context.Background(), dempsey, &sp, Config{{Int: 4}}); err == nil {
+			t.Errorf("%s: Eval accepted", c.params)
+		}
+		if _, err := Tune(context.Background(), dempsey, sp, obj, Options{Parallelism: 2}); err == nil {
+			t.Errorf("%s: Tune accepted", c.params)
+		}
+	}
+}
