@@ -74,8 +74,10 @@ type scSample struct {
 // scScratch is one worker's pooled measurement state for the Fig. 5
 // sweep: the memory-system instance plus the address buffers, stream
 // headers and stats of the concurrent traversals, all reused across
-// measurements so the steady state allocates nothing.
+// measurements so the steady state allocates nothing. The tracer (nil
+// when untraced) counts the concurrent streams' accesses.
 type scScratch struct {
+	tr      *obs.Tracer
 	in      *memsys.Instance
 	addrsA  []int64
 	addrsB  []int64
@@ -95,10 +97,13 @@ func (sc *scScratch) measureRef(tr *obs.Tracer, opt Options, level, alloc, ab in
 }
 
 // measurePair measures one (level, pair) concurrent traversal for one
-// placement on the pooled instance. The interleaved streams run
-// through RunConcurrentInto with the scratch's pooled buffers; the
-// statistics are bit-identical to the historical fresh-instance
-// RunConcurrent path.
+// placement on the pooled instance. The two streams run through
+// RunConcurrentInto with the scratch's pooled buffers: a pair that
+// shares a cache interleaves access by access, and each stream of a
+// pair that shares none runs alone through the steady-state replay.
+// The statistics are bit-identical to the historical fresh-instance,
+// fully interleaved RunConcurrent path. The scratch's tracer counts
+// the streams' accesses and replayed accesses, as traverse does.
 func (sc *scScratch) measurePair(opt Options, level int64, pi int, pair [2]int, alloc, ab int64) (avg, total float64) {
 	sc.in.ResetAt(opt.Seed, noiseShared, level, int64(pi), alloc)
 	spA, spB := sc.in.NewSpace(), sc.in.NewSpace()
@@ -107,7 +112,10 @@ func (sc *scScratch) measurePair(opt Options, level int64, pi int, pair [2]int, 
 	sc.addrsB = appendTraversalAddrs(sc.addrsB[:0], arrB, opt.StrideBytes)
 	sc.streams[0] = memsys.Stream{Core: pair[0], Space: spA, Addrs: sc.addrsA}
 	sc.streams[1] = memsys.Stream{Core: pair[1], Space: spB, Addrs: sc.addrsB}
-	memsys.RunConcurrentInto(sc.in, sc.streams[:], opt.Passes+1, sc.stats[:])
+	passes := opt.Passes + 1
+	replayed := memsys.RunConcurrentInto(sc.in, sc.streams[:], passes, sc.stats[:])
+	sc.tr.Count(obs.CounterMemsysAccesses, int64(passes)*int64(len(sc.addrsA)+len(sc.addrsB)))
+	sc.tr.Count(obs.CounterMemsysReplayed, replayed)
 	avg = (sc.stats[0].AvgCycles() + sc.stats[1].AvgCycles()) / 2
 	total = sc.stats[0].Cycles + sc.stats[1].Cycles
 	return avg, total
@@ -120,7 +128,10 @@ func (sc *scScratch) measurePair(opt Options, level int64, pi int, pair [2]int, 
 // measurement — and each level's isolated reference — measures a
 // memory system whose page placement is seeded from (Seed, probe
 // family, level, pair index), so it is identical by construction no
-// matter which worker runs the measurement or in what order. Each
+// matter which worker runs the measurement or in what order. A pair
+// that shares no cache runs each of its streams alone through the
+// steady-state replay (memsys.RunConcurrentInto), so on most machines
+// most pairs cost little more than two isolated traversals. Each
 // worker owns one pooled memsys.Instance reset in place per
 // measurement (ResetAt is bitwise-equivalent to building fresh), so
 // the sweep — historically ~1.9 GB of instance churn — allocates
@@ -155,7 +166,7 @@ func SharedCachePairsContext(ctx context.Context, m *topology.Machine, levels []
 	samples, err := sched.Sweep(ctx, "shared", len(levels)*stride, opt.Parallelism,
 		func() (*scScratch, error) {
 			tr.Count(obs.CounterMemsysFresh, 1)
-			return &scScratch{in: memsys.NewInstanceAt(m, opt.Seed)}, nil
+			return &scScratch{tr: tr, in: memsys.NewInstanceAt(m, opt.Seed)}, nil
 		},
 		func(sc *scScratch, i int) (scSample, error) {
 			li, slot := i/stride, i%stride

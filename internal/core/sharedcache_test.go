@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 
+	"servet/internal/memsys"
+	"servet/internal/obs"
 	"servet/internal/topology"
 )
 
@@ -226,5 +228,62 @@ func TestSharedCachesArrayRounding(t *testing.T) {
 	want -= want % 1024
 	if res[0].ArrayBytes != want {
 		t.Errorf("array bytes = %d, want %d", res[0].ArrayBytes, want)
+	}
+}
+
+// TestSharedCachePairsReplayUncoupledStreams: on nehalem2s a pair of
+// cores on different sockets shares no cache, so each of its streams
+// runs alone and replays every measured pass after the first — at the
+// default two measured passes, exactly one per stream. A same-socket
+// pair shares the L3 and is simulated access by access at every level.
+// Tracing the sweep changes none of its results.
+func TestSharedCachePairsReplayUncoupledStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("28 pairs x 3 levels x 3 seeds, traced and untraced")
+	}
+	m := topology.Nehalem2S()
+	levels := make([]DetectedCache, len(m.Caches))
+	for i, c := range m.Caches {
+		levels[i] = DetectedCache{Level: c.Level, SizeBytes: c.SizeBytes}
+	}
+	socket := func(core int) int { return core / 4 }
+	for seed := int64(1); seed <= 3; seed++ {
+		opt := Options{Seed: seed}.withDefaults(m)
+		sc := &scScratch{in: memsys.NewInstanceAt(m, opt.Seed)}
+		for _, lvl := range levels {
+			ab := lvl.SizeBytes * 2 / 3
+			ab -= ab % opt.StrideBytes
+			perPass := ab / opt.StrideBytes
+			for pi, pair := range allNodePairs(m) {
+				var want int64
+				if socket(pair[0]) != socket(pair[1]) {
+					want = 2 * int64(opt.Passes-1) * perPass
+				}
+				for alloc := int64(0); alloc < int64(opt.Allocations); alloc++ {
+					sc.tr = obs.New()
+					sc.measurePair(opt, int64(lvl.Level), pi, pair, alloc, ab)
+					if got := sc.tr.Counter(obs.CounterMemsysReplayed); got != want {
+						t.Fatalf("seed %d L%d pair %v alloc %d: replayed %d accesses, want %d", seed, lvl.Level, pair, alloc, got, want)
+					}
+					if got, want := sc.tr.Counter(obs.CounterMemsysAccesses), 2*int64(opt.Passes+1)*perPass; got != want {
+						t.Fatalf("seed %d L%d pair %v alloc %d: counted %d accesses, want %d", seed, lvl.Level, pair, alloc, got, want)
+					}
+				}
+			}
+		}
+
+		opt = Options{Seed: seed, Parallelism: 2}
+		untraced := sharedCaches(t, m, levels, opt)
+		tr := obs.New()
+		traced, err := SharedCachesContext(obs.WithTracer(context.Background(), tr), m, levels, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(traced, untraced) {
+			t.Errorf("seed %d: traced sweep differs from untraced", seed)
+		}
+		if tr.Counter(obs.CounterMemsysReplayed) == 0 {
+			t.Errorf("seed %d: traced sweep counted no replayed accesses", seed)
+		}
 	}
 }

@@ -27,8 +27,11 @@
 // in exactly that state, the remaining passes would repeat it access
 // for access, and their cost is added arithmetically. With integral
 // access costs, as on every built-in model, that addition is exact, so
-// results stay bit-identical to simulating every access. The
-// concurrent streams of RunConcurrent are always simulated.
+// results stay bit-identical to simulating every access. A concurrent
+// stream of RunConcurrent that shares no cache and no core with
+// another stream runs alone through the same replay loop, since no
+// other stream can change the cost of its accesses; streams that share
+// a cache or a core are still simulated access by access, interleaved.
 //
 // Cache tags and page frames are stored as 32-bit values: a tag is the
 // physical line number and a frame the physical page number, so a node

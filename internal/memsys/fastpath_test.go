@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"math"
 	"testing"
 
 	"servet/internal/topology"
@@ -180,6 +181,69 @@ func TestRunConcurrentMatchesReference(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("stream %d: heap %+v != reference %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+
+	// On nehalem2s the L1 and L2 are private and the L3 is shared per
+	// socket of cores 0-3 and 4-7, so a stream runs alone exactly when
+	// no other non-empty stream sits on its socket. alone lists those
+	// streams: each replays every measured pass after the first, since
+	// its first measured pass already starts from the fixed point.
+	nehalem := topology.Nehalem2S()
+	for _, tc := range []struct {
+		name   string
+		cores  []int
+		bytes  []int64
+		passes int
+		alone  []int
+	}{
+		{"nehalem-cross-socket", []int{0, 4}, []int64{96 * topology.KB, 160 * topology.KB}, 3, []int{0, 1}},
+		{"nehalem-same-socket", []int{0, 1}, []int64{96 * topology.KB, 160 * topology.KB}, 3, nil},
+		{"nehalem-alone-beside-pair", []int{0, 1, 4}, []int64{64 * topology.KB, 128 * topology.KB, 192 * topology.KB}, 3, []int{2}},
+		{"nehalem-one-core", []int{4, 4}, []int64{48 * topology.KB, 96 * topology.KB}, 3, nil},
+		{"nehalem-empty-beside-lone", []int{4, 4}, []int64{0, 128 * topology.KB}, 3, []int{1}},
+		{"nehalem-cross-socket-2-passes", []int{2, 7}, []int64{128 * topology.KB, 64 * topology.KB}, 2, []int{0, 1}},
+		{"nehalem-alone-beside-pair-4-passes", []int{0, 1, 4}, []int64{64 * topology.KB, 128 * topology.KB, 192 * topology.KB}, 4, []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*Instance, []Stream) {
+				in := NewInstanceAt(nehalem, 2, 5)
+				streams := make([]Stream, len(tc.cores))
+				for i, core := range tc.cores {
+					sp := in.NewSpace()
+					streams[i] = Stream{Core: core, Space: sp}
+					if tc.bytes[i] > 0 {
+						streams[i].Addrs = strided(sp.Alloc(tc.bytes[i]), 256)
+					}
+				}
+				return in, streams
+			}
+			inRef, strRef := build()
+			inHeap, strHeap := build()
+			want := runConcurrentReference(inRef, strRef, tc.passes)
+			got := make([]StreamStats, len(strHeap))
+			replayed := RunConcurrentInto(inHeap, strHeap, tc.passes, got)
+			for i := range want {
+				if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
+					t.Fatalf("stream %d: RunConcurrentInto %+v != reference %+v", i, got[i], want[i])
+				}
+			}
+			var wantReplayed int64
+			for _, i := range tc.alone {
+				wantReplayed += int64(tc.passes-2) * int64(len(strHeap[i].Addrs))
+			}
+			if replayed != wantReplayed {
+				t.Errorf("replayed %d accesses, want %d", replayed, wantReplayed)
+			}
+			// Both instances end in the same state: one more traversal
+			// of every stream costs the same access for access.
+			for i := range strRef {
+				for k, vaddr := range strRef[i].Addrs {
+					if a, b := inHeap.Access(strHeap[i].Core, strHeap[i].Space, strHeap[i].Addrs[k]), inRef.Access(strRef[i].Core, strRef[i].Space, vaddr); a != b {
+						t.Fatalf("stream %d access %d after the run: %v, reference %v", i, k, a, b)
+					}
 				}
 			}
 		})

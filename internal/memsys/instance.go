@@ -509,10 +509,18 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 // hitting a shared cache thrash each other exactly as the Fig. 5
 // benchmark expects.
 //
-// The interleaver keeps the live streams in a (clock, index) min-heap
-// — identical selection order to the historical linear scan — and,
-// once a single stream remains, finishes it through the batched
-// AccessRun path.
+// Only coupled streams interleave: those with another non-empty stream
+// on the same core, or whose core's plan holds a cache another
+// non-empty stream's plan holds too. An access costs what the caches
+// on its core's plan, the core's TLB and its prefetcher make it cost —
+// translation is pure and Access models no contention — so the issue
+// order across streams cannot change the cost of any access of a
+// stream that is not coupled. Such a stream runs alone, through the
+// steady-state replay of AccessStridePasses, with its sums still
+// accumulated in issue order. The coupled streams interleave in a
+// (clock, index) min-heap — identical selection order to the
+// historical linear scan — and, once a single stream remains, the
+// last finishes through the batched AccessRun path.
 func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 	stats := make([]StreamStats, len(streams))
 	RunConcurrentInto(in, streams, passes, stats)
@@ -523,8 +531,9 @@ func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 // buffer (len(stats) must equal len(streams)); the interleaver's own
 // buffers are pooled on the instance, so a warm caller pays zero
 // allocations per run. The statistics are bit-identical to
-// RunConcurrent's.
-func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) {
+// RunConcurrent's. It returns how many measured accesses of the
+// streams that ran alone were replayed instead of simulated.
+func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (replayed int64) {
 	if len(stats) != len(streams) {
 		panic(fmt.Sprintf("memsys: stats buffer for %d streams has length %d", len(streams), len(stats)))
 	}
@@ -538,8 +547,14 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 	st, clocks, idx := in.rc.grab(len(streams))
 	h := &streamHeap{idx: idx, clocks: clocks}
 	for i := range streams {
-		if len(streams[i].Addrs) > 0 {
+		str := &streams[i]
+		switch {
+		case len(str.Addrs) == 0:
+		case in.coupled(streams, i):
 			h.push(int32(i))
+		default:
+			replayed += in.replayPasses(str.Core, walk{sp: str.Space, addrs: str.Addrs}, passes-1, &clocks[i], &stats[i].Cycles)
+			stats[i].Accesses = int64(passes-1) * int64(len(str.Addrs))
 		}
 	}
 	for len(h.idx) > 1 {
@@ -581,4 +596,28 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 			s.pass++
 		}
 	}
+	return replayed
+}
+
+// coupled reports whether stream i can interact with another non-empty
+// stream: one runs on the same core, or its core's plan holds one of
+// the caches on stream i's plan. A cache instance serves one level, so
+// the plans are compared level by level.
+func (in *Instance) coupled(streams []Stream, i int) bool {
+	core := streams[i].Core
+	plan := in.planFor(core)
+	for j := range streams {
+		if j == i || len(streams[j].Addrs) == 0 {
+			continue
+		}
+		if streams[j].Core == core {
+			return true
+		}
+		for li, pl := range in.planFor(streams[j].Core) {
+			if pl.c == plan[li].c {
+				return true
+			}
+		}
+	}
+	return false
 }

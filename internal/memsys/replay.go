@@ -14,6 +14,8 @@ import (
 // accesses at the same costs and ends in the same state again.
 // AccessStridePasses proves the fixed point exactly instead of
 // assuming it, and then adds the remaining passes' cost arithmetically.
+// RunConcurrentInto runs each concurrent stream that shares no cache
+// and no core through the same loop, over its address list.
 
 // exactLimit bounds the integers float64 represents exactly: every sum
 // of integers whose partial sums stay below it is exact, so it does
@@ -48,7 +50,7 @@ func (in *Instance) integralCosts() bool {
 	return ok && exactInt(sum)
 }
 
-// passSnapshot is the state one core's strided pass can change: the
+// passSnapshot is the state one core's pass can change: the
 // contents of every cache on the core's plan, its TLB and its
 // prefetcher. The page table is not part of it — Alloc maps every page
 // eagerly and translation is pure — and neither are other cores'
@@ -212,20 +214,57 @@ func (s *passSnapshot) unchanged(in *Instance, core int) bool {
 // state moved, or a cost or accumulator is not such an integer — it
 // simulates the pass and tries again before the next one.
 func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) (replayed int64) {
-	in.AccessStrideAccum(core, sp, base, bytes, stride, total, nil) // warm-up pass
+	return in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured)
+}
+
+// walk is the traversal a replayed measurement repeats: the address
+// list addrs when it is non-nil, else the strided run base,
+// base+stride, ... below base+bytes. It is a plain value, not a
+// closure, so a pooled measurement that replays allocates nothing.
+type walk struct {
+	sp                  *Space
+	addrs               []int64
+	base, bytes, stride int64
+}
+
+// accesses returns the number of accesses of one traversal.
+func (w *walk) accesses() int64 {
+	if w.addrs != nil {
+		return int64(len(w.addrs))
+	}
+	return (w.bytes + w.stride - 1) / w.stride
+}
+
+// traverse runs one traversal of w on the core, adding each access's
+// cost to *total and, when measured is non-nil, to *measured.
+func (in *Instance) traverse(core int, w *walk, total, measured *float64) {
+	if w.addrs != nil {
+		in.AccessRunAccum(core, w.sp, w.addrs, total, measured)
+	} else {
+		in.AccessStrideAccum(core, w.sp, w.base, w.bytes, w.stride, total, measured)
+	}
+}
+
+// replayPasses is the snapshot-and-compare loop of AccessStridePasses
+// over either kind of walk: a warm-up traversal, then `passes`
+// measured ones, replaying the rest arithmetically once a pass ends in
+// the state it started from.
+func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *float64) (replayed int64) {
+	in.traverse(core, &w, total, nil) // warm-up pass
+	n := w.accesses()
 	var s *passSnapshot
-	if passes > 1 && bytes > 0 && in.exact {
+	if passes > 1 && n > 0 && in.exact {
 		s = getSnapshot()
 		defer putSnapshot(s)
 	}
 	for pass := 1; pass <= passes; pass++ {
 		if s == nil || pass == passes {
-			in.AccessStrideAccum(core, sp, base, bytes, stride, total, measured)
+			in.traverse(core, &w, total, measured)
 			continue
 		}
 		s.take(in, core)
 		t0, m0 := *total, *measured
-		in.AccessStrideAccum(core, sp, base, bytes, stride, total, measured)
+		in.traverse(core, &w, total, measured)
 		if !exactInt(t0) || !exactInt(m0) || !exactInt(*total) || !exactInt(*measured) || !s.unchanged(in, core) {
 			continue
 		}
@@ -240,7 +279,7 @@ func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride 
 		}
 		*total += dk
 		*measured += dk
-		return int64(k) * ((bytes + stride - 1) / stride)
+		return int64(k) * n
 	}
 	return 0
 }

@@ -43,11 +43,14 @@ const (
 	// recycles of a pooled instance. Their ratio is the pooling win.
 	CounterMemsysFresh = "memsys.instance.fresh"
 	CounterMemsysReset = "memsys.instance.reset"
-	// CounterMemsysAccesses counts the accesses of single-core strided
-	// traversals, warm-up included; CounterMemsysReplayed counts those
-	// of them memsys.Instance.AccessStridePasses added arithmetically
-	// instead of simulating, because the pass before them had reached
-	// a fixed point.
+	// CounterMemsysAccesses counts the accesses of the probes'
+	// traversals — single-core strided ones and the concurrent streams
+	// of the Fig. 5 pair sweep — warm-up included; CounterMemsysReplayed
+	// counts those of them the steady-state replay
+	// (memsys.Instance.AccessStridePasses, and memsys.RunConcurrentInto
+	// for a stream that shares no cache) added arithmetically instead
+	// of simulating, because the pass before them had reached a fixed
+	// point.
 	CounterMemsysAccesses = "memsys.accesses"
 	CounterMemsysReplayed = "memsys.accesses_replayed"
 	// CounterScratchFresh counts sweep scratch builds, one per worker;

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -41,7 +42,10 @@ import (
 // chunks after it; chunks before it run to the end. Sweep returns the
 // first error in chunk order that is not a cancellation, else the
 // caller's context error, else the first cancellation — unwrapped, the
-// text an inline loop would have reported.
+// text an inline loop would have reported. A panic in newScratch or
+// measure is recovered on every worker, the calling goroutine
+// included, and fails its chunk as a *PanicError: at any parallelism
+// it ends neither the process nor the caller, and reads the same.
 //
 // A tracer in ctx gets, per chunk, a "sched" span named
 // "<name>:<chunk>" around a "sweep" span named name, plus the
@@ -66,13 +70,20 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 	}
 	// run measures chunk c into its slots and reports whether it
 	// finished.
-	run := func(scratch S, c int) bool {
+	run := func(scratch S, c int) (done bool) {
 		if tr != nil {
 			defer tr.Start("sched", fmt.Sprintf("%s:%d", name, c)).End()
 			defer tr.Start("sweep", name).End()
 		}
 		start, end := c*n/chunks, (c+1)*n/chunks
-		for i := start; i < end; i++ {
+		i := start
+		defer func() {
+			if v := recover(); v != nil {
+				fail(c, &PanicError{Sweep: name, Item: i, Value: v, Stack: debug.Stack()})
+				done = false
+			}
+		}()
+		for ; i < end; i++ {
 			if stopped.Load() < int64(c) {
 				return false
 			}
@@ -92,7 +103,7 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 		var scratch S
 		var err error
 		if newScratch != nil {
-			scratch, err = newScratch()
+			scratch, err = buildScratch(name, newScratch)
 		}
 		if err == nil {
 			tr.Count(obs.CounterScratchFresh, 1)
@@ -146,4 +157,36 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 		return nil, cancelled
 	}
 	return out, nil
+}
+
+// PanicError is a panic Sweep recovered from newScratch or measure. It
+// fails its chunk like any other error. Its text holds no stack, so it
+// reads the same at any parallelism.
+type PanicError struct {
+	// Sweep is the sweep's name.
+	Sweep string
+	// Item is the index of the measurement that panicked, or -1 when
+	// newScratch did.
+	Item int
+	// Value is the value the code panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	if e.Item < 0 {
+		return fmt.Sprintf("sched: sweep %s: scratch build panicked: %v", e.Sweep, e.Value)
+	}
+	return fmt.Sprintf("sched: sweep %s: item %d panicked: %v", e.Sweep, e.Item, e.Value)
+}
+
+// buildScratch runs newScratch, turning a panic into a *PanicError.
+func buildScratch[S any](name string, newScratch func() (S, error)) (scratch S, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Sweep: name, Item: -1, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return newScratch()
 }

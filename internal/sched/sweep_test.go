@@ -309,3 +309,64 @@ func TestSweepUntracedAllocsIndependentOfN(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepRecoversPanics: a measurement that panics on item k, or a
+// scratch build that panics, fails the sweep with a *PanicError whose
+// text is the same at every parallelism, instead of ending the
+// process from a worker goroutine.
+func TestSweepRecoversPanics(t *testing.T) {
+	const k = 13
+	var texts []string
+	for _, parallelism := range []int{1, 2, 4} {
+		_, err := Sweep(context.Background(), "t", 40, parallelism, nil, func(_ struct{}, i int) (int, error) {
+			if i == k {
+				panic(fmt.Sprintf("bad item %d", i))
+			}
+			return i, nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("parallelism %d: err = %v, want a *PanicError", parallelism, err)
+		}
+		if pe.Sweep != "t" || pe.Item != k || pe.Value != fmt.Sprintf("bad item %d", k) || len(pe.Stack) == 0 {
+			t.Errorf("parallelism %d: %+v", parallelism, pe)
+		}
+		texts = append(texts, err.Error())
+	}
+	for _, text := range texts[1:] {
+		if text != texts[0] {
+			t.Errorf("error text %q differs from parallelism 1's %q", text, texts[0])
+		}
+	}
+	if want := "sched: sweep t: item 13 panicked: bad item 13"; texts[0] != want {
+		t.Errorf("error text %q, want %q", texts[0], want)
+	}
+
+	for _, parallelism := range []int{1, 2, 4} {
+		_, err := Sweep(context.Background(), "t", 40, parallelism,
+			func() (int, error) { panic("no scratch") },
+			func(int, int) (int, error) {
+				t.Error("measured without a scratch")
+				return 0, nil
+			})
+		if want := "sched: sweep t: scratch build panicked: no scratch"; err == nil || err.Error() != want {
+			t.Errorf("parallelism %d: err = %v, want %q", parallelism, err, want)
+		}
+	}
+}
+
+// TestSweepUntracedAllocsNothingPerChunk: without a tracer a sweep of
+// four chunks allocates as often as a sweep of one, so the per-chunk
+// panic recovery costs no allocation.
+func TestSweepUntracedAllocsNothingPerChunk(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := Sweep(context.Background(), "t", n, 1, nil, square); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, four := allocs(1), allocs(4); four > one {
+		t.Errorf("%g allocs for 4 chunks, %g for 1", four, one)
+	}
+}

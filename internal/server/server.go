@@ -469,7 +469,7 @@ func (reg *Registry) handleTune(w http.ResponseWriter, req *http.Request) {
 	}
 	if err != nil {
 		var unknown *servet.UnknownProbeError
-		if errors.As(err, &unknown) {
+		if errors.As(err, &unknown) || errors.Is(err, tune.ErrUnhostable) {
 			writeError(w, http.StatusBadRequest, regproto.Error{Code: regproto.CodeBadRequest, Message: err.Error()})
 			return
 		}

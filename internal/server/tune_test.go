@@ -282,9 +282,9 @@ func TestTuneStatsInStatsEndpoint(t *testing.T) {
 
 // TestTuneUnrunnableKernelKeepsServing: at parallelism 2 tile
 // evaluations run in sweep workers, where a panic would end the whole
-// process. A kernel shape that overflows int64 is a bad request, one
-// that does not fit the machine's memory fails with a JSON error, and
-// the registry goes on serving.
+// process. A kernel shape that overflows int64 and one that does not
+// fit the machine's memory are both bad requests, and the registry
+// goes on serving.
 func TestTuneUnrunnableKernelKeepsServing(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.NewMemStore(), server.WithParallelism(2)))
 	t.Cleanup(ts.Close)
@@ -293,7 +293,7 @@ func TestTuneUnrunnableKernelKeepsServing(t *testing.T) {
 		status     int
 	}{
 		{"overflowing shape", overflowTuneBody, http.StatusBadRequest},
-		{"shape larger than memory", oversizedTuneBody, http.StatusInternalServerError},
+		{"shape larger than memory", oversizedTuneBody, http.StatusBadRequest},
 	} {
 		res, resp := postTune(t, ts.URL, c.body)
 		if res != nil {

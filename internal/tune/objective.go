@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -383,16 +384,22 @@ func newTiledKernel(params json.RawMessage) (Objective, error) {
 	return o, nil
 }
 
+// ErrUnhostable marks an objective the report's machine cannot host,
+// such as a tiled kernel on a core the machine lacks or over arrays
+// larger than its memory: the request's fault, not the engine's.
+var ErrUnhostable = errors.New("tune: the report's machine cannot host the objective")
+
 // machine resolves the report's machine and checks that the kernel
 // runs on it: the core exists, and the two n×n arrays fit in one
-// node's physical page frames (the simulated OS cannot swap).
+// node's physical page frames (the simulated OS cannot swap). Every
+// error it returns wraps ErrUnhostable.
 func (o *tiledKernel) machine(r *report.Report) (*topology.Machine, error) {
 	m, err := machineFor(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrUnhostable, err)
 	}
 	if o.Core < 0 || o.Core >= m.CoresPerNode {
-		return nil, fmt.Errorf("core %d is not a core of %s (%d per node)", o.Core, m.Name, m.CoresPerNode)
+		return nil, fmt.Errorf("%w: core %d is not a core of %s (%d per node)", ErrUnhostable, o.Core, m.Name, m.CoresPerNode)
 	}
 	bytes := int64(o.N) * int64(o.N) * o.ElemBytes
 	pages := bytes / m.PageBytes
@@ -400,7 +407,7 @@ func (o *tiledKernel) machine(r *report.Report) (*topology.Machine, error) {
 		pages++
 	}
 	if pages > m.PhysPagesPerNode/2 {
-		return nil, fmt.Errorf("two %d-byte arrays need %d page frames, %s has %d per node", bytes, 2*pages, m.Name, m.PhysPagesPerNode)
+		return nil, fmt.Errorf("%w: two %d-byte arrays need %d page frames, %s has %d per node", ErrUnhostable, bytes, 2*pages, m.Name, m.PhysPagesPerNode)
 	}
 	return m, nil
 }

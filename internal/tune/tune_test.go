@@ -3,6 +3,7 @@ package tune
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -639,8 +640,8 @@ func TestTiledKernelRejectsShapesThatCannotRun(t *testing.T) {
 		if _, err := obj.Eval(context.Background(), dempsey, &sp, Config{{Int: 4}}); err == nil {
 			t.Errorf("%s: Eval accepted", c.params)
 		}
-		if _, err := Tune(context.Background(), dempsey, sp, obj, Options{Parallelism: 2}); err == nil {
-			t.Errorf("%s: Tune accepted", c.params)
+		if _, err := Tune(context.Background(), dempsey, sp, obj, Options{Parallelism: 2}); !errors.Is(err, ErrUnhostable) {
+			t.Errorf("%s: Tune error %v, want one wrapping ErrUnhostable", c.params, err)
 		}
 	}
 }
