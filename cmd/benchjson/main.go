@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -237,8 +238,11 @@ func hasUnit(fields []string, unit string) bool {
 }
 
 // parseLine extracts value/unit pairs from one result line's fields.
+// It rejects the line when a value is not one a benchmark reports: an
+// ns/op that is not positive and finite, or a B/op or allocs/op that
+// is negative, not finite or beyond int64.
 func parseLine(f []string) (Result, bool) {
-	res := Result{Runs: 1, BPerOp: -1, AllocsPerOp: -1}
+	res := Result{Runs: 1}
 	for i := 2; i+1 < len(f); i++ {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
@@ -246,23 +250,22 @@ func parseLine(f []string) (Result, bool) {
 		}
 		switch f[i+1] {
 		case "ns/op":
+			if !(v > 0 && v <= math.MaxFloat64) {
+				return res, false
+			}
 			res.NsPerOp = v
-		case "B/op":
-			res.BPerOp = int64(v)
-		case "allocs/op":
-			res.AllocsPerOp = int64(v)
+		case "B/op", "allocs/op":
+			if !(v >= 0 && v < math.MaxInt64) {
+				return res, false
+			}
+			if f[i+1] == "B/op" {
+				res.BPerOp = int64(v)
+			} else {
+				res.AllocsPerOp = int64(v)
+			}
 		}
 	}
-	if res.NsPerOp == 0 {
-		return res, false
-	}
-	if res.BPerOp < 0 {
-		res.BPerOp = 0
-	}
-	if res.AllocsPerOp < 0 {
-		res.AllocsPerOp = 0
-	}
-	return res, true
+	return res, res.NsPerOp != 0
 }
 
 // loadBaseline reads the baseline measurements from a BENCH_*.json

@@ -128,15 +128,17 @@ func measureMcalSize(ctx context.Context, tr *obs.Tracer, in *memsys.Instance, c
 // in issue order. It returns the measured average cycles per access.
 // The passes run as one memsys.AccessStridePasses call, which
 // simulates a steady-state pass once and adds the passes that repeat
-// it arithmetically, bit-identical to simulating each access. The
-// tracer (nil when untraced) counts the traversal's accesses and how
-// many of them were replayed.
+// it arithmetically, bit-identical to simulating each access; its
+// warm-up over the just-reset caches is filled instead of simulated.
+// The tracer (nil when untraced) counts the traversal's accesses and
+// how many of them were replayed and filled.
 func traverse(tr *obs.Tracer, in *memsys.Instance, core int, sp *memsys.Space, a *memsys.Array, stride int64, passes int, total *float64) (avg float64) {
 	var measured float64
-	replayed := in.AccessStridePasses(core, sp, a.Base, a.Bytes, stride, passes, total, &measured)
+	replayed, filled := in.AccessStridePasses(core, sp, a.Base, a.Bytes, stride, passes, total, &measured)
 	perPass := (a.Bytes + stride - 1) / stride
 	tr.Count(obs.CounterMemsysAccesses, int64(passes+1)*perPass)
 	tr.Count(obs.CounterMemsysReplayed, replayed)
+	tr.Count(obs.CounterMemsysFilled, filled)
 	n := int64(passes) * perPass
 	if n == 0 {
 		return 0

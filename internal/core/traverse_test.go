@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"servet/internal/memsys"
 	"servet/internal/obs"
 	"servet/internal/topology"
 )
@@ -35,6 +36,62 @@ func TestMcalibratorReplaysSecondPass(t *testing.T) {
 	for i := range plain.Cycles {
 		if traced.Cycles[i] != plain.Cycles[i] {
 			t.Fatalf("size %d: traced %v cycles, untraced %v", plain.Sizes[i], traced.Cycles[i], plain.Cycles[i])
+		}
+	}
+}
+
+// TestWarmupFillCounts: on nehalem2s, seeds 1–3, every traversal's
+// warm-up runs over just-reset caches at the 1 KB probe stride, beyond
+// the prefetcher's reach, so it is filled instead of simulated: the
+// mcalibrator fills exactly one pass per (size, allocation), and each
+// stream of a cross-socket pair fills its warm-up pass. A same-socket
+// pair's streams share the L3 and interleave, so they fill nothing.
+// The replayed counts stay those TestSharedCachePairsReplayUncoupledStreams
+// pins.
+func TestWarmupFillCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3 calibrations and 28 pairs x 3 levels x 3 seeds")
+	}
+	m := topology.Nehalem2S()
+	levels := make([]DetectedCache, len(m.Caches))
+	for i, c := range m.Caches {
+		levels[i] = DetectedCache{Level: c.Level, SizeBytes: c.SizeBytes}
+	}
+	socket := func(core int) int { return core / 4 }
+	for seed := int64(1); seed <= 3; seed++ {
+		opt := Options{Seed: seed}.withDefaults(m)
+		tr := obs.New()
+		if _, err := McalibratorContext(obs.WithTracer(context.Background(), tr), m, 0, opt); err != nil {
+			t.Fatal(err)
+		}
+		var perPasses int64
+		for _, size := range SizeGrid(opt.MinCacheBytes, opt.MaxCacheBytes) {
+			perPasses += int64(opt.Allocations) * ((size + opt.StrideBytes - 1) / opt.StrideBytes)
+		}
+		if got := tr.Counter(obs.CounterMemsysFilled); got != perPasses {
+			t.Errorf("seed %d mcalibrator: filled %d accesses, want one pass per (size, allocation): %d", seed, got, perPasses)
+		}
+
+		sc := &scScratch{in: memsys.NewInstanceAt(m, opt.Seed)}
+		for _, lvl := range levels {
+			ab := lvl.SizeBytes * 2 / 3
+			ab -= ab % opt.StrideBytes
+			perPass := ab / opt.StrideBytes
+			for pi, pair := range allNodePairs(m) {
+				var wantFilled, wantReplayed int64
+				if socket(pair[0]) != socket(pair[1]) {
+					wantFilled, wantReplayed = 2*perPass, 2*int64(opt.Passes-1)*perPass
+				}
+				for alloc := int64(0); alloc < int64(opt.Allocations); alloc++ {
+					sc.tr = obs.New()
+					sc.measurePair(opt, int64(lvl.Level), pi, pair, alloc, ab)
+					filled, replayed := sc.tr.Counter(obs.CounterMemsysFilled), sc.tr.Counter(obs.CounterMemsysReplayed)
+					if filled != wantFilled || replayed != wantReplayed {
+						t.Fatalf("seed %d L%d pair %v alloc %d: filled %d and replayed %d accesses, want %d and %d",
+							seed, lvl.Level, pair, alloc, filled, replayed, wantFilled, wantReplayed)
+					}
+				}
+			}
 		}
 	}
 }

@@ -33,6 +33,16 @@
 // other stream can change the cost of its accesses; streams that share
 // a cache or a core are still simulated access by access, interleaved.
 //
+// The warm-up traversal that loop starts with runs on a just-reset
+// memory system, so it is all compulsory misses. When every cache on
+// the core's plan is empty, the walk rises at one constant stride of at
+// least every level's line and the core's prefetcher cannot follow it,
+// each access provably misses at every level: the loop then fills the
+// caches in one reverse sweep — each set keeps the last lines mapped to
+// it, MRU first — and adds each access's miss cost in issue order,
+// still simulating the TLB and prefetcher access by access. A warm-up
+// that fails any of these checks is simulated.
+//
 // Cache tags and page frames are stored as 32-bit values: a tag is the
 // physical line number and a frame the physical page number, so a node
 // may have at most 2^32 of each (topology.Machine.CheckPhysBound, which
@@ -68,6 +78,10 @@ type cache struct {
 	assoc    int64
 	lineBits uint
 	virtual  bool // set selected by the virtual line address
+	// occupied records that the cache holds a line: access's miss
+	// branch sets it and reset clears it. A hit implies it is already
+	// set, so the hit path pays nothing for it.
+	occupied bool
 }
 
 // newCache validates the level's geometry and builds an empty cache.
@@ -148,6 +162,7 @@ func (c *cache) access(vLine, pLine int64) bool {
 		}
 	}
 	// Miss: insert at MRU, growing the set within its reserved ways.
+	c.occupied = true
 	if n < c.assoc {
 		n++
 		c.lens[idx] = int32(n)
@@ -156,6 +171,17 @@ func (c *cache) access(vLine, pLine int64) bool {
 	copy(set[1:], set)
 	set[0] = want
 	return false
+}
+
+// appendLRU installs a line the set does not hold at its LRU end,
+// below every line it holds, unless the set is full. It does not set
+// occupied: the caller that fills lines owns that.
+func (c *cache) appendLRU(vLine, pLine int64) {
+	idx := c.setIndex(vLine, pLine)
+	if n := int64(c.lens[idx]); n < c.assoc {
+		c.lines[idx*c.assoc+n] = uint32(pLine)
+		c.lens[idx]++
+	}
 }
 
 // contains reports whether the line is cached, without touching LRU
@@ -180,4 +206,5 @@ func (c *cache) contains(vLine, pLine int64) bool {
 // allocation.
 func (c *cache) reset() {
 	clear(c.lens)
+	c.occupied = false
 }

@@ -1,0 +1,158 @@
+package memsys
+
+import (
+	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"testing"
+
+	"servet/internal/topology"
+)
+
+// endState is everything a traversal can change, in a form two twin
+// instances compare by: the encoding and occupancy of every cache, and
+// each core's TLB pages, prefetcher and translation entry (its space
+// named by id, since twins hold distinct Space values).
+type endState struct {
+	caches []uint32
+	cores  string
+}
+
+func stateOf(in *Instance) endState {
+	var s endState
+	for _, level := range in.caches {
+		for _, c := range level {
+			s.caches = encodeCache(s.caches, c)
+			var occupied uint32
+			if c.occupied {
+				occupied = 1
+			}
+			s.caches = append(s.caches, occupied)
+		}
+	}
+	for core := range in.pref {
+		var vpages []int64
+		if t := in.tlbs[core]; t != nil {
+			vpages = t.vpages
+		}
+		e := in.xlat[core]
+		var space int64
+		if e.sp != nil {
+			space = e.sp.id
+		}
+		s.cores += fmt.Sprint(vpages, *in.pref[core], space, e.gen, e.vpage, e.pbase, ";")
+	}
+	return s
+}
+
+// fillCase is one warm-up traversal on a fresh instance: a strided or
+// address-list walk of an array on core 0, after an optional access by
+// another core.
+type fillCase struct {
+	name   string
+	m      *topology.Machine
+	bytes  int64
+	stride int64
+	list   bool
+	// edit, when set, rewrites the address list.
+	edit func(addrs []int64) []int64
+	// touch, when touched is set, is the core that accesses the array's
+	// first byte before the walk.
+	touch    int
+	touched  bool
+	wantFill bool
+}
+
+// warmUp runs the case's warm-up on a fresh instance, filled when the
+// instance allows it or simulated when fill is false, and returns the
+// total, how many accesses were filled and the end state.
+func (tc *fillCase) warmUp(fill bool) (total float64, filled int64, s endState) {
+	in := NewInstanceAt(tc.m, 3)
+	sp := in.NewSpace()
+	a := sp.Alloc(tc.bytes)
+	w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: tc.stride}
+	if tc.list {
+		w.addrs = strided(a, tc.stride)
+		if tc.edit != nil {
+			w.addrs = tc.edit(w.addrs)
+		}
+	}
+	if tc.touched {
+		in.Access(tc.touch, sp, a.Base)
+	}
+	// A fractional starting total makes every sum round, so only costs
+	// added one at a time in issue order can match.
+	total = 0.1
+	if fill {
+		var measured float64
+		_, filled = in.replayPasses(0, w, 0, &total, &measured)
+	} else {
+		in.traverse(0, &w, &total, nil)
+	}
+	return total, filled, stateOf(in)
+}
+
+// TestWarmupFillMatchesSimulated: on a fresh instance of every machine
+// model, and of one with fractional costs and a TLB, a probe-stride
+// warm-up — strided or as an address list — is filled, and equals
+// simulating it bit for bit: the total and the end state of every
+// cache, TLB, prefetcher and translation entry. Walks the fill cannot
+// prove all-miss decline and still match: a stride the prefetcher
+// follows, a stride below a line, an address list whose stride is not
+// constant, and a walk after another core touched a cache on the
+// plan.
+func TestWarmupFillMatchesSimulated(t *testing.T) {
+	var cases []fillCase
+	models := topology.Models(2)
+	frac := topology.Nehalem2S()
+	frac.Name = "nehalem2s-frac"
+	frac.TLBEntries, frac.TLBMissCycles = 16, 30.7
+	frac.Caches[1].LatencyCycles += 0.3
+	frac.Memory.LatencyCycles += 0.1
+	models[frac.Name] = frac
+	for _, name := range slices.Sorted(maps.Keys(models)) {
+		m := models[name]
+		for _, bytes := range []int64{16 * topology.KB, 384 * topology.KB, 3 * topology.MB} {
+			for _, list := range []bool{false, true} {
+				cases = append(cases, fillCase{
+					name: fmt.Sprintf("%s/%d/list=%v", name, bytes, list),
+					m:    m, bytes: bytes, stride: 1024, list: list, wantFill: true,
+				})
+			}
+		}
+	}
+	nehalem := topology.Nehalem2S()
+	swapTwo := func(addrs []int64) []int64 {
+		addrs[3], addrs[4] = addrs[4], addrs[3]
+		return addrs
+	}
+	cases = append(cases,
+		fillCase{name: "prefetched stride", m: nehalem, bytes: 64 * topology.KB, stride: 512},
+		fillCase{name: "prefetched stride, list", m: nehalem, bytes: 64 * topology.KB, stride: 512, list: true},
+		fillCase{name: "sub-line stride", m: nehalem, bytes: 64 * topology.KB, stride: 32},
+		fillCase{name: "non-constant list", m: nehalem, bytes: 64 * topology.KB, stride: 1024, list: true, edit: swapTwo},
+		fillCase{name: "shared L3 touched", m: nehalem, bytes: 64 * topology.KB, stride: 1024, touch: 1, touched: true},
+		fillCase{name: "other socket touched", m: nehalem, bytes: 64 * topology.KB, stride: 1024, touch: 4, touched: true, wantFill: true},
+	)
+	for _, tc := range cases {
+		want, _, wantState := tc.warmUp(false)
+		got, filled, gotState := tc.warmUp(true)
+		var wantFilled int64
+		if tc.wantFill {
+			wantFilled = (tc.bytes + tc.stride - 1) / tc.stride
+		}
+		if filled != wantFilled {
+			t.Errorf("%s: filled %d accesses, want %d", tc.name, filled, wantFilled)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: total %v, simulated %v", tc.name, got, want)
+		}
+		if !slices.Equal(gotState.caches, wantState.caches) {
+			t.Errorf("%s: cache contents differ from simulation", tc.name)
+		}
+		if gotState.cores != wantState.cores {
+			t.Errorf("%s: TLB, prefetcher or translation state\n%s\nsimulated\n%s", tc.name, gotState.cores, wantState.cores)
+		}
+	}
+}

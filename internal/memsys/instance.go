@@ -532,8 +532,9 @@ func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 // buffers are pooled on the instance, so a warm caller pays zero
 // allocations per run. The statistics are bit-identical to
 // RunConcurrent's. It returns how many measured accesses of the
-// streams that ran alone were replayed instead of simulated.
-func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (replayed int64) {
+// streams that ran alone were replayed instead of simulated, and how
+// many of their warm-up accesses were filled.
+func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (replayed, filled int64) {
 	if len(stats) != len(streams) {
 		panic(fmt.Sprintf("memsys: stats buffer for %d streams has length %d", len(streams), len(stats)))
 	}
@@ -553,7 +554,9 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 		case in.coupled(streams, i):
 			h.push(int32(i))
 		default:
-			replayed += in.replayPasses(str.Core, walk{sp: str.Space, addrs: str.Addrs}, passes-1, &clocks[i], &stats[i].Cycles)
+			r, f := in.replayPasses(str.Core, walk{sp: str.Space, addrs: str.Addrs}, passes-1, &clocks[i], &stats[i].Cycles)
+			replayed += r
+			filled += f
 			stats[i].Accesses = int64(passes-1) * int64(len(str.Addrs))
 		}
 	}
@@ -596,7 +599,7 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 			s.pass++
 		}
 	}
-	return replayed
+	return replayed, filled
 }
 
 // coupled reports whether stream i can interact with another non-empty

@@ -200,20 +200,24 @@ func (s *passSnapshot) unchanged(in *Instance, core int) bool {
 // warm-up traversal of base, base+stride, ... below base+bytes, whose
 // costs are added to *total, then `passes` measured traversals, whose
 // costs are added to both *total and *measured. It returns how many of
-// the measured accesses it did not simulate one by one.
+// the measured accesses it did not simulate one by one, and how many
+// warm-up accesses it filled (see fill) instead of simulating them.
 //
 // The result is bit-identical to a warm-up AccessStrideAccum followed
-// by `passes` measured ones, end state included. Before each measured
-// pass but the last it snapshots the core's state. When the pass ends
-// in exactly that state, every remaining pass repeats it access for
-// access, so their cost is the pass's sum d times their count k.
-// AccessStridePasses adds d·k in one step when that equals the k·n
-// single additions bit for bit: every access costs an integer number
-// of cycles (integralCosts) and the accumulators hold integers that
-// stay below 2^53 throughout, so no addition rounds. Otherwise — the
-// state moved, or a cost or accumulator is not such an integer — it
-// simulates the pass and tries again before the next one.
-func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) (replayed int64) {
+// by `passes` measured ones, end state included. The warm-up is filled
+// when every cache on the core's plan is empty, the stride is at least
+// every plan level's line and the prefetcher cannot follow it; it is
+// simulated otherwise. Before each measured pass but the last it
+// snapshots the core's state. When the pass ends in exactly that
+// state, every remaining pass repeats it access for access, so their
+// cost is the pass's sum d times their count k. AccessStridePasses
+// adds d·k in one step when that equals the k·n single additions bit
+// for bit: every access costs an integer number of cycles
+// (integralCosts) and the accumulators hold integers that stay below
+// 2^53 throughout, so no addition rounds. Otherwise — the state moved,
+// or a cost or accumulator is not such an integer — it simulates the
+// pass and tries again before the next one.
+func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) (replayed, filled int64) {
 	return in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured)
 }
 
@@ -245,13 +249,126 @@ func (in *Instance) traverse(core int, w *walk, total, measured *float64) {
 	}
 }
 
+// missCost is what accessAt charges an access that misses every level
+// of the plan, adding the same terms in the same order: the TLB miss
+// penalty when the TLB missed, the level latencies, the memory latency.
+func (in *Instance) missCost(plan []planLevel, tlbMiss bool) float64 {
+	cost := 0.0
+	if tlbMiss {
+		cost += in.tlbMiss
+	}
+	for i := range plan {
+		cost += plan[i].latency
+	}
+	return cost + in.memLat
+}
+
+// fill runs one traversal of w on the core, adding each access's cost
+// to *total, without simulating its cache accesses, when it can prove
+// that every access misses at every level; otherwise it changes nothing
+// and returns false. The proof needs three facts, each checked:
+//
+//   - every cache on the core's plan holds no line;
+//   - the addresses rise at one constant stride of at least every plan
+//     level's line, and no line spans pages, so each access touches a
+//     line no earlier access touched — distinct pages of a space map to
+//     distinct frames;
+//   - the core's prefetcher cannot fire: it is off, or the stride is
+//     beyond it and the first access does not complete a stream it had
+//     already begun.
+//
+// Each level then ends holding, in every set, the last min(k, assoc)
+// of the k lines the walk mapped to it, MRU first, which one reverse
+// sweep builds by appending at the LRU end of each set not yet full:
+// no tag scan and no shift. The TLB and the prefetcher still see every
+// access, forward, and each access adds what accessAt would charge it,
+// one at a time in issue order, so non-integral costs stay exact. An
+// address list leaves the core's translation cache as AccessRunAccum
+// would. fill allocates nothing once the plan's caches have been used.
+func (in *Instance) fill(core int, w *walk, total *float64) bool {
+	n, base, stride := w.accesses(), w.base, w.stride
+	if w.addrs != nil {
+		if n < 2 {
+			return false
+		}
+		base, stride = w.addrs[0], w.addrs[1]-w.addrs[0]
+		for i := 2; i < len(w.addrs); i++ {
+			if w.addrs[i]-w.addrs[i-1] != stride {
+				return false
+			}
+		}
+	}
+	if n <= 0 {
+		return false
+	}
+	plan := in.planFor(core)
+	for i := range plan {
+		c := plan[i].c
+		if c.occupied || stride < int64(1)<<c.lineBits || c.lineBits > in.pageShift {
+			return false
+		}
+	}
+	p := in.pref[core]
+	if p.maxStride > 0 {
+		probe := *p
+		if _, fires := probe.observe(base, in.pageShift); fires || stride <= p.maxStride {
+			return false
+		}
+	}
+
+	shift, mask := in.pageShift, in.pageMask
+	t := in.tlbs[core]
+	cost, tlbCost := in.missCost(plan, false), in.missCost(plan, true)
+	a := *total
+	vaddr := base
+	for i := int64(0); i < n; i, vaddr = i+1, vaddr+stride {
+		if t != nil && !t.access(vaddr>>shift) {
+			a += tlbCost
+		} else {
+			a += cost
+		}
+		p.observe(vaddr, shift)
+	}
+	*total = a
+
+	for i := range plan {
+		c := plan[i].c
+		if c.lines == nil {
+			c.grow()
+		}
+		c.occupied = true
+	}
+	curVpage, pbase := int64(-1), int64(0)
+	for i := n - 1; i >= 0; i-- {
+		vaddr := base + i*stride
+		if vpage := vaddr >> shift; vpage != curVpage {
+			pbase = w.sp.translate(vaddr) &^ mask
+			curVpage = vpage
+		}
+		paddr := pbase + vaddr&mask
+		for j := range plan {
+			c := plan[j].c
+			c.appendLRU(vaddr>>c.lineBits, paddr>>c.lineBits)
+		}
+	}
+	if w.addrs != nil {
+		in.translateFor(core, w.sp, w.addrs[n-1])
+	}
+	return true
+}
+
 // replayPasses is the snapshot-and-compare loop of AccessStridePasses
-// over either kind of walk: a warm-up traversal, then `passes`
-// measured ones, replaying the rest arithmetically once a pass ends in
-// the state it started from.
-func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *float64) (replayed int64) {
-	in.traverse(core, &w, total, nil) // warm-up pass
+// over either kind of walk: a warm-up traversal, filled when fill can
+// prove it misses everywhere, then `passes` measured ones, replaying
+// the rest arithmetically once a pass ends in the state it started
+// from.
+func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *float64) (replayed, filled int64) {
 	n := w.accesses()
+	if in.fill(core, &w, total) {
+		filled = n
+	} else {
+		in.traverse(core, &w, total, nil)
+	}
 	var s *passSnapshot
 	if passes > 1 && n > 0 && in.exact {
 		s = getSnapshot()
@@ -279,7 +396,7 @@ func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *
 		}
 		*total += dk
 		*measured += dk
-		return int64(k) * n
+		return int64(k) * n, filled
 	}
-	return 0
+	return 0, filled
 }

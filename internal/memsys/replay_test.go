@@ -9,13 +9,13 @@ import (
 )
 
 // strideRun is one strided measurement and what it leaves behind: the
-// two accumulators, the accesses AccessStridePasses replayed, and the
-// per-access costs of one further traversal, which differ between two
-// instances whose end states differ.
+// two accumulators, the accesses AccessStridePasses replayed and
+// filled, and the per-access costs of one further traversal, which
+// differ between two instances whose end states differ.
 type strideRun struct {
-	total, measured float64
-	replayed        int64
-	after           []float64
+	total, measured  float64
+	replayed, filled int64
+	after            []float64
 }
 
 // runStridePasses measures bytes of an array, starting lead bytes into
@@ -33,7 +33,7 @@ func runStridePasses(m *topology.Machine, seed int64, core int, lead, bytes, str
 	base := a.Base + lead
 	r := strideRun{total: total0}
 	if replay {
-		r.replayed = in.AccessStridePasses(core, sp, base, bytes, stride, passes, &r.total, &r.measured)
+		r.replayed, r.filled = in.AccessStridePasses(core, sp, base, bytes, stride, passes, &r.total, &r.measured)
 	} else {
 		in.AccessStrideAccum(core, sp, base, bytes, stride, &r.total, nil)
 		for pass := 1; pass <= passes; pass++ {
@@ -58,22 +58,27 @@ func assertReplayMatches(t *testing.T, got, want strideRun) {
 
 // FuzzStridePassesMatchSimulated: over machine shapes decoded like
 // FuzzResetAtMatchesFresh's, with latencies that may be non-integral,
-// strides the prefetcher follows or below a line, 1 to 4 measured
-// passes and any starting total, AccessStridePasses equals the plain
-// pass loop on a twin instance bit for bit — whether it replays or
-// declines — and leaves the same state behind.
+// strides the prefetcher follows or below a line, a lead-in of up to
+// 4080 bytes walked before the measurement, 1 to 4 measured passes and
+// any starting total, AccessStridePasses equals the plain pass loop on
+// a twin instance bit for bit — whether it fills or simulates the
+// warm-up and whether it replays or declines — and leaves the same
+// state behind. A lead-in leaves the core's caches occupied, so the
+// warm-up fill declines.
 func FuzzStridePassesMatchSimulated(f *testing.F) {
 	for _, m := range fastpathMachines() {
-		f.Add(shapeBytes(m), int64(1), uint16(4095), uint16(1023), uint8(1), int32(0), int8(0), uint8(0))
+		f.Add(shapeBytes(m), int64(1), uint16(4095), uint16(1023), uint8(1), int32(0), int8(0), uint8(0), uint8(0))
 	}
 	nehalem := shapeBytes(topology.Nehalem2S())
-	f.Add(nehalem, int64(2), uint16(600), uint16(63), uint8(2), int32(5), int8(0), uint8(0))           // prefetched stride
-	f.Add(nehalem, int64(3), uint16(300), uint16(7), uint8(3), int32(0), int8(0), uint8(0))            // sub-line stride
-	f.Add(nehalem, int64(4), uint16(4095), uint16(1023), uint8(1), int32(0), int8(0), uint8(77))       // non-integral latency
-	f.Add(nehalem, int64(5), uint16(4095), uint16(1023), uint8(2), int32(3), int8(-1), uint8(0))       // non-integral total
-	f.Add(nehalem, int64(6), uint16(4095), uint16(1023), uint8(1), int32(1<<30-1), int8(23), uint8(0)) // total near 2^53
-	f.Add(nehalem, int64(7), uint16(4095), uint16(1023), uint8(1), int32(1<<30+1), int8(23), uint8(0)) // total past 2^53
-	f.Fuzz(func(t *testing.T, shape []byte, seed int64, lines, stride uint16, passes uint8, start int32, exp int8, frac uint8) {
+	f.Add(nehalem, int64(2), uint16(600), uint16(63), uint8(2), int32(5), int8(0), uint8(0), uint8(0))           // prefetched stride
+	f.Add(nehalem, int64(3), uint16(300), uint16(7), uint8(3), int32(0), int8(0), uint8(0), uint8(0))            // sub-line stride
+	f.Add(nehalem, int64(4), uint16(4095), uint16(1023), uint8(1), int32(0), int8(0), uint8(77), uint8(0))       // non-integral latency
+	f.Add(nehalem, int64(5), uint16(4095), uint16(1023), uint8(2), int32(3), int8(-1), uint8(0), uint8(0))       // non-integral total
+	f.Add(nehalem, int64(6), uint16(4095), uint16(1023), uint8(1), int32(1<<30-1), int8(23), uint8(0), uint8(0)) // total near 2^53
+	f.Add(nehalem, int64(7), uint16(4095), uint16(1023), uint8(1), int32(1<<30+1), int8(23), uint8(0), uint8(0)) // total past 2^53
+	f.Add(nehalem, int64(8), uint16(4095), uint16(1023), uint8(1), int32(0), int8(0), uint8(0), uint8(64))       // lead-in: one line
+	f.Add(nehalem, int64(9), uint16(4095), uint16(1023), uint8(2), int32(0), int8(0), uint8(33), uint8(3))       // lead-in, unaligned base
+	f.Fuzz(func(t *testing.T, shape []byte, seed int64, lines, stride uint16, passes uint8, start int32, exp int8, frac, lead uint8) {
 		m := fuzzMachine(shape)
 		// A non-zero frac adds frac/100 cycles to one level's latency,
 		// or to the memory latency: mostly a fraction float64 cannot
@@ -94,12 +99,17 @@ func FuzzStridePassesMatchSimulated(f *testing.F) {
 		np := 1 + int(passes%4)
 		total0 := math.Ldexp(float64(start), int(exp)%40)
 		core := int(uint64(seed) % uint64(m.CoresPerNode))
+		leadBytes := int64(lead) * 16
 
-		want := runStridePasses(m, seed, core, 0, bytes, step, np, total0, false)
-		got := runStridePasses(m, seed, core, 0, bytes, step, np, total0, true)
+		want := runStridePasses(m, seed, core, leadBytes, bytes, step, np, total0, false)
+		got := runStridePasses(m, seed, core, leadBytes, bytes, step, np, total0, true)
 		assertReplayMatches(t, got, want)
-		if n := int64(len(got.after)); got.replayed < 0 || got.replayed > int64(np-1)*n || got.replayed%n != 0 {
+		n := int64(len(got.after))
+		if got.replayed < 0 || got.replayed > int64(np-1)*n || got.replayed%n != 0 {
 			t.Fatalf("replayed %d accesses of %d passes of %d", got.replayed, np, n)
+		}
+		if got.filled != 0 && (got.filled != n || leadBytes > 0) {
+			t.Fatalf("filled %d accesses of a warm-up of %d after a %d-byte lead-in", got.filled, n, leadBytes)
 		}
 	})
 }

@@ -51,8 +51,13 @@ const (
 	// for a stream that shares no cache) added arithmetically instead
 	// of simulating, because the pass before them had reached a fixed
 	// point.
+	// CounterMemsysFilled counts the warm-up accesses the same calls
+	// filled instead of simulating: a warm-up pass over empty caches
+	// whose every access provably misses at every level installs its
+	// lines in one sweep.
 	CounterMemsysAccesses = "memsys.accesses"
 	CounterMemsysReplayed = "memsys.accesses_replayed"
+	CounterMemsysFilled   = "memsys.accesses_filled"
 	// CounterScratchFresh counts sweep scratch builds, one per worker;
 	// CounterScratchReused counts each later chunk a worker runs on the
 	// scratch it already holds.

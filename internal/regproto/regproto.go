@@ -178,6 +178,9 @@ type Stats struct {
 	// GETs, and the cache lookups of on-demand runs.
 	StoreHits   int64 `json:"store_hits"`
 	StoreMisses int64 `json:"store_misses"`
+	// HandlerPanics counts requests whose handler panicked; each is
+	// answered 500 internal, or cut off if it had begun its answer.
+	HandlerPanics int64 `json:"handler_panics"`
 	// HTTPRequests counts served requests per endpoint label. The
 	// observability endpoints (stats, health, metrics) are excluded so
 	// that reading the stats does not change the next stats body:

@@ -1,12 +1,17 @@
 package server_test
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"servet/internal/regproto"
+	"servet/internal/report"
+	"servet/internal/server"
 )
 
 // TestCounterBodiesExact pins the registry's run counters as they
@@ -75,6 +80,9 @@ servet_tune_evaluations_total 4
 # TYPE servet_store_requests_total counter
 servet_store_requests_total{result="hit"} 2
 servet_store_requests_total{result="miss"} 2
+# HELP servet_handler_panics_total Requests whose handler panicked.
+# TYPE servet_handler_panics_total counter
+servet_handler_panics_total 0
 `
 	if got := metrics[i:]; got != wantMetrics {
 		t.Errorf("/metrics run counters:\n%s\nwant:\n%s", got, wantMetrics)
@@ -98,6 +106,7 @@ servet_store_requests_total{result="miss"} 2
   "tune_evaluations": 4,
   "store_hits": 2,
   "store_misses": 2,
+  "handler_panics": 0,
   "http_requests": {
     "reports.get": 1,
     "run": 2,
@@ -107,5 +116,68 @@ servet_store_requests_total{result="miss"} 2
 `
 	if string(stats) != wantStats {
 		t.Errorf("/v1/stats body:\n%s\nwant:\n%s", stats, wantStats)
+	}
+}
+
+// panickingStore is a MemStore whose Get panics while panics is
+// positive, counting it down.
+type panickingStore struct {
+	*server.MemStore
+	panics atomic.Int32
+}
+
+func (s *panickingStore) Get(fp string) (*report.Report, error) {
+	if s.panics.Add(-1) >= 0 {
+		panic("store fault")
+	}
+	return s.MemStore.Get(fp)
+}
+
+// TestHandlerPanicAnswers500: a handler that panics before answering is
+// answered 500 internal with a JSON error, the panic is counted in
+// /v1/stats and /metrics, and the registry goes on serving: the same
+// request, once the store has recovered, is answered as usual.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	store := &panickingStore{MemStore: server.NewMemStore()}
+	store.panics.Store(1)
+	ts := httptest.NewServer(server.New(store))
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Get(ts.URL + regproto.ReportPath("sha256:any"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("GET report with a panicking store: status %d, want 500", resp.StatusCode)
+	}
+	if e := decodeError(t, resp); e.Code != regproto.CodeInternal {
+		t.Errorf("error code %q, want %q", e.Code, regproto.CodeInternal)
+	}
+
+	resp, err = http.Get(ts.URL + regproto.ReportPath("sha256:any"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET report after the panic: status %d, want 404", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + regproto.StatsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st regproto.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.HandlerPanics != 1 || st.HTTPRequests["reports.get"] != 2 {
+		t.Errorf("stats: %d handler panics over %d report GETs, want 1 over 2", st.HandlerPanics, st.HTTPRequests["reports.get"])
+	}
+	for _, want := range []string{"servet_handler_panics_total 1\n", `servet_http_requests_total{endpoint="reports.get",code="5xx"} 1`} {
+		if metrics := fetchMetrics(t, ts.URL); !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }

@@ -15,10 +15,13 @@ package server
 // below are outside the determinism contract.
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -52,6 +55,7 @@ const (
 	tuneEvaluations
 	storeHits
 	storeMisses
+	handlerPanics
 	numCounters
 )
 
@@ -73,6 +77,7 @@ var counters = [numCounters]struct {
 	tuneEvaluations: {func(s *regproto.Stats) *int64 { return &s.TuneEvaluations }, "servet_tune_evaluations_total", "", "Objective evaluations the tune engine executed."},
 	storeHits:       {func(s *regproto.Stats) *int64 { return &s.StoreHits }, "servet_store_requests_total", `{result="hit"}`, "Per-fingerprint store reads, by outcome."},
 	storeMisses:     {func(s *regproto.Stats) *int64 { return &s.StoreMisses }, "servet_store_requests_total", `{result="miss"}`, ""},
+	handlerPanics:   {func(s *regproto.Stats) *int64 { return &s.HandlerPanics }, "servet_handler_panics_total", "", "Requests whose handler panicked."},
 }
 
 // endpoints lists every instrumented endpoint in exposition order.
@@ -178,29 +183,51 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 // instrument wraps one route's handler with the metrics layer and the
 // optional access log. The endpoint label is fixed per route at
 // registration, so no request parsing happens here.
+//
+// It also recovers a handler's panic, so one faulty request cannot
+// take the registry down, and counts it. A handler that panics before
+// writing its status is answered 500 internal with a JSON error. One
+// that has begun its answer cannot be answered again; its request is
+// recorded and then aborted with http.ErrAbortHandler, so the client
+// sees a failed response rather than a truncated one. A handler that
+// itself aborts with http.ErrAbortHandler is not counted.
 func (reg *Registry) instrument(ep string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		reg.metrics.inFlight.Add(1)
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
+		defer func() {
+			panicked := recover()
+			if err, _ := panicked.(error); panicked != nil && !errors.Is(err, http.ErrAbortHandler) {
+				reg.counts[handlerPanics].Add(1)
+				log.Printf("servet-server: %s %s: handler panic: %v\n%s", req.Method, req.URL.Path, panicked, debug.Stack())
+				if rec.status == 0 {
+					writeError(rec, http.StatusInternalServerError, regproto.Error{Code: regproto.CodeInternal, Message: "internal error"})
+					panicked = nil
+				}
+			}
+			d := time.Since(start)
+			reg.metrics.inFlight.Add(-1)
+			status := rec.status
+			if status == 0 {
+				status = http.StatusOK
+			}
+			reg.metrics.observe(ep, status, d)
+			if reg.accessLog != nil {
+				reg.accessLog.Info("request",
+					"method", req.Method,
+					"path", req.URL.Path,
+					"endpoint", ep,
+					"status", status,
+					"bytes", rec.bytes,
+					"duration_ms", float64(d)/float64(time.Millisecond),
+				)
+			}
+			if panicked != nil {
+				panic(http.ErrAbortHandler)
+			}
+		}()
 		h(rec, req)
-		d := time.Since(start)
-		reg.metrics.inFlight.Add(-1)
-		status := rec.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		reg.metrics.observe(ep, status, d)
-		if reg.accessLog != nil {
-			reg.accessLog.Info("request",
-				"method", req.Method,
-				"path", req.URL.Path,
-				"endpoint", ep,
-				"status", status,
-				"bytes", rec.bytes,
-				"duration_ms", float64(d)/float64(time.Millisecond),
-			)
-		}
 	}
 }
 
