@@ -126,24 +126,32 @@ func measureMcalSize(ctx context.Context, tr *obs.Tracer, in *memsys.Instance, c
 // traverse walks the array with the probe stride: one warm-up pass and
 // `passes` measured passes, adding the cost of every access to *total
 // in issue order. It returns the measured average cycles per access.
-// The passes run as one memsys.AccessStridePasses call, which
-// simulates a steady-state pass once and adds the passes that repeat
-// it arithmetically, bit-identical to simulating each access; its
-// warm-up over the just-reset caches is filled instead of simulated.
-// The tracer (nil when untraced) counts the traversal's accesses and
-// how many of them were replayed and filled.
+// The passes run as one memsys.AccessStridePasses call, bit-identical
+// to simulating each access: its warm-up over the just-reset caches is
+// filled instead of simulated, its first measured pass is derived from
+// the fill's per-set line counts, and the passes that repeat a
+// steady-state pass are added arithmetically. The tracer (nil when
+// untraced) counts the traversal's accesses and how many of them were
+// replayed, filled and derived.
 func traverse(tr *obs.Tracer, in *memsys.Instance, core int, sp *memsys.Space, a *memsys.Array, stride int64, passes int, total *float64) (avg float64) {
 	var measured float64
-	replayed, filled := in.AccessStridePasses(core, sp, a.Base, a.Bytes, stride, passes, total, &measured)
+	counts := in.AccessStridePasses(core, sp, a.Base, a.Bytes, stride, passes, total, &measured)
 	perPass := (a.Bytes + stride - 1) / stride
 	tr.Count(obs.CounterMemsysAccesses, int64(passes+1)*perPass)
-	tr.Count(obs.CounterMemsysReplayed, replayed)
-	tr.Count(obs.CounterMemsysFilled, filled)
+	countPasses(tr, counts)
 	n := int64(passes) * perPass
 	if n == 0 {
 		return 0
 	}
 	return measured / float64(n)
+}
+
+// countPasses adds a measurement's replayed, filled and derived
+// accesses to the tracer's counters.
+func countPasses(tr *obs.Tracer, c memsys.PassCounts) {
+	tr.Count(obs.CounterMemsysReplayed, c.Replayed)
+	tr.Count(obs.CounterMemsysFilled, c.Filled)
+	tr.Count(obs.CounterMemsysDerived, c.Derived)
 }
 
 // appendTraversalAddrs appends the address sequence of one strided

@@ -103,8 +103,8 @@ func (sc *scScratch) measureRef(tr *obs.Tracer, opt Options, level, alloc, ab in
 // pair that shares none runs alone through the steady-state replay.
 // The statistics are bit-identical to the historical fresh-instance,
 // fully interleaved RunConcurrent path. The scratch's tracer counts
-// the streams' accesses and replayed and filled accesses, as traverse
-// does.
+// the streams' accesses and replayed, filled and derived accesses, as
+// traverse does.
 func (sc *scScratch) measurePair(opt Options, level int64, pi int, pair [2]int, alloc, ab int64) (avg, total float64) {
 	sc.in.ResetAt(opt.Seed, noiseShared, level, int64(pi), alloc)
 	spA, spB := sc.in.NewSpace(), sc.in.NewSpace()
@@ -114,10 +114,9 @@ func (sc *scScratch) measurePair(opt Options, level int64, pi int, pair [2]int, 
 	sc.streams[0] = memsys.Stream{Core: pair[0], Space: spA, Addrs: sc.addrsA}
 	sc.streams[1] = memsys.Stream{Core: pair[1], Space: spB, Addrs: sc.addrsB}
 	passes := opt.Passes + 1
-	replayed, filled := memsys.RunConcurrentInto(sc.in, sc.streams[:], passes, sc.stats[:])
+	counts := memsys.RunConcurrentInto(sc.in, sc.streams[:], passes, sc.stats[:])
 	sc.tr.Count(obs.CounterMemsysAccesses, int64(passes)*int64(len(sc.addrsA)+len(sc.addrsB)))
-	sc.tr.Count(obs.CounterMemsysReplayed, replayed)
-	sc.tr.Count(obs.CounterMemsysFilled, filled)
+	countPasses(sc.tr, counts)
 	avg = (sc.stats[0].AvgCycles() + sc.stats[1].AvgCycles()) / 2
 	total = sc.stats[0].Cycles + sc.stats[1].Cycles
 	return avg, total

@@ -95,3 +95,52 @@ func TestWarmupFillCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestDerivedPassCounts: on nehalem2s, seeds 1–3, every filled warm-up
+// is followed by a derived pass. Each mcalibrator (size, allocation)
+// derives exactly its first measured pass and replays the second; each
+// stream of a cross-socket pair derives its first measured pass. A
+// same-socket pair's streams interleave and derive nothing.
+func TestDerivedPassCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3 calibrations and 28 pairs x 3 levels x 3 seeds")
+	}
+	m := topology.Nehalem2S()
+	socket := func(core int) int { return core / 4 }
+	for seed := int64(1); seed <= 3; seed++ {
+		opt := Options{Seed: seed}.withDefaults(m)
+		tr := obs.New()
+		if _, err := McalibratorContext(obs.WithTracer(context.Background(), tr), m, 0, opt); err != nil {
+			t.Fatal(err)
+		}
+		var perPasses int64
+		for _, size := range SizeGrid(opt.MinCacheBytes, opt.MaxCacheBytes) {
+			perPasses += int64(opt.Allocations) * ((size + opt.StrideBytes - 1) / opt.StrideBytes)
+		}
+		derived, replayed := tr.Counter(obs.CounterMemsysDerived), tr.Counter(obs.CounterMemsysReplayed)
+		if derived != perPasses || replayed != perPasses {
+			t.Errorf("seed %d mcalibrator: derived %d and replayed %d accesses, want one pass each per (size, allocation): %d",
+				seed, derived, replayed, perPasses)
+		}
+
+		sc := &scScratch{in: memsys.NewInstanceAt(m, opt.Seed)}
+		for _, c := range m.Caches {
+			ab := c.SizeBytes * 2 / 3
+			ab -= ab % opt.StrideBytes
+			perPass := ab / opt.StrideBytes
+			for pi, pair := range allNodePairs(m) {
+				var want int64
+				if socket(pair[0]) != socket(pair[1]) {
+					want = 2 * perPass
+				}
+				for alloc := int64(0); alloc < int64(opt.Allocations); alloc++ {
+					sc.tr = obs.New()
+					sc.measurePair(opt, int64(c.Level), pi, pair, alloc, ab)
+					if got := sc.tr.Counter(obs.CounterMemsysDerived); got != want {
+						t.Fatalf("seed %d L%d pair %v alloc %d: derived %d accesses, want %d", seed, c.Level, pair, alloc, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -43,6 +43,18 @@
 // still simulating the TLB and prefetcher access by access. A warm-up
 // that fails any of these checks is simulated.
 //
+// After a fill, the first measured pass is derived rather than
+// simulated: the fill records which sets received more lines than they
+// hold. When every set at every level is reached by all of its lines
+// or by none — a line goes on to the next level only past a set that
+// overflows — LRU over the cyclic walk makes a reached set hit on
+// every access if its lines fit and miss on every access if they do
+// not, and the pass leaves caches, TLB and prefetcher exactly as the
+// fill did. Each access then costs its TLB term plus the latencies
+// down to the first level whose set fits, added in issue order; the
+// check runs before anything changes, and a walk that fails it is
+// simulated.
+//
 // Cache tags and page frames are stored as 32-bit values: a tag is the
 // physical line number and a frame the physical page number, so a node
 // may have at most 2^32 of each (topology.Machine.CheckPhysBound, which
@@ -173,15 +185,18 @@ func (c *cache) access(vLine, pLine int64) bool {
 	return false
 }
 
-// appendLRU installs a line the set does not hold at its LRU end,
-// below every line it holds, unless the set is full. It does not set
-// occupied: the caller that fills lines owns that.
-func (c *cache) appendLRU(vLine, pLine int64) {
-	idx := c.setIndex(vLine, pLine)
-	if n := int64(c.lens[idx]); n < c.assoc {
-		c.lines[idx*c.assoc+n] = uint32(pLine)
-		c.lens[idx]++
+// appendLRU installs a line that set idx does not hold at its LRU end,
+// below every line it holds, and reports whether it did: it does not
+// when the set is full. It does not set occupied: the caller that
+// fills lines owns that.
+func (c *cache) appendLRU(idx, pLine int64) bool {
+	n := int64(c.lens[idx])
+	if n == c.assoc {
+		return false
 	}
+	c.lines[idx*c.assoc+n] = uint32(pLine)
+	c.lens[idx]++
+	return true
 }
 
 // contains reports whether the line is cached, without touching LRU

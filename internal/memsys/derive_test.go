@@ -1,0 +1,189 @@
+package memsys
+
+import (
+	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"testing"
+
+	"servet/internal/topology"
+)
+
+// fillModels is every machine model (2 nodes) plus a nehalem2s variant
+// with a 16-entry TLB and fractional costs, on which every sum rounds
+// and no pass can be replayed arithmetically.
+func fillModels() map[string]*topology.Machine {
+	models := topology.Models(2)
+	frac := topology.Nehalem2S()
+	frac.Name = "nehalem2s-frac"
+	frac.TLBEntries, frac.TLBMissCycles = 16, 30.7
+	frac.Caches[1].LatencyCycles += 0.3
+	frac.Memory.LatencyCycles += 0.1
+	models[frac.Name] = frac
+	return models
+}
+
+// passRun is one measurement on a fresh instance and what it leaves
+// behind.
+type passRun struct {
+	total, measured float64
+	counts          PassCounts
+	state           endState
+}
+
+// measureWalk runs a warm-up and `passes` measured traversals of bytes
+// of a fresh array on core 0 — strided, or as an address list — through
+// replayPasses when replay is set and simulated pass by pass otherwise.
+func measureWalk(m *topology.Machine, bytes, stride int64, list bool, passes int, replay bool) passRun {
+	in := NewInstanceAt(m, 5)
+	sp := in.NewSpace()
+	a := sp.Alloc(bytes)
+	w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
+	if list {
+		w.addrs = strided(a, stride)
+	}
+	var r passRun
+	if replay {
+		r.counts = in.replayPasses(0, w, passes, &r.total, &r.measured)
+	} else {
+		in.traverse(0, &w, &r.total, nil)
+		for pass := 1; pass <= passes; pass++ {
+			in.traverse(0, &w, &r.total, &r.measured)
+		}
+	}
+	r.state = stateOf(in)
+	return r
+}
+
+// assertSameRun checks a measurement against its simulated twin bit
+// for bit: both accumulators and the end state of every cache, TLB,
+// prefetcher and translation entry.
+func assertSameRun(t *testing.T, name string, got, want passRun) {
+	t.Helper()
+	if math.Float64bits(got.total) != math.Float64bits(want.total) || math.Float64bits(got.measured) != math.Float64bits(want.measured) {
+		t.Errorf("%s: total/measured %v/%v, simulated %v/%v", name, got.total, got.measured, want.total, want.measured)
+	}
+	if !slices.Equal(got.state.caches, want.state.caches) {
+		t.Errorf("%s: cache contents differ from simulation", name)
+	}
+	if got.state.cores != want.state.cores {
+		t.Errorf("%s: TLB, prefetcher or translation state\n%s\nsimulated\n%s", name, got.state.cores, want.state.cores)
+	}
+}
+
+// TestDerivedPassMatchesSimulated: on every machine model and the
+// fractional-cost variant, probe-stride walks — strided and as address
+// lists — of half, exactly, one stride over and twice each level's
+// capacity are filled and then derived or simulated, and equal
+// simulating every pass bit for bit: totals and end state. A derived
+// walk derives its first measured pass and replays the rest, or, when
+// costs are fractional, derives every pass; each model derives some of
+// its walks, and the nehalem2s walks all derive. (On athlon3200 the
+// walk one stride over the L1 declines: one L1 set then thrashes while
+// the others fit, and an L2 set takes lines from both.)
+func TestDerivedPassMatchesSimulated(t *testing.T) {
+	const stride, passes = 1024, 3
+	models := fillModels()
+	for _, name := range slices.Sorted(maps.Keys(models)) {
+		m := models[name]
+		var derived int
+		for i := range m.Caches {
+			c := m.Caches[i].SizeBytes
+			for _, bytes := range []int64{c / 2, c, c + stride, 2 * c} {
+				for _, list := range []bool{false, true} {
+					tc := fmt.Sprintf("%s/%d/list=%v", name, bytes, list)
+					got := measureWalk(m, bytes, stride, list, passes, true)
+					assertSameRun(t, tc, got, measureWalk(m, bytes, stride, list, passes, false))
+					n := bytes / stride
+					if got.counts.Filled != n {
+						t.Errorf("%s: filled %d accesses, want %d", tc, got.counts.Filled, n)
+					}
+					wantDerived := n
+					if !NewInstanceAt(m, 1).exact {
+						wantDerived = passes * n
+					}
+					switch got.counts.Derived {
+					case 0:
+						if name == "nehalem2s" || name == "nehalem2s-frac" {
+							t.Errorf("%s: declined to derive", tc)
+						}
+					case wantDerived:
+						derived++
+						if got.counts.Derived+got.counts.Replayed != passes*n {
+							t.Errorf("%s: derived %d and replayed %d accesses of %d passes of %d", tc, got.counts.Derived, got.counts.Replayed, passes, n)
+						}
+					default:
+						t.Errorf("%s: derived %d accesses, want 0 or %d", tc, got.counts.Derived, wantDerived)
+					}
+				}
+			}
+		}
+		if derived == 0 {
+			t.Errorf("%s: no walk derived", name)
+		}
+	}
+}
+
+// TestDerivedPassDeclinesMixedReach: on a machine where one L2 set
+// takes lines both from an L1 set they fit in and from one they
+// thrash, only some of that L2 set's lines reach it, so the derived
+// pass declines. The decline leaves every piece of state — the TLB,
+// which the walk thrashes, included — exactly as the fill left it, and
+// the simulated passes that follow match simulation bit for bit.
+func TestDerivedPassDeclinesMixedReach(t *testing.T) {
+	// 16-byte lines, 64-byte pages and a one-entry TLB; the walk is 6
+	// accesses, one per line, over 2 pages. Its lines 0–5 fall in
+	// direct-mapped L1 sets 0, 1, 2, 3, 0, 1: sets 0 and 1 thrash, 2
+	// and 3 fit. All six share the single 5-way L2 set, which lines 2
+	// and 3 never reach.
+	m := &topology.Machine{
+		Name: "mixed-reach", ClockGHz: 1, Nodes: 1, CoresPerNode: 1,
+		PageBytes: 64, PhysPagesPerNode: 1 << 10,
+		TLBEntries: 1, TLBMissCycles: 30,
+		Memory: topology.Memory{LatencyCycles: 100, PerCoreGBs: 1},
+		Caches: []topology.CacheLevel{
+			{Level: 1, SizeBytes: 4 * 16, Assoc: 1, LineBytes: 16, LatencyCycles: 1,
+				Indexing: topology.VirtuallyIndexed, Groups: topology.PrivateGroups(1)},
+			{Level: 2, SizeBytes: 5 * 16, Assoc: 5, LineBytes: 16, LatencyCycles: 10,
+				Indexing: topology.VirtuallyIndexed, Groups: topology.PrivateGroups(1)},
+		},
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const bytes, stride = 6 * 16, 16
+	for _, list := range []bool{false, true} {
+		in := NewInstanceAt(m, 1)
+		sp := in.NewSpace()
+		a := sp.Alloc(bytes)
+		w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
+		if list {
+			w.addrs = strided(a, stride)
+		}
+		var sc setCounts
+		total, measured := 0.0, 0.0
+		if !in.fill(0, &w, &total, &sc) {
+			t.Fatalf("list=%v: the warm-up was not filled", list)
+		}
+		before, tlb := stateOf(in), slices.Clone(in.tlbs[0].vpages)
+		t0 := total
+		if in.derivedPass(0, &w, &sc, &total, &measured) {
+			t.Errorf("list=%v: derived a pass whose L2 set is reached by some of its lines only", list)
+		}
+		if after := stateOf(in); !slices.Equal(after.caches, before.caches) || after.cores != before.cores || !slices.Equal(in.tlbs[0].vpages, tlb) {
+			t.Errorf("list=%v: the declined pass moved state: TLB %v, after the fill %v", list, in.tlbs[0].vpages, tlb)
+		}
+		if total != t0 || measured != 0 {
+			t.Errorf("list=%v: the declined pass added %v/%v", list, total-t0, measured)
+		}
+		for _, passes := range []int{1, 2, 3} {
+			name := fmt.Sprintf("list=%v, %d passes", list, passes)
+			got := measureWalk(m, bytes, stride, list, passes, true)
+			if got.counts.Derived != 0 {
+				t.Errorf("%s: derived %d accesses", name, got.counts.Derived)
+			}
+			assertSameRun(t, name, got, measureWalk(m, bytes, stride, list, passes, false))
+		}
+	}
+}

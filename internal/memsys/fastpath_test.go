@@ -224,7 +224,7 @@ func TestRunConcurrentMatchesReference(t *testing.T) {
 			inHeap, strHeap := build()
 			want := runConcurrentReference(inRef, strRef, tc.passes)
 			got := make([]StreamStats, len(strHeap))
-			replayed, _ := RunConcurrentInto(inHeap, strHeap, tc.passes, got)
+			replayed := RunConcurrentInto(inHeap, strHeap, tc.passes, got).Replayed
 			for i := range want {
 				if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
 					t.Fatalf("stream %d: RunConcurrentInto %+v != reference %+v", i, got[i], want[i])

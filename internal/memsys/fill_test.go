@@ -86,7 +86,7 @@ func (tc *fillCase) warmUp(fill bool) (total float64, filled int64, s endState) 
 	total = 0.1
 	if fill {
 		var measured float64
-		_, filled = in.replayPasses(0, w, 0, &total, &measured)
+		filled = in.replayPasses(0, w, 0, &total, &measured).Filled
 	} else {
 		in.traverse(0, &w, &total, nil)
 	}
@@ -104,13 +104,7 @@ func (tc *fillCase) warmUp(fill bool) (total float64, filled int64, s endState) 
 // plan.
 func TestWarmupFillMatchesSimulated(t *testing.T) {
 	var cases []fillCase
-	models := topology.Models(2)
-	frac := topology.Nehalem2S()
-	frac.Name = "nehalem2s-frac"
-	frac.TLBEntries, frac.TLBMissCycles = 16, 30.7
-	frac.Caches[1].LatencyCycles += 0.3
-	frac.Memory.LatencyCycles += 0.1
-	models[frac.Name] = frac
+	models := fillModels()
 	for _, name := range slices.Sorted(maps.Keys(models)) {
 		m := models[name]
 		for _, bytes := range []int64{16 * topology.KB, 384 * topology.KB, 3 * topology.MB} {

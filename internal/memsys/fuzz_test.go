@@ -1,7 +1,9 @@
 package memsys
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"servet/internal/topology"
@@ -161,6 +163,80 @@ func FuzzResetAtMatchesFresh(f *testing.F) {
 			_ = tr.run(pooled)
 			pooled.ResetAt(seed, keys...)
 			assertTraceEqual(t, "fuzz", tr.name, seed, keys, tr.run(pooled), want)
+		}
+	})
+}
+
+// concurrentStreams decodes up to 4 streams on the instance from spec,
+// each over its own array in its own space: per stream a core, a
+// length of up to 2048 accesses, a stride of 16 to 2048 bytes and an
+// edit — none, swap two addresses, or leave the stream empty. Missing
+// bytes read as zero.
+func concurrentStreams(in *Instance, spec []byte) []Stream {
+	next := func() int64 {
+		if len(spec) == 0 {
+			return 0
+		}
+		b := spec[0]
+		spec = spec[1:]
+		return int64(b)
+	}
+	streams := make([]Stream, 1+next()%4)
+	for i := range streams {
+		sp := in.NewSpace()
+		core := int(next() % int64(in.m.CoresPerNode))
+		n := 1 + (next()<<8|next())%2048
+		stride := 16 * (1 + next()%128)
+		edit, at := next()%8, next()
+		streams[i] = Stream{Core: core, Space: sp}
+		if edit == 7 {
+			continue
+		}
+		addrs := strided(sp.Alloc(n*stride), stride)
+		if edit == 6 && len(addrs) > 1 {
+			j := int(at) % (len(addrs) - 1)
+			addrs[j], addrs[j+1] = addrs[j+1], addrs[j]
+		}
+		streams[i].Addrs = addrs
+	}
+	return streams
+}
+
+// FuzzRunConcurrentMatchesReference: over machine shapes decoded like
+// FuzzResetAtMatchesFresh's, 1 to 4 streams on random cores — coupled
+// ones that interleave and lone ones that run through the filled,
+// derived and replayed passes — strided or with two addresses swapped,
+// over 1 to 4 passes, RunConcurrentInto's statistics equal the
+// linear-scan reference's bit for bit, and both instances end in the
+// same state.
+func FuzzRunConcurrentMatchesReference(f *testing.F) {
+	for _, m := range fastpathMachines() {
+		f.Add(shapeBytes(m), int64(1), []byte{1, 0, 0, 64, 63, 0, 0, 1, 0, 96, 63, 0, 0}, uint8(2))
+	}
+	nehalem := shapeBytes(topology.Nehalem2S())
+	f.Add(nehalem, int64(2), []byte{1, 0, 0, 96, 63, 0, 0, 4, 0, 160, 63, 6, 7}, uint8(2))                     // lone, one swapped
+	f.Add(nehalem, int64(3), []byte{2, 0, 0, 96, 63, 0, 0, 4, 0, 160, 63, 6, 7, 5, 0, 50, 63, 0, 0}, uint8(3)) // lone beside a coupled pair
+	f.Add(nehalem, int64(4), []byte{1, 2, 0, 128, 15, 0, 0, 7, 0, 64, 1, 0, 0}, uint8(1))                      // prefetched and sub-line strides
+	f.Add(nehalem, int64(5), []byte{1, 4, 0, 128, 63, 7, 0, 4, 0, 64, 63, 0, 0}, uint8(2))                     // empty beside lone
+	f.Fuzz(func(t *testing.T, shape []byte, seed int64, spec []byte, passes uint8) {
+		m := fuzzMachine(shape)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("decoded shape %v is invalid: %v", shape, err)
+		}
+		np := 1 + int(passes%4)
+		inRef, inRun := NewInstanceAt(m, seed), NewInstanceAt(m, seed)
+		strRef, strRun := concurrentStreams(inRef, spec), concurrentStreams(inRun, spec)
+		want := runConcurrentReference(inRef, strRef, np)
+		got := make([]StreamStats, len(strRun))
+		RunConcurrentInto(inRun, strRun, np, got)
+		for i := range want {
+			if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
+				t.Fatalf("stream %d: RunConcurrentInto %+v, reference %+v", i, got[i], want[i])
+			}
+		}
+		sRef, sRun := stateOf(inRef), stateOf(inRun)
+		if !slices.Equal(sRun.caches, sRef.caches) || sRun.cores != sRef.cores {
+			t.Fatalf("end state differs from the reference's:\n%s\nreference\n%s", sRun.cores, sRef.cores)
 		}
 	})
 }

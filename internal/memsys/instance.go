@@ -531,10 +531,9 @@ func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 // buffer (len(stats) must equal len(streams)); the interleaver's own
 // buffers are pooled on the instance, so a warm caller pays zero
 // allocations per run. The statistics are bit-identical to
-// RunConcurrent's. It returns how many measured accesses of the
-// streams that ran alone were replayed instead of simulated, and how
-// many of their warm-up accesses were filled.
-func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (replayed, filled int64) {
+// RunConcurrent's. It returns how many accesses of the streams that
+// ran alone were not simulated one by one (see AccessStridePasses).
+func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (counts PassCounts) {
 	if len(stats) != len(streams) {
 		panic(fmt.Sprintf("memsys: stats buffer for %d streams has length %d", len(streams), len(stats)))
 	}
@@ -554,9 +553,7 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 		case in.coupled(streams, i):
 			h.push(int32(i))
 		default:
-			r, f := in.replayPasses(str.Core, walk{sp: str.Space, addrs: str.Addrs}, passes-1, &clocks[i], &stats[i].Cycles)
-			replayed += r
-			filled += f
+			counts.add(in.replayPasses(str.Core, walk{sp: str.Space, addrs: str.Addrs}, passes-1, &clocks[i], &stats[i].Cycles))
 			stats[i].Accesses = int64(passes-1) * int64(len(str.Addrs))
 		}
 	}
@@ -599,7 +596,7 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 			s.pass++
 		}
 	}
-	return replayed, filled
+	return counts
 }
 
 // coupled reports whether stream i can interact with another non-empty

@@ -16,6 +16,20 @@ import (
 // assuming it, and then adds the remaining passes' cost arithmetically.
 // RunConcurrentInto runs each concurrent stream that shares no cache
 // and no core through the same loop, over its address list.
+//
+// A measurement does as little simulation as it can prove away, in
+// three steps, each exact and each falling back to simulation when its
+// proof fails:
+//
+//   - fill installs a warm-up over empty caches that provably misses
+//     everywhere in one sweep, recording which sets it overflowed;
+//   - derivedPass costs the first measured pass after such a fill from
+//     those per-set facts alone, without touching any state;
+//   - the d·k rule adds the passes that repeat a pass which ended in
+//     the state it started from.
+//
+// A walk fill declines is simulated pass by pass, with snapshots,
+// until a pass ends where it started.
 
 // exactLimit bounds the integers float64 represents exactly: every sum
 // of integers whose partial sums stay below it is exact, so it does
@@ -63,39 +77,44 @@ type passSnapshot struct {
 	pref   prefetcher
 }
 
-// snapshots is the process-wide free list of snapshot slabs. A slab is
+// freeList is a process-wide free list of scratch slabs. A slab is
 // live only for one AccessStridePasses call, so sharing them keeps
 // every pooled instance of a sweep from growing its own copy of the
-// largest cache state it measures. The list grows to the largest
-// number of strided measurements that ever ran at once. It is not a
+// largest cache state it measures. A list grows to the largest number
+// of strided measurements that ever ran at once. It is not a
 // sync.Pool: a garbage collection empties a Pool, so warm measurements
 // would grow their slab again, and under the race detector Put drops
 // slabs at random, which would break the 0 allocs/op of a warm
 // measurement that tests pin.
-var snapshots struct {
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free []*passSnapshot
+	free []*T
 }
 
-// getSnapshot takes a slab from the free list, or a new one.
-func getSnapshot() *passSnapshot {
-	snapshots.mu.Lock()
-	defer snapshots.mu.Unlock()
-	n := len(snapshots.free)
+// get takes a slab from the list, or a new one.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
 	if n == 0 {
-		return new(passSnapshot)
+		return new(T)
 	}
-	s := snapshots.free[n-1]
-	snapshots.free = snapshots.free[:n-1]
+	s := l.free[n-1]
+	l.free = l.free[:n-1]
 	return s
 }
 
-// putSnapshot returns a slab to the free list.
-func putSnapshot(s *passSnapshot) {
-	snapshots.mu.Lock()
-	snapshots.free = append(snapshots.free, s)
-	snapshots.mu.Unlock()
+// put returns a slab to the list.
+func (l *freeList[T]) put(s *T) {
+	l.mu.Lock()
+	l.free = append(l.free, s)
+	l.mu.Unlock()
 }
+
+var (
+	snapshots  freeList[passSnapshot]
+	setScratch freeList[setCounts]
+)
 
 // encodedLen returns the length of encodeCache's encoding of c.
 func encodedLen(c *cache) int {
@@ -196,28 +215,50 @@ func (s *passSnapshot) unchanged(in *Instance, core int) bool {
 	return len(enc) == 0
 }
 
+// PassCounts counts the accesses of a measurement that were not
+// simulated one by one, by how their cost was found instead.
+type PassCounts struct {
+	// Replayed counts measured accesses added arithmetically, as
+	// repeats of a pass that ended in the state it started from.
+	Replayed int64
+	// Filled counts warm-up accesses installed by fill.
+	Filled int64
+	// Derived counts measured accesses costed by derivedPass from the
+	// per-set line counts of a filled walk.
+	Derived int64
+}
+
+func (c *PassCounts) add(o PassCounts) {
+	c.Replayed += o.Replayed
+	c.Filled += o.Filled
+	c.Derived += o.Derived
+}
+
 // AccessStridePasses runs a whole strided measurement on one core: a
 // warm-up traversal of base, base+stride, ... below base+bytes, whose
 // costs are added to *total, then `passes` measured traversals, whose
 // costs are added to both *total and *measured. It returns how many of
-// the measured accesses it did not simulate one by one, and how many
-// warm-up accesses it filled (see fill) instead of simulating them.
+// the accesses it did not simulate one by one.
 //
 // The result is bit-identical to a warm-up AccessStrideAccum followed
 // by `passes` measured ones, end state included. The warm-up is filled
 // when every cache on the core's plan is empty, the stride is at least
 // every plan level's line and the prefetcher cannot follow it; it is
-// simulated otherwise. Before each measured pass but the last it
-// snapshots the core's state. When the pass ends in exactly that
-// state, every remaining pass repeats it access for access, so their
-// cost is the pass's sum d times their count k. AccessStridePasses
-// adds d·k in one step when that equals the k·n single additions bit
-// for bit: every access costs an integer number of cycles
-// (integralCosts) and the accumulators hold integers that stay below
-// 2^53 throughout, so no addition rounds. Otherwise — the state moved,
-// or a cost or accumulator is not such an integer — it simulates the
-// pass and tries again before the next one.
-func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) (replayed, filled int64) {
+// simulated otherwise. After a fill the first measured pass is derived
+// when derivedPass can prove its cost from the fill's per-set line
+// counts, and it then leaves the state as it found it. Otherwise,
+// before each measured pass but the last, it snapshots the core's
+// state, and the pass is simulated. When the pass — derived, or
+// simulated and ending in exactly the snapshot's state — leaves the
+// state unchanged, every remaining pass repeats it access for access,
+// so their cost is the pass's sum d times their count k.
+// AccessStridePasses adds d·k in one step when that equals the k·n
+// single additions bit for bit: every access costs an integer number
+// of cycles (integralCosts) and the accumulators hold integers that
+// stay below 2^53 throughout, so no addition rounds. Otherwise a
+// derived pass is derived again for each remaining pass, and a
+// simulated one is simulated and tried again before the next.
+func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) PassCounts {
 	return in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured)
 }
 
@@ -263,6 +304,46 @@ func (in *Instance) missCost(plan []planLevel, tlbMiss bool) float64 {
 	return cost + in.memLat
 }
 
+// Per-set facts of a filled walk, one byte per set of each plan level.
+const (
+	// setFull: the walk maps more lines to the set than it holds.
+	setFull uint8 = 1 << iota
+	// setReached, setBypassed: a derived pass's access reached the
+	// set, or hit at a level above it and so never got there.
+	setReached
+	setBypassed
+)
+
+// setCounts is what fill records about a cold walk for derivedPass:
+// the walk's first address and stride, and the per-set facts of every
+// plan level, sets[j][s] for set s of level j. Slabs are pooled on
+// setScratch and only ever grow.
+type setCounts struct {
+	base, stride int64
+	sets         [][]uint8
+	// costs[h] is what accessAt charges an access that hits at plan
+	// level h, or misses everywhere when h is the plan's length;
+	// costs[len(plan)+1+h] the same after a TLB miss.
+	costs []float64
+}
+
+// reset sizes sc for the plan and clears every set's facts.
+func (sc *setCounts) reset(plan []planLevel, base, stride int64) {
+	sc.base, sc.stride = base, stride
+	if cap(sc.sets) < len(plan) {
+		sc.sets = append(sc.sets[:cap(sc.sets)], make([][]uint8, len(plan)-cap(sc.sets))...)
+	}
+	sc.sets = sc.sets[:len(plan)]
+	for j := range plan {
+		n := int(plan[j].c.numSets)
+		if cap(sc.sets[j]) < n {
+			sc.sets[j] = make([]uint8, n)
+		}
+		sc.sets[j] = sc.sets[j][:n]
+		clear(sc.sets[j])
+	}
+}
+
 // fill runs one traversal of w on the core, adding each access's cost
 // to *total, without simulating its cache accesses, when it can prove
 // that every access misses at every level; otherwise it changes nothing
@@ -280,12 +361,14 @@ func (in *Instance) missCost(plan []planLevel, tlbMiss bool) float64 {
 // Each level then ends holding, in every set, the last min(k, assoc)
 // of the k lines the walk mapped to it, MRU first, which one reverse
 // sweep builds by appending at the LRU end of each set not yet full:
-// no tag scan and no shift. The TLB and the prefetcher still see every
-// access, forward, and each access adds what accessAt would charge it,
-// one at a time in issue order, so non-integral costs stay exact. An
-// address list leaves the core's translation cache as AccessRunAccum
-// would. fill allocates nothing once the plan's caches have been used.
-func (in *Instance) fill(core int, w *walk, total *float64) bool {
+// no tag scan and no shift. A set the sweep meets full has k > assoc;
+// fill marks it setFull in sc when sc is non-nil. The TLB and the
+// prefetcher still see every access, forward, and each access adds
+// what accessAt would charge it, one at a time in issue order, so
+// non-integral costs stay exact. An address list leaves the core's
+// translation cache as AccessRunAccum would. fill allocates nothing
+// once the plan's caches and sc have been used.
+func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool {
 	n, base, stride := w.accesses(), w.base, w.stride
 	if w.addrs != nil {
 		if n < 2 {
@@ -338,6 +421,11 @@ func (in *Instance) fill(core int, w *walk, total *float64) bool {
 		}
 		c.occupied = true
 	}
+	var sets [][]uint8
+	if sc != nil {
+		sc.reset(plan, base, stride)
+		sets = sc.sets
+	}
 	curVpage, pbase := int64(-1), int64(0)
 	for i := n - 1; i >= 0; i-- {
 		vaddr := base + i*stride
@@ -348,7 +436,11 @@ func (in *Instance) fill(core int, w *walk, total *float64) bool {
 		paddr := pbase + vaddr&mask
 		for j := range plan {
 			c := plan[j].c
-			c.appendLRU(vaddr>>c.lineBits, paddr>>c.lineBits)
+			pLine := paddr >> c.lineBits
+			idx := c.setIndex(vaddr>>c.lineBits, pLine)
+			if !c.appendLRU(idx, pLine) && sets != nil {
+				sets[j][idx] = setFull
+			}
 		}
 	}
 	if w.addrs != nil {
@@ -357,32 +449,152 @@ func (in *Instance) fill(core int, w *walk, total *float64) bool {
 	return true
 }
 
-// replayPasses is the snapshot-and-compare loop of AccessStridePasses
-// over either kind of walk: a warm-up traversal, filled when fill can
-// prove it misses everywhere, then `passes` measured ones, replaying
-// the rest arithmetically once a pass ends in the state it started
-// from.
-func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *float64) (replayed, filled int64) {
+// derivedPass costs one measured traversal of a walk fill has just
+// installed, from the per-set facts fill recorded in sc, without
+// simulating it, and leaves every piece of state as fill left it. It
+// adds each access's cost to *total and *measured in issue order and
+// returns true when it can prove that cost; otherwise it changes
+// nothing, *total and *measured included, and returns false.
+//
+// After the fill, each set at each level holds the last min(k, assoc)
+// of its k lines, MRU first. The first level is reached by every
+// access; an access reaches the next level when its set at this one
+// has k > assoc. The proof needs every set at every level to be
+// reached by all of its lines or by none. A reached set then sees its
+// own lines in the same cyclic order again: with k ≤ assoc every
+// access hits and restores the set's order, with k > assoc every
+// access misses, evicting the line it returns to last, and the set
+// again holds the last assoc lines. Sets no access reaches are
+// untouched. Every access therefore hits at the first level whose set
+// has k ≤ assoc, or misses everywhere.
+//
+// The TLB, an LRU over the walk's P pages visited in order, hits on
+// every access when P is within its entries and otherwise misses on
+// the first access of each page, and it ends holding the pages it held.
+// The prefetcher never fires — fill proved the stride beyond it, and
+// the wrap-around jump is larger still — and with at least two
+// accesses a pass leaves it where the fill did. The translation cache
+// ends on the last page, where the fill left it.
+//
+// The sweep checks every access and sums into locals, committing the
+// sums only once the whole walk passed, so a decline touches no state.
+// derivedPass allocates nothing once sc has been used on the plan.
+func (in *Instance) derivedPass(core int, w *walk, sc *setCounts, total, measured *float64) bool {
 	n := w.accesses()
-	if in.fill(core, &w, total) {
-		filled = n
+	if n < 2 {
+		return false
+	}
+	plan := in.planFor(core)
+	miss := len(plan)
+	sc.costs = sc.costs[:0]
+	for _, tlbMiss := range [2]bool{false, true} {
+		for h := 0; h <= miss; h++ {
+			cost := 0.0
+			if tlbMiss {
+				cost += in.tlbMiss
+			}
+			for j := 0; j <= h && j < miss; j++ {
+				cost += plan[j].latency
+			}
+			if h == miss {
+				cost += in.memLat
+			}
+			sc.costs = append(sc.costs, cost)
+		}
+	}
+	shift, mask := in.pageShift, in.pageMask
+	base, stride, sets := sc.base, sc.stride, sc.sets
+	pages := n
+	if stride < in.m.PageBytes {
+		pages = (base+(n-1)*stride)>>shift - base>>shift + 1
+	}
+	tlbOff := 0
+	if t := in.tlbs[core]; t != nil && pages > int64(t.entries) {
+		tlbOff = miss + 1
+	}
+	for _, s := range sets {
+		for i := range s {
+			s[i] &= setFull
+		}
+	}
+
+	a, b := *total, *measured
+	curVpage, pbase := int64(-1), int64(0)
+	vaddr := base
+	for i := int64(0); i < n; i, vaddr = i+1, vaddr+stride {
+		off := 0
+		if vpage := vaddr >> shift; vpage != curVpage {
+			pbase = w.sp.translate(vaddr) &^ mask
+			curVpage = vpage
+			off = tlbOff
+		}
+		paddr := pbase + vaddr&mask
+		h := miss
+		for j := range plan {
+			c := plan[j].c
+			st := &sets[j][c.setIndex(vaddr>>c.lineBits, paddr>>c.lineBits)]
+			if h == miss {
+				if *st&setBypassed != 0 {
+					return false
+				}
+				*st |= setReached
+				if *st&setFull == 0 {
+					h = j
+				}
+			} else {
+				if *st&setReached != 0 {
+					return false
+				}
+				*st |= setBypassed
+			}
+		}
+		cost := sc.costs[off+h]
+		a += cost
+		b += cost
+	}
+	*total, *measured = a, b
+	return true
+}
+
+// replayPasses is the measurement loop of AccessStridePasses over
+// either kind of walk: a warm-up traversal, filled when fill can prove
+// it misses everywhere, then `passes` measured ones, derived after a
+// fill when derivedPass can prove their cost and simulated otherwise,
+// replaying the rest arithmetically once a pass ends in the state it
+// started from.
+func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *float64) (c PassCounts) {
+	n := w.accesses()
+	var sc *setCounts
+	if passes > 0 {
+		sc = setScratch.get()
+		defer setScratch.put(sc)
+	}
+	derive := in.fill(core, &w, total, sc)
+	if derive {
+		c.Filled = n
 	} else {
 		in.traverse(core, &w, total, nil)
 	}
 	var s *passSnapshot
 	if passes > 1 && n > 0 && in.exact {
-		s = getSnapshot()
-		defer putSnapshot(s)
+		s = snapshots.get()
+		defer snapshots.put(s)
 	}
 	for pass := 1; pass <= passes; pass++ {
-		if s == nil || pass == passes {
+		t0, m0 := *total, *measured
+		if derive = derive && in.derivedPass(core, &w, sc, total, measured); derive {
+			c.Derived += n
+		} else if s == nil || pass == passes {
 			in.traverse(core, &w, total, measured)
 			continue
+		} else {
+			s.take(in, core)
+			in.traverse(core, &w, total, measured)
+			if !s.unchanged(in, core) {
+				continue
+			}
 		}
-		s.take(in, core)
-		t0, m0 := *total, *measured
-		in.traverse(core, &w, total, measured)
-		if !exactInt(t0) || !exactInt(m0) || !exactInt(*total) || !exactInt(*measured) || !s.unchanged(in, core) {
+		if pass == passes || !in.exact || !exactInt(t0) || !exactInt(m0) || !exactInt(*total) || !exactInt(*measured) {
 			continue
 		}
 		// The accumulators moved from integers to integers below 2^53
@@ -396,7 +608,8 @@ func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *
 		}
 		*total += dk
 		*measured += dk
-		return int64(k) * n, filled
+		c.Replayed = int64(k) * n
+		return c
 	}
-	return 0, filled
+	return c
 }

@@ -9,13 +9,13 @@ import (
 )
 
 // strideRun is one strided measurement and what it leaves behind: the
-// two accumulators, the accesses AccessStridePasses replayed and
-// filled, and the per-access costs of one further traversal, which
-// differ between two instances whose end states differ.
+// two accumulators, the accesses AccessStridePasses replayed, filled
+// and derived, and the per-access costs of one further traversal,
+// which differ between two instances whose end states differ.
 type strideRun struct {
-	total, measured  float64
-	replayed, filled int64
-	after            []float64
+	total, measured           float64
+	replayed, filled, derived int64
+	after                     []float64
 }
 
 // runStridePasses measures bytes of an array, starting lead bytes into
@@ -33,7 +33,8 @@ func runStridePasses(m *topology.Machine, seed int64, core int, lead, bytes, str
 	base := a.Base + lead
 	r := strideRun{total: total0}
 	if replay {
-		r.replayed, r.filled = in.AccessStridePasses(core, sp, base, bytes, stride, passes, &r.total, &r.measured)
+		c := in.AccessStridePasses(core, sp, base, bytes, stride, passes, &r.total, &r.measured)
+		r.replayed, r.filled, r.derived = c.Replayed, c.Filled, c.Derived
 	} else {
 		in.AccessStrideAccum(core, sp, base, bytes, stride, &r.total, nil)
 		for pass := 1; pass <= passes; pass++ {
@@ -62,9 +63,10 @@ func assertReplayMatches(t *testing.T, got, want strideRun) {
 // 4080 bytes walked before the measurement, 1 to 4 measured passes and
 // any starting total, AccessStridePasses equals the plain pass loop on
 // a twin instance bit for bit — whether it fills or simulates the
-// warm-up and whether it replays or declines — and leaves the same
-// state behind. A lead-in leaves the core's caches occupied, so the
-// warm-up fill declines.
+// warm-up, whether it derives a pass and whether it replays or
+// declines — and leaves the same state behind. A lead-in leaves the
+// core's caches occupied, so the warm-up fill declines; only a filled
+// warm-up is followed by derived passes, whole ones.
 func FuzzStridePassesMatchSimulated(f *testing.F) {
 	for _, m := range fastpathMachines() {
 		f.Add(shapeBytes(m), int64(1), uint16(4095), uint16(1023), uint8(1), int32(0), int8(0), uint8(0), uint8(0))
@@ -110,6 +112,9 @@ func FuzzStridePassesMatchSimulated(f *testing.F) {
 		}
 		if got.filled != 0 && (got.filled != n || leadBytes > 0) {
 			t.Fatalf("filled %d accesses of a warm-up of %d after a %d-byte lead-in", got.filled, n, leadBytes)
+		}
+		if got.derived < 0 || got.derived > int64(np)*n || got.derived%n != 0 || got.derived != 0 && got.filled == 0 {
+			t.Fatalf("derived %d accesses of %d passes of %d after filling %d", got.derived, np, n, got.filled)
 		}
 	})
 }

@@ -55,9 +55,15 @@ const (
 	// filled instead of simulating: a warm-up pass over empty caches
 	// whose every access provably misses at every level installs its
 	// lines in one sweep.
+	// CounterMemsysDerived counts the measured accesses whose cost the
+	// same calls derived from the per-set line counts of a filled
+	// warm-up instead of simulating them: the first measured pass after
+	// a fill, when every set of every level is reached by all of its
+	// lines or by none.
 	CounterMemsysAccesses = "memsys.accesses"
 	CounterMemsysReplayed = "memsys.accesses_replayed"
 	CounterMemsysFilled   = "memsys.accesses_filled"
+	CounterMemsysDerived  = "memsys.accesses_derived"
 	// CounterScratchFresh counts sweep scratch builds, one per worker;
 	// CounterScratchReused counts each later chunk a worker runs on the
 	// scratch it already holds.
