@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"servet/internal/memsys"
+	"servet/internal/obs"
 	"servet/internal/topology"
 )
 
@@ -32,6 +33,11 @@ func TestPooledMcalMeasurementAllocFree(t *testing.T) {
 	}
 }
 
+// TestPooledSharedCacheMeasurementAllocFree: a warm shared-cache
+// measurement allocates nothing, on FinisTerrae, whose pairs share no
+// cache and run each stream alone, and on a nehalem2s same-socket
+// pair, whose streams share the L3 and fill their cold warm-up
+// together before they interleave.
 func TestPooledSharedCacheMeasurementAllocFree(t *testing.T) {
 	m := topology.FinisTerrae(1)
 	opt := Options{Seed: 1, Allocations: 1}.withDefaults(m)
@@ -45,6 +51,21 @@ func TestPooledSharedCacheMeasurementAllocFree(t *testing.T) {
 	})
 	if n != 0 {
 		t.Errorf("warm shared-cache measurement allocates %v/op, want 0", n)
+	}
+
+	nehalem := topology.Nehalem2S()
+	opt = Options{Seed: 1, Allocations: 1}.withDefaults(nehalem)
+	sc = &scScratch{tr: obs.New(), in: memsys.NewInstanceAt(nehalem, opt.Seed)}
+	sc.measurePair(opt, 3, 0, [2]int{0, 1}, 0, ab)
+	if filled := sc.tr.Counter(obs.CounterMemsysFilled); filled != 2*ab/opt.StrideBytes {
+		t.Fatalf("nehalem2s same-socket pair filled %d accesses, want both warm-ups: %d", filled, 2*ab/opt.StrideBytes)
+	}
+	sc.tr = nil
+	n = testing.AllocsPerRun(5, func() {
+		sc.measurePair(opt, 3, 1, [2]int{1, 2}, 1, ab)
+	})
+	if n != 0 {
+		t.Errorf("warm coupled shared-cache measurement allocates %v/op, want 0", n)
 	}
 }
 

@@ -99,12 +99,14 @@ func (sc *scScratch) measureRef(tr *obs.Tracer, opt Options, level, alloc, ab in
 // measurePair measures one (level, pair) concurrent traversal for one
 // placement on the pooled instance. The two streams run through
 // RunConcurrentInto with the scratch's pooled buffers: a pair that
-// shares a cache interleaves access by access, and each stream of a
-// pair that shares none runs alone through the steady-state replay.
-// The statistics are bit-identical to the historical fresh-instance,
-// fully interleaved RunConcurrent path. The scratch's tracer counts
-// the streams' accesses and replayed, filled and derived accesses, as
-// traverse does.
+// shares a cache fills its cold warm-up — ResetAt has just emptied
+// every cache — and interleaves access by access from the first
+// measured access on, and each stream of a pair that shares none runs
+// alone through the steady-state replay. The statistics are
+// bit-identical to the historical fresh-instance, fully interleaved
+// RunConcurrent path. The scratch's tracer counts the streams'
+// accesses and replayed, filled and derived accesses, as traverse
+// does.
 func (sc *scScratch) measurePair(opt Options, level int64, pi int, pair [2]int, alloc, ab int64) (avg, total float64) {
 	sc.in.ResetAt(opt.Seed, noiseShared, level, int64(pi), alloc)
 	spA, spB := sc.in.NewSpace(), sc.in.NewSpace()

@@ -45,8 +45,11 @@ func TestMcalibratorReplaysSecondPass(t *testing.T) {
 // the prefetcher's reach, so it is filled instead of simulated: the
 // mcalibrator fills exactly one pass per (size, allocation), and each
 // stream of a cross-socket pair fills its warm-up pass. A same-socket
-// pair's streams share the L3 and interleave, so they fill nothing.
-// The replayed counts stay those TestSharedCachePairsReplayUncoupledStreams
+// pair's streams share the L3 and interleave, and their warm-ups are
+// filled together, as far as the first measured access: the two
+// streams are equally long and every warm-up access costs the same
+// miss, so they alternate and both finish their warm-up first. The
+// replayed counts stay those TestSharedCachePairsReplayUncoupledStreams
 // pins.
 func TestWarmupFillCounts(t *testing.T) {
 	if testing.Short() {
@@ -78,9 +81,9 @@ func TestWarmupFillCounts(t *testing.T) {
 			ab -= ab % opt.StrideBytes
 			perPass := ab / opt.StrideBytes
 			for pi, pair := range allNodePairs(m) {
-				var wantFilled, wantReplayed int64
+				wantFilled, wantReplayed := 2*perPass, int64(0)
 				if socket(pair[0]) != socket(pair[1]) {
-					wantFilled, wantReplayed = 2*perPass, 2*int64(opt.Passes-1)*perPass
+					wantReplayed = 2 * int64(opt.Passes-1) * perPass
 				}
 				for alloc := int64(0); alloc < int64(opt.Allocations); alloc++ {
 					sc.tr = obs.New()

@@ -22,26 +22,16 @@
 //
 // A whole single-core strided measurement — a warm-up traversal and
 // the measured ones — runs as one AccessStridePasses call, which
-// simulates each steady-state pass once. Before a measured pass it
-// snapshots the core's caches, TLB and prefetcher; when the pass ends
-// in exactly that state, the remaining passes would repeat it access
-// for access, and their cost is added arithmetically. With integral
-// access costs, as on every built-in model, that addition is exact, so
-// results stay bit-identical to simulating every access. A concurrent
-// stream of RunConcurrent that shares no cache and no core with
-// another stream runs alone through the same replay loop, since no
-// other stream can change the cost of its accesses; streams that share
-// a cache or a core are still simulated access by access, interleaved.
-//
-// The warm-up traversal that loop starts with runs on a just-reset
-// memory system, so it is all compulsory misses. When every cache on
-// the core's plan is empty, the walk rises at one constant stride of at
-// least every level's line and the core's prefetcher cannot follow it,
-// each access provably misses at every level: the loop then fills the
-// caches in one reverse sweep — each set keeps the last lines mapped to
-// it, MRU first — and adds each access's miss cost in issue order,
-// still simulating the TLB and prefetcher access by access. A warm-up
-// that fails any of these checks is simulated.
+// simulates only what it cannot prove. The warm-up runs on a
+// just-reset memory system, so it is all compulsory misses. When every
+// cache on the core's plan is empty, the walk rises at one constant
+// stride of at least every level's line and the core's prefetcher
+// cannot follow it, each access provably misses at every level: the
+// warm-up is then filled — the caches are installed in one reverse
+// sweep, each set keeping the last lines mapped to it, MRU first — and
+// each access's miss cost is added in issue order, with the TLB and
+// prefetcher still simulated access by access. A warm-up that fails
+// any of these checks is simulated.
 //
 // After a fill, the first measured pass is derived rather than
 // simulated: the fill records which sets received more lines than they
@@ -52,9 +42,25 @@
 // not, and the pass leaves caches, TLB and prefetcher exactly as the
 // fill did. Each access then costs its TLB term plus the latencies
 // down to the first level whose set fits, added in issue order; the
-// check runs before anything changes, and a walk that fails it is
-// simulated.
+// check runs before anything changes. Every later pass repeats the
+// derived one access for access, so its cost is added arithmetically —
+// with integral access costs, as on every built-in model, exactly. A
+// walk that is not filled, or whose pass is not derived, is simulated
+// pass by pass: no state is snapshotted or compared.
 //
+// RunConcurrent runs the Fig. 5 concurrent streams. A stream that
+// shares no cache and no core with another stream runs alone through
+// AccessStridePasses, since no other stream can change the cost of its
+// accesses. Streams that share a cache or a core — coupled streams —
+// interleave in virtual-time order. Their cold warm-up is filled too,
+// as far as the first access of any measured pass, when every coupled
+// stream has its own core and space and passes the single-core checks:
+// every such access misses everywhere whatever the interleaving, so
+// the issue order follows from the miss costs alone, and one reverse
+// sweep of the merged order installs every cache, private ones from
+// their own stream and shared ones from the merged order. The rest is
+// simulated access by access.
+
 // Cache tags and page frames are stored as 32-bit values: a tag is the
 // physical line number and a frame the physical page number, so a node
 // may have at most 2^32 of each (topology.Machine.CheckPhysBound, which

@@ -1,0 +1,213 @@
+package memsys
+
+import (
+	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"testing"
+
+	"servet/internal/topology"
+)
+
+// warmPrefix is where an interleaver stands at the first access of any
+// measured pass: how many accesses it issued, and each stream's clock
+// and cursor — the accesses it issued, all of them once its warm-up is
+// done.
+type warmPrefix struct {
+	n      int64
+	clocks []float64
+	pos    []int
+}
+
+// referenceWarmPrefix runs the linear-scan reference interleaver on in
+// as far as the first access of any measured pass: the part of a cold
+// coupled run fillCoupled fills.
+func referenceWarmPrefix(in *Instance, streams []Stream) warmPrefix {
+	w := warmPrefix{clocks: make([]float64, len(streams)), pos: make([]int, len(streams))}
+	for {
+		sel := -1
+		for i := range streams {
+			if len(streams[i].Addrs) > 0 && (sel < 0 || w.clocks[i] < w.clocks[sel]) {
+				sel = i
+			}
+		}
+		if sel < 0 || w.pos[sel] == len(streams[sel].Addrs) {
+			return w
+		}
+		str := &streams[sel]
+		w.clocks[sel] += in.Access(str.Core, str.Space, str.Addrs[w.pos[sel]])
+		w.pos[sel]++
+		w.n++
+	}
+}
+
+// coupledWarmPrefix sets the coupled streams up as RunConcurrentInto
+// does and runs fillCoupled alone, returning where it left the
+// interleaver.
+func coupledWarmPrefix(in *Instance, streams []Stream) warmPrefix {
+	st, clocks, idx := in.rc.grab(len(streams))
+	h := &streamHeap{idx: idx, clocks: clocks}
+	for i := range streams {
+		if len(streams[i].Addrs) > 0 && in.coupled(streams, i) {
+			h.push(int32(i))
+		}
+	}
+	w := warmPrefix{n: in.fillCoupled(streams, h, st), clocks: slices.Clone(clocks), pos: make([]int, len(streams))}
+	for i, s := range st {
+		w.pos[i] = s.pos + s.pass*len(streams[i].Addrs)
+	}
+	return w
+}
+
+// assertFillMatchesPrefix checks that fillCoupled on inFill left the
+// interleaver and the whole memory system — every cache, TLB,
+// prefetcher and translation entry — exactly where the reference
+// interleaver's warm prefix left inRef.
+func assertFillMatchesPrefix(t *testing.T, label string, inFill *Instance, fill warmPrefix, inRef *Instance, ref warmPrefix) {
+	t.Helper()
+	if fill.n != ref.n || !slices.Equal(fill.pos, ref.pos) {
+		t.Fatalf("%s: filled %d accesses, cursors %v; the reference issued %d before the first measured one, cursors %v",
+			label, fill.n, fill.pos, ref.n, ref.pos)
+	}
+	for i := range ref.clocks {
+		if math.Float64bits(fill.clocks[i]) != math.Float64bits(ref.clocks[i]) {
+			t.Fatalf("%s: stream %d clock %v after the fill, reference %v", label, i, fill.clocks[i], ref.clocks[i])
+		}
+	}
+	sFill, sRef := stateOf(inFill), stateOf(inRef)
+	if !slices.Equal(sFill.caches, sRef.caches) || sFill.cores != sRef.cores {
+		t.Fatalf("%s: state after the fill differs from the reference's:\n%s\nreference\n%s", label, sFill.cores, sRef.cores)
+	}
+}
+
+// sharingPairs lists, per cache level of m, every pair of cores one of
+// the level's cache instances serves.
+func sharingPairs(m *topology.Machine) [][3]int {
+	var pairs [][3]int
+	for li := range m.Caches {
+		for _, g := range m.Caches[li].Groups {
+			for x := range g {
+				for _, b := range g[x+1:] {
+					pairs = append(pairs, [3]int{li, g[x], b})
+				}
+			}
+		}
+	}
+	return pairs
+}
+
+// TestCoupledFillMatchesReference: on every topology.Models machine,
+// for every pair of cores that shares a cache at some level, two cold
+// streams over (2/3)·CS arrays of that level at the 1 KiB probe stride
+// — the Fig. 5 measurement — are filled as far as the first measured
+// access: fillCoupled issues the reference interleaver's warm prefix
+// and leaves the clocks, cursors and memory system where the prefix
+// does. RunConcurrentInto's statistics and end state then equal the
+// reference interleaver's bit for bit.
+func TestCoupledFillMatchesReference(t *testing.T) {
+	const stride, passes = 1024, 3
+	models := topology.Models(2)
+	for _, name := range slices.Sorted(maps.Keys(models)) {
+		m := models[name]
+		for _, p := range sharingPairs(m) {
+			li, a, b := p[0], p[1], p[2]
+			ab := m.Caches[li].SizeBytes * 2 / 3
+			ab -= ab % stride
+			build := func() (*Instance, []Stream) {
+				in := NewInstanceAt(m, 1, int64(li), int64(a), int64(b))
+				streams := make([]Stream, 2)
+				for i, core := range []int{a, b} {
+					sp := in.NewSpace()
+					streams[i] = Stream{Core: core, Space: sp, Addrs: strided(sp.Alloc(ab), stride)}
+				}
+				return in, streams
+			}
+			label := fmt.Sprintf("%s L%d pair (%d, %d)", name, li+1, a, b)
+			inRef, strRef := build()
+			want := runConcurrentReference(inRef, strRef, passes)
+			inRun, strRun := build()
+			got := make([]StreamStats, 2)
+			filled := RunConcurrentInto(inRun, strRun, passes, got).Filled
+			for i := range want {
+				if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
+					t.Fatalf("%s stream %d: RunConcurrentInto %+v, reference %+v", label, i, got[i], want[i])
+				}
+			}
+			sRef, sRun := stateOf(inRef), stateOf(inRun)
+			if !slices.Equal(sRun.caches, sRef.caches) || sRun.cores != sRef.cores {
+				t.Fatalf("%s: end state differs from the reference's:\n%s\nreference\n%s", label, sRun.cores, sRef.cores)
+			}
+			inPre, strPre := build()
+			ref := referenceWarmPrefix(inPre, strPre)
+			inFill, strFill := build()
+			assertFillMatchesPrefix(t, label, inFill, coupledWarmPrefix(inFill, strFill), inPre, ref)
+			if filled != ref.n {
+				t.Errorf("%s: RunConcurrentInto filled %d accesses, want %d", label, filled, ref.n)
+			}
+		}
+	}
+}
+
+// coupledSeed is a FuzzRunConcurrentMatchesReference seed of cold
+// coupled streams: a machine shape, a concurrentStreams spec, and
+// whether fillCoupled fills the run or must decline it.
+type coupledSeed struct {
+	name  string
+	shape []byte
+	spec  []byte
+	fills bool
+}
+
+// coupledSeeds are cold coupled streams at the 1 KiB probe stride that
+// fill — a nehalem2s same-socket pair, with and without a TLB that the
+// walks overflow, a dunnington pair sharing an
+// L2 (fuzzMachine numbers a sharing group's cores consecutively, so
+// cores 0 and 1 share one), unequal lengths, three and four streams —
+// and runs that must
+// decline: two streams on one core, two streams in one space, a stride
+// the prefetcher follows, and a shared cache that already holds a line.
+func coupledSeeds() []coupledSeed {
+	nehalem, dunnington := shapeBytes(topology.Nehalem2S()), shapeBytes(topology.Dunnington())
+	tlbNehalem := topology.Nehalem2S()
+	tlbNehalem.TLBEntries, tlbNehalem.TLBMissCycles = 16, 30
+	return []coupledSeed{
+		{"same socket", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true},
+		{"same socket, 16-entry TLB", shapeBytes(tlbNehalem), []byte{1, 0, 7, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0}, true},
+		{"sharing an L2", dunnington, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true},
+		{"unequal lengths", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 2, 187, 63, 0, 0}, true},
+		{"three streams", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0}, true},
+		{"four streams", dunnington, []byte{3, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0, 3, 7, 0, 63, 0, 0}, true},
+		{"same core", nehalem, []byte{1, 4, 3, 255, 63, 0, 0, 4, 1, 0, 63, 0, 0}, false},
+		{"shared space", nehalem, []byte{1, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 8, 0}, false},
+		{"prefetched stride", nehalem, []byte{1, 0, 3, 255, 31, 0, 0, 1, 1, 0, 31, 0, 0}, false},
+		{"L3 holds a line", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 0, 0, 2, 0, 10, 63, 9, 0}, false},
+	}
+}
+
+// TestCoupledSeedsFillOrDecline: each coupledSeeds run is filled or
+// declined as its seed says — no stream of them runs alone, so a
+// decline fills nothing — and matches the reference interleaver. A
+// fill stops where the reference's warm prefix does, in the same
+// state.
+func TestCoupledSeedsFillOrDecline(t *testing.T) {
+	for _, c := range coupledSeeds() {
+		m := fuzzMachine(c.shape)
+		if c.fills {
+			inFill, inPre := NewInstanceAt(m, 6), NewInstanceAt(m, 6)
+			fill := coupledWarmPrefix(inFill, concurrentStreams(inFill, c.spec))
+			assertFillMatchesPrefix(t, c.name, inFill, fill, inPre, referenceWarmPrefix(inPre, concurrentStreams(inPre, c.spec)))
+		}
+		inRef, inRun := NewInstanceAt(m, 6), NewInstanceAt(m, 6)
+		strRef, strRun := concurrentStreams(inRef, c.spec), concurrentStreams(inRun, c.spec)
+		want := runConcurrentReference(inRef, strRef, 3)
+		got := make([]StreamStats, len(strRun))
+		counts := RunConcurrentInto(inRun, strRun, 3, got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: RunConcurrentInto %+v, reference %+v", c.name, got, want)
+		}
+		if counts.Replayed != 0 || counts.Derived != 0 || (counts.Filled > 0) != c.fills {
+			t.Errorf("%s: counts %+v, want filled accesses %v", c.name, counts, c.fills)
+		}
+	}
+}

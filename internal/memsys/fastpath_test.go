@@ -189,8 +189,10 @@ func TestRunConcurrentMatchesReference(t *testing.T) {
 	// On nehalem2s the L1 and L2 are private and the L3 is shared per
 	// socket of cores 0-3 and 4-7, so a stream runs alone exactly when
 	// no other non-empty stream sits on its socket. alone lists those
-	// streams: each replays every measured pass after the first, since
-	// its first measured pass already starts from the fixed point.
+	// streams. At the 1 KiB probe stride each is filled, its first
+	// measured pass derived and every later one replayed. At a 256-byte
+	// stride, which the prefetcher follows, none is filled, so each
+	// simulates every pass and replays none.
 	nehalem := topology.Nehalem2S()
 	for _, tc := range []struct {
 		name   string
@@ -208,41 +210,45 @@ func TestRunConcurrentMatchesReference(t *testing.T) {
 		{"nehalem-alone-beside-pair-4-passes", []int{0, 1, 4}, []int64{64 * topology.KB, 128 * topology.KB, 192 * topology.KB}, 4, []int{2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func() (*Instance, []Stream) {
-				in := NewInstanceAt(nehalem, 2, 5)
-				streams := make([]Stream, len(tc.cores))
-				for i, core := range tc.cores {
-					sp := in.NewSpace()
-					streams[i] = Stream{Core: core, Space: sp}
-					if tc.bytes[i] > 0 {
-						streams[i].Addrs = strided(sp.Alloc(tc.bytes[i]), 256)
+			for _, stride := range []int64{256, 1024} {
+				build := func() (*Instance, []Stream) {
+					in := NewInstanceAt(nehalem, 2, 5)
+					streams := make([]Stream, len(tc.cores))
+					for i, core := range tc.cores {
+						sp := in.NewSpace()
+						streams[i] = Stream{Core: core, Space: sp}
+						if tc.bytes[i] > 0 {
+							streams[i].Addrs = strided(sp.Alloc(tc.bytes[i]), stride)
+						}
+					}
+					return in, streams
+				}
+				inRef, strRef := build()
+				inHeap, strHeap := build()
+				want := runConcurrentReference(inRef, strRef, tc.passes)
+				got := make([]StreamStats, len(strHeap))
+				replayed := RunConcurrentInto(inHeap, strHeap, tc.passes, got).Replayed
+				for i := range want {
+					if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
+						t.Fatalf("stride %d, stream %d: RunConcurrentInto %+v != reference %+v", stride, i, got[i], want[i])
 					}
 				}
-				return in, streams
-			}
-			inRef, strRef := build()
-			inHeap, strHeap := build()
-			want := runConcurrentReference(inRef, strRef, tc.passes)
-			got := make([]StreamStats, len(strHeap))
-			replayed := RunConcurrentInto(inHeap, strHeap, tc.passes, got).Replayed
-			for i := range want {
-				if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
-					t.Fatalf("stream %d: RunConcurrentInto %+v != reference %+v", i, got[i], want[i])
+				var wantReplayed int64
+				for _, i := range tc.alone {
+					if stride == 1024 {
+						wantReplayed += int64(tc.passes-2) * int64(len(strHeap[i].Addrs))
+					}
 				}
-			}
-			var wantReplayed int64
-			for _, i := range tc.alone {
-				wantReplayed += int64(tc.passes-2) * int64(len(strHeap[i].Addrs))
-			}
-			if replayed != wantReplayed {
-				t.Errorf("replayed %d accesses, want %d", replayed, wantReplayed)
-			}
-			// Both instances end in the same state: one more traversal
-			// of every stream costs the same access for access.
-			for i := range strRef {
-				for k, vaddr := range strRef[i].Addrs {
-					if a, b := inHeap.Access(strHeap[i].Core, strHeap[i].Space, strHeap[i].Addrs[k]), inRef.Access(strRef[i].Core, strRef[i].Space, vaddr); a != b {
-						t.Fatalf("stream %d access %d after the run: %v, reference %v", i, k, a, b)
+				if replayed != wantReplayed {
+					t.Errorf("stride %d: replayed %d accesses, want %d", stride, replayed, wantReplayed)
+				}
+				// Both instances end in the same state: one more traversal
+				// of every stream costs the same access for access.
+				for i := range strRef {
+					for k, vaddr := range strRef[i].Addrs {
+						if a, b := inHeap.Access(strHeap[i].Core, strHeap[i].Space, strHeap[i].Addrs[k]), inRef.Access(strRef[i].Core, strRef[i].Space, vaddr); a != b {
+							t.Fatalf("stride %d, stream %d access %d after the run: %v, reference %v", stride, i, k, a, b)
+						}
 					}
 				}
 			}

@@ -19,6 +19,26 @@ type endState struct {
 	cores  string
 }
 
+// encodeCache appends an exact encoding of c's contents to dst: 0 if
+// the backing array was never allocated; otherwise 1, then (length,
+// set index, tags in MRU order) for every non-empty set, then 0. A
+// set's length is never 0, so the encoding parses unambiguously and
+// two states encode alike only when they are equal.
+func encodeCache(dst []uint32, c *cache) []uint32 {
+	if c.lines == nil {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	for idx, n := range c.lens {
+		if n != 0 {
+			base := int64(idx) * c.assoc
+			dst = append(dst, uint32(n), uint32(idx))
+			dst = append(dst, c.lines[base:base+int64(n)]...)
+		}
+	}
+	return append(dst, 0)
+}
+
 func stateOf(in *Instance) endState {
 	var s endState
 	for _, level := range in.caches {

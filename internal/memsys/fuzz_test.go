@@ -168,10 +168,12 @@ func FuzzResetAtMatchesFresh(f *testing.F) {
 }
 
 // concurrentStreams decodes up to 4 streams on the instance from spec,
-// each over its own array in its own space: per stream a core, a
-// length of up to 2048 accesses, a stride of 16 to 2048 bytes and an
-// edit — none, swap two addresses, or leave the stream empty. Missing
-// bytes read as zero.
+// each over its own array: per stream a core, a length of up to 2048
+// accesses, a stride of 16 to 2048 bytes and an edit — none, swap two
+// addresses, leave the stream empty, allocate its array in the
+// previous stream's space instead of its own, or touch its first
+// address from its core before the run and then leave it empty, so the
+// caches on that core's plan hold a line. Missing bytes read as zero.
 func concurrentStreams(in *Instance, spec []byte) []Stream {
 	next := func() int64 {
 		if len(spec) == 0 {
@@ -187,15 +189,22 @@ func concurrentStreams(in *Instance, spec []byte) []Stream {
 		core := int(next() % int64(in.m.CoresPerNode))
 		n := 1 + (next()<<8|next())%2048
 		stride := 16 * (1 + next()%128)
-		edit, at := next()%8, next()
+		edit, at := next()%16, next()
+		if edit == 8 && i > 0 {
+			sp = streams[i-1].Space
+		}
 		streams[i] = Stream{Core: core, Space: sp}
 		if edit == 7 {
 			continue
 		}
 		addrs := strided(sp.Alloc(n*stride), stride)
-		if edit == 6 && len(addrs) > 1 {
+		switch {
+		case edit == 6 && len(addrs) > 1:
 			j := int(at) % (len(addrs) - 1)
 			addrs[j], addrs[j+1] = addrs[j+1], addrs[j]
+		case edit == 9:
+			in.Access(core, sp, addrs[0])
+			continue
 		}
 		streams[i].Addrs = addrs
 	}
@@ -204,11 +213,12 @@ func concurrentStreams(in *Instance, spec []byte) []Stream {
 
 // FuzzRunConcurrentMatchesReference: over machine shapes decoded like
 // FuzzResetAtMatchesFresh's, 1 to 4 streams on random cores — coupled
-// ones that interleave and lone ones that run through the filled,
-// derived and replayed passes — strided or with two addresses swapped,
-// over 1 to 4 passes, RunConcurrentInto's statistics equal the
-// linear-scan reference's bit for bit, and both instances end in the
-// same state.
+// ones, whose cold warm-up may be filled before they interleave, and
+// lone ones that run through the filled, derived and replayed passes —
+// strided or with two addresses swapped, over 1 to 4 passes,
+// RunConcurrentInto's statistics equal the linear-scan reference's bit
+// for bit, and both instances end in the same state. The seeds after
+// the first five are coupledSeeds.
 func FuzzRunConcurrentMatchesReference(f *testing.F) {
 	for _, m := range fastpathMachines() {
 		f.Add(shapeBytes(m), int64(1), []byte{1, 0, 0, 64, 63, 0, 0, 1, 0, 96, 63, 0, 0}, uint8(2))
@@ -218,6 +228,9 @@ func FuzzRunConcurrentMatchesReference(f *testing.F) {
 	f.Add(nehalem, int64(3), []byte{2, 0, 0, 96, 63, 0, 0, 4, 0, 160, 63, 6, 7, 5, 0, 50, 63, 0, 0}, uint8(3)) // lone beside a coupled pair
 	f.Add(nehalem, int64(4), []byte{1, 2, 0, 128, 15, 0, 0, 7, 0, 64, 1, 0, 0}, uint8(1))                      // prefetched and sub-line strides
 	f.Add(nehalem, int64(5), []byte{1, 4, 0, 128, 63, 7, 0, 4, 0, 64, 63, 0, 0}, uint8(2))                     // empty beside lone
+	for _, c := range coupledSeeds() {
+		f.Add(c.shape, int64(6), c.spec, uint8(2))
+	}
 	f.Fuzz(func(t *testing.T, shape []byte, seed int64, spec []byte, passes uint8) {
 		m := fuzzMachine(shape)
 		if err := m.Validate(); err != nil {

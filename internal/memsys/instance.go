@@ -476,22 +476,24 @@ type streamState struct {
 }
 
 // runScratch holds RunConcurrent's per-call buffers — stream cursors,
-// local clocks and the heap's index slab — pooled on the Instance so a
-// reset-and-measure cycle reruns concurrent streams without
-// allocating.
+// local clocks, the heap's index slab and fillCoupled's per-stream
+// state — pooled on the Instance so a reset-and-measure cycle reruns
+// concurrent streams without allocating.
 type runScratch struct {
 	st     []streamState
 	clocks []float64
 	idx    []int32
+	fills  []coupledFill
 }
 
 // grab returns the scratch sized for ns streams, growing the slabs
-// only when a wider run arrives.
+// only when a wider run arrives. fills is sized along with them.
 func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 	if cap(rc.st) < ns {
 		rc.st = make([]streamState, ns)
 		rc.clocks = make([]float64, ns)
 		rc.idx = make([]int32, 0, ns)
+		rc.fills = make([]coupledFill, ns)
 	}
 	st := rc.st[:ns]
 	clear(st)
@@ -519,8 +521,13 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 // steady-state replay of AccessStridePasses, with its sums still
 // accumulated in issue order. The coupled streams interleave in a
 // (clock, index) min-heap — identical selection order to the
-// historical linear scan — and, once a single stream remains, the
-// last finishes through the batched AccessRun path.
+// historical linear scan. Their cold warm-up is first filled up to the
+// first access of any measured pass, when fillCoupled can prove that
+// every access before it misses at every level: then the heap runs
+// over the known miss costs and the caches are installed in one sweep
+// of the merged issue order. The interleaving goes on from there, and,
+// once a single stream remains, the last finishes through the batched
+// AccessRun path.
 func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 	stats := make([]StreamStats, len(streams))
 	RunConcurrentInto(in, streams, passes, stats)
@@ -531,8 +538,9 @@ func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 // buffer (len(stats) must equal len(streams)); the interleaver's own
 // buffers are pooled on the instance, so a warm caller pays zero
 // allocations per run. The statistics are bit-identical to
-// RunConcurrent's. It returns how many accesses of the streams that
-// ran alone were not simulated one by one (see AccessStridePasses).
+// RunConcurrent's. It returns how many accesses were not simulated one
+// by one: those of the streams that ran alone (see
+// AccessStridePasses), and the coupled warm-up accesses it filled.
 func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (counts PassCounts) {
 	if len(stats) != len(streams) {
 		panic(fmt.Sprintf("memsys: stats buffer for %d streams has length %d", len(streams), len(stats)))
@@ -556,6 +564,9 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 			counts.add(in.replayPasses(str.Core, walk{sp: str.Space, addrs: str.Addrs}, passes-1, &clocks[i], &stats[i].Cycles))
 			stats[i].Accesses = int64(passes-1) * int64(len(str.Addrs))
 		}
+	}
+	if len(h.idx) > 1 {
+		counts.Filled += in.fillCoupled(streams, h, st)
 	}
 	for len(h.idx) > 1 {
 		sel := h.idx[0]

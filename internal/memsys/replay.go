@@ -7,29 +7,24 @@ import (
 )
 
 // A strided measurement is one warm-up traversal of an array followed
-// by measured traversals (Fig. 1 of the paper). On a single core the
-// measured passes almost always start from a fixed point: the state a
-// pass leaves behind — cache contents in LRU order, TLB, prefetcher —
-// is the state it started from, so every later pass repeats the same
-// accesses at the same costs and ends in the same state again.
-// AccessStridePasses proves the fixed point exactly instead of
-// assuming it, and then adds the remaining passes' cost arithmetically.
-// RunConcurrentInto runs each concurrent stream that shares no cache
-// and no core through the same loop, over its address list.
-//
-// A measurement does as little simulation as it can prove away, in
-// three steps, each exact and each falling back to simulation when its
-// proof fails:
+// by measured traversals (Fig. 1 of the paper). AccessStridePasses does
+// as little simulation as it can prove away, in three steps, each exact
+// and each falling back to simulation when its proof fails:
 //
 //   - fill installs a warm-up over empty caches that provably misses
 //     everywhere in one sweep, recording which sets it overflowed;
 //   - derivedPass costs the first measured pass after such a fill from
-//     those per-set facts alone, without touching any state;
-//   - the d·k rule adds the passes that repeat a pass which ended in
-//     the state it started from.
+//     those per-set facts alone, and proves that the pass leaves the
+//     state where it found it;
+//   - the d·k rule adds the remaining passes arithmetically, since each
+//     repeats the derived pass access for access.
 //
-// A walk fill declines is simulated pass by pass, with snapshots,
-// until a pass ends where it started.
+// A walk fill or derivedPass declines is simulated pass by pass: no
+// state is snapshotted or compared. RunConcurrentInto runs each
+// concurrent stream that shares no cache and no core through the same
+// loop, over its address list. The coupled streams, which share one,
+// interleave; fillCoupled fills their cold warm-up with the same proof,
+// over the merged order in which the interleaver would issue it.
 
 // exactLimit bounds the integers float64 represents exactly: every sum
 // of integers whose partial sums stay below it is exact, so it does
@@ -64,28 +59,14 @@ func (in *Instance) integralCosts() bool {
 	return ok && exactInt(sum)
 }
 
-// passSnapshot is the state one core's pass can change: the
-// contents of every cache on the core's plan, its TLB and its
-// prefetcher. The page table is not part of it — Alloc maps every page
-// eagerly and translation is pure — and neither are other cores'
-// caches, which the pass never touches.
-type passSnapshot struct {
-	// caches holds encodeCache of each cache on the plan, in plan
-	// order.
-	caches []uint32
-	vpages []int64
-	pref   prefetcher
-}
-
 // freeList is a process-wide free list of scratch slabs. A slab is
-// live only for one AccessStridePasses call, so sharing them keeps
-// every pooled instance of a sweep from growing its own copy of the
-// largest cache state it measures. A list grows to the largest number
-// of strided measurements that ever ran at once. It is not a
-// sync.Pool: a garbage collection empties a Pool, so warm measurements
-// would grow their slab again, and under the race detector Put drops
-// slabs at random, which would break the 0 allocs/op of a warm
-// measurement that tests pin.
+// live only for one measurement, so sharing them keeps every pooled
+// instance of a sweep from growing its own copy of the largest scratch
+// it needs. A list grows to the largest number of measurements that
+// ever ran at once. It is not a sync.Pool: a garbage collection empties
+// a Pool, so warm measurements would grow their slab again, and under
+// the race detector Put drops slabs at random, which would break the 0
+// allocs/op of a warm measurement that tests pin.
 type freeList[T any] struct {
 	mu   sync.Mutex
 	free []*T
@@ -112,116 +93,21 @@ func (l *freeList[T]) put(s *T) {
 }
 
 var (
-	snapshots  freeList[passSnapshot]
+	// setScratch holds fill's per-set facts for derivedPass.
 	setScratch freeList[setCounts]
+	// issueOrders holds fillCoupled's merged issue order, one stream
+	// index per access.
+	issueOrders freeList[[]uint8]
 )
-
-// encodedLen returns the length of encodeCache's encoding of c.
-func encodedLen(c *cache) int {
-	n := 2
-	for _, l := range c.lens {
-		if l != 0 {
-			n += 2 + int(l)
-		}
-	}
-	return n
-}
-
-// encodeCache appends an exact encoding of c's contents to dst: 0 if
-// the backing array was never allocated; otherwise 1, then (length,
-// set index, tags in MRU order) for every non-empty set, then 0. A
-// set's length is never 0, so the encoding parses unambiguously and
-// two states encode alike only when they are equal.
-func encodeCache(dst []uint32, c *cache) []uint32 {
-	if c.lines == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	for idx, n := range c.lens {
-		if n != 0 {
-			base := int64(idx) * c.assoc
-			dst = append(dst, uint32(n), uint32(idx))
-			dst = append(dst, c.lines[base:base+int64(n)]...)
-		}
-	}
-	return append(dst, 0)
-}
-
-// matchCache reports whether enc starts with encodeCache's encoding of
-// c, and returns the rest of enc. It compares in place, without
-// encoding c again.
-func matchCache(enc []uint32, c *cache) ([]uint32, bool) {
-	if c.lines == nil {
-		if len(enc) == 0 || enc[0] != 0 {
-			return nil, false
-		}
-		return enc[1:], true
-	}
-	if len(enc) == 0 || enc[0] != 1 {
-		return nil, false
-	}
-	enc = enc[1:]
-	for idx, n := range c.lens {
-		if n == 0 {
-			continue
-		}
-		base := int64(idx) * c.assoc
-		if len(enc) < 2+int(n) || enc[0] != uint32(n) || enc[1] != uint32(idx) ||
-			!slices.Equal(enc[2:2+n], c.lines[base:base+int64(n)]) {
-			return nil, false
-		}
-		enc = enc[2+n:]
-	}
-	if len(enc) == 0 || enc[0] != 0 {
-		return nil, false
-	}
-	return enc[1:], true
-}
-
-// take records the core's state before a pass, growing the slab at
-// most once, to the exact size of the encoding.
-func (s *passSnapshot) take(in *Instance, core int) {
-	plan := in.planFor(core)
-	n := 0
-	for i := range plan {
-		n += encodedLen(plan[i].c)
-	}
-	s.caches = slices.Grow(s.caches[:0], n)
-	for i := range plan {
-		s.caches = encodeCache(s.caches, plan[i].c)
-	}
-	if t := in.tlbs[core]; t != nil {
-		s.vpages = append(s.vpages[:0], t.vpages...)
-	}
-	s.pref = *in.pref[core]
-}
-
-// unchanged reports whether the core's state equals the one take
-// recorded.
-func (s *passSnapshot) unchanged(in *Instance, core int) bool {
-	if s.pref != *in.pref[core] {
-		return false
-	}
-	if t := in.tlbs[core]; t != nil && !slices.Equal(s.vpages, t.vpages) {
-		return false
-	}
-	enc := s.caches
-	for _, pl := range in.planFor(core) {
-		var ok bool
-		if enc, ok = matchCache(enc, pl.c); !ok {
-			return false
-		}
-	}
-	return len(enc) == 0
-}
 
 // PassCounts counts the accesses of a measurement that were not
 // simulated one by one, by how their cost was found instead.
 type PassCounts struct {
 	// Replayed counts measured accesses added arithmetically, as
-	// repeats of a pass that ended in the state it started from.
+	// repeats of a derived pass.
 	Replayed int64
-	// Filled counts warm-up accesses installed by fill.
+	// Filled counts warm-up accesses installed by fill, or by
+	// fillCoupled for the coupled streams of RunConcurrentInto.
 	Filled int64
 	// Derived counts measured accesses costed by derivedPass from the
 	// per-set line counts of a filled walk.
@@ -246,18 +132,15 @@ func (c *PassCounts) add(o PassCounts) {
 // every plan level's line and the prefetcher cannot follow it; it is
 // simulated otherwise. After a fill the first measured pass is derived
 // when derivedPass can prove its cost from the fill's per-set line
-// counts, and it then leaves the state as it found it. Otherwise,
-// before each measured pass but the last, it snapshots the core's
-// state, and the pass is simulated. When the pass — derived, or
-// simulated and ending in exactly the snapshot's state — leaves the
-// state unchanged, every remaining pass repeats it access for access,
-// so their cost is the pass's sum d times their count k.
-// AccessStridePasses adds d·k in one step when that equals the k·n
-// single additions bit for bit: every access costs an integer number
-// of cycles (integralCosts) and the accumulators hold integers that
-// stay below 2^53 throughout, so no addition rounds. Otherwise a
-// derived pass is derived again for each remaining pass, and a
-// simulated one is simulated and tried again before the next.
+// counts, and it then leaves the state as it found it, so every
+// remaining pass repeats it access for access and their cost is the
+// pass's sum d times their count k. AccessStridePasses adds d·k in one
+// step when that equals the k·n single additions bit for bit: every
+// access costs an integer number of cycles (integralCosts) and the
+// accumulators hold integers that stay below 2^53 throughout, so no
+// addition rounds. Otherwise the derived pass is derived again for each
+// remaining pass. A warm-up that is not filled, and a pass that is not
+// derived, is simulated, and so is every pass after it.
 func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) PassCounts {
 	return in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured)
 }
@@ -344,19 +227,69 @@ func (sc *setCounts) reset(plan []planLevel, base, stride int64) {
 	}
 }
 
-// fill runs one traversal of w on the core, adding each access's cost
-// to *total, without simulating its cache accesses, when it can prove
-// that every access misses at every level; otherwise it changes nothing
-// and returns false. The proof needs three facts, each checked:
+// constantStride returns the first address and the stride of an
+// address list that moves by one constant stride, and false for any
+// other list: one of fewer than two addresses has no stride.
+func constantStride(addrs []int64) (base, stride int64, ok bool) {
+	if len(addrs) < 2 {
+		return 0, 0, false
+	}
+	base, stride = addrs[0], addrs[1]-addrs[0]
+	for i := 2; i < len(addrs); i++ {
+		if addrs[i]-addrs[i-1] != stride {
+			return 0, 0, false
+		}
+	}
+	return base, stride, true
+}
+
+// coldWalk reports whether every access of a walk on the core from
+// base by a constant stride provably misses at every level of the
+// core's plan, given that while it runs nothing else drives the core's
+// prefetcher or brings a line of the walk's frames into the plan's
+// caches. The proof needs three facts, each checked:
 //
 //   - every cache on the core's plan holds no line;
-//   - the addresses rise at one constant stride of at least every plan
-//     level's line, and no line spans pages, so each access touches a
-//     line no earlier access touched — distinct pages of a space map to
-//     distinct frames;
+//   - the stride is at least every plan level's line, and no line spans
+//     pages, so each access touches a line no earlier access touched —
+//     distinct pages of a space map to distinct frames;
 //   - the core's prefetcher cannot fire: it is off, or the stride is
 //     beyond it and the first access does not complete a stream it had
 //     already begun.
+func (in *Instance) coldWalk(core int, base, stride int64) bool {
+	for _, pl := range in.planFor(core) {
+		c := pl.c
+		if c.occupied || stride < int64(1)<<c.lineBits || c.lineBits > in.pageShift {
+			return false
+		}
+	}
+	p := in.pref[core]
+	if p.maxStride > 0 {
+		probe := *p
+		if _, fires := probe.observe(base, in.pageShift); fires || stride <= p.maxStride {
+			return false
+		}
+	}
+	return true
+}
+
+// occupy readies every cache on the plan for a fill's appendLRU: it
+// allocates the backing array an access would, and marks the cache
+// occupied, as the fill's first miss would.
+func occupy(plan []planLevel) {
+	for _, pl := range plan {
+		if pl.c.lines == nil {
+			pl.c.grow()
+		}
+		pl.c.occupied = true
+	}
+}
+
+// fill runs one traversal of w on the core, adding each access's cost
+// to *total, without simulating its cache accesses, when it can prove
+// that every access misses at every level; otherwise it changes nothing
+// and returns false. The proof is coldWalk's, for a walk that rises at
+// one constant stride.
 //
 // Each level then ends holding, in every set, the last min(k, assoc)
 // of the k lines the walk mapped to it, MRU first, which one reverse
@@ -371,34 +304,17 @@ func (sc *setCounts) reset(plan []planLevel, base, stride int64) {
 func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool {
 	n, base, stride := w.accesses(), w.base, w.stride
 	if w.addrs != nil {
-		if n < 2 {
+		var ok bool
+		if base, stride, ok = constantStride(w.addrs); !ok {
 			return false
 		}
-		base, stride = w.addrs[0], w.addrs[1]-w.addrs[0]
-		for i := 2; i < len(w.addrs); i++ {
-			if w.addrs[i]-w.addrs[i-1] != stride {
-				return false
-			}
-		}
 	}
-	if n <= 0 {
+	if n <= 0 || !in.coldWalk(core, base, stride) {
 		return false
 	}
-	plan := in.planFor(core)
-	for i := range plan {
-		c := plan[i].c
-		if c.occupied || stride < int64(1)<<c.lineBits || c.lineBits > in.pageShift {
-			return false
-		}
-	}
-	p := in.pref[core]
-	if p.maxStride > 0 {
-		probe := *p
-		if _, fires := probe.observe(base, in.pageShift); fires || stride <= p.maxStride {
-			return false
-		}
-	}
 
+	plan := in.planFor(core)
+	p := in.pref[core]
 	shift, mask := in.pageShift, in.pageMask
 	t := in.tlbs[core]
 	cost, tlbCost := in.missCost(plan, false), in.missCost(plan, true)
@@ -414,13 +330,7 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool 
 	}
 	*total = a
 
-	for i := range plan {
-		c := plan[i].c
-		if c.lines == nil {
-			c.grow()
-		}
-		c.occupied = true
-	}
+	occupy(plan)
 	var sets [][]uint8
 	if sc != nil {
 		sc.reset(plan, base, stride)
@@ -447,6 +357,124 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool 
 		in.translateFor(core, w.sp, w.addrs[n-1])
 	}
 	return true
+}
+
+// coupledFill is one coupled stream's part of fillCoupled: its two
+// miss costs and, for the reverse sweep, how many of its filled
+// accesses remain and the page it last translated.
+type coupledFill struct {
+	cost, tlbCost float64
+	left          int
+	vpage, pbase  int64
+}
+
+// fillCoupled fills the cold warm-up of the coupled streams in h — the
+// streams RunConcurrentInto interleaves, with their cursors in st and
+// their clocks in h — as far as the first access of any measured pass,
+// when it can prove that every access before it misses at every level
+// whatever the interleaving; otherwise it changes nothing and returns
+// 0. The proof needs, for every coupled stream:
+//
+//   - a core and a Space no other coupled stream has, so its core's
+//     TLB, prefetcher and translation entry see its accesses alone, and
+//     its lines sit on frames no other stream maps, which the other
+//     streams' misses never bring into a shared cache;
+//   - addresses that rise at one constant stride for which coldWalk
+//     holds on its core.
+//
+// Each access then costs missCost, with the TLB term when its core's
+// TLB misses, so the interleaving follows from those costs alone.
+// fillCoupled runs the interleaver's (clock, index) heap over them,
+// adding each cost to its stream's clock in issue order and simulating
+// each core's TLB and prefetcher access by access, and records the
+// merged issue order, one stream index per access. It then installs
+// every cache in one reverse sweep of that order, appending at the LRU
+// end as fill does: a private cache takes its own stream's lines, a
+// shared cache the merged order's, each set the last lines mapped to
+// it, MRU first. Each core's translation entry ends on the page of its
+// stream's last filled access, as Access would leave it, and the
+// cursors and clocks where the interleaver would have left them, so it
+// goes on from there. It returns the number of accesses filled, and
+// allocates nothing once the caches and the order slab have grown.
+func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamState) int64 {
+	if len(streams) > math.MaxUint8+1 {
+		return 0
+	}
+	fs := in.rc.fills[:len(streams)]
+	total := 0
+	for k, i := range h.idx {
+		str := &streams[i]
+		base, stride, ok := constantStride(str.Addrs)
+		if !ok || !in.coldWalk(str.Core, base, stride) {
+			return 0
+		}
+		for _, j := range h.idx[:k] {
+			if streams[j].Core == str.Core || streams[j].Space == str.Space {
+				return 0
+			}
+		}
+		plan := in.planFor(str.Core)
+		fs[i] = coupledFill{cost: in.missCost(plan, false), tlbCost: in.missCost(plan, true), vpage: -1}
+		total += len(str.Addrs)
+	}
+
+	slab := issueOrders.get()
+	defer issueOrders.put(slab)
+	order := slices.Grow((*slab)[:0], total)
+	shift, mask := in.pageShift, in.pageMask
+	for {
+		sel := h.idx[0]
+		s := &st[sel]
+		if s.pass > 0 {
+			break
+		}
+		str := &streams[sel]
+		vaddr := str.Addrs[s.pos]
+		cost := fs[sel].cost
+		if t := in.tlbs[str.Core]; t != nil && !t.access(vaddr>>shift) {
+			cost = fs[sel].tlbCost
+		}
+		in.pref[str.Core].observe(vaddr, shift)
+		h.clocks[sel] += cost
+		order = append(order, uint8(sel))
+		// Every stream has at least one measured pass, so finishing the
+		// warm-up never retires a stream from the heap.
+		if s.pos++; s.pos == len(str.Addrs) {
+			s.pos, s.pass = 0, 1
+		}
+		h.fix()
+	}
+	*slab = order
+
+	for _, i := range h.idx {
+		str := &streams[i]
+		left := st[i].pos
+		if st[i].pass > 0 {
+			left = len(str.Addrs)
+		}
+		fs[i].left = left
+		if left > 0 {
+			occupy(in.planFor(str.Core))
+			in.translateFor(str.Core, str.Space, str.Addrs[left-1])
+		}
+	}
+	for k := len(order) - 1; k >= 0; k-- {
+		i := order[k]
+		f, str := &fs[i], &streams[i]
+		f.left--
+		vaddr := str.Addrs[f.left]
+		if vpage := vaddr >> shift; vpage != f.vpage {
+			f.pbase = str.Space.translate(vaddr) &^ mask
+			f.vpage = vpage
+		}
+		paddr := f.pbase + vaddr&mask
+		for _, pl := range in.planFor(str.Core) {
+			c := pl.c
+			pLine := paddr >> c.lineBits
+			c.appendLRU(c.setIndex(vaddr>>c.lineBits, pLine), pLine)
+		}
+	}
+	return int64(len(order))
 }
 
 // derivedPass costs one measured traversal of a walk fill has just
@@ -559,9 +587,8 @@ func (in *Instance) derivedPass(core int, w *walk, sc *setCounts, total, measure
 // replayPasses is the measurement loop of AccessStridePasses over
 // either kind of walk: a warm-up traversal, filled when fill can prove
 // it misses everywhere, then `passes` measured ones, derived after a
-// fill when derivedPass can prove their cost and simulated otherwise,
-// replaying the rest arithmetically once a pass ends in the state it
-// started from.
+// fill while derivedPass can prove their cost and simulated otherwise,
+// replaying the rest arithmetically after a derived pass.
 func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *float64) (c PassCounts) {
 	n := w.accesses()
 	var sc *setCounts
@@ -575,25 +602,13 @@ func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *
 	} else {
 		in.traverse(core, &w, total, nil)
 	}
-	var s *passSnapshot
-	if passes > 1 && n > 0 && in.exact {
-		s = snapshots.get()
-		defer snapshots.put(s)
-	}
 	for pass := 1; pass <= passes; pass++ {
 		t0, m0 := *total, *measured
-		if derive = derive && in.derivedPass(core, &w, sc, total, measured); derive {
-			c.Derived += n
-		} else if s == nil || pass == passes {
+		if derive = derive && in.derivedPass(core, &w, sc, total, measured); !derive {
 			in.traverse(core, &w, total, measured)
 			continue
-		} else {
-			s.take(in, core)
-			in.traverse(core, &w, total, measured)
-			if !s.unchanged(in, core) {
-				continue
-			}
 		}
+		c.Derived += n
 		if pass == passes || !in.exact || !exactInt(t0) || !exactInt(m0) || !exactInt(*total) || !exactInt(*measured) {
 			continue
 		}

@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -122,8 +121,11 @@ func FuzzStridePassesMatchSimulated(f *testing.F) {
 // TestStridePassesDeclineMovedState pins the decline path on two
 // traversals whose measured passes cost the same but do not start from
 // a fixed point, so equal sums alone would wrongly allow a replay.
-// Each declines at 2 measured passes, replays the third of 3 once the
-// state has settled, and matches simulation bit for bit either way.
+// Neither walk is derived — the first is filled but its L2 set is
+// reached by some of its lines and not others, the second's lead-in
+// leaves its caches occupied — so each simulates every pass, replays
+// nothing at 2 or 3 measured passes, and matches simulation bit for
+// bit.
 func TestStridePassesDeclineMovedState(t *testing.T) {
 	level := func(l int, sets, assoc int64, latency float64) topology.CacheLevel {
 		return topology.CacheLevel{
@@ -165,48 +167,12 @@ func TestStridePassesDeclineMovedState(t *testing.T) {
 		if err := tc.m.Validate(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		n := tc.bytes / 16
-		for passes, wantReplayed := range map[int]int64{2: 0, 3: n} {
+		for _, passes := range []int{2, 3} {
 			got := runStridePasses(tc.m, 1, 0, tc.lead, tc.bytes, 16, passes, 0, true)
-			if got.replayed != wantReplayed {
-				t.Errorf("%s, %d passes: replayed %d accesses, want %d", tc.name, passes, got.replayed, wantReplayed)
+			if got.replayed != 0 || got.derived != 0 {
+				t.Errorf("%s, %d passes: replayed %d and derived %d accesses, want 0", tc.name, passes, got.replayed, got.derived)
 			}
 			assertReplayMatches(t, got, runStridePasses(tc.m, 1, 0, tc.lead, tc.bytes, 16, passes, 0, false))
-		}
-	}
-}
-
-// TestPassSnapshotCoversState: a snapshot equals the state it was
-// taken from, and no longer does once any one part of the state a pass
-// can move has changed — a cache on the core's plan, its TLB or its
-// prefetcher. Strided passes alone cannot show every part: a TLB, or a
-// cache that sees every access, ends each pass in the same state
-// whatever it started from.
-func TestPassSnapshotCoversState(t *testing.T) {
-	m := fastpathMachines()["dunnington-tlb"]
-	const core = 0
-	perturb := map[string]func(in *Instance, a *Array){
-		"prefetcher": func(in *Instance, a *Array) { in.pref[core].observe(a.Base, in.pageShift) },
-		"TLB":        func(in *Instance, a *Array) { in.tlbs[core].access(-1) },
-	}
-	for li := range m.Caches {
-		perturb[fmt.Sprintf("L%d", li+1)] = func(in *Instance, a *Array) {
-			in.planFor(core)[li].c.access(1<<31, 1<<31)
-		}
-	}
-	for name, change := range perturb {
-		in := NewInstanceAt(m, 1)
-		a := in.NewSpace().Alloc(64 * topology.KB)
-		var total, measured float64
-		in.AccessStridePasses(core, a.sp, a.Base, a.Bytes, 1024, 1, &total, &measured)
-		var s passSnapshot
-		s.take(in, core)
-		if !s.unchanged(in, core) {
-			t.Fatalf("%s: a fresh snapshot differs from its state", name)
-		}
-		change(in, a)
-		if s.unchanged(in, core) {
-			t.Errorf("the snapshot missed a change to the %s", name)
 		}
 	}
 }

@@ -121,13 +121,14 @@ func TestResetAtSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestRunConcurrentIntoAllocFree: a warm instance reruns concurrent
-// streams into a caller-owned stats buffer without allocating.
+// streams into a caller-owned stats buffer without allocating — a
+// FinisTerrae pair, whose private caches let each stream run alone, and
+// a nehalem2s same-socket pair, whose shared L3 couples the streams and
+// whose cold warm-up is filled.
 func TestRunConcurrentIntoAllocFree(t *testing.T) {
-	m := topology.FinisTerrae(1)
-	in := NewInstanceAt(m, 1)
 	var streams [2]Stream
 	var stats [2]StreamStats
-	run := func(k int64) {
+	pair := func(in *Instance, k int64) PassCounts {
 		in.ResetAt(1, k)
 		spA, spB := in.NewSpace(), in.NewSpace()
 		arrA, arrB := spA.Alloc(64*topology.KB), spB.Alloc(64*topology.KB)
@@ -135,8 +136,18 @@ func TestRunConcurrentIntoAllocFree(t *testing.T) {
 		streams[1] = Stream{Core: 1, Space: spB, Addrs: streams[1].Addrs}
 		streams[0].Addrs = appendStrided(streams[0].Addrs[:0], arrA, 1*topology.KB)
 		streams[1].Addrs = appendStrided(streams[1].Addrs[:0], arrB, 1*topology.KB)
-		RunConcurrentInto(in, streams[:], 3, stats[:])
+		return RunConcurrentInto(in, streams[:], 3, stats[:])
 	}
+	coupled := NewInstanceAt(topology.Nehalem2S(), 1)
+	if c := pair(coupled, 0); c.Filled != 2*64 || c.Replayed != 0 { // warm
+		t.Fatalf("nehalem2s same-socket pair: counts %+v, want both warm-ups filled and nothing replayed", c)
+	}
+	if n := testing.AllocsPerRun(10, func() { pair(coupled, 1) }); n != 0 {
+		t.Errorf("RunConcurrentInto cycle of a filled coupled pair allocates %v/op on a warm instance, want 0", n)
+	}
+
+	in := NewInstanceAt(topology.FinisTerrae(1), 1)
+	run := func(k int64) { pair(in, k) }
 	run(0) // warm
 	if n := testing.AllocsPerRun(10, func() { run(1) }); n != 0 {
 		t.Errorf("RunConcurrentInto cycle allocates %v/op on a warm instance, want 0", n)

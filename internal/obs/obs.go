@@ -49,12 +49,14 @@ const (
 	// counts those of them the steady-state replay
 	// (memsys.Instance.AccessStridePasses, and memsys.RunConcurrentInto
 	// for a stream that shares no cache) added arithmetically instead
-	// of simulating, because the pass before them had reached a fixed
-	// point.
+	// of simulating: only the d·k repeats of a derived pass, since no
+	// other pass is proven to end where it started.
 	// CounterMemsysFilled counts the warm-up accesses the same calls
 	// filled instead of simulating: a warm-up pass over empty caches
 	// whose every access provably misses at every level installs its
-	// lines in one sweep.
+	// lines in one sweep. For streams that share a cache, the
+	// interleaved warm-up accesses issued before the first measured one
+	// are filled the same way, in one sweep of their merged order.
 	// CounterMemsysDerived counts the measured accesses whose cost the
 	// same calls derived from the per-set line counts of a filled
 	// warm-up instead of simulating them: the first measured pass after
