@@ -28,15 +28,14 @@ import (
 // the simulated cluster. Cancelling the context aborts the sweep
 // between measurements.
 //
-// Both phases run through sched.Sweep: the O(n²) pair sweep over
-// index-ordered chunks, the per-layer bandwidth and scalability
-// micro-benchmarks as one measurement per layer. Workers only record
-// raw latencies into disjoint slots; probe-cost accounting, noise
-// perturbation and layer clustering all happen in a sequential merge
-// over the measurements in pair order, and noise is drawn statelessly
-// per measurement (perturbAt), so the result — including the simulated
-// probe time, a float sum sensitive to addition order — is
-// byte-identical at any Options.Parallelism.
+// Both phases run through sched.Sweep at parallelism cheapSweep,
+// whatever Options.Parallelism says: the O(n²) pair sweep, and the
+// per-layer bandwidth and scalability micro-benchmarks as one
+// measurement per layer. The sweeps only record raw latencies into
+// their slots; probe-cost accounting, noise perturbation and layer
+// clustering all happen in a sequential merge over the measurements in
+// pair order, and noise is drawn statelessly per measurement
+// (perturbAt).
 func CommunicationCostsContext(ctx context.Context, m *topology.Machine, messageBytes int64, opt Options) (report.CommResult, float64, error) {
 	opt = opt.withDefaults(m)
 	if messageBytes <= 0 {
@@ -66,10 +65,10 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 	// identical latencies (pinned by TestPingPongClassParity). Measure
 	// one representative per class — the first pair of the class, in
 	// pair order — and share its raw vector with every pair of the
-	// class. The sweep itself shards the representatives; everything
+	// class. The sweep measures the representatives; everything
 	// downstream (probe accounting, per-pair noise, clustering) still
 	// runs over all pairs in pair order, so results are byte-identical
-	// to the historical all-pairs sweep at any parallelism.
+	// to the historical all-pairs sweep.
 	classIdx := make(map[[2]int]int)
 	classOf := make([]int, len(pairs))
 	var reps [][2]int // representative pair per class, first-appearance order
@@ -83,7 +82,7 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 		}
 		classOf[i] = ci
 	}
-	repLats, err := sched.Sweep(ctx, "pairs", len(reps), opt.Parallelism, nil, func(_ struct{}, i int) ([]float64, error) {
+	repLats, err := sched.Sweep(ctx, "pairs", len(reps), cheapSweep, nil, func(_ struct{}, i int) ([]float64, error) {
 		a, b := reps[i][0], reps[i][1]
 		vec := make([]float64, len(layerSizes))
 		for si, size := range layerSizes {
@@ -150,7 +149,7 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 		bw   []float64
 		scal []float64
 	}
-	layerRaws, err := sched.Sweep(ctx, "layer", len(lats), opt.Parallelism, nil, func(_ struct{}, i int) (layerRaw, error) {
+	layerRaws, err := sched.Sweep(ctx, "layer", len(lats), cheapSweep, nil, func(_ struct{}, i int) (layerRaw, error) {
 		rep := pairsPerLayer[i][0]
 		raw := layerRaw{
 			bw:   make([]float64, len(opt.BWSizes)),

@@ -203,12 +203,12 @@ func TestSlowdownGuard(t *testing.T) {
 	}
 }
 
-// TestCommCostsShardedGolden is the tentpole's golden test: the pair
-// sweep and per-layer micro-benchmarks, sharded across workers, must
-// produce a byte-identical result (including the order-sensitive
-// simulated probe time) at parallelism 1, 2 and NumCPU on every
-// machine model — with measurement noise enabled, which is exactly
-// what a shared sequential RNG would break.
+// TestCommCostsShardedGolden: the pair sweep and per-layer
+// micro-benchmarks must produce a byte-identical result (including the
+// order-sensitive simulated probe time) at Options.Parallelism 1, 2, 4
+// and NumCPU on every machine model, with measurement noise enabled.
+// The sweeps run at parallelism cheapSweep whatever the option says,
+// so the option must change nothing.
 func TestCommCostsShardedGolden(t *testing.T) {
 	models := topology.Models(2)
 	for name, m := range models {

@@ -24,20 +24,20 @@ const memProbeBytes = 16 * topology.MB
 // scalability curve of Fig. 9(b). The returned simulated-probe
 // duration accounts for the traffic the measurements would move.
 //
-// The O(cores²) pair sweep is sharded through sched.Sweep, and
-// cancelling the context aborts it between measurements. Workers
-// record only raw bandwidths into disjoint slots (slot 0 the isolated
-// reference, slot 1+i pair i), while the order-sensitive probe-time
-// float sum, the stateless noise perturbation, the overhead-level
-// clustering and the scalability curves all run in a sequential merge
-// in measurement order — so the result is byte-identical at any
-// Options.Parallelism.
+// The O(cores²) pair sweep runs through sched.Sweep at parallelism
+// cheapSweep, whatever Options.Parallelism says, and cancelling the
+// context aborts it between measurements. The sweep records only raw
+// bandwidths into its slots (slot 0 the isolated reference, slot 1+i
+// pair i), while the order-sensitive probe-time float sum, the
+// stateless noise perturbation, the overhead-level clustering and the
+// scalability curves all run in a sequential merge in measurement
+// order.
 func MemoryOverheadContext(ctx context.Context, m *topology.Machine, opt Options) (report.MemoryResult, float64, error) {
 	opt = opt.withDefaults(m)
 	var probeNS float64
 
 	pairs := allNodePairs(m)
-	raw, err := sched.Sweep(ctx, "mem", 1+len(pairs), opt.Parallelism, nil, func(_ struct{}, i int) (float64, error) {
+	raw, err := sched.Sweep(ctx, "mem", 1+len(pairs), cheapSweep, nil, func(_ struct{}, i int) (float64, error) {
 		if i == 0 {
 			return memsys.StreamBandwidth(m, 0, []int{0}), nil
 		}

@@ -142,9 +142,11 @@ func TestMemoryOverheadWithNoise(t *testing.T) {
 	}
 }
 
-// TestMemOverheadShardedGolden: the sharded pair sweep must produce a
+// TestMemOverheadShardedGolden: the pair sweep must produce a
 // byte-identical result — including the order-sensitive probeNS float
-// sum — at parallelism 1, 2, 4 and NumCPU, with noise off and on.
+// sum — at Options.Parallelism 1, 2, 4 and NumCPU, with noise off and
+// on. It runs at parallelism cheapSweep whatever the option says, so
+// the option must change nothing.
 func TestMemOverheadShardedGolden(t *testing.T) {
 	models := map[string]*topology.Machine{
 		"finisterrae": topology.FinisTerrae(1),

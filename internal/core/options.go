@@ -18,6 +18,15 @@ import (
 	"servet/internal/topology"
 )
 
+// cheapSweep is the parallelism of the memory-overhead pair sweep and
+// of the communication-costs pair and per-layer sweeps, whatever
+// Options.Parallelism says. Their measurements are too cheap for
+// fan-out to pay: a traced nehalem2s cold suite spends 15 µs, 263 µs
+// and 4.4 ms of its 146 ms in them, and at parallelism 2 on a 2-CPU
+// host the memory-overhead sweep ran 1.05× and the communication-costs
+// sweep 1.09× faster than sequentially, at more bytes per op.
+const cheapSweep = 1
+
 // Options tunes the suite. The zero value means "use the defaults from
 // the paper" (1 KB stride, ratio threshold 2, 10% similarity, ...).
 type Options struct {
@@ -66,13 +75,13 @@ type Options struct {
 	// size, which separates channels that happen to coincide at a
 	// single probe size. Empty means [message size].
 	LayerSizes []int64
-	// Parallelism bounds how many measurements each sched.Sweep runs
-	// concurrently (default 1: fully sequential). One knob governs
-	// every sweep: the mcalibrator size grid and its refinement, the
-	// communication-costs, shared-cache and memory-overhead pair
-	// sweeps, the per-layer micro-benchmarks, the per-core
-	// CalibrateCores loop. Probes themselves run one after another in
-	// the paper's stage order. The merged report is byte-identical at
+	// Parallelism bounds how many measurements each sched.Sweep that
+	// pays for fan-out runs concurrently (default 1: fully sequential):
+	// the mcalibrator size grid and its refinement, the shared-cache
+	// pair sweep and the per-core CalibrateCores loop. The
+	// memory-overhead and communication-costs sweeps always run at
+	// parallelism 1 (cheapSweep). Probes themselves run one after
+	// another in the paper's stage order. The merged report is byte-identical at
 	// any parallelism — measurements merge in index order, noise is
 	// drawn statelessly per measurement, and memory-system instances
 	// are built per measurement from stable keys — only wall times

@@ -7,11 +7,13 @@ import (
 	"servet/internal/topology"
 )
 
-// Benchmarks for the sharded shared-cache and memory-overhead sweeps,
-// companions of BenchmarkCommCostsPairSweep*: parallel configurations
-// must return byte-identical results (TestSharedCacheShardedGolden,
-// TestMemOverheadShardedGolden) while scaling wall-clock with worker
-// count on multicore hosts. The CI benchmark smoke job runs every
+// Benchmarks for the sharded shared-cache sweep and the memory-overhead
+// sweep, companions of BenchmarkCommCostsPairSweepSeq: parallel
+// configurations must return byte-identical results
+// (TestSharedCacheShardedGolden) while scaling wall-clock with worker
+// count on multicore hosts. The memory-overhead sweep runs at
+// parallelism cheapSweep whatever Options.Parallelism says, so it has
+// only a sequential row. The CI benchmark smoke job runs every
 // configuration once so the sweeps cannot rot.
 
 // benchSharedCache runs the Fig. 5 sweep on FinisTerrae (16 cores,
@@ -41,12 +43,11 @@ func BenchmarkSharedCachePairSweepPar2(b *testing.B) { benchSharedCache(b, 2) }
 func BenchmarkSharedCachePairSweepPar4(b *testing.B) { benchSharedCache(b, 4) }
 func BenchmarkSharedCachePairSweepPar8(b *testing.B) { benchSharedCache(b, 8) }
 
-// benchMemOverhead runs the Fig. 6 sweep on Dunnington (24 cores, 276
-// pairs).
-func benchMemOverhead(b *testing.B, parallelism int) {
-	b.Helper()
+// BenchmarkMemOverheadSweepSeq runs the Fig. 6 sweep on Dunnington (24
+// cores, 276 pairs).
+func BenchmarkMemOverheadSweepSeq(b *testing.B) {
 	m := topology.Dunnington()
-	opt := Options{Seed: 1, Parallelism: parallelism}
+	opt := Options{Seed: 1}
 	for i := 0; i < b.N; i++ {
 		res, _, err := MemoryOverheadContext(context.Background(), m, opt)
 		if err != nil {
@@ -57,8 +58,3 @@ func benchMemOverhead(b *testing.B, parallelism int) {
 		}
 	}
 }
-
-func BenchmarkMemOverheadSweepSeq(b *testing.B)  { benchMemOverhead(b, 1) }
-func BenchmarkMemOverheadSweepPar2(b *testing.B) { benchMemOverhead(b, 2) }
-func BenchmarkMemOverheadSweepPar4(b *testing.B) { benchMemOverhead(b, 4) }
-func BenchmarkMemOverheadSweepPar8(b *testing.B) { benchMemOverhead(b, 8) }

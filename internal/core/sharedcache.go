@@ -101,8 +101,9 @@ func (sc *scScratch) measureRef(tr *obs.Tracer, opt Options, level, alloc, ab in
 // RunConcurrentInto with the scratch's pooled buffers: a pair that
 // shares a cache fills its cold warm-up — ResetAt has just emptied
 // every cache — and interleaves access by access from the first
-// measured access on, and each stream of a pair that shares none runs
-// alone through the steady-state replay. The statistics are
+// measured access on, simulated only at the levels the pair shares,
+// and each stream of a pair that shares none runs alone through the
+// steady-state replay. The statistics are
 // bit-identical to the historical fresh-instance, fully interleaved
 // RunConcurrent path. The scratch's tracer counts the streams'
 // accesses and replayed, filled and derived accesses, as traverse

@@ -16,7 +16,8 @@ import (
 // install-time report. Probes come from the package registry and run
 // one after another in its canonical order, which is topological, so
 // every probe reads its dependencies' sections from the report;
-// Options.Parallelism fans out the sweeps inside each probe. Each
+// Options.Parallelism fans out the sweeps inside each probe that pay
+// for it (see Options.Parallelism). Each
 // probe writes its own section of the report in canonical order.
 type Suite struct {
 	m   *topology.Machine

@@ -181,3 +181,35 @@ func BenchmarkRunConcurrentPooled16Streams(b *testing.B) {
 		run()
 	}
 }
+
+// BenchmarkRunConcurrentPooledSharedL3Pair is one pooled Fig. 5
+// measurement of a coupled pair on a warm instance: a nehalem2s
+// same-socket pair over (2/3)·8 MiB arrays, one per core, at the 1 KiB
+// probe stride, 3 passes. The pair shares the L3, so its warm-up is
+// filled and its measured passes interleave; both streams overflow
+// their private L1 and L2, so only the L3 is simulated.
+func BenchmarkRunConcurrentPooledSharedL3Pair(b *testing.B) {
+	m := topology.Nehalem2S()
+	in := NewInstance(m, 1)
+	const stride = 1 * topology.KB
+	ab := m.Caches[2].SizeBytes * 2 / 3
+	ab -= ab % stride
+	var stats [2]StreamStats
+	var addrs [2][]int64
+	var streams [2]Stream
+	run := func() {
+		in.ResetAt(1)
+		for c := range streams {
+			sp := in.NewSpace()
+			addrs[c] = appendStrided(addrs[c][:0], sp.Alloc(ab), stride)
+			streams[c] = Stream{Core: c, Space: sp, Addrs: addrs[c]}
+		}
+		RunConcurrentInto(in, streams[:], 3, stats[:])
+	}
+	run() // warm the pool to steady-state capacity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}

@@ -59,7 +59,13 @@
 // the issue order follows from the miss costs alone, and one reverse
 // sweep of the merged order installs every cache, private ones from
 // their own stream and shared ones from the merged order. The rest is
-// simulated access by access.
+// simulated access by access, but only at the levels the streams
+// share: a filled stream's leading private levels, at which every set
+// its walk touches receives more lines than it holds, miss on every
+// access whatever the interleaving, so each access starts at the first
+// shared level with those levels' latencies already charged, and the
+// skipped levels take at once the state the run leaves there, each
+// set's last lines, MRU first.
 
 // Cache tags and page frames are stored as 32-bit values: a tag is the
 // physical line number and a frame the physical page number, so a node

@@ -97,6 +97,16 @@ func sharingPairs(m *topology.Machine) [][3]int {
 	return pairs
 }
 
+// skipsOf returns how many plan levels RunConcurrentInto skipped for
+// each of the streams of its last run on in.
+func skipsOf(in *Instance, streams int) []int {
+	skips := make([]int, streams)
+	for i := range skips {
+		skips[i] = in.rc.skips[i].skip
+	}
+	return skips
+}
+
 // TestCoupledFillMatchesReference: on every topology.Models machine,
 // for every pair of cores that shares a cache at some level, two cold
 // streams over (2/3)·CS arrays of that level at the 1 KiB probe stride
@@ -104,9 +114,13 @@ func sharingPairs(m *topology.Machine) [][3]int {
 // access: fillCoupled issues the reference interleaver's warm prefix
 // and leaves the clocks, cursors and memory system where the prefix
 // does. RunConcurrentInto's statistics and end state then equal the
-// reference interleaver's bit for bit.
+// reference interleaver's bit for bit. Each stream skips the private
+// levels its walk overflows: L1 and L2 of a nehalem2s pair sharing the
+// L3, L1 of a dunnington pair sharing an L2, none of an smt-quad pair
+// sharing an L1; no stream skips more than its private levels.
 func TestCoupledFillMatchesReference(t *testing.T) {
 	const stride, passes = 1024, 3
+	wantSkips := map[string]int{"nehalem2s L3": 2, "dunnington L2": 1, "smt-quad L1": 0}
 	models := topology.Models(2)
 	for _, name := range slices.Sorted(maps.Keys(models)) {
 		m := models[name]
@@ -145,51 +159,65 @@ func TestCoupledFillMatchesReference(t *testing.T) {
 			if filled != ref.n {
 				t.Errorf("%s: RunConcurrentInto filled %d accesses, want %d", label, filled, ref.n)
 			}
+			private := 0
+			for private < len(m.Caches) && m.Caches[private].CacheInstance(a) != m.Caches[private].CacheInstance(b) {
+				private++
+			}
+			for i, skip := range skipsOf(inRun, 2) {
+				if w, ok := wantSkips[fmt.Sprintf("%s L%d", name, li+1)]; (ok && skip != w) || skip > private {
+					t.Errorf("%s stream %d: skipped %d plan levels, want %d of the %d private ones", label, i, skip, w, private)
+				}
+			}
 		}
 	}
 }
 
 // coupledSeed is a FuzzRunConcurrentMatchesReference seed of cold
-// coupled streams: a machine shape, a concurrentStreams spec, and
-// whether fillCoupled fills the run or must decline it.
+// coupled streams: a machine shape, a concurrentStreams spec, whether
+// fillCoupled fills the run or must decline it, and how many plan
+// levels RunConcurrentInto skips for each stream.
 type coupledSeed struct {
 	name  string
 	shape []byte
 	spec  []byte
 	fills bool
+	skips []int
 }
 
 // coupledSeeds are cold coupled streams at the 1 KiB probe stride that
 // fill — a nehalem2s same-socket pair, with and without a TLB that the
-// walks overflow, a dunnington pair sharing an
-// L2 (fuzzMachine numbers a sharing group's cores consecutively, so
-// cores 0 and 1 share one), unequal lengths, three and four streams —
-// and runs that must
-// decline: two streams on one core, two streams in one space, a stride
-// the prefetcher follows, and a shared cache that already holds a line.
+// walks overflow, a dunnington pair sharing an L2 (fuzzMachine numbers
+// a sharing group's cores consecutively, so cores 0 and 1 share one),
+// unequal lengths, three and four streams, a nehalem2s pair too short
+// to overflow its private L2 and one too short to overflow its L1 —
+// and runs that must decline: two streams on one core, two streams in
+// one space, a stride the prefetcher follows, and a shared cache that
+// already holds a line. A declined run skips no level.
 func coupledSeeds() []coupledSeed {
 	nehalem, dunnington := shapeBytes(topology.Nehalem2S()), shapeBytes(topology.Dunnington())
 	tlbNehalem := topology.Nehalem2S()
 	tlbNehalem.TLBEntries, tlbNehalem.TLBMissCycles = 16, 30
 	return []coupledSeed{
-		{"same socket", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true},
-		{"same socket, 16-entry TLB", shapeBytes(tlbNehalem), []byte{1, 0, 7, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0}, true},
-		{"sharing an L2", dunnington, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true},
-		{"unequal lengths", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 2, 187, 63, 0, 0}, true},
-		{"three streams", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0}, true},
-		{"four streams", dunnington, []byte{3, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0, 3, 7, 0, 63, 0, 0}, true},
-		{"same core", nehalem, []byte{1, 4, 3, 255, 63, 0, 0, 4, 1, 0, 63, 0, 0}, false},
-		{"shared space", nehalem, []byte{1, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 8, 0}, false},
-		{"prefetched stride", nehalem, []byte{1, 0, 3, 255, 31, 0, 0, 1, 1, 0, 31, 0, 0}, false},
-		{"L3 holds a line", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 0, 0, 2, 0, 10, 63, 9, 0}, false},
+		{"same socket", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true, []int{2, 2}},
+		{"same socket, 16-entry TLB", shapeBytes(tlbNehalem), []byte{1, 0, 7, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0}, true, []int{2, 2}},
+		{"sharing an L2", dunnington, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true, []int{1, 1}},
+		{"unequal lengths", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 2, 187, 63, 0, 0}, true, []int{2, 2}},
+		{"three streams", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0}, true, []int{2, 2, 1}},
+		{"four streams", dunnington, []byte{3, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0, 3, 7, 0, 63, 0, 0}, true, []int{1, 1, 1, 1}},
+		{"L2 not overflowed", nehalem, []byte{1, 0, 0, 63, 63, 0, 0, 1, 0, 63, 63, 0, 0}, true, []int{1, 1}},
+		{"L1 not overflowed", nehalem, []byte{1, 0, 0, 7, 63, 0, 0, 1, 0, 7, 63, 0, 0}, true, []int{0, 0}},
+		{"same core", nehalem, []byte{1, 4, 3, 255, 63, 0, 0, 4, 1, 0, 63, 0, 0}, false, []int{0, 0}},
+		{"shared space", nehalem, []byte{1, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 8, 0}, false, []int{0, 0}},
+		{"prefetched stride", nehalem, []byte{1, 0, 3, 255, 31, 0, 0, 1, 1, 0, 31, 0, 0}, false, []int{0, 0}},
+		{"L3 holds a line", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 0, 0, 2, 0, 10, 63, 9, 0}, false, []int{0, 0, 0}},
 	}
 }
 
 // TestCoupledSeedsFillOrDecline: each coupledSeeds run is filled or
-// declined as its seed says — no stream of them runs alone, so a
-// decline fills nothing — and matches the reference interleaver. A
-// fill stops where the reference's warm prefix does, in the same
-// state.
+// declined, and skips plan levels, as its seed says — no stream of
+// them runs alone, so a decline fills nothing — and matches the
+// reference interleaver. A fill stops where the reference's warm
+// prefix does, in the same state.
 func TestCoupledSeedsFillOrDecline(t *testing.T) {
 	for _, c := range coupledSeeds() {
 		m := fuzzMachine(c.shape)
@@ -209,5 +237,61 @@ func TestCoupledSeedsFillOrDecline(t *testing.T) {
 		if counts.Replayed != 0 || counts.Derived != 0 || (counts.Filled > 0) != c.fills {
 			t.Errorf("%s: counts %+v, want filled accesses %v", c.name, counts, c.fills)
 		}
+		if skips := skipsOf(inRun, len(strRun)); !slices.Equal(skips, c.skips) {
+			t.Errorf("%s: skipped %v plan levels, want %v", c.name, skips, c.skips)
+		}
+	}
+}
+
+// TestCoupledSkipFractionalCosts: with fractional latencies and TLB
+// penalty, the order in which a skipped access adds its TLB term and
+// the skipped levels' latencies shows in the bits of its cost. A
+// nehalem2s same-socket pair over (2/3)·CS of the L3, whose streams
+// skip their L1 and L2 and overflow a 16-entry TLB, still equals the
+// reference interleaver bit for bit, end state included. Since a long
+// sum can absorb a last-bit difference, one more access to the first
+// address — a TLB miss that misses the skipped levels — is then issued
+// with the stream's skipped levels and must cost what Access charges
+// on the reference's instance.
+func TestCoupledSkipFractionalCosts(t *testing.T) {
+	const stride, passes = 1024, 3
+	m := topology.Nehalem2S()
+	m.TLBEntries, m.TLBMissCycles = 16, 0.1
+	for i, lat := range []float64{0.2, 0.3, 0.7} {
+		m.Caches[i].LatencyCycles = lat
+	}
+	m.Memory.LatencyCycles = 1.1
+	ab := m.Caches[2].SizeBytes * 2 / 3
+	ab -= ab % stride
+	build := func() (*Instance, []Stream) {
+		in := NewInstanceAt(m, 1)
+		streams := make([]Stream, 2)
+		for i := range streams {
+			sp := in.NewSpace()
+			streams[i] = Stream{Core: i, Space: sp, Addrs: strided(sp.Alloc(ab), stride)}
+		}
+		return in, streams
+	}
+	inRef, strRef := build()
+	want := runConcurrentReference(inRef, strRef, passes)
+	inRun, strRun := build()
+	got := make([]StreamStats, 2)
+	RunConcurrentInto(inRun, strRun, passes, got)
+	if skips := skipsOf(inRun, 2); !slices.Equal(skips, []int{2, 2}) {
+		t.Fatalf("skipped %v plan levels, want [2 2]", skips)
+	}
+	for i := range want {
+		if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
+			t.Fatalf("stream %d: RunConcurrentInto %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	sRef, sRun := stateOf(inRef), stateOf(inRun)
+	if !slices.Equal(sRun.caches, sRef.caches) || sRun.cores != sRef.cores {
+		t.Fatalf("end state differs from the reference's:\n%s\nreference\n%s", sRun.cores, sRef.cores)
+	}
+	s := &strRun[0]
+	got0 := inRun.accessOne(inRun.planFor(s.Core), &inRun.rc.skips[0], s.Core, s.Space, s.Addrs[0])
+	if want0 := inRef.Access(0, strRef[0].Space, strRef[0].Addrs[0]); math.Float64bits(got0) != math.Float64bits(want0) {
+		t.Errorf("one more access with L1 and L2 skipped costs %v, Access %v", got0, want0)
 	}
 }

@@ -52,7 +52,10 @@ type Instance struct {
 	tlbMiss   float64
 	// exact records integralCosts: AccessStridePasses may replay a
 	// fixed-point pass arithmetically.
-	exact    bool
+	exact bool
+	// whole is the skipLevels of an access that looks every plan level
+	// up: its cost starts at 0, or at the TLB miss penalty.
+	whole    skipLevels
 	spaceSeq int64
 	// spaces pools every Space ever created, in creation order. ResetAt
 	// rewinds spaceSeq and recycles them; NewSpace then hands the pooled
@@ -130,6 +133,7 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 		in.tlbs[i] = newTLB(m.TLBEntries)
 	}
 	in.exact = in.integralCosts()
+	in.whole.pre[1] += in.tlbMiss
 	return in
 }
 
@@ -237,28 +241,34 @@ func (in *Instance) translateFor(core int, sp *Space, vaddr int64) int64 {
 // and may install the next line at no cost (stopping at page
 // boundaries, as hardware prefetchers do).
 func (in *Instance) Access(core int, sp *Space, vaddr int64) float64 {
-	return in.accessOne(in.planFor(core), core, sp, vaddr)
+	return in.accessOne(in.planFor(core), &in.whole, core, sp, vaddr)
 }
 
-// accessOne is the hot path shared by Access and AccessRun: the plan
-// is resolved by the caller so batched runs pay the per-core lookups
-// once.
-func (in *Instance) accessOne(plan []planLevel, core int, sp *Space, vaddr int64) float64 {
+// accessOne is the hot path shared by Access, AccessRun and the
+// concurrent-stream interleaver: the plan is resolved by the caller so
+// batched runs pay the per-core lookups once.
+func (in *Instance) accessOne(plan []planLevel, sk *skipLevels, core int, sp *Space, vaddr int64) float64 {
 	vpage := vaddr >> in.pageShift
-	return in.accessAt(plan, core, sp, vaddr, in.translateFor(core, sp, vaddr), vpage)
+	return in.accessAt(plan, sk, core, vaddr, in.translateFor(core, sp, vaddr), vpage)
 }
 
 // accessAt performs one access whose translation the caller already
 // resolved: paddr is vaddr's physical address and vpage its virtual
 // page. The strided run translates once per page crossing and feeds
-// every access of the page through here.
-func (in *Instance) accessAt(plan []planLevel, core int, sp *Space, vaddr, paddr, vpage int64) float64 {
-	cost := 0.0
+// every access of the page through here. The access looks its line up
+// from plan level sk.skip on; its cost starts at sk.pre[0], or at
+// sk.pre[1] after a TLB miss. With in.whole, which skips no level, that
+// is 0 or the TLB miss penalty; a coupled stream's skipLevels add the
+// skipped levels' latencies to those, in this order, so its costs are
+// bit-identical to a lookup of every level that misses the skipped
+// ones.
+func (in *Instance) accessAt(plan []planLevel, sk *skipLevels, core int, vaddr, paddr, vpage int64) float64 {
+	cost := sk.pre[0]
 	if t := in.tlbs[core]; t != nil && !t.access(vpage) {
-		cost += in.tlbMiss
+		cost = sk.pre[1]
 	}
 	hit := false
-	for i := range plan {
+	for i := sk.skip; i < len(plan); i++ {
 		pl := &plan[i]
 		cost += pl.latency
 		if pl.c.access(vaddr>>pl.c.lineBits, paddr>>pl.c.lineBits) {
@@ -304,14 +314,14 @@ func (in *Instance) AccessRunAccum(core int, sp *Space, addrs []int64, sumA, sum
 	a := *sumA
 	if sumB == nil {
 		for _, vaddr := range addrs {
-			a += in.accessOne(plan, core, sp, vaddr)
+			a += in.accessOne(plan, &in.whole, core, sp, vaddr)
 		}
 		*sumA = a
 		return
 	}
 	b := *sumB
 	for _, vaddr := range addrs {
-		c := in.accessOne(plan, core, sp, vaddr)
+		c := in.accessOne(plan, &in.whole, core, sp, vaddr)
 		a += c
 		b += c
 	}
@@ -345,7 +355,7 @@ func (in *Instance) AccessStrideAccum(core int, sp *Space, base, bytes, stride i
 			pbase = sp.translate(vaddr) &^ mask
 			curVpage = vpage
 		}
-		c := in.accessAt(plan, core, sp, vaddr, pbase+vaddr&mask, vpage)
+		c := in.accessAt(plan, &in.whole, core, vaddr, pbase+vaddr&mask, vpage)
 		a += c
 		if sumB != nil {
 			b += c
@@ -476,24 +486,28 @@ type streamState struct {
 }
 
 // runScratch holds RunConcurrent's per-call buffers — stream cursors,
-// local clocks, the heap's index slab and fillCoupled's per-stream
-// state — pooled on the Instance so a reset-and-measure cycle reruns
-// concurrent streams without allocating.
+// local clocks, the heap's index slab, fillCoupled's per-stream state
+// and the levels each coupled stream skips — pooled on the Instance so
+// a reset-and-measure cycle reruns concurrent streams without
+// allocating.
 type runScratch struct {
 	st     []streamState
 	clocks []float64
 	idx    []int32
 	fills  []coupledFill
+	skips  []skipLevels
 }
 
 // grab returns the scratch sized for ns streams, growing the slabs
-// only when a wider run arrives. fills is sized along with them.
+// only when a wider run arrives. fills and skips are sized along with
+// them.
 func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 	if cap(rc.st) < ns {
 		rc.st = make([]streamState, ns)
 		rc.clocks = make([]float64, ns)
 		rc.idx = make([]int32, 0, ns)
 		rc.fills = make([]coupledFill, ns)
+		rc.skips = make([]skipLevels, ns)
 	}
 	st := rc.st[:ns]
 	clear(st)
@@ -525,9 +539,13 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 // first access of any measured pass, when fillCoupled can prove that
 // every access before it misses at every level: then the heap runs
 // over the known miss costs and the caches are installed in one sweep
-// of the merged issue order. The interleaving goes on from there, and,
-// once a single stream remains, the last finishes through the batched
-// AccessRun path.
+// of the merged issue order. After such a fill each coupled stream is
+// simulated only at the levels it shares: privatePrefix proves that
+// every access misses at its leading private levels whose sets the
+// walk overflows, and installs their end state, and each access starts
+// at the next level with their latencies charged (skipLevels). The
+// interleaving goes on from there, and, once a single stream remains,
+// the last finishes alone.
 func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 	stats := make([]StreamStats, len(streams))
 	RunConcurrentInto(in, streams, passes, stats)
@@ -540,7 +558,9 @@ func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 // allocations per run. The statistics are bit-identical to
 // RunConcurrent's. It returns how many accesses were not simulated one
 // by one: those of the streams that ran alone (see
-// AccessStridePasses), and the coupled warm-up accesses it filled.
+// AccessStridePasses), and the coupled warm-up accesses it filled. A
+// coupled access simulated only at the shared levels still counts as
+// simulated.
 func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (counts PassCounts) {
 	if len(stats) != len(streams) {
 		panic(fmt.Sprintf("memsys: stats buffer for %d streams has length %d", len(streams), len(stats)))
@@ -566,13 +586,15 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 		}
 	}
 	if len(h.idx) > 1 {
-		counts.Filled += in.fillCoupled(streams, h, st)
+		filled := in.fillCoupled(streams, h, st)
+		counts.Filled += filled
+		in.skipPrivate(streams, h.idx, filled > 0)
 	}
 	for len(h.idx) > 1 {
 		sel := h.idx[0]
 		s := &st[sel]
 		str := &streams[sel]
-		cost := in.Access(str.Core, str.Space, str.Addrs[s.pos])
+		cost := in.accessOne(in.planFor(str.Core), &in.rc.skips[sel], str.Core, str.Space, str.Addrs[s.pos])
 		h.clocks[sel] += cost
 		if s.pass > 0 {
 			stats[sel].Accesses++
@@ -590,22 +612,25 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 		h.fix()
 	}
 	// Tail: the last live stream runs to completion uncontended — no
-	// interleaving decisions remain, so batch it per pass segment.
+	// interleaving decisions remain, and its clock no longer matters.
 	if len(h.idx) == 1 {
 		sel := h.idx[0]
 		s := &st[sel]
 		str := &streams[sel]
-		for s.pass < passes {
+		plan, sk := in.planFor(str.Core), &in.rc.skips[sel]
+		cycles := stats[sel].Cycles
+		for ; s.pass < passes; s.pos, s.pass = 0, s.pass+1 {
 			seg := str.Addrs[s.pos:]
-			if s.pass > 0 {
-				in.AccessRunAccum(str.Core, str.Space, seg, &h.clocks[sel], &stats[sel].Cycles)
-				stats[sel].Accesses += int64(len(seg))
-			} else {
-				in.AccessRunAccum(str.Core, str.Space, seg, &h.clocks[sel], nil)
+			for _, vaddr := range seg {
+				if cost := in.accessOne(plan, sk, str.Core, str.Space, vaddr); s.pass > 0 {
+					cycles += cost
+				}
 			}
-			s.pos = 0
-			s.pass++
+			if s.pass > 0 {
+				stats[sel].Accesses += int64(len(seg))
+			}
 		}
+		stats[sel].Cycles = cycles
 	}
 	return counts
 }

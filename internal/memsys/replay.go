@@ -24,7 +24,10 @@ import (
 // concurrent stream that shares no cache and no core through the same
 // loop, over its address list. The coupled streams, which share one,
 // interleave; fillCoupled fills their cold warm-up with the same proof,
-// over the merged order in which the interleaver would issue it.
+// over the merged order in which the interleaver would issue it, and
+// privatePrefix then proves that each stream misses throughout at its
+// leading private levels, which the interleaver skips: coupled streams
+// are simulated only at the cache levels they share.
 
 // exactLimit bounds the integers float64 represents exactly: every sum
 // of integers whose partial sums stay below it is exact, so it does
@@ -98,6 +101,8 @@ var (
 	// issueOrders holds fillCoupled's merged issue order, one stream
 	// index per access.
 	issueOrders freeList[[]uint8]
+	// endScratch holds privatePrefix's per-set counts and end states.
+	endScratch freeList[endSets]
 )
 
 // PassCounts counts the accesses of a measurement that were not
@@ -475,6 +480,154 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 		}
 	}
 	return int64(len(order))
+}
+
+// endSets is what privatePrefix learns about one coupled stream's walk
+// at each level it may skip: counts[j][s], the lines the walk maps to
+// set s of level j, and tags[j], the end state a fill of the whole walk
+// leaves, assoc tags per set, MRU first. Slabs are pooled on endScratch
+// and only ever grow.
+type endSets struct {
+	counts [][]int32
+	tags   [][]uint32
+}
+
+// reset sizes es for the plan's levels and clears every set's count.
+func (es *endSets) reset(plan []planLevel) {
+	for len(es.counts) < len(plan) {
+		es.counts = append(es.counts, nil)
+		es.tags = append(es.tags, nil)
+	}
+	for j := range plan {
+		c := plan[j].c
+		if int64(cap(es.counts[j])) < c.numSets {
+			es.counts[j] = make([]int32, c.numSets)
+		}
+		if tags := c.numSets * c.assoc; int64(cap(es.tags[j])) < tags {
+			es.tags[j] = make([]uint32, tags)
+		}
+		es.counts[j] = es.counts[j][:c.numSets]
+		es.tags[j] = es.tags[j][:c.numSets*c.assoc]
+		clear(es.counts[j])
+	}
+}
+
+// skipLevels is how accessAt issues an access: from plan level skip
+// on, its cost starting at pre[0], or at pre[1] after a TLB miss — the
+// TLB term and the latencies of the levels above skip, added in the
+// order a lookup of every level adds them.
+type skipLevels struct {
+	skip int
+	pre  [2]float64
+}
+
+// skipPrivate sets, for every coupled stream in coupled, how many of
+// its leading plan levels the interleaver skips: privatePrefix's when
+// fillCoupled has filled the run (filled), none otherwise.
+func (in *Instance) skipPrivate(streams []Stream, coupled []int32, filled bool) {
+	var es *endSets
+	if filled {
+		es = endScratch.get()
+		defer endScratch.put(es)
+	}
+	for _, i := range coupled {
+		sk := &in.rc.skips[i]
+		sk.skip = 0
+		if filled {
+			sk.skip = in.privatePrefix(streams, coupled, i, es)
+		}
+		plan := in.planFor(streams[i].Core)
+		sk.pre = in.whole.pre
+		for j := range plan[:sk.skip] {
+			sk.pre[0] += plan[j].latency
+			sk.pre[1] += plan[j].latency
+		}
+	}
+}
+
+// privatePrefix returns the number of leading levels of coupled stream
+// i's plan at which every access of the run provably misses, and
+// installs at each of them the state the run leaves there; the
+// interleaver then issues the stream's accesses from the next level on.
+// It needs the proof fillCoupled has just made: the stream runs on its
+// own core, in its own space, at one constant stride of at least every
+// line, with a prefetcher that cannot follow it.
+//
+// Such a level is private — no other coupled stream's plan holds its
+// cache instance — and every set the walk touches there receives more
+// lines than it holds. Only the stream's accesses reach a private level,
+// all of them when every level above it misses throughout, and they
+// visit each set's lines in one cyclic order; LRU then misses on every
+// access: on the warm-up's compulsory misses, and on every later one,
+// since assoc or more other lines of the set came since its line last
+// did. Every complete pass, and so the run, ends with each such set
+// holding its last assoc lines, MRU first, as a fill of the whole walk
+// leaves it. The prefix is the longest run of such levels from the
+// plan's top.
+//
+// One reverse sweep of the walk, which changes no state, counts each
+// candidate level's per-set lines and records the last assoc of them.
+// The levels of the prefix then take that end state at once: nothing
+// reads them before the run ends, as no other stream reaches them and
+// the prefetcher never fires. privatePrefix allocates nothing once es
+// has grown to the plan.
+func (in *Instance) privatePrefix(streams []Stream, coupled []int32, i int32, es *endSets) int {
+	str := &streams[i]
+	plan := in.planFor(str.Core)
+	cand := 0
+	for ; cand < len(plan); cand++ {
+		shared := false
+		for _, j := range coupled {
+			shared = shared || j != i && in.planFor(streams[j].Core)[cand].c == plan[cand].c
+		}
+		if shared {
+			break
+		}
+	}
+	if cand == 0 {
+		return 0
+	}
+	plan = plan[:cand]
+	es.reset(plan)
+	shift, mask := in.pageShift, in.pageMask
+	curVpage, pbase := int64(-1), int64(0)
+	for k := len(str.Addrs) - 1; k >= 0; k-- {
+		vaddr := str.Addrs[k]
+		if vpage := vaddr >> shift; vpage != curVpage {
+			pbase = str.Space.translate(vaddr) &^ mask
+			curVpage = vpage
+		}
+		paddr := pbase + vaddr&mask
+		for j := range plan {
+			c := plan[j].c
+			pLine := paddr >> c.lineBits
+			s := c.setIndex(vaddr>>c.lineBits, pLine)
+			n := es.counts[j][s]
+			if int64(n) < c.assoc {
+				es.tags[j][s*c.assoc+int64(n)] = uint32(pLine)
+			}
+			es.counts[j][s] = n + 1
+		}
+	}
+	p := 0
+	for ; p < cand; p++ {
+		assoc := int32(plan[p].c.assoc)
+		if slices.ContainsFunc(es.counts[p], func(n int32) bool { return n > 0 && n <= assoc }) {
+			break
+		}
+	}
+	occupy(plan[:p])
+	for j := range plan[:p] {
+		c := plan[j].c
+		for s, n := range es.counts[j] {
+			if n > 0 {
+				lo, hi := int64(s)*c.assoc, int64(s+1)*c.assoc
+				copy(c.lines[lo:hi], es.tags[j][lo:hi])
+				c.lens[s] = int32(c.assoc)
+			}
+		}
+	}
+	return p
 }
 
 // derivedPass costs one measured traversal of a walk fill has just

@@ -99,8 +99,8 @@ func (reg *Registry) lockFingerprint(fp string) (unlock func()) {
 type Option func(*Registry)
 
 // WithParallelism sets the worker count on-demand runs hand to their
-// session (the sweeps inside each probe; reports are identical at any
-// value).
+// session (the cache-size and shared-cache sweeps; reports are
+// identical at any value).
 func WithParallelism(n int) Option {
 	return func(r *Registry) { r.parallelism = n }
 }

@@ -44,8 +44,10 @@ func WithNoise(sigma float64) Option {
 }
 
 // WithParallelism bounds how many measurements each sched.Sweep runs
-// concurrently: the sweeps inside every probe, CalibrateCores, and
-// how many machines Sweep probes at once. The probes of one run still
+// concurrently: the mcalibrator and shared-cache sweeps inside the
+// probes (the memory-overhead and communication-costs sweeps always
+// run sequentially), CalibrateCores, and how many machines Sweep
+// probes at once. The probes of one run still
 // execute one after another in canonical order. Reports are
 // byte-identical at any parallelism; only wall times change.
 func WithParallelism(n int) Option {
