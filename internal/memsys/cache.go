@@ -57,15 +57,23 @@
 // stream has its own core and space and passes the single-core checks:
 // every such access misses everywhere whatever the interleaving, so
 // the issue order follows from the miss costs alone, and one reverse
-// sweep of the merged order installs every cache, private ones from
+// sweep of the merged order installs the caches, private ones from
 // their own stream and shared ones from the merged order. The rest is
-// simulated access by access, but only at the levels the streams
-// share: a filled stream's leading private levels, at which every set
-// its walk touches receives more lines than it holds, miss on every
-// access whatever the interleaving, so each access starts at the first
-// shared level with those levels' latencies already charged, and the
-// skipped levels take at once the state the run leaves there, each
-// set's last lines, MRU first.
+// simulated access by access, but only below each stream's private
+// prefix: the leading private levels at which every set its walk
+// touches receives more lines than it holds. They miss on every access
+// whatever the interleaving and end each set with its last lines, MRU
+// first, so the fill installs the stream's whole walk there at once,
+// the state the run leaves, and empties the private levels after the
+// prefix for the merged sweep to fill. Each later access starts its
+// lookup after the prefix, in practice at the first shared level.
+//
+// Every cost an access can incur is an entry of one per-instance
+// lookup-cost table: the TLB term plus the latencies of the first k
+// levels, summed left to right, or all of them plus the memory
+// latency. A simulated access starts at the entry of the levels it
+// skips, and a filled miss or a derived hit reads its entry whole, so
+// every path adds the same terms in the same order, bit for bit.
 
 // Cache tags and page frames are stored as 32-bit values: a tag is the
 // physical line number and a frame the physical page number, so a node

@@ -40,9 +40,18 @@ func encodeCache(dst []uint32, c *cache) []uint32 {
 }
 
 func stateOf(in *Instance) endState {
+	return stateExcept(in, func(int, int) bool { return false })
+}
+
+// stateExcept is stateOf leaving out the caches in.caches[li][k] for
+// which skip(li, k) holds.
+func stateExcept(in *Instance, skip func(li, k int) bool) endState {
 	var s endState
-	for _, level := range in.caches {
-		for _, c := range level {
+	for li, level := range in.caches {
+		for k, c := range level {
+			if skip(li, k) {
+				continue
+			}
 			s.caches = encodeCache(s.caches, c)
 			var occupied uint32
 			if c.occupied {

@@ -53,9 +53,14 @@ type Instance struct {
 	// exact records integralCosts: AccessStridePasses may replay a
 	// fixed-point pass arithmetically.
 	exact bool
-	// whole is the skipLevels of an access that looks every plan level
-	// up: its cost starts at 0, or at the TLB miss penalty.
-	whole    skipLevels
+	// costs is the lookup-cost table, one for every core, since every
+	// core's plan has the same levels with the same latencies:
+	// costs[t][k], with t 1 after a TLB miss, is the TLB term plus the
+	// latencies of plan levels 0..k-1, added left to right as accessAt
+	// adds them, and costs[t][levels+1] adds the memory latency to
+	// costs[t][levels]. A hit at level h costs costs[t][h+1], a miss
+	// everywhere costs[t][levels+1].
+	costs    [2][]float64
 	spaceSeq int64
 	// spaces pools every Space ever created, in creation order. ResetAt
 	// rewinds spaceSeq and recycles them; NewSpace then hands the pooled
@@ -133,7 +138,17 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 		in.tlbs[i] = newTLB(m.TLBEntries)
 	}
 	in.exact = in.integralCosts()
-	in.whole.pre[1] += in.tlbMiss
+	for t := range in.costs {
+		row := make([]float64, in.levels+2)
+		if t == 1 {
+			row[0] += in.tlbMiss
+		}
+		for k := range m.Caches {
+			row[k+1] = row[k] + m.Caches[k].LatencyCycles
+		}
+		row[in.levels+1] = row[in.levels] + in.memLat
+		in.costs[t] = row
+	}
 	return in
 }
 
@@ -241,34 +256,35 @@ func (in *Instance) translateFor(core int, sp *Space, vaddr int64) int64 {
 // and may install the next line at no cost (stopping at page
 // boundaries, as hardware prefetchers do).
 func (in *Instance) Access(core int, sp *Space, vaddr int64) float64 {
-	return in.accessOne(in.planFor(core), &in.whole, core, sp, vaddr)
+	return in.accessOne(in.planFor(core), 0, core, sp, vaddr)
 }
 
 // accessOne is the hot path shared by Access, AccessRun and the
 // concurrent-stream interleaver: the plan is resolved by the caller so
 // batched runs pay the per-core lookups once.
-func (in *Instance) accessOne(plan []planLevel, sk *skipLevels, core int, sp *Space, vaddr int64) float64 {
+func (in *Instance) accessOne(plan []planLevel, skip, core int, sp *Space, vaddr int64) float64 {
 	vpage := vaddr >> in.pageShift
-	return in.accessAt(plan, sk, core, vaddr, in.translateFor(core, sp, vaddr), vpage)
+	return in.accessAt(plan, skip, core, vaddr, in.translateFor(core, sp, vaddr), vpage)
 }
 
 // accessAt performs one access whose translation the caller already
 // resolved: paddr is vaddr's physical address and vpage its virtual
 // page. The strided run translates once per page crossing and feeds
 // every access of the page through here. The access looks its line up
-// from plan level sk.skip on; its cost starts at sk.pre[0], or at
-// sk.pre[1] after a TLB miss. With in.whole, which skips no level, that
-// is 0 or the TLB miss penalty; a coupled stream's skipLevels add the
-// skipped levels' latencies to those, in this order, so its costs are
-// bit-identical to a lookup of every level that misses the skipped
-// ones.
-func (in *Instance) accessAt(plan []planLevel, sk *skipLevels, core int, vaddr, paddr, vpage int64) float64 {
-	cost := sk.pre[0]
-	if t := in.tlbs[core]; t != nil && !t.access(vpage) {
-		cost = sk.pre[1]
+// from plan level skip on, and its cost starts at in.costs[t][skip],
+// with t 1 after a TLB miss: the TLB term plus the skipped levels'
+// latencies, added in the order a lookup of every level adds them. A
+// coupled stream that skips its private prefix therefore pays, bit for
+// bit, what a lookup of every level that misses there would; every
+// other caller skips no level.
+func (in *Instance) accessAt(plan []planLevel, skip, core int, vaddr, paddr, vpage int64) float64 {
+	t := 0
+	if tl := in.tlbs[core]; tl != nil && !tl.access(vpage) {
+		t = 1
 	}
+	cost := in.costs[t][skip]
 	hit := false
-	for i := sk.skip; i < len(plan); i++ {
+	for i := skip; i < len(plan); i++ {
 		pl := &plan[i]
 		cost += pl.latency
 		if pl.c.access(vaddr>>pl.c.lineBits, paddr>>pl.c.lineBits) {
@@ -314,14 +330,14 @@ func (in *Instance) AccessRunAccum(core int, sp *Space, addrs []int64, sumA, sum
 	a := *sumA
 	if sumB == nil {
 		for _, vaddr := range addrs {
-			a += in.accessOne(plan, &in.whole, core, sp, vaddr)
+			a += in.accessOne(plan, 0, core, sp, vaddr)
 		}
 		*sumA = a
 		return
 	}
 	b := *sumB
 	for _, vaddr := range addrs {
-		c := in.accessOne(plan, &in.whole, core, sp, vaddr)
+		c := in.accessOne(plan, 0, core, sp, vaddr)
 		a += c
 		b += c
 	}
@@ -355,7 +371,7 @@ func (in *Instance) AccessStrideAccum(core int, sp *Space, base, bytes, stride i
 			pbase = sp.translate(vaddr) &^ mask
 			curVpage = vpage
 		}
-		c := in.accessAt(plan, &in.whole, core, vaddr, pbase+vaddr&mask, vpage)
+		c := in.accessAt(plan, 0, core, vaddr, pbase+vaddr&mask, vpage)
 		a += c
 		if sumB != nil {
 			b += c
@@ -495,20 +511,21 @@ type runScratch struct {
 	clocks []float64
 	idx    []int32
 	fills  []coupledFill
-	skips  []skipLevels
+	skips  []int
 }
 
 // grab returns the scratch sized for ns streams, growing the slabs
 // only when a wider run arrives. fills and skips are sized along with
-// them.
+// them, and every skip starts at 0.
 func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 	if cap(rc.st) < ns {
 		rc.st = make([]streamState, ns)
 		rc.clocks = make([]float64, ns)
 		rc.idx = make([]int32, 0, ns)
 		rc.fills = make([]coupledFill, ns)
-		rc.skips = make([]skipLevels, ns)
+		rc.skips = make([]int, ns)
 	}
+	clear(rc.skips[:ns])
 	st := rc.st[:ns]
 	clear(st)
 	clocks := rc.clocks[:ns]
@@ -539,13 +556,14 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 // first access of any measured pass, when fillCoupled can prove that
 // every access before it misses at every level: then the heap runs
 // over the known miss costs and the caches are installed in one sweep
-// of the merged issue order. After such a fill each coupled stream is
-// simulated only at the levels it shares: privatePrefix proves that
-// every access misses at its leading private levels whose sets the
-// walk overflows, and installs their end state, and each access starts
-// at the next level with their latencies charged (skipLevels). The
-// interleaving goes on from there, and, once a single stream remains,
-// the last finishes alone.
+// of the merged issue order. The same fill proves that every access of
+// a coupled stream misses at its private prefix, the leading private
+// levels at which every set its walk touches overflows, and installs
+// there at once the state the run leaves. Each later access of the
+// stream starts its lookup at the next level, with the prefix's
+// latencies charged from the lookup-cost table, so coupled streams are
+// simulated only from there on. The interleaving goes on from there,
+// and, once a single stream remains, the last finishes alone.
 func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 	stats := make([]StreamStats, len(streams))
 	RunConcurrentInto(in, streams, passes, stats)
@@ -586,15 +604,13 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 		}
 	}
 	if len(h.idx) > 1 {
-		filled := in.fillCoupled(streams, h, st)
-		counts.Filled += filled
-		in.skipPrivate(streams, h.idx, filled > 0)
+		counts.Filled += in.fillCoupled(streams, h, st)
 	}
 	for len(h.idx) > 1 {
 		sel := h.idx[0]
 		s := &st[sel]
 		str := &streams[sel]
-		cost := in.accessOne(in.planFor(str.Core), &in.rc.skips[sel], str.Core, str.Space, str.Addrs[s.pos])
+		cost := in.accessOne(in.planFor(str.Core), in.rc.skips[sel], str.Core, str.Space, str.Addrs[s.pos])
 		h.clocks[sel] += cost
 		if s.pass > 0 {
 			stats[sel].Accesses++
@@ -617,12 +633,12 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 		sel := h.idx[0]
 		s := &st[sel]
 		str := &streams[sel]
-		plan, sk := in.planFor(str.Core), &in.rc.skips[sel]
+		plan, skip := in.planFor(str.Core), in.rc.skips[sel]
 		cycles := stats[sel].Cycles
 		for ; s.pass < passes; s.pos, s.pass = 0, s.pass+1 {
 			seg := str.Addrs[s.pos:]
 			for _, vaddr := range seg {
-				if cost := in.accessOne(plan, sk, str.Core, str.Space, vaddr); s.pass > 0 {
+				if cost := in.accessOne(plan, skip, str.Core, str.Space, vaddr); s.pass > 0 {
 					cycles += cost
 				}
 			}

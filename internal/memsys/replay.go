@@ -24,10 +24,14 @@ import (
 // concurrent stream that shares no cache and no core through the same
 // loop, over its address list. The coupled streams, which share one,
 // interleave; fillCoupled fills their cold warm-up with the same proof,
-// over the merged order in which the interleaver would issue it, and
-// privatePrefix then proves that each stream misses throughout at its
-// leading private levels, which the interleaver skips: coupled streams
-// are simulated only at the cache levels they share.
+// over the merged order in which the interleaver would issue it. It
+// also proves that each stream misses throughout at its leading private
+// levels and installs there, with installWalk over the stream's whole
+// walk, the state the run leaves; the interleaver skips those levels,
+// so coupled streams are simulated only from the first level after
+// that prefix on, in practice the levels they share. Every access costs
+// an entry of the instance's one lookup-cost table (Instance.costs),
+// whichever of these paths finds it.
 
 // exactLimit bounds the integers float64 represents exactly: every sum
 // of integers whose partial sums stay below it is exact, so it does
@@ -96,13 +100,13 @@ func (l *freeList[T]) put(s *T) {
 }
 
 var (
-	// setScratch holds fill's per-set facts for derivedPass.
+	// setScratch holds fill's per-set facts for derivedPass, and
+	// fillCoupled's marks of the sets a coupled stream's walk overflows
+	// at its private levels.
 	setScratch freeList[setCounts]
 	// issueOrders holds fillCoupled's merged issue order, one stream
 	// index per access.
 	issueOrders freeList[[]uint8]
-	// endScratch holds privatePrefix's per-set counts and end states.
-	endScratch freeList[endSets]
 )
 
 // PassCounts counts the accesses of a measurement that were not
@@ -178,20 +182,6 @@ func (in *Instance) traverse(core int, w *walk, total, measured *float64) {
 	}
 }
 
-// missCost is what accessAt charges an access that misses every level
-// of the plan, adding the same terms in the same order: the TLB miss
-// penalty when the TLB missed, the level latencies, the memory latency.
-func (in *Instance) missCost(plan []planLevel, tlbMiss bool) float64 {
-	cost := 0.0
-	if tlbMiss {
-		cost += in.tlbMiss
-	}
-	for i := range plan {
-		cost += plan[i].latency
-	}
-	return cost + in.memLat
-}
-
 // Per-set facts of a filled walk, one byte per set of each plan level.
 const (
 	// setFull: the walk maps more lines to the set than it holds.
@@ -209,10 +199,6 @@ const (
 type setCounts struct {
 	base, stride int64
 	sets         [][]uint8
-	// costs[h] is what accessAt charges an access that hits at plan
-	// level h, or misses everywhere when h is the plan's length;
-	// costs[len(plan)+1+h] the same after a TLB miss.
-	costs []float64
 }
 
 // reset sizes sc for the plan and clears every set's facts.
@@ -290,22 +276,49 @@ func occupy(plan []planLevel) {
 	}
 }
 
+// installWalk installs, in the plan's caches, which hold none of its
+// lines, the n accesses base, base+stride, ... of a walk in sp as one
+// traversal that misses throughout leaves them: each set holds the
+// last min(k, assoc) of the k lines the walk maps to it, MRU first.
+// One reverse sweep builds that by appending at the LRU end of each set
+// not yet full — no tag scan and no shift — translating each page once.
+// A set the sweep meets full has k > assoc; installWalk marks it
+// setFull in sets[j] for plan level j when sets is non-nil.
+func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int64, sets [][]uint8) {
+	occupy(plan)
+	shift, mask := in.pageShift, in.pageMask
+	curVpage, pbase := int64(-1), int64(0)
+	for i := n - 1; i >= 0; i-- {
+		vaddr := base + i*stride
+		if vpage := vaddr >> shift; vpage != curVpage {
+			pbase = sp.translate(vaddr) &^ mask
+			curVpage = vpage
+		}
+		paddr := pbase + vaddr&mask
+		for j := range plan {
+			c := plan[j].c
+			pLine := paddr >> c.lineBits
+			idx := c.setIndex(vaddr>>c.lineBits, pLine)
+			if !c.appendLRU(idx, pLine) && sets != nil {
+				sets[j][idx] = setFull
+			}
+		}
+	}
+}
+
 // fill runs one traversal of w on the core, adding each access's cost
 // to *total, without simulating its cache accesses, when it can prove
 // that every access misses at every level; otherwise it changes nothing
 // and returns false. The proof is coldWalk's, for a walk that rises at
 // one constant stride.
 //
-// Each level then ends holding, in every set, the last min(k, assoc)
-// of the k lines the walk mapped to it, MRU first, which one reverse
-// sweep builds by appending at the LRU end of each set not yet full:
-// no tag scan and no shift. A set the sweep meets full has k > assoc;
-// fill marks it setFull in sc when sc is non-nil. The TLB and the
-// prefetcher still see every access, forward, and each access adds
-// what accessAt would charge it, one at a time in issue order, so
-// non-integral costs stay exact. An address list leaves the core's
-// translation cache as AccessRunAccum would. fill allocates nothing
-// once the plan's caches and sc have been used.
+// installWalk then installs the walk, marking in sc, when sc is
+// non-nil, the sets it overflows. The TLB and the prefetcher still see
+// every access, forward, and each access adds what accessAt would
+// charge it, one at a time in issue order, so non-integral costs stay
+// exact. An address list leaves the core's translation cache as
+// AccessRunAccum would. fill allocates nothing once the plan's caches
+// and sc have been used.
 func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool {
 	n, base, stride := w.accesses(), w.base, w.stride
 	if w.addrs != nil {
@@ -320,9 +333,9 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool 
 
 	plan := in.planFor(core)
 	p := in.pref[core]
-	shift, mask := in.pageShift, in.pageMask
+	shift := in.pageShift
 	t := in.tlbs[core]
-	cost, tlbCost := in.missCost(plan, false), in.missCost(plan, true)
+	cost, tlbCost := in.costs[0][in.levels+1], in.costs[1][in.levels+1]
 	a := *total
 	vaddr := base
 	for i := int64(0); i < n; i, vaddr = i+1, vaddr+stride {
@@ -335,42 +348,24 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool 
 	}
 	*total = a
 
-	occupy(plan)
 	var sets [][]uint8
 	if sc != nil {
 		sc.reset(plan, base, stride)
 		sets = sc.sets
 	}
-	curVpage, pbase := int64(-1), int64(0)
-	for i := n - 1; i >= 0; i-- {
-		vaddr := base + i*stride
-		if vpage := vaddr >> shift; vpage != curVpage {
-			pbase = w.sp.translate(vaddr) &^ mask
-			curVpage = vpage
-		}
-		paddr := pbase + vaddr&mask
-		for j := range plan {
-			c := plan[j].c
-			pLine := paddr >> c.lineBits
-			idx := c.setIndex(vaddr>>c.lineBits, pLine)
-			if !c.appendLRU(idx, pLine) && sets != nil {
-				sets[j][idx] = setFull
-			}
-		}
-	}
+	in.installWalk(plan, w.sp, base, stride, n, sets)
 	if w.addrs != nil {
 		in.translateFor(core, w.sp, w.addrs[n-1])
 	}
 	return true
 }
 
-// coupledFill is one coupled stream's part of fillCoupled: its two
-// miss costs and, for the reverse sweep, how many of its filled
-// accesses remain and the page it last translated.
+// coupledFill is one coupled stream's part of fillCoupled's reverse
+// sweep: how many of its filled accesses remain and the page it last
+// translated.
 type coupledFill struct {
-	cost, tlbCost float64
-	left          int
-	vpage, pbase  int64
+	left         int
+	vpage, pbase int64
 }
 
 // fillCoupled fills the cold warm-up of the coupled streams in h — the
@@ -387,20 +382,42 @@ type coupledFill struct {
 //   - addresses that rise at one constant stride for which coldWalk
 //     holds on its core.
 //
-// Each access then costs missCost, with the TLB term when its core's
-// TLB misses, so the interleaving follows from those costs alone.
-// fillCoupled runs the interleaver's (clock, index) heap over them,
-// adding each cost to its stream's clock in issue order and simulating
-// each core's TLB and prefetcher access by access, and records the
-// merged issue order, one stream index per access. It then installs
-// every cache in one reverse sweep of that order, appending at the LRU
-// end as fill does: a private cache takes its own stream's lines, a
-// shared cache the merged order's, each set the last lines mapped to
-// it, MRU first. Each core's translation entry ends on the page of its
-// stream's last filled access, as Access would leave it, and the
-// cursors and clocks where the interleaver would have left them, so it
-// goes on from there. It returns the number of accesses filled, and
-// allocates nothing once the caches and the order slab have grown.
+// Each access then costs what accessAt charges a miss everywhere, with
+// the TLB term when its core's TLB misses, so the interleaving follows
+// from those costs alone. fillCoupled runs the interleaver's (clock,
+// index) heap over them, adding each cost to its stream's clock in
+// issue order and simulating each core's TLB and prefetcher access by
+// access, and records the merged issue order, one stream index per
+// access.
+//
+// It then proves, for each stream, a private prefix: the leading plan
+// levels whose cache instance no other coupled stream's plan holds and
+// at which every set the stream's walk touches receives more lines
+// than it holds. Only the stream's accesses reach such a level, all of
+// them when every level above it misses throughout, and they visit
+// each set's lines in one cyclic order; LRU then misses on every
+// access, the warm-up's and every later one, since assoc or more other
+// lines of the set came since its line last did. Every complete pass,
+// and so the run, ends with each such set holding its last assoc lines,
+// MRU first, as an installWalk of the whole walk leaves it. So
+// fillCoupled runs installWalk over the whole walk at the stream's
+// private levels, which are still empty, takes as the prefix the
+// leading levels at which every set with lines is marked setFull, and
+// empties the private levels after it. Nothing reads the prefix before
+// the run ends, as no other stream reaches it and the prefetcher never
+// fires, so it holds the run's end state from now on, and the
+// interleaver skips it (in.rc.skips): coupled streams are simulated
+// only from the first level after their prefix on.
+//
+// Last, one reverse sweep of the merged order installs every other
+// level, appending at the LRU end as installWalk does: a private cache
+// takes its own stream's lines, a shared cache the merged order's, each
+// set the last lines mapped to it, MRU first. Each core's translation
+// entry ends on the page of its stream's last filled access, as Access
+// would leave it, and the cursors and clocks where the interleaver
+// would have left them, so it goes on from there. fillCoupled returns
+// the number of accesses filled, and allocates nothing once the caches
+// and the scratch slabs have grown.
 func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamState) int64 {
 	if len(streams) > math.MaxUint8+1 {
 		return 0
@@ -418,8 +435,7 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 				return 0
 			}
 		}
-		plan := in.planFor(str.Core)
-		fs[i] = coupledFill{cost: in.missCost(plan, false), tlbCost: in.missCost(plan, true), vpage: -1}
+		fs[i] = coupledFill{vpage: -1}
 		total += len(str.Addrs)
 	}
 
@@ -427,6 +443,7 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 	defer issueOrders.put(slab)
 	order := slices.Grow((*slab)[:0], total)
 	shift, mask := in.pageShift, in.pageMask
+	cost, tlbCost := in.costs[0][in.levels+1], in.costs[1][in.levels+1]
 	for {
 		sel := h.idx[0]
 		s := &st[sel]
@@ -435,12 +452,12 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 		}
 		str := &streams[sel]
 		vaddr := str.Addrs[s.pos]
-		cost := fs[sel].cost
 		if t := in.tlbs[str.Core]; t != nil && !t.access(vaddr>>shift) {
-			cost = fs[sel].tlbCost
+			h.clocks[sel] += tlbCost
+		} else {
+			h.clocks[sel] += cost
 		}
 		in.pref[str.Core].observe(vaddr, shift)
-		h.clocks[sel] += cost
 		order = append(order, uint8(sel))
 		// Every stream has at least one measured pass, so finishing the
 		// warm-up never retires a stream from the heap.
@@ -451,15 +468,47 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 	}
 	*slab = order
 
+	sc := setScratch.get()
+	defer setScratch.put(sc)
 	for _, i := range h.idx {
 		str := &streams[i]
+		plan := in.planFor(str.Core)
+		private := 0
+		for ; private < len(plan); private++ {
+			shared := false
+			for _, j := range h.idx {
+				shared = shared || j != i && in.planFor(streams[j].Core)[private].c == plan[private].c
+			}
+			if shared {
+				break
+			}
+		}
+		skip := 0
+		if private > 0 {
+			base, stride := str.Addrs[0], str.Addrs[1]-str.Addrs[0]
+			sc.reset(plan[:private], base, stride)
+			in.installWalk(plan[:private], str.Space, base, stride, int64(len(str.Addrs)), sc.sets)
+		prefix:
+			for ; skip < private; skip++ {
+				for s, n := range plan[skip].c.lens {
+					if n > 0 && sc.sets[skip][s] == 0 {
+						break prefix
+					}
+				}
+			}
+			for _, pl := range plan[skip:private] {
+				pl.c.reset()
+			}
+		}
+		in.rc.skips[i] = skip
+
 		left := st[i].pos
 		if st[i].pass > 0 {
 			left = len(str.Addrs)
 		}
 		fs[i].left = left
 		if left > 0 {
-			occupy(in.planFor(str.Core))
+			occupy(plan[skip:])
 			in.translateFor(str.Core, str.Space, str.Addrs[left-1])
 		}
 	}
@@ -473,161 +522,13 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 			f.vpage = vpage
 		}
 		paddr := f.pbase + vaddr&mask
-		for _, pl := range in.planFor(str.Core) {
+		for _, pl := range in.planFor(str.Core)[in.rc.skips[i]:] {
 			c := pl.c
 			pLine := paddr >> c.lineBits
 			c.appendLRU(c.setIndex(vaddr>>c.lineBits, pLine), pLine)
 		}
 	}
 	return int64(len(order))
-}
-
-// endSets is what privatePrefix learns about one coupled stream's walk
-// at each level it may skip: counts[j][s], the lines the walk maps to
-// set s of level j, and tags[j], the end state a fill of the whole walk
-// leaves, assoc tags per set, MRU first. Slabs are pooled on endScratch
-// and only ever grow.
-type endSets struct {
-	counts [][]int32
-	tags   [][]uint32
-}
-
-// reset sizes es for the plan's levels and clears every set's count.
-func (es *endSets) reset(plan []planLevel) {
-	for len(es.counts) < len(plan) {
-		es.counts = append(es.counts, nil)
-		es.tags = append(es.tags, nil)
-	}
-	for j := range plan {
-		c := plan[j].c
-		if int64(cap(es.counts[j])) < c.numSets {
-			es.counts[j] = make([]int32, c.numSets)
-		}
-		if tags := c.numSets * c.assoc; int64(cap(es.tags[j])) < tags {
-			es.tags[j] = make([]uint32, tags)
-		}
-		es.counts[j] = es.counts[j][:c.numSets]
-		es.tags[j] = es.tags[j][:c.numSets*c.assoc]
-		clear(es.counts[j])
-	}
-}
-
-// skipLevels is how accessAt issues an access: from plan level skip
-// on, its cost starting at pre[0], or at pre[1] after a TLB miss — the
-// TLB term and the latencies of the levels above skip, added in the
-// order a lookup of every level adds them.
-type skipLevels struct {
-	skip int
-	pre  [2]float64
-}
-
-// skipPrivate sets, for every coupled stream in coupled, how many of
-// its leading plan levels the interleaver skips: privatePrefix's when
-// fillCoupled has filled the run (filled), none otherwise.
-func (in *Instance) skipPrivate(streams []Stream, coupled []int32, filled bool) {
-	var es *endSets
-	if filled {
-		es = endScratch.get()
-		defer endScratch.put(es)
-	}
-	for _, i := range coupled {
-		sk := &in.rc.skips[i]
-		sk.skip = 0
-		if filled {
-			sk.skip = in.privatePrefix(streams, coupled, i, es)
-		}
-		plan := in.planFor(streams[i].Core)
-		sk.pre = in.whole.pre
-		for j := range plan[:sk.skip] {
-			sk.pre[0] += plan[j].latency
-			sk.pre[1] += plan[j].latency
-		}
-	}
-}
-
-// privatePrefix returns the number of leading levels of coupled stream
-// i's plan at which every access of the run provably misses, and
-// installs at each of them the state the run leaves there; the
-// interleaver then issues the stream's accesses from the next level on.
-// It needs the proof fillCoupled has just made: the stream runs on its
-// own core, in its own space, at one constant stride of at least every
-// line, with a prefetcher that cannot follow it.
-//
-// Such a level is private — no other coupled stream's plan holds its
-// cache instance — and every set the walk touches there receives more
-// lines than it holds. Only the stream's accesses reach a private level,
-// all of them when every level above it misses throughout, and they
-// visit each set's lines in one cyclic order; LRU then misses on every
-// access: on the warm-up's compulsory misses, and on every later one,
-// since assoc or more other lines of the set came since its line last
-// did. Every complete pass, and so the run, ends with each such set
-// holding its last assoc lines, MRU first, as a fill of the whole walk
-// leaves it. The prefix is the longest run of such levels from the
-// plan's top.
-//
-// One reverse sweep of the walk, which changes no state, counts each
-// candidate level's per-set lines and records the last assoc of them.
-// The levels of the prefix then take that end state at once: nothing
-// reads them before the run ends, as no other stream reaches them and
-// the prefetcher never fires. privatePrefix allocates nothing once es
-// has grown to the plan.
-func (in *Instance) privatePrefix(streams []Stream, coupled []int32, i int32, es *endSets) int {
-	str := &streams[i]
-	plan := in.planFor(str.Core)
-	cand := 0
-	for ; cand < len(plan); cand++ {
-		shared := false
-		for _, j := range coupled {
-			shared = shared || j != i && in.planFor(streams[j].Core)[cand].c == plan[cand].c
-		}
-		if shared {
-			break
-		}
-	}
-	if cand == 0 {
-		return 0
-	}
-	plan = plan[:cand]
-	es.reset(plan)
-	shift, mask := in.pageShift, in.pageMask
-	curVpage, pbase := int64(-1), int64(0)
-	for k := len(str.Addrs) - 1; k >= 0; k-- {
-		vaddr := str.Addrs[k]
-		if vpage := vaddr >> shift; vpage != curVpage {
-			pbase = str.Space.translate(vaddr) &^ mask
-			curVpage = vpage
-		}
-		paddr := pbase + vaddr&mask
-		for j := range plan {
-			c := plan[j].c
-			pLine := paddr >> c.lineBits
-			s := c.setIndex(vaddr>>c.lineBits, pLine)
-			n := es.counts[j][s]
-			if int64(n) < c.assoc {
-				es.tags[j][s*c.assoc+int64(n)] = uint32(pLine)
-			}
-			es.counts[j][s] = n + 1
-		}
-	}
-	p := 0
-	for ; p < cand; p++ {
-		assoc := int32(plan[p].c.assoc)
-		if slices.ContainsFunc(es.counts[p], func(n int32) bool { return n > 0 && n <= assoc }) {
-			break
-		}
-	}
-	occupy(plan[:p])
-	for j := range plan[:p] {
-		c := plan[j].c
-		for s, n := range es.counts[j] {
-			if n > 0 {
-				lo, hi := int64(s)*c.assoc, int64(s+1)*c.assoc
-				copy(c.lines[lo:hi], es.tags[j][lo:hi])
-				c.lens[s] = int32(c.assoc)
-			}
-		}
-	}
-	return p
 }
 
 // derivedPass costs one measured traversal of a walk fill has just
@@ -667,31 +568,15 @@ func (in *Instance) derivedPass(core int, w *walk, sc *setCounts, total, measure
 	}
 	plan := in.planFor(core)
 	miss := len(plan)
-	sc.costs = sc.costs[:0]
-	for _, tlbMiss := range [2]bool{false, true} {
-		for h := 0; h <= miss; h++ {
-			cost := 0.0
-			if tlbMiss {
-				cost += in.tlbMiss
-			}
-			for j := 0; j <= h && j < miss; j++ {
-				cost += plan[j].latency
-			}
-			if h == miss {
-				cost += in.memLat
-			}
-			sc.costs = append(sc.costs, cost)
-		}
-	}
 	shift, mask := in.pageShift, in.pageMask
 	base, stride, sets := sc.base, sc.stride, sc.sets
 	pages := n
 	if stride < in.m.PageBytes {
 		pages = (base+(n-1)*stride)>>shift - base>>shift + 1
 	}
-	tlbOff := 0
+	tlbPage := 0
 	if t := in.tlbs[core]; t != nil && pages > int64(t.entries) {
-		tlbOff = miss + 1
+		tlbPage = 1
 	}
 	for _, s := range sets {
 		for i := range s {
@@ -703,11 +588,11 @@ func (in *Instance) derivedPass(core int, w *walk, sc *setCounts, total, measure
 	curVpage, pbase := int64(-1), int64(0)
 	vaddr := base
 	for i := int64(0); i < n; i, vaddr = i+1, vaddr+stride {
-		off := 0
+		t := 0
 		if vpage := vaddr >> shift; vpage != curVpage {
 			pbase = w.sp.translate(vaddr) &^ mask
 			curVpage = vpage
-			off = tlbOff
+			t = tlbPage
 		}
 		paddr := pbase + vaddr&mask
 		h := miss
@@ -729,7 +614,7 @@ func (in *Instance) derivedPass(core int, w *walk, sc *setCounts, total, measure
 				*st |= setBypassed
 			}
 		}
-		cost := sc.costs[off+h]
+		cost := in.costs[t][h+1]
 		a += cost
 		b += cost
 	}

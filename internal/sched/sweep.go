@@ -25,11 +25,13 @@ import (
 //  1. plan: [0, n) splits into min(4·parallelism, n) contiguous,
 //     index-ordered chunks, so one expensive chunk cannot stall the
 //     sweep behind a single worker;
-//  2. measure: min(parallelism, chunks) workers each build exactly one
-//     scratch with newScratch (nil means the zero S), then take chunks
-//     in index order from a shared counter, writing measurement i into
-//     slot i and checking the context between measurements; one worker
-//     runs on the calling goroutine;
+//  2. measure: W = min(parallelism, chunks) workers each build exactly
+//     one scratch with newScratch (nil means the zero S), then worker w
+//     runs chunks w, w+W, w+2W, ... in that order, writing measurement
+//     i into slot i and checking the context between measurements;
+//     worker 0 runs on the calling goroutine. The assignment is static,
+//     so every worker measures the same items, and grows its scratch
+//     the same way, however the host schedules the workers;
 //  3. merge: the caller walks the returned slice sequentially, doing
 //     everything order-sensitive there (float sums, noise, clustering).
 //
@@ -59,9 +61,10 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 	parallelism = max(parallelism, 1)
 	chunks := min(4*parallelism, n)
 	out := make([]T, n)
-	errs := make([]error, chunks) // errs[c] is written only by the worker that claimed chunk c
+	errs := make([]error, chunks) // errs[c] is written only by the worker that runs chunk c
 	tr := obs.FromContext(ctx)
-	var next, stopped atomic.Int64 // the next chunk to claim; the lowest failed chunk
+	workers := min(parallelism, chunks)
+	var stopped atomic.Int64 // the lowest failed chunk
 	stopped.Store(int64(chunks))
 	fail := func(c int, err error) {
 		errs[c] = err
@@ -99,7 +102,7 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 		tr.Count(obs.CounterSweepMeasurements, int64(end-start))
 		return true
 	}
-	work := func() {
+	work := func(w int) {
 		var scratch S
 		var err error
 		if newScratch != nil {
@@ -108,9 +111,8 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 		if err == nil {
 			tr.Count(obs.CounterScratchFresh, 1)
 		}
-		for reuse := false; ; reuse = true {
-			c := int(next.Add(1) - 1)
-			if c >= chunks || int64(c) > stopped.Load() {
+		for c := w; c < chunks; c += workers {
+			if int64(c) > stopped.Load() {
 				return
 			}
 			if err != nil {
@@ -118,7 +120,7 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 				fail(c, err)
 				return
 			}
-			if reuse {
+			if c != w {
 				tr.Count(obs.CounterScratchReused, 1)
 			}
 			if !run(scratch, c) {
@@ -128,14 +130,14 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 	}
 
 	var wg sync.WaitGroup
-	for w := 1; w < min(parallelism, chunks); w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(w)
 		}()
 	}
-	work()
+	work(0)
 	wg.Wait()
 
 	var cancelled error

@@ -239,6 +239,54 @@ func TestSweepScratchPerWorker(t *testing.T) {
 	}
 }
 
+// TestSweepStaticAssignment pins the chunk→worker map at parallelism
+// 8: 100 items split into 32 chunks, and the worker that measures
+// chunk c measures chunks c mod 8, c mod 8 + 8, ... in that order, on
+// every run, however the host schedules the workers. So each worker's
+// scratch sees the same items on every run, and grows the same way.
+func TestSweepStaticAssignment(t *testing.T) {
+	const n, parallelism, chunks, workers = 100, 8, 32, 8
+	type worker struct{ seq int }
+	for run := 0; run < 20; run++ {
+		var built atomic.Int32
+		type visit struct {
+			w   *worker
+			seq int
+		}
+		visits, err := Sweep(context.Background(), "t", n, parallelism,
+			func() (*worker, error) { built.Add(1); return &worker{}, nil },
+			func(w *worker, i int) (visit, error) {
+				w.seq++
+				return visit{w, w.seq}, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built.Load() != workers {
+			t.Fatalf("run %d: built %d scratches, want %d", run, built.Load(), workers)
+		}
+		first := make([]visit, chunks)
+		for c := range first {
+			first[c] = visits[c*n/chunks]
+			for _, v := range visits[c*n/chunks : (c+1)*n/chunks] {
+				if v.w != first[c].w {
+					t.Fatalf("run %d: chunk %d ran on two workers", run, c)
+				}
+			}
+		}
+		for c := range first {
+			for d := range first[:c] {
+				if same := first[c].w == first[d].w; same != (c%workers == d%workers) {
+					t.Fatalf("run %d: chunks %d and %d on one worker: %v, want %v", run, d, c, same, !same)
+				}
+			}
+			if c >= workers && first[c].seq <= first[c-workers].seq {
+				t.Fatalf("run %d: chunk %d ran before chunk %d on its worker", run, c, c-workers)
+			}
+		}
+	}
+}
+
 // TestSweepScratchPropagatesError: measurement and scratch-build
 // errors come back unwrapped.
 func TestSweepScratchPropagatesError(t *testing.T) {
