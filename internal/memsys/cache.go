@@ -71,9 +71,9 @@
 // Every cost an access can incur is an entry of one per-instance
 // lookup-cost table: the TLB term plus the latencies of the first k
 // levels, summed left to right, or all of them plus the memory
-// latency. A simulated access starts at the entry of the levels it
-// skips, and a filled miss or a derived hit reads its entry whole, so
-// every path adds the same terms in the same order, bit for bit.
+// latency. A simulated access, a filled miss and a derived hit each
+// read the entry of the level where their lookup ends, so every path
+// charges an access the same bits.
 
 // Cache tags and page frames are stored as 32-bit values: a tag is the
 // physical line number and a frame the physical page number, so a node

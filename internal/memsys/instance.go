@@ -8,12 +8,11 @@ import (
 )
 
 // planLevel is one step of a core's precomputed access plan: the cache
-// instance serving the core at this level and the level's latency. The
-// hot path walks a flat slice of these instead of chasing
-// caches[li][coreCache[li][core]] per access.
+// instance serving the core at this level. The hot path walks a flat
+// slice of these instead of chasing caches[li][coreCache[li][core]] per
+// access; a level's latency lives in the instance's cost table.
 type planLevel struct {
-	c       *cache
-	latency float64
+	c *cache
 }
 
 // xlatEntry is a core's one-entry translation cache: the page it last
@@ -56,10 +55,10 @@ type Instance struct {
 	// costs is the lookup-cost table, one for every core, since every
 	// core's plan has the same levels with the same latencies:
 	// costs[t][k], with t 1 after a TLB miss, is the TLB term plus the
-	// latencies of plan levels 0..k-1, added left to right as accessAt
-	// adds them, and costs[t][levels+1] adds the memory latency to
-	// costs[t][levels]. A hit at level h costs costs[t][h+1], a miss
-	// everywhere costs[t][levels+1].
+	// latencies of plan levels 0..k-1, added left to right, and
+	// costs[t][levels+1] adds the memory latency to costs[t][levels]. A
+	// hit at level h costs costs[t][h+1], a miss everywhere
+	// costs[t][levels+1]; every cost an access is charged is read here.
 	costs    [2][]float64
 	spaceSeq int64
 	// spaces pools every Space ever created, in creation order. ResetAt
@@ -123,10 +122,7 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 	in.plan = make([]planLevel, m.CoresPerNode*in.levels)
 	for core := 0; core < m.CoresPerNode; core++ {
 		for li := range m.Caches {
-			in.plan[core*in.levels+li] = planLevel{
-				c:       in.caches[li][in.coreCache[li][core]],
-				latency: m.Caches[li].LatencyCycles,
-			}
+			in.plan[core*in.levels+li] = planLevel{c: in.caches[li][in.coreCache[li][core]]}
 		}
 	}
 	in.os = newOSAllocator(placementSeed(seed, keys), m.PhysPagesPerNode, m.PageColoring, colorCount(m))
@@ -271,30 +267,25 @@ func (in *Instance) accessOne(plan []planLevel, skip, core int, sp *Space, vaddr
 // resolved: paddr is vaddr's physical address and vpage its virtual
 // page. The strided run translates once per page crossing and feeds
 // every access of the page through here. The access looks its line up
-// from plan level skip on, and its cost starts at in.costs[t][skip],
-// with t 1 after a TLB miss: the TLB term plus the skipped levels'
-// latencies, added in the order a lookup of every level adds them. A
-// coupled stream that skips its private prefix therefore pays, bit for
-// bit, what a lookup of every level that misses there would; every
-// other caller skips no level.
+// from plan level skip on and costs in.costs[t][h+1], with t 1 after a
+// TLB miss and h the level it hits at (len(plan) on a miss everywhere):
+// the TLB term plus the latencies of levels 0..h, and the memory
+// latency after a miss. A coupled stream that skips its private prefix
+// therefore pays, bit for bit, what a lookup of every level that misses
+// there would; every other caller skips no level.
 func (in *Instance) accessAt(plan []planLevel, skip, core int, vaddr, paddr, vpage int64) float64 {
 	t := 0
 	if tl := in.tlbs[core]; tl != nil && !tl.access(vpage) {
 		t = 1
 	}
-	cost := in.costs[t][skip]
-	hit := false
-	for i := skip; i < len(plan); i++ {
-		pl := &plan[i]
-		cost += pl.latency
-		if pl.c.access(vaddr>>pl.c.lineBits, paddr>>pl.c.lineBits) {
-			hit = true
+	h := skip
+	for ; h < len(plan); h++ {
+		c := plan[h].c
+		if c.access(vaddr>>c.lineBits, paddr>>c.lineBits) {
 			break
 		}
 	}
-	if !hit {
-		cost += in.memLat
-	}
+	cost := in.costs[t][h+1]
 	if next, ok := in.pref[core].observe(vaddr, in.pageShift); ok {
 		// observe never crosses the page boundary, so next shares
 		// vaddr's page: it is mapped, and its frame is vaddr's. Install

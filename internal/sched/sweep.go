@@ -23,15 +23,18 @@ import (
 // tuner's candidate batch, a cluster sweep of sessions:
 //
 //  1. plan: [0, n) splits into min(4·parallelism, n) contiguous,
-//     index-ordered chunks, so one expensive chunk cannot stall the
-//     sweep behind a single worker;
-//  2. measure: W = min(parallelism, chunks) workers each build exactly
-//     one scratch with newScratch (nil means the zero S), then worker w
-//     runs chunks w, w+W, w+2W, ... in that order, writing measurement
-//     i into slot i and checking the context between measurements;
-//     worker 0 runs on the calling goroutine. The assignment is static,
-//     so every worker measures the same items, and grows its scratch
-//     the same way, however the host schedules the workers;
+//     index-ordered chunks, dealt in rounds of W = min(parallelism,
+//     chunks), so every worker's items spread across the index range;
+//  2. measure: W workers each build exactly one scratch with
+//     newScratch (nil means the zero S), then run their chunks in
+//     snake order: in round r worker w runs chunk rW+w when r is even
+//     and rW+W-1-w when r is odd (w, 2W-1-w, 2W+w, ...), writing
+//     measurement i into slot i and checking the context between
+//     measurements; worker 0 runs on the calling goroutine. On a sweep
+//     whose items cost more as the index rises (cache sizes, levels),
+//     every worker then gets about the same work. The assignment is
+//     static, so every worker measures the same items, and grows its
+//     scratch the same way, however the host schedules the workers;
 //  3. merge: the caller walks the returned slice sequentially, doing
 //     everything order-sensitive there (float sums, noise, clustering).
 //
@@ -111,7 +114,15 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 		if err == nil {
 			tr.Count(obs.CounterScratchFresh, 1)
 		}
-		for c := w; c < chunks; c += workers {
+		for r := 0; r*workers < chunks; r++ {
+			c := r*workers + w
+			if r%2 == 1 {
+				c = r*workers + workers - 1 - w
+			}
+			if c >= chunks {
+				// A short last round has no chunk for this worker.
+				continue
+			}
 			if int64(c) > stopped.Load() {
 				return
 			}
@@ -120,7 +131,7 @@ func Sweep[T, S any](ctx context.Context, name string, n, parallelism int, newSc
 				fail(c, err)
 				return
 			}
-			if c != w {
+			if r > 0 {
 				tr.Count(obs.CounterScratchReused, 1)
 			}
 			if !run(scratch, c) {

@@ -239,49 +239,63 @@ func TestSweepScratchPerWorker(t *testing.T) {
 	}
 }
 
-// TestSweepStaticAssignment pins the chunk→worker map at parallelism
-// 8: 100 items split into 32 chunks, and the worker that measures
-// chunk c measures chunks c mod 8, c mod 8 + 8, ... in that order, on
-// every run, however the host schedules the workers. So each worker's
-// scratch sees the same items on every run, and grows the same way.
+// TestSweepStaticAssignment pins the chunk→worker map: chunks are
+// dealt in rounds of W workers, forwards in even rounds and backwards
+// in odd ones, so worker w runs chunks w, 2W-1-w, 2W+w, ... in that
+// order, on every run, however the host schedules the workers. So each
+// worker's scratch sees the same items on every run, and grows the
+// same way. At parallelism 8, 100 items split into 32 chunks; the
+// smaller cases end in a short round, even and odd.
 func TestSweepStaticAssignment(t *testing.T) {
-	const n, parallelism, chunks, workers = 100, 8, 32, 8
-	type worker struct{ seq int }
-	for run := 0; run < 20; run++ {
-		var built atomic.Int32
-		type visit struct {
-			w   *worker
-			seq int
+	for _, tc := range []struct{ n, parallelism, chunks, workers int }{
+		{100, 8, 32, 8},
+		{7, 3, 7, 3},
+		{6, 4, 6, 4},
+	} {
+		// worker(c) is the worker the snake order deals chunk c to.
+		worker := func(c int) int {
+			if r, pos := c/tc.workers, c%tc.workers; r%2 == 1 {
+				return tc.workers - 1 - pos
+			}
+			return c % tc.workers
 		}
-		visits, err := Sweep(context.Background(), "t", n, parallelism,
-			func() (*worker, error) { built.Add(1); return &worker{}, nil },
-			func(w *worker, i int) (visit, error) {
-				w.seq++
-				return visit{w, w.seq}, nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if built.Load() != workers {
-			t.Fatalf("run %d: built %d scratches, want %d", run, built.Load(), workers)
-		}
-		first := make([]visit, chunks)
-		for c := range first {
-			first[c] = visits[c*n/chunks]
-			for _, v := range visits[c*n/chunks : (c+1)*n/chunks] {
-				if v.w != first[c].w {
-					t.Fatalf("run %d: chunk %d ran on two workers", run, c)
+		type scratch struct{ seq int }
+		for run := 0; run < 20; run++ {
+			var built atomic.Int32
+			type visit struct {
+				w   *scratch
+				seq int
+			}
+			visits, err := Sweep(context.Background(), "t", tc.n, tc.parallelism,
+				func() (*scratch, error) { built.Add(1); return &scratch{}, nil },
+				func(w *scratch, i int) (visit, error) {
+					w.seq++
+					return visit{w, w.seq}, nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if built.Load() != int32(tc.workers) {
+				t.Fatalf("%+v run %d: built %d scratches, want %d", tc, run, built.Load(), tc.workers)
+			}
+			first := make([]visit, tc.chunks)
+			for c := range first {
+				first[c] = visits[c*tc.n/tc.chunks]
+				for _, v := range visits[c*tc.n/tc.chunks : (c+1)*tc.n/tc.chunks] {
+					if v.w != first[c].w {
+						t.Fatalf("%+v run %d: chunk %d ran on two workers", tc, run, c)
+					}
 				}
 			}
-		}
-		for c := range first {
-			for d := range first[:c] {
-				if same := first[c].w == first[d].w; same != (c%workers == d%workers) {
-					t.Fatalf("run %d: chunks %d and %d on one worker: %v, want %v", run, d, c, same, !same)
+			for c := range first {
+				for d := range first[:c] {
+					if same := first[c].w == first[d].w; same != (worker(c) == worker(d)) {
+						t.Fatalf("%+v run %d: chunks %d and %d on one worker: %v, want %v", tc, run, d, c, same, !same)
+					}
+					if first[c].w == first[d].w && first[c].seq <= first[d].seq {
+						t.Fatalf("%+v run %d: chunk %d ran before chunk %d on its worker", tc, run, c, d)
+					}
 				}
-			}
-			if c >= workers && first[c].seq <= first[c-workers].seq {
-				t.Fatalf("run %d: chunk %d ran before chunk %d on its worker", run, c, c-workers)
 			}
 		}
 	}
