@@ -213,3 +213,31 @@ func BenchmarkRunConcurrentPooledSharedL3Pair(b *testing.B) {
 		run()
 	}
 }
+
+// BenchmarkAccessStridePassesSharedL3 is one pooled mcalibrator-shaped
+// measurement of a nehalem2s core over (2/3)·8 MiB, the array size of
+// the Fig. 5 shared-cache benchmark, on a warm instance: ResetAt,
+// allocate, then a warm-up and 3 measured passes at the 1 KiB probe
+// stride through AccessStridePasses. The warm-up is filled, the first
+// measured pass derived and the rest replayed, so this is the cost of
+// the fill and of one derived pass; it must stay at 0 allocs/op.
+func BenchmarkAccessStridePassesSharedL3(b *testing.B) {
+	m := topology.Nehalem2S()
+	in := NewInstance(m, 1)
+	const stride = 1 * topology.KB
+	bytes := m.Caches[2].SizeBytes * 2 / 3
+	bytes -= bytes % stride
+	var total, measured float64
+	run := func() {
+		in.ResetAt(1)
+		sp := in.NewSpace()
+		a := sp.Alloc(bytes)
+		in.AccessStridePasses(0, sp, a.Base, a.Bytes, stride, 3, &total, &measured)
+	}
+	run() // warm the pool to steady-state capacity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}

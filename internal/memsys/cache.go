@@ -34,15 +34,23 @@
 // any of these checks is simulated.
 //
 // After a fill, the first measured pass is derived rather than
-// simulated: the fill records which sets received more lines than they
-// hold. When every set at every level is reached by all of its lines
-// or by none — a line goes on to the next level only past a set that
-// overflows — LRU over the cyclic walk makes a reached set hit on
-// every access if its lines fit and miss on every access if they do
-// not, and the pass leaves caches, TLB and prefetcher exactly as the
-// fill did. Each access then costs its TLB term plus the latencies
-// down to the first level whose set fits, added in issue order; the
-// check runs before anything changes. Every later pass repeats the
+// simulated: the fill records, at each level, the sets the walk
+// touches and which of them received more lines than they hold. The
+// proof visits those sets, never the accesses. A line goes on to the
+// next level only past a set that overflows. When each set of the next
+// level takes all of its lines from one set of this one (the levels
+// nest), or this level passes on all of its lines or none, every set
+// at every level is reached by all of its lines or by none. LRU
+// over the cyclic walk then makes a reached set hit on every access if
+// its lines fit and miss on every access if they do not, and the pass
+// leaves caches, TLB and prefetcher exactly as the fill did. With
+// integral access costs, as on every built-in model, the pass then
+// costs one sum over the touched sets: the lines of each reached set
+// that fits hit at its level, every other line misses everywhere, and
+// each page adds the TLB term once when the walk thrashes the TLB.
+// Otherwise each access's cost, down to the first level whose set
+// fits, is added in issue order. The proof runs before anything
+// changes. Every later pass repeats the
 // derived one access for access, so its cost is added arithmetically —
 // with integral access costs, as on every built-in model, exactly. A
 // walk that is not filled, or whose pass is not derived, is simulated
@@ -86,6 +94,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"servet/internal/topology"
 )
@@ -206,17 +215,25 @@ func (c *cache) access(vLine, pLine int64) bool {
 }
 
 // appendLRU installs a line that set idx does not hold at its LRU end,
-// below every line it holds, and reports whether it did: it does not
-// when the set is full. It does not set occupied: the caller that
+// below every line it holds, unless the set is full, and returns the
+// number of lines the set held before: assoc when it was full and
+// nothing was installed. It does not set occupied: the caller that
 // fills lines owns that.
-func (c *cache) appendLRU(idx, pLine int64) bool {
+func (c *cache) appendLRU(idx, pLine int64) int64 {
 	n := int64(c.lens[idx])
 	if n == c.assoc {
-		return false
+		return n
 	}
 	c.lines[idx*c.assoc+n] = uint32(pLine)
 	c.lens[idx]++
-	return true
+	return n
+}
+
+// pageLocal reports whether the cache's set index is a function of the
+// page offset alone: a power-of-two set count whose index bits, above
+// the line offset, stay below the page shift.
+func (c *cache) pageLocal(pageShift uint) bool {
+	return c.numSets&(c.numSets-1) == 0 && c.lineBits+uint(bits.TrailingZeros64(uint64(c.numSets))) <= pageShift
 }
 
 // contains reports whether the line is cached, without touching LRU

@@ -128,7 +128,8 @@ func TestDerivedPassMatchesSimulated(t *testing.T) {
 // TestDerivedPassDeclinesMixedReach: on a machine where one L2 set
 // takes lines both from an L1 set they fit in and from one they
 // thrash, only some of that L2 set's lines reach it, so the derived
-// pass declines. The decline leaves every piece of state — the TLB,
+// pass declines: the L1's sets do not nest in the L2's, and some of
+// them overflow while others fit. The decline leaves every piece of state — the TLB,
 // which the walk thrashes, included — exactly as the fill left it, and
 // the simulated passes that follow match simulation bit for bit.
 func TestDerivedPassDeclinesMixedReach(t *testing.T) {
@@ -155,6 +156,9 @@ func TestDerivedPassDeclinesMixedReach(t *testing.T) {
 	const bytes, stride = 6 * 16, 16
 	for _, list := range []bool{false, true} {
 		in := NewInstanceAt(m, 1)
+		if in.planFor(0)[1].nest != -1 {
+			t.Fatal("L1 sets nest in the L2's")
+		}
 		sp := in.NewSpace()
 		a := sp.Alloc(bytes)
 		w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
@@ -184,6 +188,163 @@ func TestDerivedPassDeclinesMixedReach(t *testing.T) {
 				t.Errorf("%s: derived %d accesses", name, got.counts.Derived)
 			}
 			assertSameRun(t, name, got, measureWalk(m, bytes, stride, list, passes, false))
+		}
+	}
+}
+
+// TestCountedCostMatchesIssueOrder: on every fillModels() machine whose
+// costs are integral, for walks of half, exactly, one stride over and
+// twice each level's capacity, and of twice the TLB's reach where one
+// is modelled, so that the TLB misses on every page, the cost of every
+// pass provePass proves, counted over the touched sets, equals adding
+// each access's cost in issue order bit for bit. Each such machine
+// proves some of its walks.
+func TestCountedCostMatchesIssueOrder(t *testing.T) {
+	const stride = 1024
+	models := fillModels()
+	for _, name := range slices.Sorted(maps.Keys(models)) {
+		m := models[name]
+		if !NewInstanceAt(m, 1).exact {
+			continue
+		}
+		var sizes []int64
+		for i := range m.Caches {
+			c := m.Caches[i].SizeBytes
+			sizes = append(sizes, c/2, c, c+stride, 2*c)
+		}
+		if m.TLBEntries > 0 {
+			sizes = append(sizes, 2*int64(m.TLBEntries)*m.PageBytes)
+		}
+		var proved int
+		for _, bytes := range sizes {
+			in := NewInstanceAt(m, 5)
+			sp := in.NewSpace()
+			a := sp.Alloc(bytes)
+			w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
+			var sc setCounts
+			var total float64
+			if !in.fill(0, &w, &total, &sc) {
+				t.Fatalf("%s/%d: the warm-up was not filled", name, bytes)
+			}
+			plan := in.planFor(0)
+			if !in.provePass(plan, &sc) {
+				continue
+			}
+			proved++
+			n := w.accesses()
+			pages, tlbPage := in.passPages(0, &sc, n)
+			counted := in.countedCost(plan, &sc, n, pages, tlbPage)
+			var a0, b0 float64
+			in.issueOrderCost(plan, &w, &sc, tlbPage, &a0, &b0)
+			if math.Float64bits(counted) != math.Float64bits(a0) || math.Float64bits(counted) != math.Float64bits(b0) {
+				t.Errorf("%s/%d: counted cost %v, issue-order sums %v/%v", name, bytes, counted, a0, b0)
+			}
+		}
+		if proved == 0 {
+			t.Errorf("%s: no walk proved", name)
+		}
+	}
+}
+
+// TestDerivedPassNestedMixedFullness: on a machine whose L1 sets nest
+// in its L2's, a walk overflows some L1 sets and fits in others, so
+// only the lines of the overflowing sets reach the L2. Every L2 set
+// takes its lines from one L1 set, so each is reached by all of its
+// lines or by none, and the pass derives — and matches simulation bit
+// for bit — where a pair that did not nest would decline.
+func TestDerivedPassNestedMixedFullness(t *testing.T) {
+	// 16-byte lines, 64-byte pages and a one-entry TLB; the walk is 6
+	// accesses, one per line, over 2 pages. Its lines 0–5 fall in
+	// direct-mapped L1 sets 0, 1, 2, 3, 0, 1: sets 0 and 1 thrash, 2
+	// and 3 fit. The L1's index bits are the page offset's, which the
+	// 8-set, 2-way L2 reads too, from the physical line: L2 set s takes
+	// its lines from L1 set s mod 4, and none of them receives more
+	// than 2 of the lines that reach it.
+	m := &topology.Machine{
+		Name: "nested-mixed", ClockGHz: 1, Nodes: 1, CoresPerNode: 1,
+		PageBytes: 64, PhysPagesPerNode: 1 << 10,
+		TLBEntries: 1, TLBMissCycles: 30,
+		Memory: topology.Memory{LatencyCycles: 100, PerCoreGBs: 1},
+		Caches: []topology.CacheLevel{
+			{Level: 1, SizeBytes: 4 * 16, Assoc: 1, LineBytes: 16, LatencyCycles: 1,
+				Indexing: topology.VirtuallyIndexed, Groups: topology.PrivateGroups(1)},
+			{Level: 2, SizeBytes: 8 * 2 * 16, Assoc: 2, LineBytes: 16, LatencyCycles: 10,
+				Indexing: topology.PhysicallyIndexed, Groups: topology.PrivateGroups(1)},
+		},
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const bytes, stride = 6 * 16, 16
+	for _, list := range []bool{false, true} {
+		in := NewInstanceAt(m, 1)
+		if in.planFor(0)[1].nest != 0 {
+			t.Fatalf("L1 sets do not nest in the L2's: nest %d", in.planFor(0)[1].nest)
+		}
+		sp := in.NewSpace()
+		a := sp.Alloc(bytes)
+		w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
+		if list {
+			w.addrs = strided(a, stride)
+		}
+		var sc setCounts
+		var total float64
+		if !in.fill(0, &w, &total, &sc) {
+			t.Fatalf("list=%v: the warm-up was not filled", list)
+		}
+		var full, fit int
+		for _, s := range sc.touched[0] {
+			if sc.sets[0][s]&setFull != 0 {
+				full++
+			} else {
+				fit++
+			}
+		}
+		if full != 2 || fit != 2 {
+			t.Fatalf("list=%v: %d full and %d fitting L1 sets, want 2 and 2", list, full, fit)
+		}
+		for _, passes := range []int{1, 2, 3} {
+			name := fmt.Sprintf("list=%v, %d passes", list, passes)
+			got := measureWalk(m, bytes, stride, list, passes, true)
+			if got.counts.Derived != bytes/stride {
+				t.Errorf("%s: derived %d accesses, want %d", name, got.counts.Derived, bytes/stride)
+			}
+			assertSameRun(t, name, got, measureWalk(m, bytes, stride, list, passes, false))
+		}
+	}
+}
+
+// TestNestShift pins when one cache's sets nest in another's, the
+// premise of provePass's per-set reach: a's index must be a function
+// of b's, read from the same address.
+func TestNestShift(t *testing.T) {
+	level := func(sets, line int64, virtual bool) *cache {
+		ix := topology.PhysicallyIndexed
+		if virtual {
+			ix = topology.VirtuallyIndexed
+		}
+		return newCache(&topology.CacheLevel{Level: 1, SizeBytes: sets * line * 2, Assoc: 2, LineBytes: line, Indexing: ix})
+	}
+	const pageShift = 12 // 4 KiB pages
+	for _, tc := range []struct {
+		name string
+		a, b *cache
+		want int
+	}{
+		{"virtual index inside the page, physical below", level(64, 64, true), level(512, 64, false), 0},
+		{"virtual index past the page, physical below", level(512, 64, true), level(1024, 64, false), -1},
+		{"both virtual past the page", level(512, 64, true), level(1024, 64, true), 0},
+		{"physical above, virtual index inside the page below", level(16, 64, false), level(64, 64, true), 0},
+		{"more sets above than below", level(512, 64, false), level(64, 64, false), -1},
+		{"set count that does not divide", level(64, 64, false), level(96, 64, false), -1},
+		{"modulus of a non-power-of-two set count", level(64, 64, false), level(192, 64, false), 0},
+		{"wider lines above", level(64, 128, false), level(512, 64, false), 1},
+		{"wider lines above, too few sets below", level(64, 128, false), level(64, 64, false), -1},
+		{"narrower lines above", level(64, 32, false), level(512, 64, false), -1},
+		{"one set above", level(1, 32, true), level(512, 64, false), 0},
+	} {
+		if got := nestShift(tc.a, tc.b, pageShift); got != tc.want {
+			t.Errorf("%s: nestShift %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

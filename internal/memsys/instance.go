@@ -13,6 +13,10 @@ import (
 // access; a level's latency lives in the instance's cost table.
 type planLevel struct {
 	c *cache
+	// nest is nestShift of the level above and this one: d ≥ 0 when
+	// every line of set s here maps to set (s>>d) mod numSets of the
+	// level above, −1 when no such parent exists or this is level 0.
+	nest int
 }
 
 // xlatEntry is a core's one-entry translation cache: the page it last
@@ -122,7 +126,11 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 	in.plan = make([]planLevel, m.CoresPerNode*in.levels)
 	for core := 0; core < m.CoresPerNode; core++ {
 		for li := range m.Caches {
-			in.plan[core*in.levels+li] = planLevel{c: in.caches[li][in.coreCache[li][core]]}
+			pl := planLevel{c: in.caches[li][in.coreCache[li][core]], nest: -1}
+			if li > 0 {
+				pl.nest = nestShift(in.plan[core*in.levels+li-1].c, pl.c, in.pageShift)
+			}
+			in.plan[core*in.levels+li] = pl
 		}
 	}
 	in.os = newOSAllocator(placementSeed(seed, keys), m.PhysPagesPerNode, m.PageColoring, colorCount(m))
@@ -146,6 +154,31 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 		in.costs[t] = row
 	}
 	return in
+}
+
+// nestShift reports how the sets of cache a nest in those of cache b:
+// it returns d ≥ 0 when every line that maps to set s of b maps to set
+// (s>>d) mod a.numSets of a, and −1 when no such function exists. A
+// cache with one set nests in any. Otherwise both must read the same
+// address, and a's index bits must lie among b's: a's lines are 2^d of
+// b's and 2^d·a.numSets divides b.numSets. A virtually indexed cache
+// reads the same bits as a physically indexed one when its index stays
+// inside the page offset (pageLocal).
+func nestShift(a, b *cache, pageShift uint) int {
+	if a.numSets == 1 {
+		return 0
+	}
+	if a.virtual != b.virtual && !a.pageLocal(pageShift) && !b.pageLocal(pageShift) {
+		return -1
+	}
+	if a.lineBits < b.lineBits {
+		return -1
+	}
+	d := a.lineBits - b.lineBits
+	if b.numSets%(a.numSets<<d) != 0 {
+		return -1
+	}
+	return int(d)
 }
 
 // placementSeed derives the page-placement seed from (seed, keys...)

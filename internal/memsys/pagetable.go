@@ -16,11 +16,16 @@ import (
 //
 // Placement is stateless: the candidate frames for a (space, vpage)
 // slot are a pure hash chain of (placement seed, space, vpage,
-// attempt), never of how many pages were handed out before. Two
-// allocators built from the same seed therefore map the same slots to
-// the same frames regardless of the order unrelated spaces allocate
-// in, which is what lets every measurement of a sharded sweep build
-// an identical-by-construction memory system.
+// attempt), never of how many pages were handed out before, and the
+// slot takes the first candidate no other slot holds. Frames are
+// therefore a pure function of the allocation sequence: two allocators
+// built from the same seed that allocate the same slots in the same
+// order map them to the same frames, which is what lets every
+// measurement of a sharded sweep build an identical-by-construction
+// memory system. A slot whose chain meets no taken frame keeps its
+// frame whatever the order in which unrelated spaces allocate; when a
+// page of another space holds one of its candidates, which of the two
+// allocates first decides which retries.
 type osAllocator struct {
 	seed      int64
 	physPages int64

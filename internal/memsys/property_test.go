@@ -1,10 +1,12 @@
 package memsys
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"servet/internal/stats"
 	"servet/internal/topology"
 )
 
@@ -166,37 +168,87 @@ func TestPageAllocatorUniqueFramesProperty(t *testing.T) {
 	}
 }
 
-// TestPageAllocatorStatelessPlacement: the frame a (space, vpage) slot
-// receives is a pure function of the placement seed and the slot — not
-// of what other spaces allocated before — as long as no collision
-// forces a retry (the pool here is far larger than the demand).
+// allocSpaces allocates pages 0..pages-1 of each space in turn, in the
+// order given, on a fresh allocator, and returns the frame of each
+// (space, vpage) slot.
+func allocSpaces(seed, frames int64, spaces []int64, pages int64) map[[2]int64]int64 {
+	o := newOSAllocator(seed, frames, false, 1)
+	got := map[[2]int64]int64{}
+	for _, space := range spaces {
+		for v := int64(0); v < pages; v++ {
+			got[[2]int64{space, v}] = o.allocPage(space, v)
+		}
+	}
+	return got
+}
+
+// TestPageAllocatorStatelessPlacement: frames are a pure function of
+// the allocation sequence — a second allocator from the same seed that
+// allocates the same slots in the same order draws the same frames —
+// and a slot of space 1 whose first candidate frame no other slot
+// holds, whichever of spaces 1 and 2 allocates first, takes that frame
+// in both orders: its chain meets no taken frame, so the order of an
+// unrelated space's allocations cannot move it. A slot whose candidate
+// another slot holds retries down its chain, and its frame may then
+// depend on the order (TestPageAllocatorCollisionDependsOnOrder).
 func TestPageAllocatorStatelessPlacement(t *testing.T) {
+	const frames, pages = 1 << 20, 32
 	f := func(seed int64) bool {
-		a := newOSAllocator(seed, 1<<20, false, 1)
-		b := newOSAllocator(seed, 1<<20, false, 1)
-		// a: space 1 pages first, then space 2; b: the reverse order.
-		var a1, b1 []int64
-		for v := int64(0); v < 32; v++ {
-			a1 = append(a1, a.allocPage(1, v))
+		a := allocSpaces(seed, frames, []int64{1, 2}, pages)
+		b := allocSpaces(seed, frames, []int64{2, 1}, pages)
+		if !maps.Equal(a, allocSpaces(seed, frames, []int64{1, 2}, pages)) {
+			return false
 		}
-		for v := int64(0); v < 32; v++ {
-			a.allocPage(2, v)
-		}
-		for v := int64(0); v < 32; v++ {
-			b.allocPage(2, v)
-		}
-		for v := int64(0); v < 32; v++ {
-			b1 = append(b1, b.allocPage(1, v))
-		}
-		for i := range a1 {
-			if a1[i] != b1[i] {
+		checked := 0
+		for v := int64(0); v < pages; v++ {
+			slot := [2]int64{1, v}
+			first := stats.MixBound(frames, seed, 1, v, 0)
+			taken := false
+			for _, run := range []map[[2]int64]int64{a, b} {
+				for s, p := range run {
+					taken = taken || s != slot && p == first
+				}
+			}
+			if taken {
+				continue
+			}
+			if a[slot] != first || b[slot] != first {
 				return false
 			}
+			checked++
 		}
-		return true
+		return checked > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPageAllocatorCollisionDependsOnOrder: when a page of space 1 and
+// a page of space 2 draw the same first candidate frame, the one that
+// allocates first takes it and the other retries down its chain, so
+// their frames depend on the order of the two spaces; repeating either
+// order still draws the same frames.
+func TestPageAllocatorCollisionDependsOnOrder(t *testing.T) {
+	const frames = 64
+	seed := int64(0)
+	for ; stats.MixBound(frames, seed, 1, 0, 0) != stats.MixBound(frames, seed, 2, 0, 0); seed++ {
+		if seed == 1<<16 {
+			t.Fatal("no seed below 2^16 makes the two slots collide")
+		}
+	}
+	first := stats.MixBound(frames, seed, 1, 0, 0)
+	a := allocSpaces(seed, frames, []int64{1, 2}, 1)
+	b := allocSpaces(seed, frames, []int64{2, 1}, 1)
+	s1, s2 := [2]int64{1, 0}, [2]int64{2, 0}
+	if a[s1] != first || b[s2] != first {
+		t.Errorf("seed %d: the first allocation did not take candidate %d: %v, %v", seed, first, a, b)
+	}
+	if a[s2] == first || b[s1] == first || a[s1] == b[s1] {
+		t.Errorf("seed %d: the second allocation did not retry: %v, %v", seed, a, b)
+	}
+	if !maps.Equal(a, allocSpaces(seed, frames, []int64{1, 2}, 1)) || !maps.Equal(b, allocSpaces(seed, frames, []int64{2, 1}, 1)) {
+		t.Errorf("seed %d: repeating an order drew other frames", seed)
 	}
 }
 

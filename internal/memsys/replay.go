@@ -12,10 +12,12 @@ import (
 // and each falling back to simulation when its proof fails:
 //
 //   - fill installs a warm-up over empty caches that provably misses
-//     everywhere in one sweep, recording which sets it overflowed;
-//   - derivedPass costs the first measured pass after such a fill from
-//     those per-set facts alone, and proves that the pass leaves the
-//     state where it found it;
+//     everywhere in one sweep, recording at each level the sets it
+//     touched and which of them it overflowed;
+//   - derivedPass proves from those per-set facts alone, visiting sets
+//     and not accesses, that the first measured pass after such a fill
+//     leaves the state where it found it, and costs it — with integral
+//     costs as one sum over the touched sets;
 //   - the d·k rule adds the remaining passes arithmetically, since each
 //     repeats the derived pass access for access.
 //
@@ -186,28 +188,32 @@ func (in *Instance) traverse(core int, w *walk, total, measured *float64) {
 const (
 	// setFull: the walk maps more lines to the set than it holds.
 	setFull uint8 = 1 << iota
-	// setReached, setBypassed: a derived pass's access reached the
-	// set, or hit at a level above it and so never got there.
+	// setReached: derivedPass proved that every line of the walk that
+	// maps to the set reaches it, each access of a pass looking it up.
 	setReached
-	setBypassed
 )
 
 // setCounts is what fill records about a cold walk for derivedPass:
-// the walk's first address and stride, and the per-set facts of every
-// plan level, sets[j][s] for set s of level j. Slabs are pooled on
-// setScratch and only ever grow.
+// the walk's first address and stride, and for every plan level j the
+// per-set facts sets[j][s] of set s and the list touched[j] of the
+// sets the walk maps lines to, in the order installWalk first touched
+// them. Slabs are pooled on setScratch and only ever grow.
 type setCounts struct {
 	base, stride int64
 	sets         [][]uint8
+	touched      [][]int32
 }
 
-// reset sizes sc for the plan and clears every set's facts.
+// reset sizes sc for the plan, clears every set's facts and empties
+// every touched list, with room for every set of its level, so
+// installWalk's appends never grow a list.
 func (sc *setCounts) reset(plan []planLevel, base, stride int64) {
 	sc.base, sc.stride = base, stride
 	if cap(sc.sets) < len(plan) {
 		sc.sets = append(sc.sets[:cap(sc.sets)], make([][]uint8, len(plan)-cap(sc.sets))...)
+		sc.touched = append(sc.touched[:cap(sc.touched)], make([][]int32, len(plan)-cap(sc.touched))...)
 	}
-	sc.sets = sc.sets[:len(plan)]
+	sc.sets, sc.touched = sc.sets[:len(plan)], sc.touched[:len(plan)]
 	for j := range plan {
 		n := int(plan[j].c.numSets)
 		if cap(sc.sets[j]) < n {
@@ -215,6 +221,7 @@ func (sc *setCounts) reset(plan []planLevel, base, stride int64) {
 		}
 		sc.sets[j] = sc.sets[j][:n]
 		clear(sc.sets[j])
+		sc.touched[j] = slices.Grow(sc.touched[j][:0], n)
 	}
 }
 
@@ -282,9 +289,11 @@ func occupy(plan []planLevel) {
 // last min(k, assoc) of the k lines the walk maps to it, MRU first.
 // One reverse sweep builds that by appending at the LRU end of each set
 // not yet full — no tag scan and no shift — translating each page once.
-// A set the sweep meets full has k > assoc; installWalk marks it
-// setFull in sets[j] for plan level j when sets is non-nil.
-func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int64, sets [][]uint8) {
+// When sc is non-nil, installWalk records at each plan level j the
+// sets it touches, in sc.touched[j], in the order it first meets them,
+// and marks setFull in sc.sets[j] each set it meets full, whose k >
+// assoc; sc must have been reset for the plan.
+func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int64, sc *setCounts) {
 	occupy(plan)
 	shift, mask := in.pageShift, in.pageMask
 	curVpage, pbase := int64(-1), int64(0)
@@ -299,8 +308,13 @@ func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int
 			c := plan[j].c
 			pLine := paddr >> c.lineBits
 			idx := c.setIndex(vaddr>>c.lineBits, pLine)
-			if !c.appendLRU(idx, pLine) && sets != nil {
-				sets[j][idx] = setFull
+			if k := c.appendLRU(idx, pLine); sc != nil {
+				switch k {
+				case 0:
+					sc.touched[j] = append(sc.touched[j], int32(idx))
+				case c.assoc:
+					sc.sets[j][idx] = setFull
+				}
 			}
 		}
 	}
@@ -348,12 +362,10 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool 
 	}
 	*total = a
 
-	var sets [][]uint8
 	if sc != nil {
 		sc.reset(plan, base, stride)
-		sets = sc.sets
 	}
-	in.installWalk(plan, w.sp, base, stride, n, sets)
+	in.installWalk(plan, w.sp, base, stride, n, sc)
 	if w.addrs != nil {
 		in.translateFor(core, w.sp, w.addrs[n-1])
 	}
@@ -487,11 +499,11 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 		if private > 0 {
 			base, stride := str.Addrs[0], str.Addrs[1]-str.Addrs[0]
 			sc.reset(plan[:private], base, stride)
-			in.installWalk(plan[:private], str.Space, base, stride, int64(len(str.Addrs)), sc.sets)
+			in.installWalk(plan[:private], str.Space, base, stride, int64(len(str.Addrs)), sc)
 		prefix:
 			for ; skip < private; skip++ {
-				for s, n := range plan[skip].c.lens {
-					if n > 0 && sc.sets[skip][s] == 0 {
+				for _, s := range sc.touched[skip] {
+					if sc.sets[skip][s] == 0 {
 						break prefix
 					}
 				}
@@ -534,21 +546,20 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 // derivedPass costs one measured traversal of a walk fill has just
 // installed, from the per-set facts fill recorded in sc, without
 // simulating it, and leaves every piece of state as fill left it. It
-// adds each access's cost to *total and *measured in issue order and
-// returns true when it can prove that cost; otherwise it changes
-// nothing, *total and *measured included, and returns false.
+// adds the pass's cost to *total and *measured, bit for bit what adding
+// each access's cost in issue order would give, and returns true when
+// provePass can prove that cost; otherwise it changes nothing, *total
+// and *measured included, and returns false.
 //
 // After the fill, each set at each level holds the last min(k, assoc)
-// of its k lines, MRU first. The first level is reached by every
-// access; an access reaches the next level when its set at this one
-// has k > assoc. The proof needs every set at every level to be
-// reached by all of its lines or by none. A reached set then sees its
-// own lines in the same cyclic order again: with k ≤ assoc every
-// access hits and restores the set's order, with k > assoc every
-// access misses, evicting the line it returns to last, and the set
-// again holds the last assoc lines. Sets no access reaches are
-// untouched. Every access therefore hits at the first level whose set
-// has k ≤ assoc, or misses everywhere.
+// of its k lines, MRU first. provePass shows from the per-set facts
+// alone that every set at every level is reached by all of its lines
+// or by none. A reached set then sees its own lines in the same cyclic
+// order again: with k ≤ assoc every access hits and restores the set's
+// order, with k > assoc every access misses, evicting the line it
+// returns to last, and the set again holds the last assoc lines. Sets
+// no access reaches are untouched. Every access therefore hits at the
+// first level whose set has k ≤ assoc, or misses everywhere.
 //
 // The TLB, an LRU over the walk's P pages visited in order, hits on
 // every access when P is within its entries and otherwise misses on
@@ -558,36 +569,135 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 // accesses a pass leaves it where the fill did. The translation cache
 // ends on the last page, where the fill left it.
 //
-// The sweep checks every access and sums into locals, committing the
-// sums only once the whole walk passed, so a decline touches no state.
-// derivedPass allocates nothing once sc has been used on the plan.
+// With integral costs and integer accumulators the pass's cost is one
+// sum over the touched sets (countedCost), added once when both
+// accumulators stay exact integers, as every partial sum of the
+// issue-order additions then did. Otherwise issueOrderCost adds each
+// access's cost in issue order. derivedPass allocates nothing once sc
+// has been used on the plan.
 func (in *Instance) derivedPass(core int, w *walk, sc *setCounts, total, measured *float64) bool {
 	n := w.accesses()
-	if n < 2 {
+	plan := in.planFor(core)
+	if n < 2 || !in.provePass(plan, sc) {
 		return false
 	}
-	plan := in.planFor(core)
-	miss := len(plan)
-	shift, mask := in.pageShift, in.pageMask
-	base, stride, sets := sc.base, sc.stride, sc.sets
-	pages := n
-	if stride < in.m.PageBytes {
-		pages = (base+(n-1)*stride)>>shift - base>>shift + 1
+	pages, tlbPage := in.passPages(core, sc, n)
+	if in.exact && exactInt(*total) && exactInt(*measured) {
+		d := in.countedCost(plan, sc, n, pages, tlbPage)
+		if exactInt(d) && exactInt(*total+d) && exactInt(*measured+d) {
+			*total += d
+			*measured += d
+			return true
+		}
 	}
-	tlbPage := 0
+	in.issueOrderCost(plan, w, sc, tlbPage, total, measured)
+	return true
+}
+
+// passPages returns the number of pages a pass of n accesses of the
+// walk in sc visits, and 1 when the core's TLB misses on the first
+// access of each — the pages outnumber its entries — or 0 when every
+// access hits it.
+func (in *Instance) passPages(core int, sc *setCounts, n int64) (pages int64, tlbPage int) {
+	pages = n
+	if sc.stride < in.m.PageBytes {
+		pages = (sc.base+(n-1)*sc.stride)>>in.pageShift - sc.base>>in.pageShift + 1
+	}
 	if t := in.tlbs[core]; t != nil && pages > int64(t.entries) {
 		tlbPage = 1
 	}
-	for _, s := range sets {
-		for i := range s {
-			s[i] &= setFull
+	return pages, tlbPage
+}
+
+// provePass marks setReached, in sc, the sets of a filled walk that
+// every line mapping to them reaches in a measured pass, and reports
+// whether it could prove that each touched set is reached by all of
+// its lines or by none, visiting each touched set once per level.
+// Every line reaches level 0. A line goes on past a set that is both
+// reached and full, so at level j ≥ 1 the proof takes one of two
+// cases:
+//
+//   - the pair nests (plan[j].nest ≥ 0): every line of a set of level j
+//     maps to one parent set of level j−1, so the set is reached when
+//     its parent is reached and full;
+//   - it does not, and either every touched set of level j−1 is
+//     reached and full, so every line goes on and every touched set of
+//     level j is reached, or none of its reached sets is full, so no
+//     line goes on.
+//
+// Otherwise it returns false.
+func (in *Instance) provePass(plan []planLevel, sc *setCounts) bool {
+	const passOn = setFull | setReached
+	for j := range plan {
+		sets := sc.sets[j]
+		reach := setReached
+		if j > 0 {
+			up := sc.sets[j-1]
+			if d := plan[j].nest; d >= 0 {
+				nUp := plan[j-1].c.numSets
+				for _, s := range sc.touched[j] {
+					r := uint8(0)
+					if up[(int64(s)>>d)%nUp] == passOn {
+						r = setReached
+					}
+					sets[s] = sets[s]&setFull | r
+				}
+				continue
+			}
+			all, none := true, true
+			for _, s := range sc.touched[j-1] {
+				all = all && up[s] == passOn
+				none = none && up[s] != passOn
+			}
+			switch {
+			case none:
+				reach = 0
+			case !all:
+				return false
+			}
+		}
+		for _, s := range sc.touched[j] {
+			sets[s] = sets[s]&setFull | reach
 		}
 	}
+	return true
+}
 
+// countedCost returns the cost of a pass provePass has proved, as one
+// sum over the touched sets: each line of a reached set that fits —
+// the set holds all of them, so its length counts them — hits there,
+// at costs[0][j+1] for level j, every other line misses
+// everywhere, at costs[0][L+1], and when tlbPage is 1 each of the
+// pass's pages adds the TLB miss penalty once. With integral costs
+// every term is a non-negative integer, so the sum is exact whenever
+// it stays below 2^53, whatever its order.
+func (in *Instance) countedCost(plan []planLevel, sc *setCounts, n, pages int64, tlbPage int) float64 {
+	d, misses := 0.0, n
+	for j := range plan {
+		lens, sets := plan[j].c.lens, sc.sets[j]
+		var hits int64
+		for _, s := range sc.touched[j] {
+			if sets[s] == setReached {
+				hits += int64(lens[s])
+			}
+		}
+		misses -= hits
+		d += float64(hits) * in.costs[0][j+1]
+	}
+	return d + float64(misses)*in.costs[0][len(plan)+1] + float64(int64(tlbPage)*pages)*in.tlbMiss
+}
+
+// issueOrderCost adds the cost of each access of a pass provePass has
+// proved to *total and *measured in issue order: the access hits at
+// the first level whose set fits its lines, or misses everywhere, and
+// the first access of each page adds the TLB term when tlbPage is 1.
+func (in *Instance) issueOrderCost(plan []planLevel, w *walk, sc *setCounts, tlbPage int, total, measured *float64) {
+	n := w.accesses()
+	shift, mask := in.pageShift, in.pageMask
 	a, b := *total, *measured
 	curVpage, pbase := int64(-1), int64(0)
-	vaddr := base
-	for i := int64(0); i < n; i, vaddr = i+1, vaddr+stride {
+	vaddr := sc.base
+	for i := int64(0); i < n; i, vaddr = i+1, vaddr+sc.stride {
 		t := 0
 		if vpage := vaddr >> shift; vpage != curVpage {
 			pbase = w.sp.translate(vaddr) &^ mask
@@ -595,23 +705,12 @@ func (in *Instance) derivedPass(core int, w *walk, sc *setCounts, total, measure
 			t = tlbPage
 		}
 		paddr := pbase + vaddr&mask
-		h := miss
+		h := len(plan)
 		for j := range plan {
 			c := plan[j].c
-			st := &sets[j][c.setIndex(vaddr>>c.lineBits, paddr>>c.lineBits)]
-			if h == miss {
-				if *st&setBypassed != 0 {
-					return false
-				}
-				*st |= setReached
-				if *st&setFull == 0 {
-					h = j
-				}
-			} else {
-				if *st&setReached != 0 {
-					return false
-				}
-				*st |= setBypassed
+			if sc.sets[j][c.setIndex(vaddr>>c.lineBits, paddr>>c.lineBits)]&setFull == 0 {
+				h = j
+				break
 			}
 		}
 		cost := in.costs[t][h+1]
@@ -619,7 +718,6 @@ func (in *Instance) derivedPass(core int, w *walk, sc *setCounts, total, measure
 		b += cost
 	}
 	*total, *measured = a, b
-	return true
 }
 
 // replayPasses is the measurement loop of AccessStridePasses over

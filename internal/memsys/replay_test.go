@@ -79,6 +79,17 @@ func FuzzStridePassesMatchSimulated(f *testing.F) {
 	f.Add(nehalem, int64(7), uint16(4095), uint16(1023), uint8(1), int32(1<<30+1), int8(23), uint8(0), uint8(0)) // total past 2^53
 	f.Add(nehalem, int64(8), uint16(4095), uint16(1023), uint8(1), int32(0), int8(0), uint8(0), uint8(64))       // lead-in: one line
 	f.Add(nehalem, int64(9), uint16(4095), uint16(1023), uint8(2), int32(0), int8(0), uint8(33), uint8(3))       // lead-in, unaligned base
+	// An L1 indexed by virtual bits past the page does not nest in the
+	// physically indexed L2; one stride over the L1, some of its sets
+	// overflow and the pass declines.
+	f.Add(shapeBytes(topology.Athlon3200()), int64(10), uint16(4160), uint16(1023), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
+	// A 192-set L2, which the 64-set L1 nests in by the set count's
+	// modulus; the 17-access walk overflows one L1 set and fits in three.
+	nonPow2 := []byte{0, 4, 2, 7, 0, 1, 2, 3, 0, 63, byte(topology.VirtuallyIndexed), 0, 2, 7, 0, 191, byte(topology.PhysicallyIndexed), 0}
+	f.Add(nonPow2, int64(11), uint16(1080), uint16(1023), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
+	// 33 accesses: one nehalem2s L1 set overflows, three fit, and the
+	// lines of the one that overflows go on to the L2 sets nested in it.
+	f.Add(nehalem, int64(12), uint16(2080), uint16(1023), uint8(3), int32(0), int8(0), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, shape []byte, seed int64, lines, stride uint16, passes uint8, start int32, exp int8, frac, lead uint8) {
 		m := fuzzMachine(shape)
 		// A non-zero frac adds frac/100 cycles to one level's latency,
