@@ -9,9 +9,9 @@ import (
 
 // FuzzLoad feeds arbitrary bytes to the report decoder every cached
 // entry enters through. Parsing never panics; a report it accepts
-// survives Save→parse→Save byte for byte, and renders and clones
-// without panicking. The corpus is seeded with the committed run
-// goldens.
+// survives Save→parse→Save byte for byte, renders without panicking,
+// and clones to a report that saves to the same bytes. The corpus is
+// seeded with the committed run goldens.
 func FuzzLoad(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("..", "..", "testdata", "run_*.json"))
 	if err != nil {
@@ -48,6 +48,12 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("Save→parse→Save is not stable:\n%s\nvs\n%s", saved, again)
 		}
 		_ = r.Summary()
-		_ = r.Clone()
+		cloned, err := r.Clone().encode()
+		if err != nil {
+			t.Fatalf("clone does not encode: %v", err)
+		}
+		if !bytes.Equal(cloned, saved) {
+			t.Fatalf("clone encodes differently:\n%s\nvs\n%s", cloned, saved)
+		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -216,19 +217,52 @@ func (r *Report) ProvenanceFor(probe string) *ProbeProvenance {
 	return nil
 }
 
-// Clone returns a deep copy of the report (via its JSON form, which
-// covers every field the file format persists).
+// Clone returns a deep copy of the report: the struct by value, then
+// every slice it reaches (caches and their shared groups, overhead
+// levels with their pairs, groups and scalability curves, comm layers
+// with their pairs, bandwidth and scalability curves, timings,
+// provenance) and the TLB result. Nil slices stay nil and empty ones
+// stay empty, so the copy encodes to the same bytes as the original.
+// A nil receiver yields a new empty report.
 func (r *Report) Clone() *Report {
-	data, err := json.Marshal(r)
-	if err != nil {
-		// Report contains only plain data types; Marshal cannot fail.
-		panic(fmt.Sprintf("report: clone: %v", err))
+	if r == nil {
+		return &Report{}
 	}
-	var cp Report
-	if err := json.Unmarshal(data, &cp); err != nil {
-		panic(fmt.Sprintf("report: clone: %v", err))
+	cp := *r
+	cp.Caches = slices.Clone(r.Caches)
+	for i := range cp.Caches {
+		cp.Caches[i].SharedGroups = cloneGroups(cp.Caches[i].SharedGroups)
 	}
+	cp.Memory.Levels = slices.Clone(r.Memory.Levels)
+	for i := range cp.Memory.Levels {
+		l := &cp.Memory.Levels[i]
+		l.Pairs = slices.Clone(l.Pairs)
+		l.Groups = cloneGroups(l.Groups)
+		l.Scalability = slices.Clone(l.Scalability)
+	}
+	cp.Comm.Layers = slices.Clone(r.Comm.Layers)
+	for i := range cp.Comm.Layers {
+		l := &cp.Comm.Layers[i]
+		l.Pairs = slices.Clone(l.Pairs)
+		l.Bandwidth = slices.Clone(l.Bandwidth)
+		l.Scalability = slices.Clone(l.Scalability)
+	}
+	if r.TLB != nil {
+		tlb := *r.TLB
+		cp.TLB = &tlb
+	}
+	cp.Timings = slices.Clone(r.Timings)
+	cp.Provenance = slices.Clone(r.Provenance)
 	return &cp
+}
+
+// cloneGroups deep-copies a list of core groups.
+func cloneGroups(gs [][]int) [][]int {
+	gs = slices.Clone(gs)
+	for i := range gs {
+		gs[i] = slices.Clone(gs[i])
+	}
+	return gs
 }
 
 // CacheLevel returns the result for cache level n, or nil.

@@ -130,8 +130,18 @@ func TestClone(t *testing.T) {
 	cp.Caches[0].SizeBytes = 1
 	cp.Provenance[0].Status = ProvenanceRan
 	cp.TLB.Entries = 1
+	cp.Caches[1].SharedGroups[0][1] = 99
+	cp.Memory.Levels[0].Pairs[0][1] = 99
+	cp.Memory.Levels[0].Scalability[0].Cores = 99
+	cp.Comm.Layers[0].Pairs[0][1] = 99
+	cp.Comm.Layers[0].Scalability[0].Messages = 99
 	if r.Caches[0].SizeBytes == 1 || r.Provenance[0].Status == ProvenanceRan || r.TLB.Entries == 1 {
 		t.Error("Clone shares memory with the original")
+	}
+	if r.Caches[1].SharedGroups[0][1] == 99 || r.Memory.Levels[0].Pairs[0][1] == 99 ||
+		r.Memory.Levels[0].Scalability[0].Cores == 99 || r.Comm.Layers[0].Pairs[0][1] == 99 ||
+		r.Comm.Layers[0].Scalability[0].Messages == 99 {
+		t.Error("Clone shares nested slices with the original")
 	}
 }
 

@@ -330,7 +330,7 @@ func normalizeRun(rr *regproto.RunRequest) (*servet.Machine, error) {
 	if rr.Seed == 0 {
 		rr.Seed = 1 // the engine's default (core.withDefaults)
 	}
-	m, ok := servet.Models(rr.Nodes)[rr.Machine]
+	m, ok := servet.Model(rr.Machine, rr.Nodes)
 	if !ok {
 		return nil, fmt.Errorf("unknown machine model %q", rr.Machine)
 	}

@@ -27,6 +27,33 @@ func TestFingerprintDistinguishesModels(t *testing.T) {
 	}
 }
 
+func TestModelMatchesModels(t *testing.T) {
+	for _, nodes := range []int{0, 1, 3} {
+		for name, want := range Models(nodes) {
+			got, ok := Model(name, nodes)
+			if !ok {
+				t.Fatalf("Model(%q, %d) not found", name, nodes)
+			}
+			if got.Fingerprint() != want.Fingerprint() {
+				t.Errorf("Model(%q, %d) fingerprint %s, Models gives %s",
+					name, nodes, got.Fingerprint(), want.Fingerprint())
+			}
+		}
+	}
+	for _, tc := range []struct {
+		nodes int
+		want  *Machine
+	}{{3, FinisTerrae(3)}, {0, FinisTerrae(1)}} {
+		got, _ := Model("finisterrae", tc.nodes)
+		if got.Fingerprint() != tc.want.Fingerprint() {
+			t.Errorf("Model(finisterrae, %d) ignores its node count", tc.nodes)
+		}
+	}
+	if m, ok := Model("no-such-machine", 2); ok || m != nil {
+		t.Errorf("unknown name resolved to %v, %v", m, ok)
+	}
+}
+
 func TestFingerprintSensitiveToChanges(t *testing.T) {
 	base := Dempsey()
 	fp := base.Fingerprint()

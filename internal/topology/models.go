@@ -352,21 +352,37 @@ func TLBBox() *Machine {
 	}
 }
 
-// Models returns the predefined machine constructors by name, as used
-// by the command-line tools. Multi-node models receive the given node
-// count (minimum 1).
+// builders is the one table of predefined models by name. Multi-node
+// models receive the node count; the others ignore it.
+var builders = map[string]func(nodes int) *Machine{
+	"dunnington":  func(int) *Machine { return Dunnington() },
+	"finisterrae": FinisTerrae,
+	"dempsey":     func(int) *Machine { return Dempsey() },
+	"athlon3200":  func(int) *Machine { return Athlon3200() },
+	"colored-smp": func(int) *Machine { return ColoredSMP() },
+	"smt-quad":    func(int) *Machine { return SMTQuad() },
+	"nehalem2s":   func(int) *Machine { return Nehalem2S() },
+	"tlb-box":     func(int) *Machine { return TLBBox() },
+}
+
+// Model builds the predefined model of the given name, reporting
+// false for an unknown name. A multi-node model receives the given
+// node count (minimum 1).
+func Model(name string, nodes int) (*Machine, bool) {
+	build, ok := builders[name]
+	if !ok {
+		return nil, false
+	}
+	return build(max(nodes, 1)), true
+}
+
+// Models returns every predefined model by name, as used by the
+// command-line tools. Multi-node models receive the given node count
+// (minimum 1).
 func Models(nodes int) map[string]*Machine {
-	if nodes < 1 {
-		nodes = 1
+	out := make(map[string]*Machine, len(builders))
+	for name := range builders {
+		out[name], _ = Model(name, nodes)
 	}
-	return map[string]*Machine{
-		"dunnington":  Dunnington(),
-		"finisterrae": FinisTerrae(nodes),
-		"dempsey":     Dempsey(),
-		"athlon3200":  Athlon3200(),
-		"colored-smp": ColoredSMP(),
-		"smt-quad":    SMTQuad(),
-		"nehalem2s":   Nehalem2S(),
-		"tlb-box":     TLBBox(),
-	}
+	return out
 }

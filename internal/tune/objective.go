@@ -107,11 +107,7 @@ func ObjectiveNames() []string {
 // simulated objectives (the report carries the model name and node
 // count; predefined models are stable, so fingerprints match).
 func machineFor(r *report.Report) (*topology.Machine, error) {
-	nodes := r.Nodes
-	if nodes < 1 {
-		nodes = 1
-	}
-	m, ok := topology.Models(nodes)[r.Machine]
+	m, ok := topology.Model(r.Machine, r.Nodes)
 	if !ok {
 		return nil, fmt.Errorf("tune: report machine %q is not a predefined model", r.Machine)
 	}

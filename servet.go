@@ -123,6 +123,8 @@ var (
 	SMTQuad = topology.SMTQuad
 	// Models returns all predefined models by name.
 	Models = topology.Models
+	// Model builds one predefined model by name.
+	Model = topology.Model
 )
 
 // Probe registry introspection and engine error types.
