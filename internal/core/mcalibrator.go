@@ -147,11 +147,12 @@ func traverse(tr *obs.Tracer, in *memsys.Instance, core int, sp *memsys.Space, a
 }
 
 // countPasses adds a measurement's replayed, filled and derived
-// accesses to the tracer's counters.
+// accesses, and its fills' install visits, to the tracer's counters.
 func countPasses(tr *obs.Tracer, c memsys.PassCounts) {
 	tr.Count(obs.CounterMemsysReplayed, c.Replayed)
 	tr.Count(obs.CounterMemsysFilled, c.Filled)
 	tr.Count(obs.CounterMemsysDerived, c.Derived)
+	tr.Count(obs.CounterMemsysInstallVisits, c.InstallVisits)
 }
 
 // appendTraversalAddrs appends the address sequence of one strided

@@ -29,9 +29,16 @@
 // cannot follow it, each access provably misses at every level: the
 // warm-up is then filled — the caches are installed in one reverse
 // sweep, each set keeping the last lines mapped to it, MRU first — and
-// each access's miss cost is added in issue order, with the TLB and
-// prefetcher still simulated access by access. A warm-up that fails
-// any of these checks is simulated.
+// each access's miss cost is added in issue order. The sweep runs page
+// by page and translates each page once. A level whose set count is a
+// power of two sends the same offsets of every complete page to the
+// same sets of the page's color block (its frame, or virtual page,
+// modulo the level's colors), so once assoc+1 pages of a color have
+// filled those sets, later pages of that color skip the level. The TLB
+// is probed only when an access moves to a new page, and the
+// prefetcher, which cannot follow the stride, is set to its end state
+// in closed form. A warm-up that fails any of these checks is
+// simulated.
 //
 // After a fill, the first measured pass is derived rather than
 // simulated: the fill records, at each level, the sets the walk

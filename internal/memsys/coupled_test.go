@@ -53,7 +53,7 @@ func coupledWarmPrefix(in *Instance, streams []Stream) warmPrefix {
 			h.push(int32(i))
 		}
 	}
-	w := warmPrefix{n: in.fillCoupled(streams, h, st), clocks: slices.Clone(clocks), pos: make([]int, len(streams))}
+	w := warmPrefix{n: in.fillCoupled(streams, h, st).Filled, clocks: slices.Clone(clocks), pos: make([]int, len(streams))}
 	for i, s := range st {
 		w.pos[i] = s.pos + s.pass*len(streams[i].Addrs)
 	}

@@ -167,7 +167,7 @@ func TestDerivedPassDeclinesMixedReach(t *testing.T) {
 		}
 		var sc setCounts
 		total, measured := 0.0, 0.0
-		if !in.fill(0, &w, &total, &sc) {
+		if _, ok := in.fill(0, &w, &total, &sc); !ok {
 			t.Fatalf("list=%v: the warm-up was not filled", list)
 		}
 		before, tlb := stateOf(in), slices.Clone(in.tlbs[0].vpages)
@@ -223,7 +223,7 @@ func TestCountedCostMatchesIssueOrder(t *testing.T) {
 			w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
 			var sc setCounts
 			var total float64
-			if !in.fill(0, &w, &total, &sc) {
+			if _, ok := in.fill(0, &w, &total, &sc); !ok {
 				t.Fatalf("%s/%d: the warm-up was not filled", name, bytes)
 			}
 			plan := in.planFor(0)
@@ -289,7 +289,7 @@ func TestDerivedPassNestedMixedFullness(t *testing.T) {
 		}
 		var sc setCounts
 		var total float64
-		if !in.fill(0, &w, &total, &sc) {
+		if _, ok := in.fill(0, &w, &total, &sc); !ok {
 			t.Fatalf("list=%v: the warm-up was not filled", list)
 		}
 		var full, fit int

@@ -628,7 +628,7 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 		}
 	}
 	if len(h.idx) > 1 {
-		counts.Filled += in.fillCoupled(streams, h, st)
+		counts.add(in.fillCoupled(streams, h, st))
 	}
 	for len(h.idx) > 1 {
 		sel := h.idx[0]

@@ -48,6 +48,22 @@ func (p *prefetcher) observe(vaddr int64, pageShift uint) (next int64, ok bool) 
 	return 0, false
 }
 
+// observeWalk leaves the prefetcher as n calls of observe over the
+// walk base, base+stride, ... would, for a stride beyond it: |stride| >
+// maxStride. The first call may fire and sets the state from what came
+// before; each later one meets a stride the prefetcher cannot follow,
+// so it stores that stride and clears the streak, and never fires. A
+// prefetcher with maxStride ≤ 0 ignores every access.
+func (p *prefetcher) observeWalk(base, stride, n int64, pageShift uint) {
+	if n <= 0 || p.maxStride <= 0 {
+		return
+	}
+	p.observe(base, pageShift)
+	if n > 1 {
+		p.last, p.stride, p.streak = base+(n-1)*stride, stride, 0
+	}
+}
+
 func (p *prefetcher) reset() {
 	p.last, p.stride, p.streak, p.primed = 0, 0, 0, false
 }

@@ -12,8 +12,11 @@ import (
 // and each falling back to simulation when its proof fails:
 //
 //   - fill installs a warm-up over empty caches that provably misses
-//     everywhere in one sweep, recording at each level the sets it
-//     touched and which of them it overflowed;
+//     everywhere in one reverse sweep, page by page, recording at each
+//     level the sets it touched and which of them it overflowed; a
+//     level skips a page once the pages of its color have filled every
+//     set the page reaches, the TLB is probed once per page and the
+//     prefetcher's end state is set in closed form;
 //   - derivedPass proves from those per-set facts alone, visiting sets
 //     and not accesses, that the first measured pass after such a fill
 //     leaves the state where it found it, and costs it — with integral
@@ -109,6 +112,8 @@ var (
 	// issueOrders holds fillCoupled's merged issue order, one stream
 	// index per access.
 	issueOrders freeList[[]uint8]
+	// colorScratch holds installWalk's per-color page counts.
+	colorScratch freeList[pageColors]
 )
 
 // PassCounts counts the accesses of a measurement that were not
@@ -123,12 +128,17 @@ type PassCounts struct {
 	// Derived counts measured accesses costed by derivedPass from the
 	// per-set line counts of a filled walk.
 	Derived int64
+	// InstallVisits counts the (access, level) pairs the fills looked
+	// at to install their lines: installWalk's, and those of
+	// fillCoupled's merged reverse sweep.
+	InstallVisits int64
 }
 
 func (c *PassCounts) add(o PassCounts) {
 	c.Replayed += o.Replayed
 	c.Filled += o.Filled
 	c.Derived += o.Derived
+	c.InstallVisits += o.InstallVisits
 }
 
 // AccessStridePasses runs a whole strided measurement on one core: a
@@ -288,88 +298,168 @@ func occupy(plan []planLevel) {
 // traversal that misses throughout leaves them: each set holds the
 // last min(k, assoc) of the k lines the walk maps to it, MRU first.
 // One reverse sweep builds that by appending at the LRU end of each set
-// not yet full — no tag scan and no shift — translating each page once.
-// When sc is non-nil, installWalk records at each plan level j the
-// sets it touches, in sc.touched[j], in the order it first meets them,
-// and marks setFull in sc.sets[j] each set it meets full, whose k >
-// assoc; sc must have been reset for the plan.
-func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int64, sc *setCounts) {
+// not yet full — no tag scan and no shift. When sc is non-nil,
+// installWalk records at each plan level j the sets it touches, in
+// sc.touched[j], in the order it first meets them, and marks setFull in
+// sc.sets[j] each set it meets full, whose k > assoc; sc must have been
+// reset for the plan. It returns the number of (access, level) pairs
+// it looked at.
+//
+// The sweep runs page by page, from the last page down, translating
+// each page once, and installs a page's accesses level by level, each
+// level in reverse access order, so every level sees its lines in the
+// order of one reverse sweep over the accesses. A level whose set count
+// is a power of two maps an access to the set its offset selects in
+// its page's color block: the color is the page's frame, or its
+// virtual page for a virtually indexed level, modulo the level's
+// colors (pageColors.reset). When the stride divides the page, or the
+// page divides the stride, every complete page holds the same offsets,
+// so each complete page of a color appends a line to every set those
+// offsets reach in the color's block. After assoc+1 such pages each of
+// those sets is full and marked setFull, and a later page of the color
+// would append nothing and mark nothing new: the level skips it. Partial
+// first and last pages are installed access by access and not counted,
+// and so is every page at a level whose set count is not a power of two,
+// or of a walk with any other stride.
+func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int64, sc *setCounts) (visits int64) {
 	occupy(plan)
 	shift, mask := in.pageShift, in.pageMask
-	curVpage, pbase := int64(-1), int64(0)
-	for i := n - 1; i >= 0; i-- {
-		vaddr := base + i*stride
-		if vpage := vaddr >> shift; vpage != curVpage {
-			pbase = sp.translate(vaddr) &^ mask
-			curVpage = vpage
-		}
-		paddr := pbase + vaddr&mask
+	pc := colorScratch.get()
+	defer colorScratch.put(pc)
+	pc.reset(plan, shift, stride)
+	perPage := max(1, (mask+1)/stride)
+	for hi := n - 1; hi >= 0; {
+		vaddr := base + hi*stride
+		vpage := vaddr >> shift
+		lo := max(0, hi-(vaddr&mask)/stride)
+		pbase, first := sp.translate(vaddr)&^mask, base+lo*stride
+		complete := hi-lo+1 == perPage
 		for j := range plan {
 			c := plan[j].c
-			pLine := paddr >> c.lineBits
-			idx := c.setIndex(vaddr>>c.lineBits, pLine)
-			if k := c.appendLRU(idx, pLine); sc != nil {
-				switch k {
-				case 0:
-					sc.touched[j] = append(sc.touched[j], int32(idx))
-				case c.assoc:
-					sc.sets[j][idx] = setFull
+			if cl := pc.levels[j]; complete && cl.first >= 0 {
+				key := pbase >> shift
+				if c.virtual {
+					key = vpage
+				}
+				swept := &pc.swept[cl.first+key&cl.mask]
+				if int64(*swept) > c.assoc {
+					continue
+				}
+				*swept++
+			}
+			visits += hi - lo + 1
+			for v := vaddr; v >= first; v -= stride {
+				pLine := (pbase + v&mask) >> c.lineBits
+				idx := c.setIndex(v>>c.lineBits, pLine)
+				if k := c.appendLRU(idx, pLine); sc != nil {
+					switch k {
+					case 0:
+						sc.touched[j] = append(sc.touched[j], int32(idx))
+					case c.assoc:
+						sc.sets[j][idx] = setFull
+					}
 				}
 			}
 		}
+		hi = lo - 1
 	}
+	return visits
+}
+
+// pageColors is installWalk's scratch: for every plan level, where its
+// per-color counts of the complete pages swept start in swept and the
+// mask that takes a page's frame or virtual page to its color. Slabs
+// are pooled on colorScratch and only ever grow.
+type pageColors struct {
+	levels []colorLevel
+	swept  []int32
+}
+
+// colorLevel is one plan level's part of pageColors: first is the
+// index of its first color in swept, or −1 when installWalk installs
+// the level access by access; mask is its color count less one.
+type colorLevel struct {
+	first, mask int64
+}
+
+// reset sizes pc for the plan and a walk of the given stride, with
+// every count at 0. A level whose set count is a power of two has
+// max(1, numSets·line/page) colors, the pages whose lines share its
+// sets; every level is installed access by access when neither the
+// stride nor the page divides the other.
+func (pc *pageColors) reset(plan []planLevel, shift uint, stride int64) {
+	page := int64(1) << shift
+	aligned := page%stride == 0 || stride%page == 0
+	pc.levels = slices.Grow(pc.levels[:0], len(plan))[:len(plan)]
+	total := int64(0)
+	for j := range plan {
+		c := plan[j].c
+		if !aligned || c.numSets&(c.numSets-1) != 0 {
+			pc.levels[j] = colorLevel{first: -1}
+			continue
+		}
+		colors := max(1, c.numSets<<c.lineBits>>shift)
+		pc.levels[j] = colorLevel{first: total, mask: colors - 1}
+		total += colors
+	}
+	pc.swept = slices.Grow(pc.swept[:0], int(total))[:total]
+	clear(pc.swept)
 }
 
 // fill runs one traversal of w on the core, adding each access's cost
 // to *total, without simulating its cache accesses, when it can prove
-// that every access misses at every level; otherwise it changes nothing
-// and returns false. The proof is coldWalk's, for a walk that rises at
-// one constant stride.
+// that every access misses at every level, and returns installWalk's
+// visits; otherwise it changes nothing and returns false. The proof is
+// coldWalk's, for a walk that rises at one constant stride.
 //
 // installWalk then installs the walk, marking in sc, when sc is
-// non-nil, the sets it overflows. The TLB and the prefetcher still see
-// every access, forward, and each access adds what accessAt would
+// non-nil, the sets it overflows. Each access adds what accessAt would
 // charge it, one at a time in issue order, so non-integral costs stay
-// exact. An address list leaves the core's translation cache as
-// AccessRunAccum would. fill allocates nothing once the plan's caches
-// and sc have been used.
-func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool {
+// exact. The TLB is probed only when an access moves to a new page: an
+// access on the page before it hits the MRU entry, which changes
+// nothing. The prefetcher, which coldWalk proved cannot follow the
+// stride, is left as observing every access would leave it
+// (observeWalk). An address list leaves the core's translation cache as
+// AccessRunAccum would. fill allocates nothing once the plan's caches,
+// sc and the color scratch have been used.
+func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) (visits int64, ok bool) {
 	n, base, stride := w.accesses(), w.base, w.stride
 	if w.addrs != nil {
-		var ok bool
 		if base, stride, ok = constantStride(w.addrs); !ok {
-			return false
+			return 0, false
 		}
 	}
 	if n <= 0 || !in.coldWalk(core, base, stride) {
-		return false
+		return 0, false
 	}
 
 	plan := in.planFor(core)
-	p := in.pref[core]
 	shift := in.pageShift
 	t := in.tlbs[core]
 	cost, tlbCost := in.costs[0][in.levels+1], in.costs[1][in.levels+1]
 	a := *total
-	vaddr := base
+	vaddr, vpage := base, base>>shift-1
 	for i := int64(0); i < n; i, vaddr = i+1, vaddr+stride {
-		if t != nil && !t.access(vaddr>>shift) {
-			a += tlbCost
-		} else {
-			a += cost
+		if t != nil && vaddr>>shift != vpage {
+			vpage = vaddr >> shift
+			if !t.access(vpage) {
+				a += tlbCost
+				continue
+			}
 		}
-		p.observe(vaddr, shift)
+		a += cost
 	}
 	*total = a
+	in.pref[core].observeWalk(base, stride, n, shift)
 
 	if sc != nil {
 		sc.reset(plan, base, stride)
 	}
-	in.installWalk(plan, w.sp, base, stride, n, sc)
+	visits = in.installWalk(plan, w.sp, base, stride, n, sc)
 	if w.addrs != nil {
 		in.translateFor(core, w.sp, w.addrs[n-1])
 	}
-	return true
+	return visits, true
 }
 
 // coupledFill is one coupled stream's part of fillCoupled's reverse
@@ -398,9 +488,11 @@ type coupledFill struct {
 // the TLB term when its core's TLB misses, so the interleaving follows
 // from those costs alone. fillCoupled runs the interleaver's (clock,
 // index) heap over them, adding each cost to its stream's clock in
-// issue order and simulating each core's TLB and prefetcher access by
-// access, and records the merged issue order, one stream index per
-// access.
+// issue order and simulating each core's TLB access by access, and
+// records the merged issue order, one stream index per access. Each
+// core's prefetcher sees its own stream alone, at a stride coldWalk
+// proved beyond it, so it is set after the heap from the stream's
+// issued prefix in closed form (observeWalk).
 //
 // It then proves, for each stream, a private prefix: the leading plan
 // levels whose cache instance no other coupled stream's plan holds and
@@ -428,11 +520,12 @@ type coupledFill struct {
 // entry ends on the page of its stream's last filled access, as Access
 // would leave it, and the cursors and clocks where the interleaver
 // would have left them, so it goes on from there. fillCoupled returns
-// the number of accesses filled, and allocates nothing once the caches
-// and the scratch slabs have grown.
-func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamState) int64 {
+// the number of accesses filled and the install visits of both sweeps,
+// and allocates nothing once the caches and the scratch slabs have
+// grown.
+func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamState) (counts PassCounts) {
 	if len(streams) > math.MaxUint8+1 {
-		return 0
+		return counts
 	}
 	fs := in.rc.fills[:len(streams)]
 	total := 0
@@ -440,11 +533,11 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 		str := &streams[i]
 		base, stride, ok := constantStride(str.Addrs)
 		if !ok || !in.coldWalk(str.Core, base, stride) {
-			return 0
+			return counts
 		}
 		for _, j := range h.idx[:k] {
 			if streams[j].Core == str.Core || streams[j].Space == str.Space {
-				return 0
+				return counts
 			}
 		}
 		fs[i] = coupledFill{vpage: -1}
@@ -469,7 +562,6 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 		} else {
 			h.clocks[sel] += cost
 		}
-		in.pref[str.Core].observe(vaddr, shift)
 		order = append(order, uint8(sel))
 		// Every stream has at least one measured pass, so finishing the
 		// warm-up never retires a stream from the heap.
@@ -485,6 +577,7 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 	for _, i := range h.idx {
 		str := &streams[i]
 		plan := in.planFor(str.Core)
+		base, stride := str.Addrs[0], str.Addrs[1]-str.Addrs[0]
 		private := 0
 		for ; private < len(plan); private++ {
 			shared := false
@@ -497,9 +590,8 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 		}
 		skip := 0
 		if private > 0 {
-			base, stride := str.Addrs[0], str.Addrs[1]-str.Addrs[0]
 			sc.reset(plan[:private], base, stride)
-			in.installWalk(plan[:private], str.Space, base, stride, int64(len(str.Addrs)), sc)
+			counts.InstallVisits += in.installWalk(plan[:private], str.Space, base, stride, int64(len(str.Addrs)), sc)
 		prefix:
 			for ; skip < private; skip++ {
 				for _, s := range sc.touched[skip] {
@@ -519,6 +611,8 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 			left = len(str.Addrs)
 		}
 		fs[i].left = left
+		counts.InstallVisits += int64(left) * int64(len(plan)-skip)
+		in.pref[str.Core].observeWalk(base, stride, int64(left), shift)
 		if left > 0 {
 			occupy(plan[skip:])
 			in.translateFor(str.Core, str.Space, str.Addrs[left-1])
@@ -540,7 +634,8 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 			c.appendLRU(c.setIndex(vaddr>>c.lineBits, pLine), pLine)
 		}
 	}
-	return int64(len(order))
+	counts.Filled = int64(len(order))
+	return counts
 }
 
 // derivedPass costs one measured traversal of a walk fill has just
@@ -732,9 +827,9 @@ func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *
 		sc = setScratch.get()
 		defer setScratch.put(sc)
 	}
-	derive := in.fill(core, &w, total, sc)
+	visits, derive := in.fill(core, &w, total, sc)
 	if derive {
-		c.Filled = n
+		c.Filled, c.InstallVisits = n, visits
 	} else {
 		in.traverse(core, &w, total, nil)
 	}

@@ -90,6 +90,20 @@ func FuzzStridePassesMatchSimulated(f *testing.F) {
 	// 33 accesses: one nehalem2s L1 set overflows, three fit, and the
 	// lines of the one that overflows go on to the L2 sets nested in it.
 	f.Add(nehalem, int64(12), uint16(2080), uint16(1023), uint8(3), int32(0), int8(0), uint8(0), uint8(0))
+	// Per-page installs: a partial last page; strides of two pages and
+	// of 1.5 KiB, which installWalk installs access by access; athlon's
+	// virtually indexed L1 and the 192-set L2 over enough pages that
+	// their levels skip whole pages; and an L1 whose sets span a
+	// quarter page, several offsets of a page sharing each set.
+	f.Add(nehalem, int64(13), uint16(4150), uint16(1023), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
+	f.Add(nehalem, int64(14), uint16(65535), uint16(8191), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
+	f.Add(nehalem, int64(15), uint16(65535), uint16(1535), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
+	f.Add(shapeBytes(topology.Athlon3200()), int64(16), uint16(65535), uint16(1023), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
+	f.Add(nonPow2, int64(17), uint16(20000), uint16(1023), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
+	subPage := shapeBytes(installMachine("sub-page sets",
+		installLevel(16, 4, topology.VirtuallyIndexed),
+		installLevel(64, 2, topology.PhysicallyIndexed)))
+	f.Add(subPage, int64(18), uint16(3500), uint16(255), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, shape []byte, seed int64, lines, stride uint16, passes uint8, start int32, exp int8, frac, lead uint8) {
 		m := fuzzMachine(shape)
 		// A non-zero frac adds frac/100 cycles to one level's latency,

@@ -61,11 +61,15 @@ const (
 	// same calls derived from the per-set line counts of a filled
 	// warm-up instead of simulating them: the first measured pass after
 	// a fill, when every set of every level is reached by all of its
-	// lines or by none.
-	CounterMemsysAccesses = "memsys.accesses"
-	CounterMemsysReplayed = "memsys.accesses_replayed"
-	CounterMemsysFilled   = "memsys.accesses_filled"
-	CounterMemsysDerived  = "memsys.accesses_derived"
+	// lines or by none. CounterMemsysInstallVisits counts the (access,
+	// level) pairs those fills looked at to install the warm-up's lines:
+	// work in cache operations, not accesses, so it moves when a fill
+	// installs the same lines with fewer visits.
+	CounterMemsysAccesses      = "memsys.accesses"
+	CounterMemsysReplayed      = "memsys.accesses_replayed"
+	CounterMemsysFilled        = "memsys.accesses_filled"
+	CounterMemsysDerived       = "memsys.accesses_derived"
+	CounterMemsysInstallVisits = "memsys.install_visits"
 	// CounterScratchFresh counts sweep scratch builds, one per worker;
 	// CounterScratchReused counts each later chunk a worker runs on the
 	// scratch it already holds.

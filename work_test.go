@@ -16,17 +16,19 @@ import (
 // workRow is one row of the work ledger: what one probe cost the
 // simulator on one model, counted by the engine's tracer. Simulated is
 // the accesses neither filled, derived nor replayed — the ones the
-// simulator still issued one by one.
+// simulator still issued one by one. InstallVisits is the (access,
+// level) pairs the fills looked at to install their lines.
 type workRow struct {
-	Model        string `json:"model"`
-	Probe        string `json:"probe"`
-	Accesses     int64  `json:"memsys.accesses"`
-	Filled       int64  `json:"memsys.accesses_filled"`
-	Derived      int64  `json:"memsys.accesses_derived"`
-	Replayed     int64  `json:"memsys.accesses_replayed"`
-	Simulated    int64  `json:"simulated"`
-	Measurements int64  `json:"sweep.measurements"`
-	Resets       int64  `json:"memsys.instance.reset"`
+	Model         string `json:"model"`
+	Probe         string `json:"probe"`
+	Accesses      int64  `json:"memsys.accesses"`
+	Filled        int64  `json:"memsys.accesses_filled"`
+	Derived       int64  `json:"memsys.accesses_derived"`
+	Replayed      int64  `json:"memsys.accesses_replayed"`
+	Simulated     int64  `json:"simulated"`
+	InstallVisits int64  `json:"memsys.install_visits"`
+	Measurements  int64  `json:"sweep.measurements"`
+	Resets        int64  `json:"memsys.instance.reset"`
 }
 
 // workLedger measures every probe of the registry on every model of
@@ -52,14 +54,15 @@ func workLedger(t *testing.T) []workRow {
 				t.Fatalf("%s %s: %d probes ran, want the probe alone", name, probe, ran)
 			}
 			r := workRow{
-				Model:        name,
-				Probe:        probe,
-				Accesses:     tr.Counter(obs.CounterMemsysAccesses),
-				Filled:       tr.Counter(obs.CounterMemsysFilled),
-				Derived:      tr.Counter(obs.CounterMemsysDerived),
-				Replayed:     tr.Counter(obs.CounterMemsysReplayed),
-				Measurements: tr.Counter(obs.CounterSweepMeasurements),
-				Resets:       tr.Counter(obs.CounterMemsysReset),
+				Model:         name,
+				Probe:         probe,
+				Accesses:      tr.Counter(obs.CounterMemsysAccesses),
+				Filled:        tr.Counter(obs.CounterMemsysFilled),
+				Derived:       tr.Counter(obs.CounterMemsysDerived),
+				Replayed:      tr.Counter(obs.CounterMemsysReplayed),
+				InstallVisits: tr.Counter(obs.CounterMemsysInstallVisits),
+				Measurements:  tr.Counter(obs.CounterSweepMeasurements),
+				Resets:        tr.Counter(obs.CounterMemsysReset),
 			}
 			r.Simulated = r.Accesses - r.Filled - r.Derived - r.Replayed
 			rows = append(rows, r)
@@ -70,9 +73,11 @@ func workLedger(t *testing.T) []workRow {
 
 // TestWorkLedger pins testdata/work.json, the simulator's work per
 // model and probe: it fails when a row's simulated accesses grow, and
-// when any other cell moves — a change that proves more accesses away
-// moves the filled, derived or replayed cells, and is recorded by
-// re-running with -update. Counts do not depend on parallelism.
+// when its fills' install visits grow, and when any other cell moves —
+// a change that proves more accesses away moves the filled, derived or
+// replayed cells, one that installs them with fewer visits moves the
+// install column, and either is recorded by re-running with -update.
+// Counts do not depend on parallelism.
 func TestWorkLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every probe of every model at full fidelity")
@@ -107,6 +112,8 @@ func TestWorkLedger(t *testing.T) {
 			t.Fatalf("row %d is %s %s, %s has %s %s", i, g.Model, g.Probe, path, w.Model, w.Probe)
 		case g.Simulated > w.Simulated:
 			t.Errorf("%s %s: simulated accesses grew from %d to %d", g.Model, g.Probe, w.Simulated, g.Simulated)
+		case g.InstallVisits > w.InstallVisits:
+			t.Errorf("%s %s: install visits grew from %d to %d", g.Model, g.Probe, w.InstallVisits, g.InstallVisits)
 		case g != w:
 			t.Errorf("%s %s: work moved (re-run with -update for an intended change):\n got %+v\nwant %+v", g.Model, g.Probe, g, w)
 		}
