@@ -146,13 +146,15 @@ func traverse(tr *obs.Tracer, in *memsys.Instance, core int, sp *memsys.Space, a
 	return measured / float64(n)
 }
 
-// countPasses adds a measurement's replayed, filled and derived
-// accesses, and its fills' install visits, to the tracer's counters.
+// countPasses adds a measurement's replayed, filled, derived and
+// stacked accesses, and its fills' install visits, to the tracer's
+// counters.
 func countPasses(tr *obs.Tracer, c memsys.PassCounts) {
 	tr.Count(obs.CounterMemsysReplayed, c.Replayed)
 	tr.Count(obs.CounterMemsysFilled, c.Filled)
 	tr.Count(obs.CounterMemsysDerived, c.Derived)
 	tr.Count(obs.CounterMemsysInstallVisits, c.InstallVisits)
+	tr.Count(obs.CounterMemsysStacked, c.Stacked)
 }
 
 // appendTraversalAddrs appends the address sequence of one strided

@@ -132,6 +132,10 @@ type PassCounts struct {
 	// at to install their lines: installWalk's, and those of
 	// fillCoupled's merged reverse sweep.
 	InstallVisits int64
+	// Stacked counts the accesses of a filled coupled pair after its
+	// fill that runStacked costed by their LRU stack distance at the
+	// pair's shared last level instead of looking them up.
+	Stacked int64
 }
 
 func (c *PassCounts) add(o PassCounts) {
@@ -139,6 +143,7 @@ func (c *PassCounts) add(o PassCounts) {
 	c.Filled += o.Filled
 	c.Derived += o.Derived
 	c.InstallVisits += o.InstallVisits
+	c.Stacked += o.Stacked
 }
 
 // AccessStridePasses runs a whole strided measurement on one core: a

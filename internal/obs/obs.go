@@ -64,12 +64,17 @@ const (
 	// lines or by none. CounterMemsysInstallVisits counts the (access,
 	// level) pairs those fills looked at to install the warm-up's lines:
 	// work in cache operations, not accesses, so it moves when a fill
-	// installs the same lines with fewer visits.
+	// installs the same lines with fewer visits. CounterMemsysStacked
+	// counts the accesses of a filled pair of streams, after its fill,
+	// whose cost RunConcurrentInto decided from their LRU stack distance
+	// at the one cache level both streams reach instead of looking them
+	// up there.
 	CounterMemsysAccesses      = "memsys.accesses"
 	CounterMemsysReplayed      = "memsys.accesses_replayed"
 	CounterMemsysFilled        = "memsys.accesses_filled"
 	CounterMemsysDerived       = "memsys.accesses_derived"
 	CounterMemsysInstallVisits = "memsys.install_visits"
+	CounterMemsysStacked       = "memsys.accesses_stacked"
 	// CounterScratchFresh counts sweep scratch builds, one per worker;
 	// CounterScratchReused counts each later chunk a worker runs on the
 	// scratch it already holds.

@@ -15,8 +15,8 @@ import (
 
 // workRow is one row of the work ledger: what one probe cost the
 // simulator on one model, counted by the engine's tracer. Simulated is
-// the accesses neither filled, derived nor replayed — the ones the
-// simulator still issued one by one. InstallVisits is the (access,
+// the accesses neither filled, derived, replayed nor stacked — the ones
+// the simulator still issued one by one. InstallVisits is the (access,
 // level) pairs the fills looked at to install their lines.
 type workRow struct {
 	Model         string `json:"model"`
@@ -25,6 +25,7 @@ type workRow struct {
 	Filled        int64  `json:"memsys.accesses_filled"`
 	Derived       int64  `json:"memsys.accesses_derived"`
 	Replayed      int64  `json:"memsys.accesses_replayed"`
+	Stacked       int64  `json:"memsys.accesses_stacked"`
 	Simulated     int64  `json:"simulated"`
 	InstallVisits int64  `json:"memsys.install_visits"`
 	Measurements  int64  `json:"sweep.measurements"`
@@ -60,11 +61,12 @@ func workLedger(t *testing.T) []workRow {
 				Filled:        tr.Counter(obs.CounterMemsysFilled),
 				Derived:       tr.Counter(obs.CounterMemsysDerived),
 				Replayed:      tr.Counter(obs.CounterMemsysReplayed),
+				Stacked:       tr.Counter(obs.CounterMemsysStacked),
 				InstallVisits: tr.Counter(obs.CounterMemsysInstallVisits),
 				Measurements:  tr.Counter(obs.CounterSweepMeasurements),
 				Resets:        tr.Counter(obs.CounterMemsysReset),
 			}
-			r.Simulated = r.Accesses - r.Filled - r.Derived - r.Replayed
+			r.Simulated = r.Accesses - r.Filled - r.Derived - r.Replayed - r.Stacked
 			rows = append(rows, r)
 		}
 	}
@@ -74,9 +76,10 @@ func workLedger(t *testing.T) []workRow {
 // TestWorkLedger pins testdata/work.json, the simulator's work per
 // model and probe: it fails when a row's simulated accesses grow, and
 // when its fills' install visits grow, and when any other cell moves —
-// a change that proves more accesses away moves the filled, derived or
-// replayed cells, one that installs them with fewer visits moves the
-// install column, and either is recorded by re-running with -update.
+// a change that proves more accesses away moves the filled, derived,
+// replayed or stacked cells, one that installs them with fewer visits
+// moves the install column, and either is recorded by re-running with
+// -update.
 // Counts do not depend on parallelism.
 func TestWorkLedger(t *testing.T) {
 	if testing.Short() {
