@@ -37,7 +37,9 @@ func TestPooledMcalMeasurementAllocFree(t *testing.T) {
 // measurement allocates nothing, on FinisTerrae, whose pairs share no
 // cache and run each stream alone, and on a nehalem2s same-socket
 // pair, whose streams share the L3 and fill their cold warm-up
-// together before they interleave.
+// together before they interleave — or, over the (2/3)·8 MiB arrays of
+// the L3's measurement, before their LRU stack distances at the L3
+// decide every later access.
 func TestPooledSharedCacheMeasurementAllocFree(t *testing.T) {
 	m := topology.FinisTerrae(1)
 	opt := Options{Seed: 1, Allocations: 1}.withDefaults(m)
@@ -66,6 +68,21 @@ func TestPooledSharedCacheMeasurementAllocFree(t *testing.T) {
 	})
 	if n != 0 {
 		t.Errorf("warm coupled shared-cache measurement allocates %v/op, want 0", n)
+	}
+
+	l3 := nehalem.Caches[2].SizeBytes * 2 / 3
+	l3 -= l3 % opt.StrideBytes
+	sc.tr = obs.New()
+	sc.measurePair(opt, 3, 0, [2]int{0, 1}, 0, l3)
+	if stacked := sc.tr.Counter(obs.CounterMemsysStacked); stacked == 0 {
+		t.Fatalf("nehalem2s same-socket pair over %d bytes stacked no access", l3)
+	}
+	sc.tr = nil
+	n = testing.AllocsPerRun(5, func() {
+		sc.measurePair(opt, 3, 1, [2]int{1, 2}, 1, l3)
+	})
+	if n != 0 {
+		t.Errorf("warm stacked shared-cache measurement allocates %v/op, want 0", n)
 	}
 }
 

@@ -16,8 +16,8 @@
 // backing array per instance, page tables are dense per-region frame
 // slices, set and page indexing use masks when the counts are powers
 // of two, and every core keeps a one-entry translation cache for the
-// page it last touched. AccessRun batches whole traversals through
-// that path. The BENCH_*.json perf trajectory (see `make bench`)
+// page it last touched. AccessRunAccum batches whole traversals
+// through that path. The BENCH_*.json perf trajectory (see `make bench`)
 // tracks the cost of these operations across PRs.
 //
 // A whole single-core strided measurement — a warm-up traversal and
@@ -63,7 +63,7 @@
 // walk that is not filled, or whose pass is not derived, is simulated
 // pass by pass: no state is snapshotted or compared.
 //
-// RunConcurrent runs the Fig. 5 concurrent streams. A stream that
+// RunConcurrentInto runs the Fig. 5 concurrent streams. A stream that
 // shares no cache and no core with another stream runs alone through
 // AccessStridePasses, since no other stream can change the cost of its
 // accesses. Streams that share a cache or a core — coupled streams —
@@ -82,6 +82,22 @@
 // the state the run leaves, and empties the private levels after the
 // prefix for the merged sweep to fill. Each later access starts its
 // lookup after the prefix, in practice at the first shared level.
+//
+// When exactly two streams are coupled and their prefixes cover every
+// level but the last, which they share — a nehalem2s same-socket pair
+// over the L3, a dunnington pair sharing only the L3 — no access after
+// the fill is looked up at all. Every access of both reaches that one
+// level; their lines are distinct, and each stream visits its lines of
+// a set in one cyclic order, so LRU decides every access from its
+// stack distance in O(1): a line hits iff it was accessed before and
+// either fewer than assoc accesses to its set came since, or the two
+// walks together map no more than assoc lines to the set. A counter
+// per set and a stamp per walk position, the set's count at the line's
+// last access, give that distance. The TLB is probed once per page,
+// each access's cost is added in issue order, and the level's end
+// state is installed in one reverse sweep of the issue order that goes
+// back one walk per stream. Dunnington's L2-sharing pairs and
+// smt-quad's L1-sharing pairs still interleave.
 //
 // Every cost an access can incur is an entry of one per-instance
 // lookup-cost table: the TLB term plus the latencies of the first k
@@ -241,22 +257,6 @@ func (c *cache) appendLRU(idx, pLine int64) int64 {
 // the line offset, stay below the page shift.
 func (c *cache) pageLocal(pageShift uint) bool {
 	return c.numSets&(c.numSets-1) == 0 && c.lineBits+uint(bits.TrailingZeros64(uint64(c.numSets))) <= pageShift
-}
-
-// contains reports whether the line is cached, without touching LRU
-// state (used by tests).
-func (c *cache) contains(vLine, pLine int64) bool {
-	if c.lines == nil {
-		return false
-	}
-	idx := c.setIndex(vLine, pLine)
-	base := idx * c.assoc
-	for _, tag := range c.lines[base : base+int64(c.lens[idx])] {
-		if tag == uint32(pLine) {
-			return true
-		}
-	}
-	return false
 }
 
 // reset drops all cached lines but retains the backing capacity:

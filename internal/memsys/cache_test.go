@@ -8,6 +8,22 @@ import (
 	"servet/internal/topology"
 )
 
+// contains reports whether the line is cached, without touching LRU
+// state.
+func (c *cache) contains(vLine, pLine int64) bool {
+	if c.lines == nil {
+		return false
+	}
+	idx := c.setIndex(vLine, pLine)
+	base := idx * c.assoc
+	for _, tag := range c.lines[base : base+int64(c.lens[idx])] {
+		if tag == uint32(pLine) {
+			return true
+		}
+	}
+	return false
+}
+
 func tinyCacheSpec(size int64, assoc int, ix topology.Indexing) *topology.CacheLevel {
 	return &topology.CacheLevel{
 		Level: 1, SizeBytes: size, Assoc: assoc, LineBytes: 64,

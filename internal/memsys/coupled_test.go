@@ -53,7 +53,11 @@ func coupledWarmPrefix(in *Instance, streams []Stream) warmPrefix {
 			h.push(int32(i))
 		}
 	}
-	w := warmPrefix{n: in.fillCoupled(streams, h, st).Filled, clocks: slices.Clone(clocks), pos: make([]int, len(streams))}
+	order := new([]uint8)
+	w := warmPrefix{n: in.fillCoupled(streams, h, st, order).Filled, clocks: slices.Clone(clocks), pos: make([]int, len(streams))}
+	if w.n > 0 {
+		in.installMerged(streams, h, st, *order)
+	}
 	for i, s := range st {
 		w.pos[i] = s.pos + s.pass*len(streams[i].Addrs)
 	}
@@ -117,6 +121,26 @@ func skipsOf(in *Instance, streams int) []int {
 	return skips
 }
 
+// overflowsAboveLast reports whether the stream's walk, whose lines
+// are distinct, maps more lines than a set holds to every set it
+// touches at each level of its core's plan but the last.
+func overflowsAboveLast(in *Instance, str Stream) bool {
+	plan := in.planFor(str.Core)
+	for _, pl := range plan[:len(plan)-1] {
+		c := pl.c
+		lines := map[int64]int64{}
+		for _, v := range str.Addrs {
+			lines[c.setIndex(v>>c.lineBits, str.Space.translate(v)>>c.lineBits)]++
+		}
+		for _, k := range lines {
+			if k <= c.assoc {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestCoupledFillMatchesReference: on every topology.Models machine,
 // for every pair of cores that shares a cache at some level, two cold
 // streams over (2/3)·CS arrays of that level at the 1 KiB probe stride
@@ -128,6 +152,10 @@ func skipsOf(in *Instance, streams int) []int {
 // levels its walk overflows: L1 and L2 of a nehalem2s pair sharing the
 // L3, L1 of a dunnington pair sharing an L2, none of an smt-quad pair
 // sharing an L1; no stream skips more than its private levels.
+// runStacked finishes exactly the runs of the pairs that share the last
+// level alone — the nehalem2s same-socket pairs, dunnington's L3-only
+// pairs and smt-quad's L2-only pairs — whose walks overflow every set
+// they touch at every level above it.
 func TestCoupledFillMatchesReference(t *testing.T) {
 	const stride, passes = 1024, 3
 	wantSkips := map[string]int{"nehalem2s L3": 2, "dunnington L2": 1, "smt-quad L1": 0}
@@ -152,7 +180,7 @@ func TestCoupledFillMatchesReference(t *testing.T) {
 			want := runConcurrentReference(inRef, strRef, passes)
 			inRun, strRun := build()
 			got := make([]StreamStats, 2)
-			filled := RunConcurrentInto(inRun, strRun, passes, got).Filled
+			counts := RunConcurrentInto(inRun, strRun, passes, got)
 			for i := range want {
 				if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
 					t.Fatalf("%s stream %d: RunConcurrentInto %+v, reference %+v", label, i, got[i], want[i])
@@ -166,12 +194,16 @@ func TestCoupledFillMatchesReference(t *testing.T) {
 			ref := referenceWarmPrefix(inPre, strPre)
 			inFill, strFill := build()
 			assertFillMatchesPrefix(t, label, inFill, strFill, coupledWarmPrefix(inFill, strFill), inPre, ref)
-			if filled != ref.n {
-				t.Errorf("%s: RunConcurrentInto filled %d accesses, want %d", label, filled, ref.n)
+			if counts.Filled != ref.n {
+				t.Errorf("%s: RunConcurrentInto filled %d accesses, want %d", label, counts.Filled, ref.n)
 			}
 			private := 0
 			for private < len(m.Caches) && m.Caches[private].CacheInstance(a) != m.Caches[private].CacheInstance(b) {
 				private++
+			}
+			stacks := private == len(m.Caches)-1 && overflowsAboveLast(inRun, strRun[0]) && overflowsAboveLast(inRun, strRun[1])
+			if counts.Stacked > 0 != stacks {
+				t.Errorf("%s: stacked %d accesses; want runStacked to finish the run: %v", label, counts.Stacked, stacks)
 			}
 			for i, skip := range skipsOf(inRun, 2) {
 				if w, ok := wantSkips[fmt.Sprintf("%s L%d", name, li+1)]; (ok && skip != w) || skip > private {
@@ -184,50 +216,73 @@ func TestCoupledFillMatchesReference(t *testing.T) {
 
 // coupledSeed is a FuzzRunConcurrentMatchesReference seed of cold
 // coupled streams: a machine shape, a concurrentStreams spec, whether
-// fillCoupled fills the run or must decline it, and how many plan
-// levels RunConcurrentInto skips for each stream.
+// fillCoupled fills the run or must decline it, how many plan levels
+// RunConcurrentInto skips for each stream, and whether runStacked
+// finishes the filled run.
 type coupledSeed struct {
-	name  string
-	shape []byte
-	spec  []byte
-	fills bool
-	skips []int
+	name   string
+	shape  []byte
+	spec   []byte
+	fills  bool
+	skips  []int
+	stacks bool
 }
 
-// coupledSeeds are cold coupled streams at the 1 KiB probe stride that
-// fill — a nehalem2s same-socket pair, with and without a TLB that the
-// walks overflow, a dunnington pair sharing an L2 (fuzzMachine numbers
-// a sharing group's cores consecutively, so cores 0 and 1 share one),
-// unequal lengths, three and four streams, a nehalem2s pair too short
-// to overflow its private L2 and one too short to overflow its L1 —
-// and runs that must decline: two streams on one core, two streams in
-// one space, a stride the prefetcher follows, and a shared cache that
-// already holds a line. A declined run skips no level.
+// coupledSeeds are cold coupled streams that fill — at the 1 KiB probe
+// stride unless named otherwise: a nehalem2s same-socket pair, with and
+// without a TLB that the walks overflow, and with that TLB and
+// fractional latencies;
+// a dunnington pair sharing an L2 (fuzzMachine numbers a sharing
+// group's cores consecutively, so cores 0 and 1 share one) and one
+// sharing only the L3, with its L2 cut to 768 KiB for the walks to
+// overflow; unequal lengths, over the nehalem2s L3 and over one cut to
+// 2 MiB, of whose sets the two walks together overflow some and fit in
+// others, so that the cost of the longer walk's warm-up moves the
+// interleaving the shorter one's measured passes see; two-access walks
+// over a direct-mapped one-set private L1 that two lines overflow;
+// three and four streams; a nehalem2s pair too short to overflow its
+// private L2 and one too short to overflow its L1 — and runs that must
+// decline: two streams on one core, two streams in one space, a stride
+// the prefetcher follows, and a shared cache that already holds a line.
+// A declined run skips no level. runStacked finishes exactly the filled
+// pairs that skip every level but a shared last one: the L2-sharing
+// dunnington pair, like smt-quad's L1 pairs, still interleaves.
 func coupledSeeds() []coupledSeed {
 	nehalem, dunnington := shapeBytes(topology.Nehalem2S()), shapeBytes(topology.Dunnington())
 	tlbNehalem := topology.Nehalem2S()
 	tlbNehalem.TLBEntries, tlbNehalem.TLBMissCycles = 16, 30
+	smallL3 := topology.Nehalem2S()
+	smallL3.Caches[2].SizeBytes = 2 * topology.MB
+	smallL2 := topology.Dunnington()
+	smallL2.Caches[1].SizeBytes = 768 * topology.KB
+	// 2 cores, 4 KiB pages, a 256-byte prefetcher; a private 1-way,
+	// 1-set L1 and a shared 4-way, 16-set L2, both of 64-byte lines.
+	oneSet := []byte{1, 4, 0, 0, 1, 1, 2, 0, 0, 0, byte(topology.VirtuallyIndexed), 0, 2, 3, 0, 15, byte(topology.PhysicallyIndexed), 1}
 	return []coupledSeed{
-		{"same socket", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true, []int{2, 2}},
-		{"same socket, 16-entry TLB", shapeBytes(tlbNehalem), []byte{1, 0, 7, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0}, true, []int{2, 2}},
-		{"sharing an L2", dunnington, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true, []int{1, 1}},
-		{"unequal lengths", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 2, 187, 63, 0, 0}, true, []int{2, 2}},
-		{"three streams", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0}, true, []int{2, 2, 1}},
-		{"four streams", dunnington, []byte{3, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0, 3, 7, 0, 63, 0, 0}, true, []int{1, 1, 1, 1}},
-		{"L2 not overflowed", nehalem, []byte{1, 0, 0, 63, 63, 0, 0, 1, 0, 63, 63, 0, 0}, true, []int{1, 1}},
-		{"L1 not overflowed", nehalem, []byte{1, 0, 0, 7, 63, 0, 0, 1, 0, 7, 63, 0, 0}, true, []int{0, 0}},
-		{"same core", nehalem, []byte{1, 4, 3, 255, 63, 0, 0, 4, 1, 0, 63, 0, 0}, false, []int{0, 0}},
-		{"shared space", nehalem, []byte{1, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 8, 0}, false, []int{0, 0}},
-		{"prefetched stride", nehalem, []byte{1, 0, 3, 255, 31, 0, 0, 1, 1, 0, 31, 0, 0}, false, []int{0, 0}},
-		{"L3 holds a line", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 0, 0, 2, 0, 10, 63, 9, 0}, false, []int{0, 0, 0}},
+		{"same socket", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true, []int{2, 2}, true},
+		{"same socket, 16-entry TLB", shapeBytes(tlbNehalem), []byte{1, 0, 7, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0}, true, []int{2, 2}, true},
+		{"same socket, fractional latencies", append(slices.Clip(shapeBytes(tlbNehalem)), 7), []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true, []int{2, 2}, true},
+		{"sharing an L2", dunnington, []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0}, true, []int{1, 1}, false},
+		{"sharing only the L3", shapeBytes(smallL2), []byte{1, 0, 7, 255, 63, 0, 0, 2, 7, 255, 63, 0, 0}, true, []int{2, 2}, true},
+		{"unequal lengths", nehalem, []byte{1, 0, 7, 255, 63, 0, 0, 1, 2, 187, 63, 0, 0}, true, []int{2, 2}, true},
+		{"unequal lengths, 2 MiB L3", shapeBytes(smallL3), []byte{1, 0, 7, 255, 63, 0, 0, 1, 2, 187, 63, 0, 0}, true, []int{2, 2}, true},
+		{"two-access walks", oneSet, []byte{1, 0, 0, 1, 63, 0, 0, 1, 0, 1, 63, 0, 0}, true, []int{1, 1}, true},
+		{"three streams", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0}, true, []int{2, 2, 1}, false},
+		{"four streams", dunnington, []byte{3, 0, 3, 255, 63, 0, 0, 1, 5, 0, 63, 0, 0, 2, 1, 0, 63, 0, 0, 3, 7, 0, 63, 0, 0}, true, []int{1, 1, 1, 1}, false},
+		{"L2 not overflowed", nehalem, []byte{1, 0, 0, 63, 63, 0, 0, 1, 0, 63, 63, 0, 0}, true, []int{1, 1}, false},
+		{"L1 not overflowed", nehalem, []byte{1, 0, 0, 7, 63, 0, 0, 1, 0, 7, 63, 0, 0}, true, []int{0, 0}, false},
+		{"same core", nehalem, []byte{1, 4, 3, 255, 63, 0, 0, 4, 1, 0, 63, 0, 0}, false, []int{0, 0}, false},
+		{"shared space", nehalem, []byte{1, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 8, 0}, false, []int{0, 0}, false},
+		{"prefetched stride", nehalem, []byte{1, 0, 3, 255, 31, 0, 0, 1, 1, 0, 31, 0, 0}, false, []int{0, 0}, false},
+		{"L3 holds a line", nehalem, []byte{2, 0, 3, 255, 63, 0, 0, 1, 1, 0, 63, 0, 0, 2, 0, 10, 63, 9, 0}, false, []int{0, 0, 0}, false},
 	}
 }
 
 // TestCoupledSeedsFillOrDecline: each coupledSeeds run is filled or
-// declined, and skips plan levels, as its seed says — no stream of
-// them runs alone, so a decline fills nothing — and matches the
-// reference interleaver. A fill stops where the reference's warm
-// prefix does, in the same state.
+// declined, skips plan levels and is finished by runStacked or not as
+// its seed says — no stream of them runs alone, so a decline fills
+// nothing — and matches the reference interleaver. A fill stops where
+// the reference's warm prefix does, in the same state.
 func TestCoupledSeedsFillOrDecline(t *testing.T) {
 	for _, c := range coupledSeeds() {
 		m := fuzzMachine(c.shape)
@@ -245,8 +300,8 @@ func TestCoupledSeedsFillOrDecline(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: RunConcurrentInto %+v, reference %+v", c.name, got, want)
 		}
-		if counts.Replayed != 0 || counts.Derived != 0 || (counts.Filled > 0) != c.fills {
-			t.Errorf("%s: counts %+v, want filled accesses %v", c.name, counts, c.fills)
+		if counts.Replayed != 0 || counts.Derived != 0 || (counts.Filled > 0) != c.fills || (counts.Stacked > 0) != c.stacks {
+			t.Errorf("%s: counts %+v, want filled accesses %v, stacked accesses %v", c.name, counts, c.fills, c.stacks)
 		}
 		if skips := skipsOf(inRun, len(strRun)); !slices.Equal(skips, c.skips) {
 			t.Errorf("%s: skipped %v plan levels, want %v", c.name, skips, c.skips)

@@ -11,6 +11,29 @@ import (
 // translation caches, batched AccessRun, heap interleaver) to the
 // semantics of the per-access reference paths, bit for bit.
 
+// RunConcurrent is RunConcurrentInto into a fresh stats buffer.
+func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
+	stats := make([]StreamStats, len(streams))
+	RunConcurrentInto(in, streams, passes, stats)
+	return stats
+}
+
+// AccessRun performs one core's scripted accesses and returns the
+// access count and their total cost, each access's cost added to a zero
+// accumulator in issue order by AccessRunAccum.
+func (in *Instance) AccessRun(core int, sp *Space, addrs []int64) (n int64, cycles float64) {
+	in.AccessRunAccum(core, sp, addrs, &cycles, nil)
+	return int64(len(addrs)), cycles
+}
+
+// Cached reports whether the line containing vaddr is present at the
+// given cache level (1-based) for the core.
+func (in *Instance) Cached(level, core int, sp *Space, vaddr int64) bool {
+	li := level - 1
+	c := in.caches[li][in.coreCache[li][core]]
+	return c.contains(vaddr>>c.lineBits, sp.translate(vaddr)>>c.lineBits)
+}
+
 // strided returns one traversal's addresses over the array.
 func strided(a *Array, stride int64) []int64 {
 	var addrs []int64

@@ -19,7 +19,8 @@ import (
 // bit 1 TLB), TLB entries-1, prefetch stride/256, levels-1, then per
 // level lineShift-4, assoc-1, sets-1 (big-endian uint16), indexing and
 // sharing-group size-1. The built-in models encode exactly up to their
-// sharing groups, which decode as consecutive runs of cores.
+// sharing groups, which decode as consecutive runs of cores, and their
+// latencies, which fuzzMachine sets itself.
 func shapeBytes(m *topology.Machine) []byte {
 	var flags byte
 	if m.PageColoring {
@@ -52,7 +53,10 @@ func shapeBytes(m *topology.Machine) []byte {
 // fuzzMachine decodes a shape into a machine that passes Validate:
 // every field is folded into its legal range, missing bytes read as
 // zero, and each level is made larger than the one above it. Physical
-// memory is sized so page coloring never runs a color dry.
+// memory is sized so page coloring never runs a color dry. Level l
+// costs 3l cycles, memory 200 and a TLB miss 30; a non-zero byte frac
+// after the levels adds frac/100 cycles to each of them, mostly a
+// fraction float64 cannot represent, so sums of such costs round.
 func fuzzMachine(shape []byte) *topology.Machine {
 	next := func() int {
 		if len(shape) == 0 {
@@ -98,6 +102,15 @@ func fuzzMachine(shape []byte) *topology.Machine {
 			LatencyCycles: float64(3 * l), Indexing: indexing, Groups: groups,
 		})
 		prev = sets * line * int64(assoc)
+	}
+	if frac := float64(next()) / 100; frac != 0 {
+		for i := range m.Caches {
+			m.Caches[i].LatencyCycles += frac
+		}
+		m.Memory.LatencyCycles += frac
+		if m.TLBEntries > 0 {
+			m.TLBMissCycles += frac
+		}
 	}
 	m.PhysPagesPerNode = 1 << 16
 	for m.PhysPagesPerNode < 64*colorCount(m) {
@@ -213,8 +226,10 @@ func concurrentStreams(in *Instance, spec []byte) []Stream {
 
 // FuzzRunConcurrentMatchesReference: over machine shapes decoded like
 // FuzzResetAtMatchesFresh's, 1 to 4 streams on random cores — coupled
-// ones, whose cold warm-up may be filled before they interleave, and
-// lone ones that run through the filled, derived and replayed passes —
+// ones, whose cold warm-up may be filled before they interleave or, for
+// a pair sharing only the last level, before runStacked decides the
+// rest, and lone ones that run through the filled, derived and replayed
+// passes —
 // strided or with two addresses swapped, over 1 to 4 passes,
 // RunConcurrentInto's statistics equal the linear-scan reference's bit
 // for bit, and both instances end in the same state. The seeds after

@@ -69,7 +69,7 @@ type Instance struct {
 	// rewinds spaceSeq and recycles them; NewSpace then hands the pooled
 	// spaces out again before allocating new ones.
 	spaces []*Space
-	// rc is RunConcurrent's reusable interleaver scratch.
+	// rc is RunConcurrentInto's reusable interleaver scratch.
 	rc runScratch
 }
 
@@ -199,7 +199,7 @@ func placementSeed(seed int64, keys []int64) int64 {
 // prefetchers, translation caches, page tables and frame bitset —
 // while retaining every backing capacity. The hard invariant: a reset
 // instance is bitwise-equivalent to a freshly built one, reproducing
-// identical access traces, translations and RunConcurrent statistics.
+// identical access traces, translations and RunConcurrentInto statistics.
 // Every Space and Array handed out before the reset is invalidated;
 // NewSpace recycles them in creation order. In steady state (once the
 // instance has served a measurement of each shape) a full reset-and-
@@ -288,7 +288,7 @@ func (in *Instance) Access(core int, sp *Space, vaddr int64) float64 {
 	return in.accessOne(in.planFor(core), 0, core, sp, vaddr)
 }
 
-// accessOne is the hot path shared by Access, AccessRun and the
+// accessOne is the hot path shared by Access, AccessRunAccum and the
 // concurrent-stream interleaver: the plan is resolved by the caller so
 // batched runs pay the per-core lookups once.
 func (in *Instance) accessOne(plan []planLevel, skip, core int, sp *Space, vaddr int64) float64 {
@@ -332,19 +332,10 @@ func (in *Instance) accessAt(plan []planLevel, skip, core int, vaddr, paddr, vpa
 	return cost
 }
 
-// AccessRun performs one core's scripted accesses in issue order and
-// returns the access count and their total cost. It is exactly an
-// Access loop — each access's cost is added to a zero accumulator in
-// issue order, so the returned cycles are bit-identical to summing
-// Access results — with the per-core plan, TLB and prefetcher lookups
-// amortized over the whole run.
-func (in *Instance) AccessRun(core int, sp *Space, addrs []int64) (n int64, cycles float64) {
-	in.AccessRunAccum(core, sp, addrs, &cycles, nil)
-	return int64(len(addrs)), cycles
-}
-
-// AccessRunAccum is AccessRun for callers that thread their own
-// accumulators: each access's cost is added to *sumA — and to *sumB
+// AccessRunAccum performs one core's scripted accesses in issue order,
+// with the per-core plan, TLB and prefetcher lookups amortized over the
+// whole run. It is exactly an Access loop for callers that thread their
+// own accumulators: each access's cost is added to *sumA — and to *sumB
 // when non-nil — in issue order, preserving the exact float summation
 // order of the probe loops (a running total plus a measured-pass
 // total), so batched traversals stay byte-identical to per-access
@@ -407,14 +398,6 @@ func (in *Instance) AccessStrideAccum(core int, sp *Space, base, bytes, stride i
 	}
 }
 
-// Cached reports whether the line containing vaddr is present at the
-// given cache level (1-based) for the core. Test helper.
-func (in *Instance) Cached(level, core int, sp *Space, vaddr int64) bool {
-	li := level - 1
-	c := in.caches[li][in.coreCache[li][core]]
-	return c.contains(vaddr>>c.lineBits, sp.translate(vaddr)>>c.lineBits)
-}
-
 // ResetCaches empties every cache instance and prefetcher, leaving
 // page tables intact. Probes call it between measurements. Cache
 // backing arrays keep their capacity — see cache.reset.
@@ -463,7 +446,7 @@ func (s StreamStats) AvgCycles() float64 {
 }
 
 // streamHeap is a binary min-heap of stream indices ordered by
-// (clock, index): the stream RunConcurrent issues next. It replaces
+// (clock, index): the stream RunConcurrentInto issues next. It replaces
 // the O(streams) min-clock scan of the interleaver with O(log
 // streams) sift operations.
 type streamHeap struct {
@@ -525,7 +508,7 @@ type streamState struct {
 	pass int
 }
 
-// runScratch holds RunConcurrent's per-call buffers — stream cursors,
+// runScratch holds RunConcurrentInto's per-call buffers — stream cursors,
 // local clocks, the heap's index slab, fillCoupled's per-stream state
 // and the levels each coupled stream skips — pooled on the Instance so
 // a reset-and-measure cycle reruns concurrent streams without
@@ -557,14 +540,15 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 	return st, clocks, rc.idx[:0]
 }
 
-// RunConcurrent interleaves the streams in virtual-time order: at each
-// step the stream with the smallest local clock issues its next
-// access (ties break by core id). Each stream performs `passes`
-// traversals; the first pass of each stream is warm-up and excluded
-// from its statistics, mirroring the array-initialization warming of
-// the mcalibrator code in Fig. 1 of the paper. Concurrent streams
-// hitting a shared cache thrash each other exactly as the Fig. 5
-// benchmark expects.
+// RunConcurrentInto interleaves the streams in virtual-time order and
+// writes each stream's statistics into stats, whose length must equal
+// len(streams): at each step the stream with the smallest local clock
+// issues its next access, ties going to the lower stream index. Each
+// stream performs `passes` traversals; the first pass of each stream is
+// warm-up and excluded from its statistics, mirroring the
+// array-initialization warming of the mcalibrator code in Fig. 1 of the
+// paper. Concurrent streams hitting a shared cache thrash each other
+// exactly as the Fig. 5 benchmark expects.
 //
 // Only coupled streams interleave: those with another non-empty stream
 // on the same core, or whose core's plan holds a cache another
@@ -588,21 +572,22 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 // latencies charged from the lookup-cost table, so coupled streams are
 // simulated only from there on. The interleaving goes on from there,
 // and, once a single stream remains, the last finishes alone.
-func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
-	stats := make([]StreamStats, len(streams))
-	RunConcurrentInto(in, streams, passes, stats)
-	return stats
-}
-
-// RunConcurrentInto is RunConcurrent writing into a caller-owned stats
-// buffer (len(stats) must equal len(streams)); the interleaver's own
-// buffers are pooled on the instance, so a warm caller pays zero
-// allocations per run. The statistics are bit-identical to
-// RunConcurrent's. It returns how many accesses were not simulated one
-// by one: those of the streams that ran alone (see
-// AccessStridePasses), and the coupled warm-up accesses it filled. A
-// coupled access simulated only at the shared levels still counts as
-// simulated.
+//
+// A filled run of exactly two coupled streams whose private prefixes
+// cover every plan level but the last, which both plans share — a
+// nehalem2s same-socket pair over the L3, a dunnington pair sharing
+// only the L3 — is not looked up at all after its fill: every access of
+// either stream reaches that level and no other, so runStacked decides
+// each from its LRU stack distance there in O(1). A line hits iff it
+// was accessed before and either fewer than assoc accesses to its set
+// came since or the two walks map no more than assoc lines to the set.
+//
+// The interleaver's buffers are pooled on the instance, so a warm
+// caller pays zero allocations per run. RunConcurrentInto returns how
+// many accesses were not simulated one by one: those of the streams
+// that ran alone (see AccessStridePasses), the coupled warm-up accesses
+// it filled and the accesses runStacked decided. A coupled access
+// simulated only at the shared levels still counts as simulated.
 func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (counts PassCounts) {
 	if len(stats) != len(streams) {
 		panic(fmt.Sprintf("memsys: stats buffer for %d streams has length %d", len(streams), len(stats)))
@@ -628,7 +613,18 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 		}
 	}
 	if len(h.idx) > 1 {
-		counts.add(in.fillCoupled(streams, h, st))
+		order := issueOrders.get()
+		defer issueOrders.put(order)
+		fill := in.fillCoupled(streams, h, st, order)
+		counts.add(fill)
+		switch {
+		case fill.Filled == 0:
+		case in.stackable(streams, h, passes):
+			counts.add(in.runStacked(streams, h, st, passes, stats, order))
+			return counts
+		default:
+			counts.InstallVisits += in.installMerged(streams, h, st, *order)
+		}
 	}
 	for len(h.idx) > 1 {
 		sel := h.idx[0]

@@ -60,7 +60,18 @@ func (p *prefetcher) observeWalk(base, stride, n int64, pageShift uint) {
 	}
 	p.observe(base, pageShift)
 	if n > 1 {
-		p.last, p.stride, p.streak = base+(n-1)*stride, stride, 0
+		p.endWalk(base+(n-2)*stride, base+(n-1)*stride)
+	}
+}
+
+// endWalk leaves the prefetcher as a walk at a stride beyond it leaves
+// it once the walk's last two accesses, prev and then last, have been
+// observed: each observe of such a walk meets a stride the prefetcher
+// cannot follow, so it stores that stride and clears the streak. A
+// prefetcher with maxStride ≤ 0 ignores every access.
+func (p *prefetcher) endWalk(prev, last int64) {
+	if p.maxStride > 0 {
+		p.last, p.stride, p.streak, p.primed = last, last-prev, 0, true
 	}
 }
 

@@ -34,9 +34,14 @@ import (
 // levels and installs there, with installWalk over the stream's whole
 // walk, the state the run leaves; the interleaver skips those levels,
 // so coupled streams are simulated only from the first level after
-// that prefix on, in practice the levels they share. Every access costs
-// an entry of the instance's one lookup-cost table (Instance.costs),
-// whichever of these paths finds it.
+// that prefix on, in practice the levels they share. When two streams
+// are coupled and their prefixes cover every level but a shared last
+// one, runStacked decides every access after the fill from its LRU
+// stack distance at that level instead: a line hits iff it was
+// accessed before and either fewer than assoc accesses to its set came
+// since or both walks together map no more than assoc lines to the
+// set. Every access costs an entry of the instance's one lookup-cost
+// table (Instance.costs), whichever of these paths finds it.
 
 // exactLimit bounds the integers float64 represents exactly: every sum
 // of integers whose partial sums stay below it is exact, so it does
@@ -114,6 +119,9 @@ var (
 	issueOrders freeList[[]uint8]
 	// colorScratch holds installWalk's per-color page counts.
 	colorScratch freeList[pageColors]
+	// stackScratch holds runStacked's per-set clocks and per-position
+	// stamps.
+	stackScratch freeList[stackCounts]
 )
 
 // PassCounts counts the accesses of a measurement that were not
@@ -467,7 +475,7 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) (visi
 	return visits, true
 }
 
-// coupledFill is one coupled stream's part of fillCoupled's reverse
+// coupledFill is one coupled stream's part of installMerged's reverse
 // sweep: how many of its filled accesses remain and the page it last
 // translated.
 type coupledFill struct {
@@ -494,10 +502,8 @@ type coupledFill struct {
 // from those costs alone. fillCoupled runs the interleaver's (clock,
 // index) heap over them, adding each cost to its stream's clock in
 // issue order and simulating each core's TLB access by access, and
-// records the merged issue order, one stream index per access. Each
-// core's prefetcher sees its own stream alone, at a stride coldWalk
-// proved beyond it, so it is set after the heap from the stream's
-// issued prefix in closed form (observeWalk).
+// records the merged issue order in *order, one stream index per
+// access.
 //
 // It then proves, for each stream, a private prefix: the leading plan
 // levels whose cache instance no other coupled stream's plan holds and
@@ -518,21 +524,15 @@ type coupledFill struct {
 // interleaver skips it (in.rc.skips): coupled streams are simulated
 // only from the first level after their prefix on.
 //
-// Last, one reverse sweep of the merged order installs every other
-// level, appending at the LRU end as installWalk does: a private cache
-// takes its own stream's lines, a shared cache the merged order's, each
-// set the last lines mapped to it, MRU first. Each core's translation
-// entry ends on the page of its stream's last filled access, as Access
-// would leave it, and the cursors and clocks where the interleaver
-// would have left them, so it goes on from there. fillCoupled returns
-// the number of accesses filled and the install visits of both sweeps,
-// and allocates nothing once the caches and the scratch slabs have
-// grown.
-func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamState) (counts PassCounts) {
+// The levels after the prefix, the prefetchers and the translation
+// entries are left as they were: runStacked or installMerged sets them.
+// fillCoupled returns the number of accesses filled and installWalk's
+// visits, and allocates nothing once the caches and the scratch slabs
+// have grown.
+func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamState, order *[]uint8) (counts PassCounts) {
 	if len(streams) > math.MaxUint8+1 {
 		return counts
 	}
-	fs := in.rc.fills[:len(streams)]
 	total := 0
 	for k, i := range h.idx {
 		str := &streams[i]
@@ -545,14 +545,11 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 				return counts
 			}
 		}
-		fs[i] = coupledFill{vpage: -1}
 		total += len(str.Addrs)
 	}
 
-	slab := issueOrders.get()
-	defer issueOrders.put(slab)
-	order := slices.Grow((*slab)[:0], total)
-	shift, mask := in.pageShift, in.pageMask
+	issued := slices.Grow((*order)[:0], total)
+	shift := in.pageShift
 	cost, tlbCost := in.costs[0][in.levels+1], in.costs[1][in.levels+1]
 	for {
 		sel := h.idx[0]
@@ -567,7 +564,7 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 		} else {
 			h.clocks[sel] += cost
 		}
-		order = append(order, uint8(sel))
+		issued = append(issued, uint8(sel))
 		// Every stream has at least one measured pass, so finishing the
 		// warm-up never retires a stream from the heap.
 		if s.pos++; s.pos == len(str.Addrs) {
@@ -575,7 +572,7 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 		}
 		h.fix()
 	}
-	*slab = order
+	*order = issued
 
 	sc := setScratch.get()
 	defer setScratch.put(sc)
@@ -610,14 +607,38 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 			}
 		}
 		in.rc.skips[i] = skip
+	}
+	counts.Filled = int64(len(issued))
+	return counts
+}
 
+// installMerged leaves the coupled streams in h, which fillCoupled has
+// filled in the given merged issue order, where the interleaver would
+// have left them at the fill's end, and returns its install visits.
+// One reverse sweep of the order installs every plan level after each
+// stream's private prefix, appending at the LRU end as installWalk
+// does: a private cache takes its own stream's lines, a shared cache
+// the merged order's, each set the last lines mapped to it, MRU first.
+// Each core's prefetcher sees its own stream alone, at a stride
+// coldWalk proved beyond it, so it is set from the stream's filled
+// accesses in closed form (observeWalk), and each core's translation
+// entry ends on the page of its stream's last filled access, as Access
+// would leave it. installMerged allocates nothing once the caches have
+// grown.
+func (in *Instance) installMerged(streams []Stream, h *streamHeap, st []streamState, order []uint8) (visits int64) {
+	fs := in.rc.fills[:len(streams)]
+	shift, mask := in.pageShift, in.pageMask
+	for _, i := range h.idx {
+		str := &streams[i]
+		plan := in.planFor(str.Core)
+		skip := in.rc.skips[i]
 		left := st[i].pos
 		if st[i].pass > 0 {
 			left = len(str.Addrs)
 		}
-		fs[i].left = left
-		counts.InstallVisits += int64(left) * int64(len(plan)-skip)
-		in.pref[str.Core].observeWalk(base, stride, int64(left), shift)
+		fs[i] = coupledFill{left: left, vpage: -1}
+		visits += int64(left) * int64(len(plan)-skip)
+		in.pref[str.Core].observeWalk(str.Addrs[0], str.Addrs[1]-str.Addrs[0], int64(left), shift)
 		if left > 0 {
 			occupy(plan[skip:])
 			in.translateFor(str.Core, str.Space, str.Addrs[left-1])
@@ -639,7 +660,244 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 			c.appendLRU(c.setIndex(vaddr>>c.lineBits, pLine), pLine)
 		}
 	}
-	counts.Filled = int64(len(order))
+	return visits
+}
+
+// stackable reports whether runStacked can finish the run of the
+// coupled streams in h after fillCoupled has filled them: there are
+// two, each skips every plan level but the last, both plans end in one
+// cache instance, and the run's accesses, passes of both walks, fit
+// runStacked's 32-bit clocks.
+func (in *Instance) stackable(streams []Stream, h *streamHeap, passes int) bool {
+	if len(h.idx) != 2 {
+		return false
+	}
+	last := in.levels - 1
+	a, b := h.idx[0], h.idx[1]
+	return in.rc.skips[a] == last && in.rc.skips[b] == last &&
+		in.planFor(streams[a].Core)[last].c == in.planFor(streams[b].Core)[last].c &&
+		int64(passes)*int64(len(streams[a].Addrs)+len(streams[b].Addrs)) <= math.MaxInt32
+}
+
+// stackSet is one set of the shared level in runStacked: how many
+// lines the two walks map to it, and its clock, the number of accesses
+// it has had.
+type stackSet struct {
+	lines, clock int32
+}
+
+// stackLine is one walk position in runStacked: the set and tag of its
+// line at the shared level, and its stamp, the set's clock just after
+// the line's last access, or 0 before its first.
+type stackLine struct {
+	set, stamp int32
+	tag        uint32
+}
+
+// stackCounts is runStacked's scratch: the shared level's sets, and
+// the positions of both walks, the lower-indexed stream's first. Slabs
+// are pooled on stackScratch and only ever grow.
+type stackCounts struct {
+	sets  []stackSet
+	lines []stackLine
+}
+
+// reset sizes sk for a level of the given sets, every one of them with
+// no line and clock 0, and for the given walk positions, which
+// runStacked writes in full before it reads them.
+func (sk *stackCounts) reset(sets, lines int) {
+	sk.sets = slices.Grow(sk.sets[:0], sets)[:sets]
+	clear(sk.sets)
+	sk.lines = slices.Grow(sk.lines[:0], lines)[:lines]
+}
+
+// stackCursor is one stream's interleaver cursor in runStacked: where
+// its positions start in stackCounts.lines, its place in the run, its
+// clock and measured cycles, its core's TLB and the page it last
+// probed.
+type stackCursor struct {
+	first, pos, pass int
+	clock, cycles    float64
+	tlb              *tlb
+	vpage            int64
+}
+
+// runStacked finishes the run of the two coupled streams in h, which
+// fillCoupled has filled in the merged issue order *order and
+// stackable admits, deciding every access after the fill by its LRU
+// stack distance at the shared last level C instead of looking its
+// line up. The fill proved that both streams miss throughout at every
+// level above C, so every access of the run looks its line up at C,
+// and nothing else does: each stream has its own core and space, and
+// no prefetcher fires, since the stride and the wrap-around jump are
+// both beyond it. The two walks' lines are distinct, and each walk
+// visits the lines it maps to a set s of C in one cyclic order. LRU
+// hits on a line iff fewer than assoc distinct other lines of its set
+// came since its last access. Let x be a line of one walk, which maps
+// a lines to s, let the other map b lines there, and let w accesses to
+// s come between two accesses of x. x's own walk brings each of its
+// other a−1 lines of s once in between; the other walk's w−(a−1)
+// accesses to s are consecutive in its cyclic order, so they bring
+// min(b, w−(a−1)) distinct lines. x hits iff (a−1) + min(b, w−(a−1)) <
+// assoc, that is iff w < assoc or a+b ≤ assoc; a line never accessed
+// before misses.
+//
+// So runStacked keeps, in slabs of stackScratch, one clock per set of
+// C, counting its accesses, and for each walk position the set and tag
+// of its line, found with one translation per page, and a stamp, its
+// set's clock just after the line's last access. A forward sweep over
+// the fill's order stamps the filled accesses. The passes then
+// interleave as RunConcurrentInto's heap would, the stream of smaller
+// (clock, index) issuing next, each core's TLB probed only when its
+// stream moves to a new page — an access on the page before it hits
+// the MRU entry and changes nothing — and each access adding
+// costs[t][L] on a hit at C or costs[t][L+1] on a miss to its clock
+// and, in a measured pass, to its cycles, in issue order, so the
+// statistics are the interleaver's bit for bit at any latencies.
+//
+// runStacked appends the run's issue order to *order, one stream index
+// per access, and installs C's end state with one reverse sweep of it
+// that goes back exactly one walk per stream: a stream's last walk
+// visits each of its lines once, and its earlier accesses repeat them,
+// so appending at the LRU end as installWalk does leaves each set with
+// its last lines, MRU first. Each core's translation entry ends on its
+// stream's last page, and its prefetcher, which has seen every access
+// of its stream at a stride beyond it, in closed form (endWalk). It
+// writes both streams' statistics, returns the accesses it decided and
+// its install visits, and allocates nothing once the scratch slabs have
+// grown.
+func (in *Instance) runStacked(streams []Stream, h *streamHeap, st []streamState, passes int, stats []StreamStats, order *[]uint8) (counts PassCounts) {
+	ids := [2]int32{h.idx[0], h.idx[1]}
+	if ids[1] < ids[0] {
+		ids[0], ids[1] = ids[1], ids[0]
+	}
+	last := in.levels - 1
+	plan := in.planFor(streams[ids[0]].Core)
+	c := plan[last].c
+	shift, mask := in.pageShift, in.pageMask
+	n0, n1 := len(streams[ids[0]].Addrs), len(streams[ids[1]].Addrs)
+	sk := stackScratch.get()
+	defer stackScratch.put(sk)
+	sk.reset(int(c.numSets), n0+n1)
+	sets, lines := sk.sets, sk.lines
+
+	var cur [2]stackCursor
+	for k, i := range ids {
+		str := &streams[i]
+		cu := &cur[k]
+		*cu = stackCursor{first: k * n0, pos: st[i].pos, pass: st[i].pass, clock: h.clocks[i], tlb: in.tlbs[str.Core], vpage: -1}
+		vpage, pbase := int64(-1), int64(0)
+		for p, vaddr := range str.Addrs {
+			if vp := vaddr >> shift; vp != vpage {
+				vpage, pbase = vp, str.Space.translate(vaddr)&^mask
+			}
+			pLine := (pbase + vaddr&mask) >> c.lineBits
+			s := c.setIndex(vaddr>>c.lineBits, pLine)
+			lines[cu.first+p] = stackLine{set: int32(s), tag: uint32(pLine)}
+			sets[s].lines++
+		}
+		// The fill leaves a stream before its measured passes, so the
+		// accesses it issued are its first pos, or its whole walk.
+		if issued := cu.pos + cu.pass*len(str.Addrs); issued > 0 {
+			cu.vpage = str.Addrs[issued-1] >> shift
+		}
+	}
+	issued := *order
+	filled := [2]int{}
+	for _, i := range issued {
+		k := 0
+		if int32(i) != ids[0] {
+			k = 1
+		}
+		l := &lines[cur[k].first+filled[k]]
+		filled[k]++
+		s := &sets[l.set]
+		s.clock++
+		l.stamp = s.clock
+	}
+
+	issued = slices.Grow(issued, passes*(n0+n1)-len(issued))
+	costs := [2][2]float64{
+		{in.costs[0][in.levels], in.costs[0][in.levels+1]},
+		{in.costs[1][in.levels], in.costs[1][in.levels+1]},
+	}
+	assoc := int32(c.assoc)
+	k := 0
+	if cur[1].clock < cur[0].clock {
+		k = 1
+	}
+	for {
+		cu := &cur[k]
+		addrs := streams[ids[k]].Addrs
+		t := 0
+		if cu.tlb != nil {
+			if vp := addrs[cu.pos] >> shift; vp != cu.vpage {
+				cu.vpage = vp
+				if !cu.tlb.access(vp) {
+					t = 1
+				}
+			}
+		}
+		l := &lines[cu.first+cu.pos]
+		s := &sets[l.set]
+		miss := 1
+		if l.stamp != 0 && (s.clock-l.stamp < assoc || s.lines <= assoc) {
+			miss = 0
+		}
+		s.clock++
+		l.stamp = s.clock
+		cost := costs[t][miss]
+		cu.clock += cost
+		if cu.pass > 0 {
+			cu.cycles += cost
+		}
+		issued = append(issued, uint8(ids[k]))
+		if cu.pos++; cu.pos == len(addrs) {
+			cu.pos = 0
+			cu.pass++
+		}
+		switch {
+		case cur[0].pass == passes && cur[1].pass == passes:
+			k = -1
+		case cur[0].pass == passes:
+			k = 1
+		case cur[1].pass == passes:
+			k = 0
+		case cur[1].clock < cur[0].clock:
+			k = 1
+		default:
+			k = 0
+		}
+		if k < 0 {
+			break
+		}
+	}
+	*order = issued
+
+	occupy(plan[last:])
+	left := [2]int{n0, n1}
+	for j, rest := len(issued)-1, n0+n1; rest > 0; j-- {
+		k := 0
+		if int32(issued[j]) != ids[0] {
+			k = 1
+		}
+		if left[k] == 0 {
+			continue
+		}
+		left[k]--
+		l := &lines[cur[k].first+left[k]]
+		c.appendLRU(int64(l.set), int64(l.tag))
+		rest--
+	}
+	for k, i := range ids {
+		str := &streams[i]
+		n := len(str.Addrs)
+		in.translateFor(str.Core, str.Space, str.Addrs[n-1])
+		in.pref[str.Core].endWalk(str.Addrs[n-2], str.Addrs[n-1])
+		stats[i] = StreamStats{Accesses: int64(passes-1) * int64(n), Cycles: cur[k].cycles}
+	}
+	counts.Stacked = int64(len(issued) - filled[0] - filled[1])
+	counts.InstallVisits = int64(n0 + n1)
 	return counts
 }
 

@@ -123,15 +123,18 @@ func TestResetAtSteadyStateAllocFree(t *testing.T) {
 // TestRunConcurrentIntoAllocFree: a warm instance reruns concurrent
 // streams into a caller-owned stats buffer without allocating — a
 // FinisTerrae pair, whose private caches let each stream run alone, and
-// a nehalem2s same-socket pair, whose shared L3 couples the streams and
-// whose cold warm-up is filled.
+// nehalem2s same-socket pairs, whose shared L3 couples the streams and
+// whose cold warm-up is filled: over 64 KiB arrays, which interleave
+// from the L2 on, and over (2/3)·8 MiB ones, which overflow their
+// private L1 and L2 and which runStacked finishes.
 func TestRunConcurrentIntoAllocFree(t *testing.T) {
 	var streams [2]Stream
 	var stats [2]StreamStats
+	bytes := int64(64 * topology.KB)
 	pair := func(in *Instance, k int64) PassCounts {
 		in.ResetAt(1, k)
 		spA, spB := in.NewSpace(), in.NewSpace()
-		arrA, arrB := spA.Alloc(64*topology.KB), spB.Alloc(64*topology.KB)
+		arrA, arrB := spA.Alloc(bytes), spB.Alloc(bytes)
 		streams[0] = Stream{Core: 0, Space: spA, Addrs: streams[0].Addrs}
 		streams[1] = Stream{Core: 1, Space: spB, Addrs: streams[1].Addrs}
 		streams[0].Addrs = appendStrided(streams[0].Addrs[:0], arrA, 1*topology.KB)
@@ -139,12 +142,22 @@ func TestRunConcurrentIntoAllocFree(t *testing.T) {
 		return RunConcurrentInto(in, streams[:], 3, stats[:])
 	}
 	coupled := NewInstanceAt(topology.Nehalem2S(), 1)
-	if c := pair(coupled, 0); c.Filled != 2*64 || c.Replayed != 0 { // warm
-		t.Fatalf("nehalem2s same-socket pair: counts %+v, want both warm-ups filled and nothing replayed", c)
+	if c := pair(coupled, 0); c.Filled != 2*64 || c.Replayed != 0 || c.Stacked != 0 { // warm
+		t.Fatalf("nehalem2s same-socket pair: counts %+v, want both warm-ups filled and nothing replayed or stacked", c)
 	}
 	if n := testing.AllocsPerRun(10, func() { pair(coupled, 1) }); n != 0 {
 		t.Errorf("RunConcurrentInto cycle of a filled coupled pair allocates %v/op on a warm instance, want 0", n)
 	}
+	bytes = topology.Nehalem2S().Caches[2].SizeBytes * 2 / 3
+	bytes -= bytes % topology.KB
+	stacked := NewInstanceAt(topology.Nehalem2S(), 1)
+	if c := pair(stacked, 0); c.Stacked == 0 { // warm
+		t.Fatalf("nehalem2s same-socket pair over %d bytes: counts %+v, want its run stacked", bytes, c)
+	}
+	if n := testing.AllocsPerRun(10, func() { pair(stacked, 1) }); n != 0 {
+		t.Errorf("RunConcurrentInto cycle of a stacked coupled pair allocates %v/op on a warm instance, want 0", n)
+	}
+	bytes = 64 * topology.KB
 
 	in := NewInstanceAt(topology.FinisTerrae(1), 1)
 	run := func(k int64) { pair(in, k) }
