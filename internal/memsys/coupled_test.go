@@ -228,23 +228,22 @@ type coupledSeed struct {
 	stacks bool
 }
 
-// coupledSeeds are cold coupled streams that fill — at the 1 KiB probe
-// stride unless named otherwise: a nehalem2s same-socket pair, with and
-// without a TLB that the walks overflow, and with that TLB and
-// fractional latencies;
-// a dunnington pair sharing an L2 (fuzzMachine numbers a sharing
-// group's cores consecutively, so cores 0 and 1 share one) and one
-// sharing only the L3, with its L2 cut to 768 KiB for the walks to
-// overflow; unequal lengths, over the nehalem2s L3 and over one cut to
-// 2 MiB, of whose sets the two walks together overflow some and fit in
-// others, so that the cost of the longer walk's warm-up moves the
-// interleaving the shorter one's measured passes see; two-access walks
-// over a direct-mapped one-set private L1 that two lines overflow;
-// three and four streams; a nehalem2s pair too short to overflow its
-// private L2 and one too short to overflow its L1 — and runs that must
-// decline: two streams on one core, two streams in one space, a stride
-// the prefetcher follows, and a shared cache that already holds a line.
-// A declined run skips no level. runStacked finishes exactly the filled
+// coupledSeeds are cold coupled streams at the 1 KiB probe stride that
+// fill — a nehalem2s same-socket pair, with and without a TLB that the
+// walks overflow, and with that TLB and fractional latencies; a
+// dunnington pair sharing an L2 (fuzzMachine numbers a sharing group's
+// cores consecutively, so cores 0 and 1 share one) and one sharing
+// only the L3, with its L2 cut to 768 KiB for the walks to overflow;
+// unequal lengths, over the nehalem2s L3 and over one cut to 2 MiB, of
+// whose sets the two walks together overflow some and fit in others,
+// so that the cost of the longer walk's warm-up moves the interleaving
+// the shorter one's measured passes see; two-access walks over a
+// direct-mapped one-set private L1 that two lines overflow; three and
+// four streams; a nehalem2s pair too short to overflow its private L2
+// and one too short to overflow its L1 — and runs that must decline:
+// two streams on one core, two streams in one space, a stride the
+// prefetcher follows, and a shared cache that already holds a line. A
+// declined run skips no level. runStacked finishes exactly the filled
 // pairs that skip every level but a shared last one: the L2-sharing
 // dunnington pair, like smt-quad's L1 pairs, still interleaves.
 func coupledSeeds() []coupledSeed {

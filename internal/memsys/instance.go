@@ -508,11 +508,11 @@ type streamState struct {
 	pass int
 }
 
-// runScratch holds RunConcurrentInto's per-call buffers — stream cursors,
-// local clocks, the heap's index slab, fillCoupled's per-stream state
-// and the levels each coupled stream skips — pooled on the Instance so
-// a reset-and-measure cycle reruns concurrent streams without
-// allocating.
+// runScratch holds RunConcurrentInto's per-call buffers — stream
+// cursors, local clocks, the heap's index slab, installMerged's
+// per-stream state and the levels each coupled stream skips — pooled on
+// the Instance so a reset-and-measure cycle reruns concurrent streams
+// without allocating.
 type runScratch struct {
 	st     []streamState
 	clocks []float64

@@ -137,8 +137,9 @@ type PassCounts struct {
 	// per-set line counts of a filled walk.
 	Derived int64
 	// InstallVisits counts the (access, level) pairs the fills looked
-	// at to install their lines: installWalk's, and those of
-	// fillCoupled's merged reverse sweep.
+	// at to install their lines: installWalk's, those of
+	// installMerged's merged reverse sweep and those of runStacked's
+	// end-state sweep.
 	InstallVisits int64
 	// Stacked counts the accesses of a filled coupled pair after its
 	// fill that runStacked costed by their LRU stack distance at the
@@ -713,8 +714,8 @@ func (sk *stackCounts) reset(sets, lines int) {
 
 // stackCursor is one stream's interleaver cursor in runStacked: where
 // its positions start in stackCounts.lines, its place in the run, its
-// clock and measured cycles, its core's TLB and the page it last
-// probed.
+// clock and measured cycles, its core's TLB and the page runStacked
+// last probed it for, −1 before the first.
 type stackCursor struct {
 	first, pos, pass int
 	clock, cycles    float64
@@ -748,9 +749,10 @@ type stackCursor struct {
 // set's clock just after the line's last access. A forward sweep over
 // the fill's order stamps the filled accesses. The passes then
 // interleave as RunConcurrentInto's heap would, the stream of smaller
-// (clock, index) issuing next, each core's TLB probed only when its
-// stream moves to a new page — an access on the page before it hits
-// the MRU entry and changes nothing — and each access adding
+// (clock, index) issuing next, each core's TLB probed on its stream's
+// first access after the fill and then only when the stream moves to a
+// new page — an access on the page its core last probed hits the MRU
+// entry and changes nothing — and each access adding
 // costs[t][L] on a hit at C or costs[t][L+1] on a miss to its clock
 // and, in a measured pass, to its cycles, in issue order, so the
 // statistics are the interleaver's bit for bit at any latencies.
@@ -796,11 +798,6 @@ func (in *Instance) runStacked(streams []Stream, h *streamHeap, st []streamState
 			lines[cu.first+p] = stackLine{set: int32(s), tag: uint32(pLine)}
 			sets[s].lines++
 		}
-		// The fill leaves a stream before its measured passes, so the
-		// accesses it issued are its first pos, or its whole walk.
-		if issued := cu.pos + cu.pass*len(str.Addrs); issued > 0 {
-			cu.vpage = str.Addrs[issued-1] >> shift
-		}
 	}
 	issued := *order
 	filled := [2]int{}
@@ -826,6 +823,7 @@ func (in *Instance) runStacked(streams []Stream, h *streamHeap, st []streamState
 	if cur[1].clock < cur[0].clock {
 		k = 1
 	}
+run:
 	for {
 		cu := &cur[k]
 		addrs := streams[ids[k]].Addrs
@@ -858,7 +856,7 @@ func (in *Instance) runStacked(streams []Stream, h *streamHeap, st []streamState
 		}
 		switch {
 		case cur[0].pass == passes && cur[1].pass == passes:
-			k = -1
+			break run
 		case cur[0].pass == passes:
 			k = 1
 		case cur[1].pass == passes:
@@ -867,9 +865,6 @@ func (in *Instance) runStacked(streams []Stream, h *streamHeap, st []streamState
 			k = 1
 		default:
 			k = 0
-		}
-		if k < 0 {
-			break
 		}
 	}
 	*order = issued
