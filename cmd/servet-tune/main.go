@@ -195,7 +195,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, tracer); err != nil {
+		if err := tracer.WriteChromeTraceFile(*traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "servet-tune: -trace-out: %v\n", err)
 			os.Exit(1)
 		}
@@ -236,19 +236,6 @@ type localRun struct {
 	quick      bool
 	probes     []string
 	parallel   int
-}
-
-// writeTrace saves the tracer's spans as a Chrome trace-event file.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // tuneLocal resolves a report (file or fresh probe run) and searches

@@ -147,7 +147,7 @@ func main() {
 		exit(1)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, tracer); err != nil {
+		if err := tracer.WriteChromeTraceFile(*traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "servet: -trace: %v\n", err)
 			exit(1)
 		}
@@ -187,19 +187,6 @@ func main() {
 	if *traceOut != "" {
 		fmt.Printf("\ntrace written to %s\n", *traceOut)
 	}
-}
-
-// writeTrace saves the tracer's spans as a Chrome trace-event file.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // startProfiles starts the requested pprof profiles and returns an

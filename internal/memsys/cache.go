@@ -14,10 +14,11 @@
 // The simulation hot path — one Access — is engineered to be
 // allocation-free and division-free: cache sets live in one flat
 // backing array per instance, page tables are dense per-region frame
-// slices, set and page indexing use masks when the counts are powers
-// of two, and every core keeps a one-entry translation cache for the
-// page it last touched. AccessRunAccum batches whole traversals
-// through that path. The BENCH_*.json perf trajectory (see `make bench`)
+// slices whose last-hit region is remembered, and set and page
+// indexing use masks when the counts are powers of two. Translation is
+// pure, so no translation is cached per core. AccessStrideAccum
+// batches a whole strided traversal through that path, translating
+// once per page. The BENCH_*.json perf trajectory (see `make bench`)
 // tracks the cost of these operations across PRs.
 //
 // A whole single-core strided measurement — a warm-up traversal and
@@ -64,10 +65,13 @@
 // pass by pass: no state is snapshotted or compared.
 //
 // RunConcurrentInto runs the Fig. 5 concurrent streams. A stream that
-// shares no cache and no core with another stream runs alone through
-// AccessStridePasses, since no other stream can change the cost of its
-// accesses. Streams that share a cache or a core — coupled streams —
-// interleave in virtual-time order. Their cold warm-up is filled too,
+// shares no cache and no core with another stream runs alone, since no
+// other stream can change the cost of its accesses: through
+// AccessStridePasses when its addresses rise at one constant stride,
+// as every production stream's do, and through the interleaver on its
+// own otherwise. Streams that share a cache or a core — coupled
+// streams — interleave in virtual-time order, one loop picking the
+// stream of smallest (clock, index) by a scan in index order. Their cold warm-up is filled too,
 // as far as the first access of any measured pass, when every coupled
 // stream has its own core and space and passes the single-core checks:
 // every such access misses everywhere whatever the interleaving, so

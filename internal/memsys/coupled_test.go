@@ -46,19 +46,19 @@ func referenceWarmPrefix(in *Instance, streams []Stream) warmPrefix {
 // does and runs fillCoupled alone, returning where it left the
 // interleaver.
 func coupledWarmPrefix(in *Instance, streams []Stream) warmPrefix {
-	st, clocks, idx := in.rc.grab(len(streams))
-	h := &streamHeap{idx: idx, clocks: clocks}
+	st, idx := in.rc.grab(len(streams))
 	for i := range streams {
 		if len(streams[i].Addrs) > 0 && in.coupled(streams, i) {
-			h.push(int32(i))
+			idx = append(idx, int32(i))
 		}
 	}
 	order := new([]uint8)
-	w := warmPrefix{n: in.fillCoupled(streams, h, st, order).Filled, clocks: slices.Clone(clocks), pos: make([]int, len(streams))}
+	w := warmPrefix{n: in.fillCoupled(streams, idx, st, order).Filled, clocks: make([]float64, len(streams)), pos: make([]int, len(streams))}
 	if w.n > 0 {
-		in.installMerged(streams, h, st, *order)
+		in.installMerged(streams, idx, st, *order)
 	}
 	for i, s := range st {
+		w.clocks[i] = s.clock
 		w.pos[i] = s.pos + s.pass*len(streams[i].Addrs)
 	}
 	return w

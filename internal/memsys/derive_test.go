@@ -32,17 +32,14 @@ type passRun struct {
 	state           endState
 }
 
-// measureWalk runs a warm-up and `passes` measured traversals of bytes
-// of a fresh array on core 0 — strided, or as an address list — through
-// replayPasses when replay is set and simulated pass by pass otherwise.
-func measureWalk(m *topology.Machine, bytes, stride int64, list bool, passes int, replay bool) passRun {
+// measureWalk runs a warm-up and `passes` measured strided traversals
+// of bytes of a fresh array on core 0 through replayPasses when replay
+// is set and simulated pass by pass otherwise.
+func measureWalk(m *topology.Machine, bytes, stride int64, passes int, replay bool) passRun {
 	in := NewInstanceAt(m, 5)
 	sp := in.NewSpace()
 	a := sp.Alloc(bytes)
 	w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
-	if list {
-		w.addrs = strided(a, stride)
-	}
 	var r passRun
 	if replay {
 		r.counts = in.replayPasses(0, w, passes, &r.total, &r.measured)
@@ -57,8 +54,8 @@ func measureWalk(m *topology.Machine, bytes, stride int64, list bool, passes int
 }
 
 // assertSameRun checks a measurement against its simulated twin bit
-// for bit: both accumulators and the end state of every cache, TLB,
-// prefetcher and translation entry.
+// for bit: both accumulators and the end state of every cache, TLB
+// and prefetcher.
 func assertSameRun(t *testing.T, name string, got, want passRun) {
 	t.Helper()
 	if math.Float64bits(got.total) != math.Float64bits(want.total) || math.Float64bits(got.measured) != math.Float64bits(want.measured) {
@@ -68,14 +65,14 @@ func assertSameRun(t *testing.T, name string, got, want passRun) {
 		t.Errorf("%s: cache contents differ from simulation", name)
 	}
 	if got.state.cores != want.state.cores {
-		t.Errorf("%s: TLB, prefetcher or translation state\n%s\nsimulated\n%s", name, got.state.cores, want.state.cores)
+		t.Errorf("%s: TLB or prefetcher state\n%s\nsimulated\n%s", name, got.state.cores, want.state.cores)
 	}
 }
 
 // TestDerivedPassMatchesSimulated: on every machine model and the
-// fractional-cost variant, probe-stride walks — strided and as address
-// lists — of half, exactly, one stride over and twice each level's
-// capacity are filled and then derived or simulated, and equal
+// fractional-cost variant, probe-stride walks of half, exactly, one
+// stride over and twice each level's capacity are filled and then
+// derived or simulated, and equal
 // simulating every pass bit for bit: totals and end state. A derived
 // walk derives its first measured pass and replays the rest, or, when
 // costs are fractional, derives every pass; each model derives some of
@@ -91,31 +88,29 @@ func TestDerivedPassMatchesSimulated(t *testing.T) {
 		for i := range m.Caches {
 			c := m.Caches[i].SizeBytes
 			for _, bytes := range []int64{c / 2, c, c + stride, 2 * c} {
-				for _, list := range []bool{false, true} {
-					tc := fmt.Sprintf("%s/%d/list=%v", name, bytes, list)
-					got := measureWalk(m, bytes, stride, list, passes, true)
-					assertSameRun(t, tc, got, measureWalk(m, bytes, stride, list, passes, false))
-					n := bytes / stride
-					if got.counts.Filled != n {
-						t.Errorf("%s: filled %d accesses, want %d", tc, got.counts.Filled, n)
+				tc := fmt.Sprintf("%s/%d", name, bytes)
+				got := measureWalk(m, bytes, stride, passes, true)
+				assertSameRun(t, tc, got, measureWalk(m, bytes, stride, passes, false))
+				n := bytes / stride
+				if got.counts.Filled != n {
+					t.Errorf("%s: filled %d accesses, want %d", tc, got.counts.Filled, n)
+				}
+				wantDerived := n
+				if !NewInstanceAt(m, 1).exact {
+					wantDerived = passes * n
+				}
+				switch got.counts.Derived {
+				case 0:
+					if name == "nehalem2s" || name == "nehalem2s-frac" {
+						t.Errorf("%s: declined to derive", tc)
 					}
-					wantDerived := n
-					if !NewInstanceAt(m, 1).exact {
-						wantDerived = passes * n
+				case wantDerived:
+					derived++
+					if got.counts.Derived+got.counts.Replayed != passes*n {
+						t.Errorf("%s: derived %d and replayed %d accesses of %d passes of %d", tc, got.counts.Derived, got.counts.Replayed, passes, n)
 					}
-					switch got.counts.Derived {
-					case 0:
-						if name == "nehalem2s" || name == "nehalem2s-frac" {
-							t.Errorf("%s: declined to derive", tc)
-						}
-					case wantDerived:
-						derived++
-						if got.counts.Derived+got.counts.Replayed != passes*n {
-							t.Errorf("%s: derived %d and replayed %d accesses of %d passes of %d", tc, got.counts.Derived, got.counts.Replayed, passes, n)
-						}
-					default:
-						t.Errorf("%s: derived %d accesses, want 0 or %d", tc, got.counts.Derived, wantDerived)
-					}
+				default:
+					t.Errorf("%s: derived %d accesses, want 0 or %d", tc, got.counts.Derived, wantDerived)
 				}
 			}
 		}
@@ -154,41 +149,36 @@ func TestDerivedPassDeclinesMixedReach(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bytes, stride = 6 * 16, 16
-	for _, list := range []bool{false, true} {
-		in := NewInstanceAt(m, 1)
-		if in.planFor(0)[1].nest != -1 {
-			t.Fatal("L1 sets nest in the L2's")
+	in := NewInstanceAt(m, 1)
+	if in.planFor(0)[1].nest != -1 {
+		t.Fatal("L1 sets nest in the L2's")
+	}
+	sp := in.NewSpace()
+	a := sp.Alloc(bytes)
+	w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
+	var sc setCounts
+	total, measured := 0.0, 0.0
+	if _, ok := in.fill(0, &w, &total, &sc); !ok {
+		t.Fatalf("the warm-up was not filled")
+	}
+	before, tlb := stateOf(in), slices.Clone(in.tlbs[0].vpages)
+	t0 := total
+	if in.derivedPass(0, &w, &sc, &total, &measured) {
+		t.Errorf("derived a pass whose L2 set is reached by some of its lines only")
+	}
+	if after := stateOf(in); !slices.Equal(after.caches, before.caches) || after.cores != before.cores || !slices.Equal(in.tlbs[0].vpages, tlb) {
+		t.Errorf("the declined pass moved state: TLB %v, after the fill %v", in.tlbs[0].vpages, tlb)
+	}
+	if total != t0 || measured != 0 {
+		t.Errorf("the declined pass added %v/%v", total-t0, measured)
+	}
+	for _, passes := range []int{1, 2, 3} {
+		name := fmt.Sprintf("%d passes", passes)
+		got := measureWalk(m, bytes, stride, passes, true)
+		if got.counts.Derived != 0 {
+			t.Errorf("%s: derived %d accesses", name, got.counts.Derived)
 		}
-		sp := in.NewSpace()
-		a := sp.Alloc(bytes)
-		w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
-		if list {
-			w.addrs = strided(a, stride)
-		}
-		var sc setCounts
-		total, measured := 0.0, 0.0
-		if _, ok := in.fill(0, &w, &total, &sc); !ok {
-			t.Fatalf("list=%v: the warm-up was not filled", list)
-		}
-		before, tlb := stateOf(in), slices.Clone(in.tlbs[0].vpages)
-		t0 := total
-		if in.derivedPass(0, &w, &sc, &total, &measured) {
-			t.Errorf("list=%v: derived a pass whose L2 set is reached by some of its lines only", list)
-		}
-		if after := stateOf(in); !slices.Equal(after.caches, before.caches) || after.cores != before.cores || !slices.Equal(in.tlbs[0].vpages, tlb) {
-			t.Errorf("list=%v: the declined pass moved state: TLB %v, after the fill %v", list, in.tlbs[0].vpages, tlb)
-		}
-		if total != t0 || measured != 0 {
-			t.Errorf("list=%v: the declined pass added %v/%v", list, total-t0, measured)
-		}
-		for _, passes := range []int{1, 2, 3} {
-			name := fmt.Sprintf("list=%v, %d passes", list, passes)
-			got := measureWalk(m, bytes, stride, list, passes, true)
-			if got.counts.Derived != 0 {
-				t.Errorf("%s: derived %d accesses", name, got.counts.Derived)
-			}
-			assertSameRun(t, name, got, measureWalk(m, bytes, stride, list, passes, false))
-		}
+		assertSameRun(t, name, got, measureWalk(m, bytes, stride, passes, false))
 	}
 }
 
@@ -276,41 +266,36 @@ func TestDerivedPassNestedMixedFullness(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bytes, stride = 6 * 16, 16
-	for _, list := range []bool{false, true} {
-		in := NewInstanceAt(m, 1)
-		if in.planFor(0)[1].nest != 0 {
-			t.Fatalf("L1 sets do not nest in the L2's: nest %d", in.planFor(0)[1].nest)
+	in := NewInstanceAt(m, 1)
+	if in.planFor(0)[1].nest != 0 {
+		t.Fatalf("L1 sets do not nest in the L2's: nest %d", in.planFor(0)[1].nest)
+	}
+	sp := in.NewSpace()
+	a := sp.Alloc(bytes)
+	w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
+	var sc setCounts
+	var total float64
+	if _, ok := in.fill(0, &w, &total, &sc); !ok {
+		t.Fatalf("the warm-up was not filled")
+	}
+	var full, fit int
+	for _, s := range sc.touched[0] {
+		if sc.sets[0][s]&setFull != 0 {
+			full++
+		} else {
+			fit++
 		}
-		sp := in.NewSpace()
-		a := sp.Alloc(bytes)
-		w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
-		if list {
-			w.addrs = strided(a, stride)
+	}
+	if full != 2 || fit != 2 {
+		t.Fatalf("%d full and %d fitting L1 sets, want 2 and 2", full, fit)
+	}
+	for _, passes := range []int{1, 2, 3} {
+		name := fmt.Sprintf("%d passes", passes)
+		got := measureWalk(m, bytes, stride, passes, true)
+		if got.counts.Derived != bytes/stride {
+			t.Errorf("%s: derived %d accesses, want %d", name, got.counts.Derived, bytes/stride)
 		}
-		var sc setCounts
-		var total float64
-		if _, ok := in.fill(0, &w, &total, &sc); !ok {
-			t.Fatalf("list=%v: the warm-up was not filled", list)
-		}
-		var full, fit int
-		for _, s := range sc.touched[0] {
-			if sc.sets[0][s]&setFull != 0 {
-				full++
-			} else {
-				fit++
-			}
-		}
-		if full != 2 || fit != 2 {
-			t.Fatalf("list=%v: %d full and %d fitting L1 sets, want 2 and 2", list, full, fit)
-		}
-		for _, passes := range []int{1, 2, 3} {
-			name := fmt.Sprintf("list=%v, %d passes", list, passes)
-			got := measureWalk(m, bytes, stride, list, passes, true)
-			if got.counts.Derived != bytes/stride {
-				t.Errorf("%s: derived %d accesses, want %d", name, got.counts.Derived, bytes/stride)
-			}
-			assertSameRun(t, name, got, measureWalk(m, bytes, stride, list, passes, false))
-		}
+		assertSameRun(t, name, got, measureWalk(m, bytes, stride, passes, false))
 	}
 }
 

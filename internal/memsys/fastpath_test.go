@@ -7,9 +7,9 @@ import (
 	"servet/internal/topology"
 )
 
-// Tests pinning the fast-path rebuild (flat page tables, per-core
-// translation caches, batched AccessRun, heap interleaver) to the
-// semantics of the per-access reference paths, bit for bit.
+// Tests pinning the fast paths (flat page tables, strided traversals,
+// the pooled interleaver) to the semantics of the per-access reference
+// paths, bit for bit.
 
 // RunConcurrent is RunConcurrentInto into a fresh stats buffer.
 func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
@@ -18,19 +18,10 @@ func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 	return stats
 }
 
-// AccessRun performs one core's scripted accesses and returns the
-// access count and their total cost, each access's cost added to a zero
-// accumulator in issue order by AccessRunAccum.
-func (in *Instance) AccessRun(core int, sp *Space, addrs []int64) (n int64, cycles float64) {
-	in.AccessRunAccum(core, sp, addrs, &cycles, nil)
-	return int64(len(addrs)), cycles
-}
-
 // Cached reports whether the line containing vaddr is present at the
 // given cache level (1-based) for the core.
 func (in *Instance) Cached(level, core int, sp *Space, vaddr int64) bool {
-	li := level - 1
-	c := in.caches[li][in.coreCache[li][core]]
+	c := in.planFor(core)[level-1].c
 	return c.contains(vaddr>>c.lineBits, sp.translate(vaddr)>>c.lineBits)
 }
 
@@ -54,72 +45,9 @@ func fastpathMachines() map[string]*topology.Machine {
 	return ms
 }
 
-// TestAccessRunMatchesAccessLoop: AccessRun over a traversal must be
-// bit-identical to summing Access calls in the same order, on every
-// machine model — the batched probe loops rely on it.
-func TestAccessRunMatchesAccessLoop(t *testing.T) {
-	for name, m := range fastpathMachines() {
-		inA := NewInstanceAt(m, 1, 7)
-		inB := NewInstanceAt(m, 1, 7)
-		spA, spB := inA.NewSpace(), inB.NewSpace()
-		arrA := spA.Alloc(256 * topology.KB)
-		arrB := spB.Alloc(256 * topology.KB)
-		addrs := strided(arrA, 192) // unaligned stride: crosses lines and pages unevenly
-		if arrB.Base != arrA.Base {
-			t.Fatalf("%s: identical spaces allocated different bases", name)
-		}
-		for pass := 0; pass < 3; pass++ {
-			var want float64
-			for _, v := range addrs {
-				want += inA.Access(0, spA, v)
-			}
-			n, got := inB.AccessRun(0, spB, addrs)
-			if n != int64(len(addrs)) {
-				t.Fatalf("%s pass %d: AccessRun n = %d, want %d", name, pass, n, len(addrs))
-			}
-			if got != want {
-				t.Fatalf("%s pass %d: AccessRun cycles = %v, Access loop = %v", name, pass, got, want)
-			}
-		}
-	}
-}
-
-// TestAccessRunAccumMatchesAccessLoop: the two accumulators must see
-// exactly the per-access additions of the historical probe loops.
-func TestAccessRunAccumMatchesAccessLoop(t *testing.T) {
-	m := topology.Dunnington()
-	inA := NewInstanceAt(m, 1)
-	inB := NewInstanceAt(m, 1)
-	spA, spB := inA.NewSpace(), inB.NewSpace()
-	arrA := spA.Alloc(128 * topology.KB)
-	arrB := spB.Alloc(128 * topology.KB)
-	addrs := strided(arrA, 256)
-	_ = arrB
-	wantTotal, wantMeasured := 1.5, 2.5 // non-zero: accumulation, not assignment
-	gotTotal, gotMeasured := 1.5, 2.5
-	for pass := 0; pass < 3; pass++ {
-		for _, v := range addrs {
-			c := inA.Access(0, spA, v)
-			wantTotal += c
-			if pass > 0 {
-				wantMeasured += c
-			}
-		}
-		if pass > 0 {
-			inB.AccessRunAccum(0, spB, addrs, &gotTotal, &gotMeasured)
-		} else {
-			inB.AccessRunAccum(0, spB, addrs, &gotTotal, nil)
-		}
-	}
-	if gotTotal != wantTotal || gotMeasured != wantMeasured {
-		t.Fatalf("AccessRunAccum = (%v, %v), Access loop = (%v, %v)",
-			gotTotal, gotMeasured, wantTotal, wantMeasured)
-	}
-}
-
 // runConcurrentReference is the historical interleaver: a linear
 // min-clock scan (ties to the lowest index) issuing one access at a
-// time. RunConcurrent's heap must reproduce it exactly.
+// time. RunConcurrentInto must reproduce it exactly.
 func runConcurrentReference(in *Instance, streams []Stream, passes int) []StreamStats {
 	stats := make([]StreamStats, len(streams))
 	if passes < 2 {
@@ -169,9 +97,9 @@ func runConcurrentReference(in *Instance, streams []Stream, passes int) []Stream
 	}
 }
 
-// TestRunConcurrentMatchesReference: the heap interleaver (plus its
-// batched single-stream tail) must produce bit-identical stream stats
-// to the linear-scan reference, for varied stream shapes.
+// TestRunConcurrentMatchesReference: RunConcurrentInto must produce
+// bit-identical stream stats to the linear-scan reference, for varied
+// stream shapes.
 func TestRunConcurrentMatchesReference(t *testing.T) {
 	m := topology.Dunnington()
 	cases := []struct {
@@ -203,7 +131,7 @@ func TestRunConcurrentMatchesReference(t *testing.T) {
 			got := RunConcurrent(inHeap, strHeap, tc.passes)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("stream %d: heap %+v != reference %+v", i, got[i], want[i])
+					t.Fatalf("stream %d: RunConcurrentInto %+v != reference %+v", i, got[i], want[i])
 				}
 			}
 		})
@@ -319,13 +247,13 @@ func TestFreeShootsDownTLB(t *testing.T) {
 }
 
 // TestFreeDropsTranslationCache: after Free, an access to the freed
-// range must fault (panic) instead of being served by a core's stale
-// one-entry translation cache.
+// range must fault (panic) instead of being served a stale
+// translation.
 func TestFreeDropsTranslationCache(t *testing.T) {
 	in := NewInstance(topology.Dunnington(), 1)
 	sp := in.NewSpace()
 	arr := sp.Alloc(64 * topology.KB)
-	in.Access(0, sp, arr.Base) // warm core 0's translation cache
+	in.Access(0, sp, arr.Base) // the page is translated and in the caches
 	sp.Free(arr)
 	defer func() {
 		if recover() == nil {
@@ -385,8 +313,8 @@ func TestTranslateManyRegions(t *testing.T) {
 	}
 }
 
-// TestAccessHotPathAllocFree: after warm-up, Access, AccessRun and the
-// translate dense path must not allocate — including immediately after
+// TestAccessHotPathAllocFree: after warm-up, Access, AccessStrideAccum
+// and the translate dense path must not allocate — including immediately after
 // ResetCaches, whose point is retaining capacity.
 func TestAccessHotPathAllocFree(t *testing.T) {
 	m := topology.Dunnington()
@@ -396,7 +324,9 @@ func TestAccessHotPathAllocFree(t *testing.T) {
 	sp := in.NewSpace()
 	arr := sp.Alloc(1 * topology.MB)
 	addrs := strided(arr, 192)
-	in.AccessRun(0, sp, addrs) // warm: grow caches, fault pages
+	var sum float64
+	run := func() { in.AccessStrideAccum(0, sp, arr.Base, arr.Bytes, 192, &sum, nil) }
+	run() // warm: grow caches, fault pages
 	if a := testing.AllocsPerRun(10, func() {
 		for _, v := range addrs {
 			in.Access(0, sp, v)
@@ -404,16 +334,14 @@ func TestAccessHotPathAllocFree(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("Access loop allocated %.1f times per run; want 0", a)
 	}
-	if a := testing.AllocsPerRun(10, func() {
-		in.AccessRun(0, sp, addrs)
-	}); a != 0 {
-		t.Errorf("AccessRun allocated %.1f times per run; want 0", a)
+	if a := testing.AllocsPerRun(10, run); a != 0 {
+		t.Errorf("AccessStrideAccum allocated %.1f times per run; want 0", a)
 	}
 	if a := testing.AllocsPerRun(10, func() {
 		in.ResetCaches()
-		in.AccessRun(0, sp, addrs)
+		run()
 	}); a != 0 {
-		t.Errorf("ResetCaches+AccessRun allocated %.1f times per run; want 0", a)
+		t.Errorf("ResetCaches+AccessStrideAccum allocated %.1f times per run; want 0", a)
 	}
 	if a := testing.AllocsPerRun(10, func() {
 		for _, v := range addrs {

@@ -12,8 +12,7 @@ import (
 
 // endState is everything a traversal can change, in a form two twin
 // instances compare by: the encoding and occupancy of every cache, and
-// each core's TLB pages, prefetcher and translation entry (its space
-// named by id, since twins hold distinct Space values).
+// each core's TLB pages and prefetcher.
 type endState struct {
 	caches []uint32
 	cores  string
@@ -65,27 +64,19 @@ func stateExcept(in *Instance, skip func(li, k int) bool) endState {
 		if t := in.tlbs[core]; t != nil {
 			vpages = t.vpages
 		}
-		e := in.xlat[core]
-		var space int64
-		if e.sp != nil {
-			space = e.sp.id
-		}
-		s.cores += fmt.Sprint(vpages, *in.pref[core], space, e.gen, e.vpage, e.pbase, ";")
+		s.cores += fmt.Sprint(vpages, *in.pref[core], ";")
 	}
 	return s
 }
 
-// fillCase is one warm-up traversal on a fresh instance: a strided or
-// address-list walk of an array on core 0, after an optional access by
-// another core.
+// fillCase is one warm-up traversal on a fresh instance: a strided
+// walk of an array on core 0, after an optional access by another
+// core.
 type fillCase struct {
 	name   string
 	m      *topology.Machine
 	bytes  int64
 	stride int64
-	list   bool
-	// edit, when set, rewrites the address list.
-	edit func(addrs []int64) []int64
 	// touch, when touched is set, is the core that accesses the array's
 	// first byte before the walk.
 	touch    int
@@ -101,12 +92,6 @@ func (tc *fillCase) warmUp(fill bool) (total float64, filled int64, s endState) 
 	sp := in.NewSpace()
 	a := sp.Alloc(tc.bytes)
 	w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: tc.stride}
-	if tc.list {
-		w.addrs = strided(a, tc.stride)
-		if tc.edit != nil {
-			w.addrs = tc.edit(w.addrs)
-		}
-	}
 	if tc.touched {
 		in.Access(tc.touch, sp, a.Base)
 	}
@@ -124,37 +109,27 @@ func (tc *fillCase) warmUp(fill bool) (total float64, filled int64, s endState) 
 
 // TestWarmupFillMatchesSimulated: on a fresh instance of every machine
 // model, and of one with fractional costs and a TLB, a probe-stride
-// warm-up — strided or as an address list — is filled, and equals
-// simulating it bit for bit: the total and the end state of every
-// cache, TLB, prefetcher and translation entry. Walks the fill cannot
-// prove all-miss decline and still match: a stride the prefetcher
-// follows, a stride below a line, an address list whose stride is not
-// constant, and a walk after another core touched a cache on the
-// plan.
+// warm-up is filled, and equals simulating it bit for bit: the total
+// and the end state of every cache, TLB and prefetcher. Walks the fill
+// cannot prove all-miss decline and still match: a stride the
+// prefetcher follows, a stride below a line, and a walk after another
+// core touched a cache on the plan.
 func TestWarmupFillMatchesSimulated(t *testing.T) {
 	var cases []fillCase
 	models := fillModels()
 	for _, name := range slices.Sorted(maps.Keys(models)) {
 		m := models[name]
 		for _, bytes := range []int64{16 * topology.KB, 384 * topology.KB, 3 * topology.MB} {
-			for _, list := range []bool{false, true} {
-				cases = append(cases, fillCase{
-					name: fmt.Sprintf("%s/%d/list=%v", name, bytes, list),
-					m:    m, bytes: bytes, stride: 1024, list: list, wantFill: true,
-				})
-			}
+			cases = append(cases, fillCase{
+				name: fmt.Sprintf("%s/%d", name, bytes),
+				m:    m, bytes: bytes, stride: 1024, wantFill: true,
+			})
 		}
 	}
 	nehalem := topology.Nehalem2S()
-	swapTwo := func(addrs []int64) []int64 {
-		addrs[3], addrs[4] = addrs[4], addrs[3]
-		return addrs
-	}
 	cases = append(cases,
 		fillCase{name: "prefetched stride", m: nehalem, bytes: 64 * topology.KB, stride: 512},
-		fillCase{name: "prefetched stride, list", m: nehalem, bytes: 64 * topology.KB, stride: 512, list: true},
 		fillCase{name: "sub-line stride", m: nehalem, bytes: 64 * topology.KB, stride: 32},
-		fillCase{name: "non-constant list", m: nehalem, bytes: 64 * topology.KB, stride: 1024, list: true, edit: swapTwo},
 		fillCase{name: "shared L3 touched", m: nehalem, bytes: 64 * topology.KB, stride: 1024, touch: 1, touched: true},
 		fillCase{name: "other socket touched", m: nehalem, bytes: 64 * topology.KB, stride: 1024, touch: 4, touched: true, wantFill: true},
 	)
@@ -175,7 +150,7 @@ func TestWarmupFillMatchesSimulated(t *testing.T) {
 			t.Errorf("%s: cache contents differ from simulation", tc.name)
 		}
 		if gotState.cores != wantState.cores {
-			t.Errorf("%s: TLB, prefetcher or translation state\n%s\nsimulated\n%s", tc.name, gotState.cores, wantState.cores)
+			t.Errorf("%s: TLB or prefetcher state\n%s\nsimulated\n%s", tc.name, gotState.cores, wantState.cores)
 		}
 	}
 }

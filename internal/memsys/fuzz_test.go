@@ -120,11 +120,11 @@ func fuzzMachine(shape []byte) *topology.Machine {
 }
 
 // strideTrace traverses one array with the given stride on core 0 and
-// then on the last core, recording each access's translation (through
-// the core's translation cache) and cost, and ends back at the array's
-// base on core 0: a dirtied instance's last cached translation then
-// names exactly the page a reset instance touches first, so a
-// translation cache that survived the reset would serve a stale frame.
+// then on the last core, recording each access's translation and cost,
+// and ends back at the array's base on core 0: a dirtied instance's
+// last translated page is then exactly the page a reset instance
+// touches first, so page-table state that survived the reset would
+// show as a stale frame.
 func strideTrace(in *Instance, bytes, stride int64) []float64 {
 	sp := in.NewSpace()
 	a := sp.Alloc(bytes)
@@ -132,10 +132,10 @@ func strideTrace(in *Instance, bytes, stride int64) []float64 {
 	for _, core := range []int{0, in.Machine().CoresPerNode - 1} {
 		for off := int64(0); off < bytes; off += stride {
 			v := a.Base + off
-			trace = append(trace, float64(in.translateFor(core, sp, v)), in.Access(core, sp, v))
+			trace = append(trace, float64(sp.translate(v)), in.Access(core, sp, v))
 		}
 	}
-	return append(trace, float64(in.translateFor(0, sp, a.Base)), in.Access(0, sp, a.Base))
+	return append(trace, float64(sp.translate(a.Base)), in.Access(0, sp, a.Base))
 }
 
 // FuzzResetAtMatchesFresh: ResetAt(seed, keys...) on a dirtied pooled
@@ -184,9 +184,10 @@ func FuzzResetAtMatchesFresh(f *testing.F) {
 // each over its own array: per stream a core, a length of up to 2048
 // accesses, a stride of 16 to 2048 bytes and an edit — none, swap two
 // addresses, leave the stream empty, allocate its array in the
-// previous stream's space instead of its own, or touch its first
-// address from its core before the run and then leave it empty, so the
-// caches on that core's plan hold a line. Missing bytes read as zero.
+// previous stream's space instead of its own, touch its first address
+// from its core before the run and then leave it empty, so the caches
+// on that core's plan hold a line, or reverse the address list, so the
+// walk descends. Missing bytes read as zero.
 func concurrentStreams(in *Instance, spec []byte) []Stream {
 	next := func() int64 {
 		if len(spec) == 0 {
@@ -218,6 +219,8 @@ func concurrentStreams(in *Instance, spec []byte) []Stream {
 		case edit == 9:
 			in.Access(core, sp, addrs[0])
 			continue
+		case edit == 10:
+			slices.Reverse(addrs)
 		}
 		streams[i].Addrs = addrs
 	}
@@ -229,11 +232,11 @@ func concurrentStreams(in *Instance, spec []byte) []Stream {
 // ones, whose cold warm-up may be filled before they interleave or, for
 // a pair sharing only the last level, before runStacked decides the
 // rest, and lone ones that run through the filled, derived and replayed
-// passes —
-// strided or with two addresses swapped, over 1 to 4 passes,
-// RunConcurrentInto's statistics equal the linear-scan reference's bit
-// for bit, and both instances end in the same state. The seeds after
-// the first five are coupledSeeds.
+// passes when they rise at one stride and through the interleaver when
+// two of their addresses are swapped or their list is reversed — over
+// 1 to 4 passes, RunConcurrentInto's statistics equal the linear-scan
+// reference's bit for bit, and both instances end in the same state.
+// The seeds after the machine and nehalem2s ones are coupledSeeds.
 func FuzzRunConcurrentMatchesReference(f *testing.F) {
 	for _, m := range fastpathMachines() {
 		f.Add(shapeBytes(m), int64(1), []byte{1, 0, 0, 64, 63, 0, 0, 1, 0, 96, 63, 0, 0}, uint8(2))
@@ -243,6 +246,7 @@ func FuzzRunConcurrentMatchesReference(f *testing.F) {
 	f.Add(nehalem, int64(3), []byte{2, 0, 0, 96, 63, 0, 0, 4, 0, 160, 63, 6, 7, 5, 0, 50, 63, 0, 0}, uint8(3)) // lone beside a coupled pair
 	f.Add(nehalem, int64(4), []byte{1, 2, 0, 128, 15, 0, 0, 7, 0, 64, 1, 0, 0}, uint8(1))                      // prefetched and sub-line strides
 	f.Add(nehalem, int64(5), []byte{1, 4, 0, 128, 63, 7, 0, 4, 0, 64, 63, 0, 0}, uint8(2))                     // empty beside lone
+	f.Add(nehalem, int64(6), []byte{1, 0, 0, 96, 63, 10, 0, 4, 0, 160, 63, 0, 0}, uint8(2))                    // lone descending beside lone strided
 	for _, c := range coupledSeeds() {
 		f.Add(c.shape, int64(6), c.spec, uint8(2))
 	}

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 
 	"servet/internal/stats"
 	"servet/internal/topology"
@@ -9,25 +10,14 @@ import (
 
 // planLevel is one step of a core's precomputed access plan: the cache
 // instance serving the core at this level. The hot path walks a flat
-// slice of these instead of chasing caches[li][coreCache[li][core]] per
-// access; a level's latency lives in the instance's cost table.
+// slice of these instead of looking the instance up per access; a
+// level's latency lives in the instance's cost table.
 type planLevel struct {
 	c *cache
 	// nest is nestShift of the level above and this one: d ≥ 0 when
 	// every line of set s here maps to set (s>>d) mod numSets of the
 	// level above, −1 when no such parent exists or this is level 0.
 	nest int
-}
-
-// xlatEntry is a core's one-entry translation cache: the page it last
-// translated. A strided run translates once per page instead of once
-// per access. The generation pins the entry to the space's page table
-// version, so a Free (TLB shootdown) invalidates it.
-type xlatEntry struct {
-	sp    *Space
-	gen   int64
-	vpage int64
-	pbase int64
 }
 
 // Instance is the live memory system of one node of a machine: the
@@ -37,8 +27,6 @@ type Instance struct {
 	m *topology.Machine
 	// caches[levelIdx][instanceIdx]
 	caches [][]*cache
-	// coreCache[levelIdx][core] = index of the instance serving core
-	coreCache [][]int
 	// plan holds every core's access plan, flattened core-major:
 	// plan[core*levels : (core+1)*levels].
 	plan   []planLevel
@@ -46,7 +34,6 @@ type Instance struct {
 	os     *osAllocator
 	pref   []*prefetcher
 	tlbs   []*tlb // nil entries when the machine models no TLB
-	xlat   []xlatEntry
 	// pageShift/pageMask split an address into (vpage, offset) without
 	// division; page sizes are validated powers of two.
 	pageShift uint
@@ -107,16 +94,11 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 	}
 	in.pageMask = m.PageBytes - 1
 	in.caches = make([][]*cache, len(m.Caches))
-	in.coreCache = make([][]int, len(m.Caches))
 	for li := range m.Caches {
 		spec := &m.Caches[li]
 		in.caches[li] = make([]*cache, spec.Instances())
 		for i := range in.caches[li] {
 			in.caches[li][i] = newCache(spec)
-		}
-		in.coreCache[li] = make([]int, m.CoresPerNode)
-		for core := 0; core < m.CoresPerNode; core++ {
-			in.coreCache[li][core] = spec.CacheInstance(core)
 		}
 	}
 	// newCache has validated every line size, so the bound is computable.
@@ -126,7 +108,7 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 	in.plan = make([]planLevel, m.CoresPerNode*in.levels)
 	for core := 0; core < m.CoresPerNode; core++ {
 		for li := range m.Caches {
-			pl := planLevel{c: in.caches[li][in.coreCache[li][core]], nest: -1}
+			pl := planLevel{c: in.caches[li][m.Caches[li].CacheInstance(core)], nest: -1}
 			if li > 0 {
 				pl.nest = nestShift(in.plan[core*in.levels+li-1].c, pl.c, in.pageShift)
 			}
@@ -136,7 +118,6 @@ func NewInstanceAt(m *topology.Machine, seed int64, keys ...int64) *Instance {
 	in.os = newOSAllocator(placementSeed(seed, keys), m.PhysPagesPerNode, m.PageColoring, colorCount(m))
 	in.pref = make([]*prefetcher, m.CoresPerNode)
 	in.tlbs = make([]*tlb, m.CoresPerNode)
-	in.xlat = make([]xlatEntry, m.CoresPerNode)
 	for i := range in.pref {
 		in.pref[i] = &prefetcher{maxStride: m.PrefetchMaxStrideBytes}
 		in.tlbs[i] = newTLB(m.TLBEntries)
@@ -196,7 +177,7 @@ func placementSeed(seed int64, keys []int64) int64 {
 
 // ResetAt returns the instance to the state NewInstanceAt(m, seed,
 // keys...) would build — reseeded page placement, empty caches, TLBs,
-// prefetchers, translation caches, page tables and frame bitset —
+// prefetchers, page tables and frame bitset —
 // while retaining every backing capacity. The hard invariant: a reset
 // instance is bitwise-equivalent to a freshly built one, reproducing
 // identical access traces, translations and RunConcurrentInto statistics.
@@ -206,7 +187,6 @@ func placementSeed(seed int64, keys []int64) int64 {
 // measure cycle allocates nothing.
 func (in *Instance) ResetAt(seed int64, keys ...int64) {
 	in.ResetCaches()
-	clear(in.xlat)
 	in.os.reset(placementSeed(seed, keys))
 	for _, sp := range in.spaces {
 		sp.recycle()
@@ -264,20 +244,6 @@ func (in *Instance) planFor(core int) []planLevel {
 	return in.plan[core*in.levels : (core+1)*in.levels : (core+1)*in.levels]
 }
 
-// translateFor translates vaddr in the space through the core's
-// one-entry translation cache; misses walk the space's page table and
-// refill the entry.
-func (in *Instance) translateFor(core int, sp *Space, vaddr int64) int64 {
-	vpage := vaddr >> in.pageShift
-	e := &in.xlat[core]
-	if e.sp == sp && e.vpage == vpage && e.gen == sp.gen {
-		return e.pbase + (vaddr & in.pageMask)
-	}
-	paddr := sp.translate(vaddr)
-	*e = xlatEntry{sp: sp, gen: sp.gen, vpage: vpage, pbase: paddr &^ in.pageMask}
-	return paddr
-}
-
 // Access performs one load by the given core at vaddr in the space and
 // returns its cost in cycles: the sum of the latencies of every level
 // visited, plus the memory latency if all levels miss. Lines fill into
@@ -288,12 +254,10 @@ func (in *Instance) Access(core int, sp *Space, vaddr int64) float64 {
 	return in.accessOne(in.planFor(core), 0, core, sp, vaddr)
 }
 
-// accessOne is the hot path shared by Access, AccessRunAccum and the
-// concurrent-stream interleaver: the plan is resolved by the caller so
-// batched runs pay the per-core lookups once.
+// accessOne is the hot path shared by Access and the concurrent-stream
+// interleaver, which resolve the core's plan themselves.
 func (in *Instance) accessOne(plan []planLevel, skip, core int, sp *Space, vaddr int64) float64 {
-	vpage := vaddr >> in.pageShift
-	return in.accessAt(plan, skip, core, vaddr, in.translateFor(core, sp, vaddr), vpage)
+	return in.accessAt(plan, skip, core, vaddr, sp.translate(vaddr), vaddr>>in.pageShift)
 }
 
 // accessAt performs one access whose translation the caller already
@@ -332,47 +296,22 @@ func (in *Instance) accessAt(plan []planLevel, skip, core int, vaddr, paddr, vpa
 	return cost
 }
 
-// AccessRunAccum performs one core's scripted accesses in issue order,
-// with the per-core plan, TLB and prefetcher lookups amortized over the
-// whole run. It is exactly an Access loop for callers that thread their
-// own accumulators: each access's cost is added to *sumA — and to *sumB
+// AccessStrideAccum performs one core's strided traversal — base,
+// base+stride, ... while the offset stays below bytes — in issue order,
+// with the per-core plan lookup amortized over the whole run. It is
+// exactly an Access loop for callers that thread their own
+// accumulators: each access's cost is added to *sumA — and to *sumB
 // when non-nil — in issue order, preserving the exact float summation
 // order of the probe loops (a running total plus a measured-pass
-// total), so batched traversals stay byte-identical to per-access
-// ones.
-func (in *Instance) AccessRunAccum(core int, sp *Space, addrs []int64, sumA, sumB *float64) {
-	plan := in.planFor(core)
-	a := *sumA
-	if sumB == nil {
-		for _, vaddr := range addrs {
-			a += in.accessOne(plan, 0, core, sp, vaddr)
-		}
-		*sumA = a
-		return
-	}
-	b := *sumB
-	for _, vaddr := range addrs {
-		c := in.accessOne(plan, 0, core, sp, vaddr)
-		a += c
-		b += c
-	}
-	*sumA = a
-	*sumB = b
-}
-
-// AccessStrideAccum is AccessRunAccum for one strided traversal —
-// base, base+stride, ... while the offset stays below bytes — without
-// materializing the address slice. The mcalibrator-style probes
-// traverse multi-megabyte arrays per measurement; skipping the slice
-// removes that much allocation and memory traffic from every pass.
+// total).
 func (in *Instance) AccessStrideAccum(core int, sp *Space, base, bytes, stride int64, sumA, sumB *float64) {
 	plan := in.planFor(core)
 	shift, mask := in.pageShift, in.pageMask
-	// Translate only on page crossings: the page table walk (and the
-	// per-core translation-cache probe) drops out of the per-access
-	// work entirely. Translation is cost-free in the model — the TLB,
-	// which does cost, is probed inside accessAt as always — so the
-	// returned cycles are identical to the per-access path.
+	// Translate only on page crossings: the page table walk drops out of
+	// the per-access work entirely. Translation is cost-free in the
+	// model — the TLB, which does cost, is probed inside accessAt as
+	// always — so the returned cycles are identical to the per-access
+	// path.
 	curVpage, pbase := int64(-1), int64(0)
 	a := *sumA
 	var b float64
@@ -445,89 +384,31 @@ func (s StreamStats) AvgCycles() float64 {
 	return s.Cycles / float64(s.Accesses)
 }
 
-// streamHeap is a binary min-heap of stream indices ordered by
-// (clock, index): the stream RunConcurrentInto issues next. It replaces
-// the O(streams) min-clock scan of the interleaver with O(log
-// streams) sift operations.
-type streamHeap struct {
-	idx    []int32
-	clocks []float64
-}
-
-func (h *streamHeap) less(a, b int32) bool {
-	if h.clocks[a] != h.clocks[b] {
-		return h.clocks[a] < h.clocks[b]
-	}
-	return a < b
-}
-
-func (h *streamHeap) push(i int32) {
-	h.idx = append(h.idx, i)
-	for c := len(h.idx) - 1; c > 0; {
-		p := (c - 1) / 2
-		if !h.less(h.idx[c], h.idx[p]) {
-			break
-		}
-		h.idx[c], h.idx[p] = h.idx[p], h.idx[c]
-		c = p
-	}
-}
-
-// fix restores the heap after the root's clock grew.
-func (h *streamHeap) fix() {
-	n := len(h.idx)
-	c := 0
-	for {
-		l, r := 2*c+1, 2*c+2
-		min := c
-		if l < n && h.less(h.idx[l], h.idx[min]) {
-			min = l
-		}
-		if r < n && h.less(h.idx[r], h.idx[min]) {
-			min = r
-		}
-		if min == c {
-			return
-		}
-		h.idx[c], h.idx[min] = h.idx[min], h.idx[c]
-		c = min
-	}
-}
-
-// pop removes the root.
-func (h *streamHeap) pop() {
-	n := len(h.idx) - 1
-	h.idx[0] = h.idx[n]
-	h.idx = h.idx[:n]
-	h.fix()
-}
-
-// streamState is one stream's interleaver cursor.
+// streamState is one stream's interleaver cursor and local clock.
 type streamState struct {
-	pos  int
-	pass int
+	clock float64
+	pos   int
+	pass  int
 }
 
 // runScratch holds RunConcurrentInto's per-call buffers — stream
-// cursors, local clocks, the heap's index slab, installMerged's
-// per-stream state and the levels each coupled stream skips — pooled on
-// the Instance so a reset-and-measure cycle reruns concurrent streams
-// without allocating.
+// cursors, the ascending index slice of the coupled streams,
+// installMerged's per-stream state and the levels each coupled stream
+// skips — pooled on the Instance so a reset-and-measure cycle reruns
+// concurrent streams without allocating.
 type runScratch struct {
-	st     []streamState
-	clocks []float64
-	idx    []int32
-	fills  []coupledFill
-	skips  []int
+	st    []streamState
+	idx   []int32
+	fills []coupledFill
+	skips []int
 }
 
 // grab returns the scratch sized for ns streams, growing the slabs
 // only when a wider run arrives. fills and skips are sized along with
 // them, and every skip starts at 0.
-func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
+func (rc *runScratch) grab(ns int) ([]streamState, []int32) {
 	if cap(rc.st) < ns {
 		rc.st = make([]streamState, ns)
-		rc.clocks = make([]float64, ns)
 		rc.idx = make([]int32, 0, ns)
 		rc.fills = make([]coupledFill, ns)
 		rc.skips = make([]int, ns)
@@ -535,9 +416,20 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 	clear(rc.skips[:ns])
 	st := rc.st[:ns]
 	clear(st)
-	clocks := rc.clocks[:ns]
-	clear(clocks)
-	return st, clocks, rc.idx[:0]
+	return st, rc.idx[:0]
+}
+
+// earliest returns the position in idx, an ascending slice of stream
+// indices, of the stream that issues next: the one with the smallest
+// local clock, ties going to the lower index.
+func earliest(idx []int32, st []streamState) int {
+	k := 0
+	for j := 1; j < len(idx); j++ {
+		if st[idx[j]].clock < st[idx[k]].clock {
+			k = j
+		}
+	}
+	return k
 }
 
 // RunConcurrentInto interleaves the streams in virtual-time order and
@@ -556,22 +448,22 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 // on its core's plan, the core's TLB and its prefetcher make it cost —
 // translation is pure and Access models no contention — so the issue
 // order across streams cannot change the cost of any access of a
-// stream that is not coupled. Such a stream runs alone, through the
-// steady-state replay of AccessStridePasses, with its sums still
-// accumulated in issue order. The coupled streams interleave in a
-// (clock, index) min-heap — identical selection order to the
-// historical linear scan. Their cold warm-up is first filled up to the
-// first access of any measured pass, when fillCoupled can prove that
-// every access before it misses at every level: then the heap runs
-// over the known miss costs and the caches are installed in one sweep
+// stream that is not coupled. Such a stream runs alone, with its sums
+// still accumulated in issue order: through the steady-state replay of
+// AccessStridePasses when its addresses rise at one constant stride,
+// and through the interleaver on its own otherwise. The coupled streams
+// interleave, each step scanning them in index order for the smallest
+// (clock, index). Their cold warm-up is first filled up to the first
+// access of any measured pass, when fillCoupled can prove that every
+// access before it misses at every level: then the issue order follows
+// from the known miss costs and the caches are installed in one sweep
 // of the merged issue order. The same fill proves that every access of
 // a coupled stream misses at its private prefix, the leading private
 // levels at which every set its walk touches overflows, and installs
 // there at once the state the run leaves. Each later access of the
 // stream starts its lookup at the next level, with the prefix's
 // latencies charged from the lookup-cost table, so coupled streams are
-// simulated only from there on. The interleaving goes on from there,
-// and, once a single stream remains, the last finishes alone.
+// simulated only from there on.
 //
 // A filled run of exactly two coupled streams whose private prefixes
 // cover every plan level but the last, which both plans share — a
@@ -584,10 +476,10 @@ func (rc *runScratch) grab(ns int) ([]streamState, []float64, []int32) {
 //
 // The interleaver's buffers are pooled on the instance, so a warm
 // caller pays zero allocations per run. RunConcurrentInto returns how
-// many accesses were not simulated one by one: those of the streams
-// that ran alone (see AccessStridePasses), the coupled warm-up accesses
-// it filled and the accesses runStacked decided. A coupled access
-// simulated only at the shared levels still counts as simulated.
+// many accesses were not simulated one by one: those of the strided
+// streams that ran alone (see AccessStridePasses), the coupled warm-up
+// accesses it filled and the accesses runStacked decided. A coupled
+// access simulated only at the shared levels still counts as simulated.
 func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (counts PassCounts) {
 	if len(stats) != len(streams) {
 		panic(fmt.Sprintf("memsys: stats buffer for %d streams has length %d", len(streams), len(stats)))
@@ -596,79 +488,67 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 	if passes < 2 {
 		passes = 2
 	}
-	// The heap's index slab never outgrows its capacity (at most one
-	// push per stream), so handing the pooled slab to the heap is safe:
-	// rc.idx keeps sharing the backing array for the next run.
-	st, clocks, idx := in.rc.grab(len(streams))
-	h := &streamHeap{idx: idx, clocks: clocks}
+	st, idx := in.rc.grab(len(streams))
 	for i := range streams {
 		str := &streams[i]
-		switch {
-		case len(str.Addrs) == 0:
-		case in.coupled(streams, i):
-			h.push(int32(i))
-		default:
-			counts.add(in.replayPasses(str.Core, walk{sp: str.Space, addrs: str.Addrs}, passes-1, &clocks[i], &stats[i].Cycles))
-			stats[i].Accesses = int64(passes-1) * int64(len(str.Addrs))
+		if len(str.Addrs) == 0 {
+			continue
 		}
+		if in.coupled(streams, i) {
+			idx = append(idx, int32(i))
+			continue
+		}
+		n := int64(len(str.Addrs))
+		if base, stride, ok := constantStride(str.Addrs); ok && stride > 0 {
+			counts.add(in.replayPasses(str.Core, walk{sp: str.Space, base: base, bytes: n * stride, stride: stride}, passes-1, &st[i].clock, &stats[i].Cycles))
+			stats[i].Accesses = int64(passes-1) * n
+			continue
+		}
+		lone := [1]int32{int32(i)}
+		in.interleave(streams, lone[:], st, passes, stats)
 	}
-	if len(h.idx) > 1 {
+	if len(idx) > 1 {
 		order := issueOrders.get()
 		defer issueOrders.put(order)
-		fill := in.fillCoupled(streams, h, st, order)
+		fill := in.fillCoupled(streams, idx, st, order)
 		counts.add(fill)
 		switch {
 		case fill.Filled == 0:
-		case in.stackable(streams, h, passes):
-			counts.add(in.runStacked(streams, h, st, passes, stats, order))
+		case in.stackable(streams, idx, passes):
+			counts.add(in.runStacked(streams, idx, st, passes, stats, order))
 			return counts
 		default:
-			counts.InstallVisits += in.installMerged(streams, h, st, *order)
+			counts.InstallVisits += in.installMerged(streams, idx, st, *order)
 		}
 	}
-	for len(h.idx) > 1 {
-		sel := h.idx[0]
-		s := &st[sel]
-		str := &streams[sel]
-		cost := in.accessOne(in.planFor(str.Core), in.rc.skips[sel], str.Core, str.Space, str.Addrs[s.pos])
-		h.clocks[sel] += cost
-		if s.pass > 0 {
-			stats[sel].Accesses++
-			stats[sel].Cycles += cost
-		}
-		s.pos++
-		if s.pos == len(str.Addrs) {
-			s.pos = 0
-			s.pass++
-			if s.pass == passes {
-				h.pop()
-				continue
-			}
-		}
-		h.fix()
-	}
-	// Tail: the last live stream runs to completion uncontended — no
-	// interleaving decisions remain, and its clock no longer matters.
-	if len(h.idx) == 1 {
-		sel := h.idx[0]
-		s := &st[sel]
-		str := &streams[sel]
-		plan, skip := in.planFor(str.Core), in.rc.skips[sel]
-		cycles := stats[sel].Cycles
-		for ; s.pass < passes; s.pos, s.pass = 0, s.pass+1 {
-			seg := str.Addrs[s.pos:]
-			for _, vaddr := range seg {
-				if cost := in.accessOne(plan, skip, str.Core, str.Space, vaddr); s.pass > 0 {
-					cycles += cost
-				}
-			}
-			if s.pass > 0 {
-				stats[sel].Accesses += int64(len(seg))
-			}
-		}
-		stats[sel].Cycles = cycles
-	}
+	in.interleave(streams, idx, st, passes, stats)
 	return counts
+}
+
+// interleave runs the streams in idx, an ascending slice of stream
+// indices, from their cursors in st to the end of their last pass: at
+// each step the stream earliest picks issues its next access, looked
+// up from the level after its private prefix, and the cost goes to its
+// clock and, in a measured pass, to its statistics. A stream leaves idx
+// when it finishes, so idx's elements are overwritten.
+func (in *Instance) interleave(streams []Stream, idx []int32, st []streamState, passes int, stats []StreamStats) {
+	for len(idx) > 0 {
+		k := earliest(idx, st)
+		i := idx[k]
+		s, str := &st[i], &streams[i]
+		cost := in.accessOne(in.planFor(str.Core), in.rc.skips[i], str.Core, str.Space, str.Addrs[s.pos])
+		s.clock += cost
+		if s.pass > 0 {
+			stats[i].Accesses++
+			stats[i].Cycles += cost
+		}
+		if s.pos++; s.pos == len(str.Addrs) {
+			s.pos = 0
+			if s.pass++; s.pass == passes {
+				idx = slices.Delete(idx, k, k+1)
+			}
+		}
+	}
 }
 
 // coupled reports whether stream i can interact with another non-empty

@@ -140,8 +140,7 @@ type Space struct {
 	in      *Instance
 	id      int64
 	regions []pageRegion
-	last    int   // region index hit by the most recent lookup
-	gen     int64 // bumped on Free; invalidates per-core translation caches
+	last    int // region index hit by the most recent lookup
 	nextV   int64
 	// arrays pools the *Array headers handed out by Alloc; arrSeq is
 	// the next pooled slot. recycle rewinds arrSeq so a reset instance
@@ -158,7 +157,6 @@ type Space struct {
 func (sp *Space) recycle() {
 	sp.regions = sp.regions[:0]
 	sp.last = 0
-	sp.gen = 0
 	sp.arrSeq = 0
 }
 
@@ -220,9 +218,8 @@ func (sp *Space) Alloc(bytes int64) *Array {
 
 // Free unmaps the array and returns its frames to the OS. Unmapping
 // performs the TLB shootdown real kernels do: the freed pages are
-// invalidated in every core's TLB and the per-core translation caches
-// of this space are dropped, so no stale translation can serve a
-// later access.
+// invalidated in every core's TLB, so no stale entry can serve a later
+// access, and a later access to them panics as unmapped.
 func (sp *Space) Free(a *Array) {
 	if a.sp != sp {
 		panic("memsys: freeing array from another space")
@@ -247,7 +244,6 @@ func (sp *Space) Free(a *Array) {
 	sp.regions[n] = pageRegion{ppages: freed[:0]}
 	sp.regions = sp.regions[:n]
 	sp.last = 0
-	sp.gen++ // drop every per-core cached translation of this space
 	for _, t := range in.tlbs {
 		if t == nil {
 			continue

@@ -27,21 +27,25 @@ import (
 // A walk fill or derivedPass declines is simulated pass by pass: no
 // state is snapshotted or compared. RunConcurrentInto runs each
 // concurrent stream that shares no cache and no core through the same
-// loop, over its address list. The coupled streams, which share one,
-// interleave; fillCoupled fills their cold warm-up with the same proof,
-// over the merged order in which the interleaver would issue it. It
-// also proves that each stream misses throughout at its leading private
-// levels and installs there, with installWalk over the stream's whole
-// walk, the state the run leaves; the interleaver skips those levels,
-// so coupled streams are simulated only from the first level after
-// that prefix on, in practice the levels they share. When two streams
-// are coupled and their prefixes cover every level but a shared last
-// one, runStacked decides every access after the fill from its LRU
-// stack distance at that level instead: a line hits iff it was
-// accessed before and either fewer than assoc accesses to its set came
-// since or both walks together map no more than assoc lines to the
-// set. Every access costs an entry of the instance's one lookup-cost
-// table (Instance.costs), whichever of these paths finds it.
+// loop, as the strided walk its address list rises by, or through the
+// interleaver on its own when the list does not rise at one stride.
+// The coupled streams, which share one, interleave in one loop that
+// picks the stream of smallest (clock, index) by a scan in index
+// order until the last stream finishes. fillCoupled fills their cold
+// warm-up with the same proof, over the merged order in which the
+// interleaver would issue it. It also proves that each stream misses
+// throughout at its leading private levels and installs there, with
+// installWalk over the stream's whole walk, the state the run leaves;
+// the interleaver skips those levels, so coupled streams are
+// simulated only from the first level after that prefix on, in
+// practice the levels they share. When two streams are coupled and
+// their prefixes cover every level but a shared last one, runStacked
+// decides every access after the fill from its LRU stack distance at
+// that level instead: a line hits iff it was accessed before and
+// either fewer than assoc accesses to its set came since or both
+// walks together map no more than assoc lines to the set. Every
+// access costs an entry of the instance's one lookup-cost table
+// (Instance.costs), whichever of these paths finds it.
 
 // exactLimit bounds the integers float64 represents exactly: every sum
 // of integers whose partial sums stay below it is exact, so it does
@@ -180,32 +184,24 @@ func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride 
 	return in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured)
 }
 
-// walk is the traversal a replayed measurement repeats: the address
-// list addrs when it is non-nil, else the strided run base,
-// base+stride, ... below base+bytes. It is a plain value, not a
-// closure, so a pooled measurement that replays allocates nothing.
+// walk is the traversal a replayed measurement repeats: the strided
+// run base, base+stride, ... below base+bytes, with a positive stride.
+// It is a plain value, not a closure, so a pooled measurement that
+// replays allocates nothing.
 type walk struct {
 	sp                  *Space
-	addrs               []int64
 	base, bytes, stride int64
 }
 
 // accesses returns the number of accesses of one traversal.
 func (w *walk) accesses() int64 {
-	if w.addrs != nil {
-		return int64(len(w.addrs))
-	}
 	return (w.bytes + w.stride - 1) / w.stride
 }
 
 // traverse runs one traversal of w on the core, adding each access's
 // cost to *total and, when measured is non-nil, to *measured.
 func (in *Instance) traverse(core int, w *walk, total, measured *float64) {
-	if w.addrs != nil {
-		in.AccessRunAccum(core, w.sp, w.addrs, total, measured)
-	} else {
-		in.AccessStrideAccum(core, w.sp, w.base, w.bytes, w.stride, total, measured)
-	}
+	in.AccessStrideAccum(core, w.sp, w.base, w.bytes, w.stride, total, measured)
 }
 
 // Per-set facts of a filled walk, one byte per set of each plan level.
@@ -424,7 +420,7 @@ func (pc *pageColors) reset(plan []planLevel, shift uint, stride int64) {
 // to *total, without simulating its cache accesses, when it can prove
 // that every access misses at every level, and returns installWalk's
 // visits; otherwise it changes nothing and returns false. The proof is
-// coldWalk's, for a walk that rises at one constant stride.
+// coldWalk's.
 //
 // installWalk then installs the walk, marking in sc, when sc is
 // non-nil, the sets it overflows. Each access adds what accessAt would
@@ -433,16 +429,10 @@ func (pc *pageColors) reset(plan []planLevel, shift uint, stride int64) {
 // access on the page before it hits the MRU entry, which changes
 // nothing. The prefetcher, which coldWalk proved cannot follow the
 // stride, is left as observing every access would leave it
-// (observeWalk). An address list leaves the core's translation cache as
-// AccessRunAccum would. fill allocates nothing once the plan's caches,
-// sc and the color scratch have been used.
+// (observeWalk). fill allocates nothing once the plan's caches, sc and
+// the color scratch have been used.
 func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) (visits int64, ok bool) {
 	n, base, stride := w.accesses(), w.base, w.stride
-	if w.addrs != nil {
-		if base, stride, ok = constantStride(w.addrs); !ok {
-			return 0, false
-		}
-	}
 	if n <= 0 || !in.coldWalk(core, base, stride) {
 		return 0, false
 	}
@@ -469,11 +459,7 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) (visi
 	if sc != nil {
 		sc.reset(plan, base, stride)
 	}
-	visits = in.installWalk(plan, w.sp, base, stride, n, sc)
-	if w.addrs != nil {
-		in.translateFor(core, w.sp, w.addrs[n-1])
-	}
-	return visits, true
+	return in.installWalk(plan, w.sp, base, stride, n, sc), true
 }
 
 // coupledFill is one coupled stream's part of installMerged's reverse
@@ -484,15 +470,15 @@ type coupledFill struct {
 	vpage, pbase int64
 }
 
-// fillCoupled fills the cold warm-up of the coupled streams in h — the
-// streams RunConcurrentInto interleaves, with their cursors in st and
-// their clocks in h — as far as the first access of any measured pass,
+// fillCoupled fills the cold warm-up of the coupled streams in idx —
+// the streams RunConcurrentInto interleaves, with their cursors and
+// clocks in st — as far as the first access of any measured pass,
 // when it can prove that every access before it misses at every level
 // whatever the interleaving; otherwise it changes nothing and returns
 // 0. The proof needs, for every coupled stream:
 //
 //   - a core and a Space no other coupled stream has, so its core's
-//     TLB, prefetcher and translation entry see its accesses alone, and
+//     TLB and prefetcher see its accesses alone, and
 //     its lines sit on frames no other stream maps, which the other
 //     streams' misses never bring into a shared cache;
 //   - addresses that rise at one constant stride for which coldWalk
@@ -501,7 +487,7 @@ type coupledFill struct {
 // Each access then costs what accessAt charges a miss everywhere, with
 // the TLB term when its core's TLB misses, so the interleaving follows
 // from those costs alone. fillCoupled runs the interleaver's (clock,
-// index) heap over them, adding each cost to its stream's clock in
+// index) order over them, adding each cost to its stream's clock in
 // issue order and simulating each core's TLB access by access, and
 // records the merged issue order in *order, one stream index per
 // access.
@@ -525,23 +511,23 @@ type coupledFill struct {
 // interleaver skips it (in.rc.skips): coupled streams are simulated
 // only from the first level after their prefix on.
 //
-// The levels after the prefix, the prefetchers and the translation
-// entries are left as they were: runStacked or installMerged sets them.
+// The levels after the prefix and the prefetchers are left as they
+// were: runStacked or installMerged sets them.
 // fillCoupled returns the number of accesses filled and installWalk's
 // visits, and allocates nothing once the caches and the scratch slabs
 // have grown.
-func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamState, order *[]uint8) (counts PassCounts) {
+func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState, order *[]uint8) (counts PassCounts) {
 	if len(streams) > math.MaxUint8+1 {
 		return counts
 	}
 	total := 0
-	for k, i := range h.idx {
+	for k, i := range idx {
 		str := &streams[i]
 		base, stride, ok := constantStride(str.Addrs)
 		if !ok || !in.coldWalk(str.Core, base, stride) {
 			return counts
 		}
-		for _, j := range h.idx[:k] {
+		for _, j := range idx[:k] {
 			if streams[j].Core == str.Core || streams[j].Space == str.Space {
 				return counts
 			}
@@ -553,7 +539,7 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 	shift := in.pageShift
 	cost, tlbCost := in.costs[0][in.levels+1], in.costs[1][in.levels+1]
 	for {
-		sel := h.idx[0]
+		sel := idx[earliest(idx, st)]
 		s := &st[sel]
 		if s.pass > 0 {
 			break
@@ -561,30 +547,27 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 		str := &streams[sel]
 		vaddr := str.Addrs[s.pos]
 		if t := in.tlbs[str.Core]; t != nil && !t.access(vaddr>>shift) {
-			h.clocks[sel] += tlbCost
+			s.clock += tlbCost
 		} else {
-			h.clocks[sel] += cost
+			s.clock += cost
 		}
 		issued = append(issued, uint8(sel))
-		// Every stream has at least one measured pass, so finishing the
-		// warm-up never retires a stream from the heap.
 		if s.pos++; s.pos == len(str.Addrs) {
 			s.pos, s.pass = 0, 1
 		}
-		h.fix()
 	}
 	*order = issued
 
 	sc := setScratch.get()
 	defer setScratch.put(sc)
-	for _, i := range h.idx {
+	for _, i := range idx {
 		str := &streams[i]
 		plan := in.planFor(str.Core)
 		base, stride := str.Addrs[0], str.Addrs[1]-str.Addrs[0]
 		private := 0
 		for ; private < len(plan); private++ {
 			shared := false
-			for _, j := range h.idx {
+			for _, j := range idx {
 				shared = shared || j != i && in.planFor(streams[j].Core)[private].c == plan[private].c
 			}
 			if shared {
@@ -613,7 +596,7 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 	return counts
 }
 
-// installMerged leaves the coupled streams in h, which fillCoupled has
+// installMerged leaves the coupled streams in idx, which fillCoupled has
 // filled in the given merged issue order, where the interleaver would
 // have left them at the fill's end, and returns its install visits.
 // One reverse sweep of the order installs every plan level after each
@@ -622,14 +605,12 @@ func (in *Instance) fillCoupled(streams []Stream, h *streamHeap, st []streamStat
 // the merged order's, each set the last lines mapped to it, MRU first.
 // Each core's prefetcher sees its own stream alone, at a stride
 // coldWalk proved beyond it, so it is set from the stream's filled
-// accesses in closed form (observeWalk), and each core's translation
-// entry ends on the page of its stream's last filled access, as Access
-// would leave it. installMerged allocates nothing once the caches have
-// grown.
-func (in *Instance) installMerged(streams []Stream, h *streamHeap, st []streamState, order []uint8) (visits int64) {
+// accesses in closed form (observeWalk). installMerged allocates
+// nothing once the caches have grown.
+func (in *Instance) installMerged(streams []Stream, idx []int32, st []streamState, order []uint8) (visits int64) {
 	fs := in.rc.fills[:len(streams)]
 	shift, mask := in.pageShift, in.pageMask
-	for _, i := range h.idx {
+	for _, i := range idx {
 		str := &streams[i]
 		plan := in.planFor(str.Core)
 		skip := in.rc.skips[i]
@@ -642,7 +623,6 @@ func (in *Instance) installMerged(streams []Stream, h *streamHeap, st []streamSt
 		in.pref[str.Core].observeWalk(str.Addrs[0], str.Addrs[1]-str.Addrs[0], int64(left), shift)
 		if left > 0 {
 			occupy(plan[skip:])
-			in.translateFor(str.Core, str.Space, str.Addrs[left-1])
 		}
 	}
 	for k := len(order) - 1; k >= 0; k-- {
@@ -665,16 +645,16 @@ func (in *Instance) installMerged(streams []Stream, h *streamHeap, st []streamSt
 }
 
 // stackable reports whether runStacked can finish the run of the
-// coupled streams in h after fillCoupled has filled them: there are
+// coupled streams in idx after fillCoupled has filled them: there are
 // two, each skips every plan level but the last, both plans end in one
 // cache instance, and the run's accesses, passes of both walks, fit
 // runStacked's 32-bit clocks.
-func (in *Instance) stackable(streams []Stream, h *streamHeap, passes int) bool {
-	if len(h.idx) != 2 {
+func (in *Instance) stackable(streams []Stream, idx []int32, passes int) bool {
+	if len(idx) != 2 {
 		return false
 	}
 	last := in.levels - 1
-	a, b := h.idx[0], h.idx[1]
+	a, b := idx[0], idx[1]
 	return in.rc.skips[a] == last && in.rc.skips[b] == last &&
 		in.planFor(streams[a].Core)[last].c == in.planFor(streams[b].Core)[last].c &&
 		int64(passes)*int64(len(streams[a].Addrs)+len(streams[b].Addrs)) <= math.MaxInt32
@@ -723,7 +703,7 @@ type stackCursor struct {
 	vpage            int64
 }
 
-// runStacked finishes the run of the two coupled streams in h, which
+// runStacked finishes the run of the two coupled streams in idx, which
 // fillCoupled has filled in the merged issue order *order and
 // stackable admits, deciding every access after the fill by its LRU
 // stack distance at the shared last level C instead of looking its
@@ -748,7 +728,7 @@ type stackCursor struct {
 // of its line, found with one translation per page, and a stamp, its
 // set's clock just after the line's last access. A forward sweep over
 // the fill's order stamps the filled accesses. The passes then
-// interleave as RunConcurrentInto's heap would, the stream of smaller
+// interleave as RunConcurrentInto's loop would, the stream of smaller
 // (clock, index) issuing next, each core's TLB probed on its stream's
 // first access after the fill and then only when the stream moves to a
 // new page — an access on the page its core last probed hits the MRU
@@ -762,17 +742,14 @@ type stackCursor struct {
 // that goes back exactly one walk per stream: a stream's last walk
 // visits each of its lines once, and its earlier accesses repeat them,
 // so appending at the LRU end as installWalk does leaves each set with
-// its last lines, MRU first. Each core's translation entry ends on its
-// stream's last page, and its prefetcher, which has seen every access
-// of its stream at a stride beyond it, in closed form (endWalk). It
+// its last lines, MRU first. Each core's prefetcher, which has seen
+// every access of its stream at a stride beyond it, is set in closed
+// form (endWalk). It
 // writes both streams' statistics, returns the accesses it decided and
 // its install visits, and allocates nothing once the scratch slabs have
 // grown.
-func (in *Instance) runStacked(streams []Stream, h *streamHeap, st []streamState, passes int, stats []StreamStats, order *[]uint8) (counts PassCounts) {
-	ids := [2]int32{h.idx[0], h.idx[1]}
-	if ids[1] < ids[0] {
-		ids[0], ids[1] = ids[1], ids[0]
-	}
+func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, passes int, stats []StreamStats, order *[]uint8) (counts PassCounts) {
+	ids := [2]int32{idx[0], idx[1]}
 	last := in.levels - 1
 	plan := in.planFor(streams[ids[0]].Core)
 	c := plan[last].c
@@ -787,7 +764,7 @@ func (in *Instance) runStacked(streams []Stream, h *streamHeap, st []streamState
 	for k, i := range ids {
 		str := &streams[i]
 		cu := &cur[k]
-		*cu = stackCursor{first: k * n0, pos: st[i].pos, pass: st[i].pass, clock: h.clocks[i], tlb: in.tlbs[str.Core], vpage: -1}
+		*cu = stackCursor{first: k * n0, pos: st[i].pos, pass: st[i].pass, clock: st[i].clock, tlb: in.tlbs[str.Core], vpage: -1}
 		vpage, pbase := int64(-1), int64(0)
 		for p, vaddr := range str.Addrs {
 			if vp := vaddr >> shift; vp != vpage {
@@ -887,7 +864,6 @@ run:
 	for k, i := range ids {
 		str := &streams[i]
 		n := len(str.Addrs)
-		in.translateFor(str.Core, str.Space, str.Addrs[n-1])
 		in.pref[str.Core].endWalk(str.Addrs[n-2], str.Addrs[n-1])
 		stats[i] = StreamStats{Accesses: int64(passes-1) * int64(n), Cycles: cur[k].cycles}
 	}
@@ -919,8 +895,7 @@ run:
 // the first access of each page, and it ends holding the pages it held.
 // The prefetcher never fires — fill proved the stride beyond it, and
 // the wrap-around jump is larger still — and with at least two
-// accesses a pass leaves it where the fill did. The translation cache
-// ends on the last page, where the fill left it.
+// accesses a pass leaves it where the fill did.
 //
 // With integral costs and integer accumulators the pass's cost is one
 // sum over the touched sets (countedCost), added once when both
@@ -1073,11 +1048,12 @@ func (in *Instance) issueOrderCost(plan []planLevel, w *walk, sc *setCounts, tlb
 	*total, *measured = a, b
 }
 
-// replayPasses is the measurement loop of AccessStridePasses over
-// either kind of walk: a warm-up traversal, filled when fill can prove
-// it misses everywhere, then `passes` measured ones, derived after a
-// fill while derivedPass can prove their cost and simulated otherwise,
-// replaying the rest arithmetically after a derived pass.
+// replayPasses is the measurement loop of AccessStridePasses and of
+// RunConcurrentInto's lone strided streams: a warm-up traversal,
+// filled when fill can prove it misses everywhere, then `passes`
+// measured ones, derived after a fill while derivedPass can prove their
+// cost and simulated otherwise, replaying the rest arithmetically after
+// a derived pass.
 func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *float64) (c PassCounts) {
 	n := w.accesses()
 	var sc *setCounts

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 )
@@ -109,4 +110,18 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+}
+
+// WriteChromeTraceFile writes the trace as a Chrome trace-event file at
+// path, creating or truncating it.
+func (t *Tracer) WriteChromeTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -89,5 +91,31 @@ func TestWriteChromeTrace(t *testing.T) {
 	// sched (2 lanes), so the probe span sits on tid 1.
 	if !strings.Contains(buf.String(), `"name": "probe #0"`) {
 		t.Errorf("missing probe thread name:\n%s", buf.String())
+	}
+}
+
+// TestWriteChromeTraceFile: the file holds exactly what
+// WriteChromeTrace writes, and a path in a missing directory is an
+// error.
+func TestWriteChromeTraceFile(t *testing.T) {
+	tr := New()
+	tr.Start("probe", "cache-size").End()
+	var want bytes.Buffer
+	if err := tr.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := tr.WriteChromeTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("trace file holds\n%s\nWriteChromeTrace wrote\n%s", got, want.Bytes())
+	}
+	if err := tr.WriteChromeTraceFile(filepath.Join(path, "missing", "trace.json")); err == nil {
+		t.Error("writing into a missing directory succeeded")
 	}
 }

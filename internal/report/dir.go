@@ -46,9 +46,9 @@ func (d Dir) EntryPath(fingerprint string) string {
 }
 
 // Save writes the report into the fingerprint-named entry file,
-// creating the directory on first use. The write is atomic (temp file
-// plus rename), so a concurrent Load never observes a partial entry.
-// Reports without a fingerprint have no entry name and are rejected.
+// creating the directory on first use. The write is Save's, atomic, so
+// a concurrent Load never observes a partial entry. Reports without a
+// fingerprint have no entry name and are rejected.
 func (d Dir) Save(r *Report) error {
 	if r.Fingerprint == "" {
 		return fmt.Errorf("report: dir %s: cannot store a report without a fingerprint", d.Path)
@@ -56,29 +56,7 @@ func (d Dir) Save(r *Report) error {
 	if err := os.MkdirAll(d.Path, 0o755); err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
-	dst := d.EntryPath(r.Fingerprint)
-	tmp, err := os.CreateTemp(d.Path, entryName(r.Fingerprint)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("report: %w", err)
-	}
-	tmp.Close()
-	if err := r.Save(tmp.Name()); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	// CreateTemp makes the file 0600 and Save's WriteFile keeps the
-	// existing mode; entries are install-time parameter files other
-	// users' autotuners read, so widen to the mode Save uses for fresh
-	// files before publishing the entry.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("report: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("report: %w", err)
-	}
-	return nil
+	return r.Save(d.EntryPath(r.Fingerprint))
 }
 
 // Load reads the fingerprint's entry. Beyond the schema check of Load,

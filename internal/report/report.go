@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"time"
 )
@@ -295,13 +296,32 @@ func (e *SchemaError) Error() string {
 }
 
 // Save writes the report as indented JSON, the install-time file the
-// paper describes, stamping the current schema version.
+// paper describes, stamping the current schema version. The write is
+// atomic: the bytes go to a temporary file in path's directory, which
+// is renamed over path, so a concurrent Load reads the old file or the
+// new one, never a partial one. The file's mode is 0644: reports are
+// parameter files other users' autotuners read.
 func (r *Report) Save(path string) error {
 	data, err := r.encode()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("report: %w", err)
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644) // CreateTemp makes it 0600
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("report: %w", err)
 	}
 	return nil

@@ -1,7 +1,9 @@
 package report
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -237,5 +239,56 @@ func TestChart(t *testing.T) {
 	flat := Chart("flat", []float64{1, 1}, []float64{2, 2}, 10, 3)
 	if !strings.Contains(flat, "*") {
 		t.Errorf("flat chart:\n%s", flat)
+	}
+}
+
+// TestSaveConcurrentLoad: while one goroutine saves a 200-level report
+// over and over at one path, every Load of that path from another
+// goroutine reads the whole report: Save never exposes a partial file.
+func TestSaveConcurrentLoad(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "servet.json")
+	r := sampleReport()
+	for len(r.Memory.Levels) < 200 {
+		r.Memory.Levels = append(r.Memory.Levels, r.Memory.Levels[0])
+	}
+	if err := r.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	saved := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				saved <- nil
+				return
+			default:
+			}
+			if err := r.Save(path); err != nil {
+				<-stop
+				saved <- err
+				return
+			}
+		}
+	}()
+	const loads = 2000
+	failed := 0
+	var first error
+	for range loads {
+		got, err := Load(path)
+		if err == nil && len(got.Memory.Levels) != len(r.Memory.Levels) {
+			err = fmt.Errorf("loaded %d levels, want %d", len(got.Memory.Levels), len(r.Memory.Levels))
+		}
+		if err != nil {
+			failed++
+			first = cmp.Or(first, err)
+		}
+	}
+	close(stop)
+	if err := <-saved; err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if failed != 0 {
+		t.Errorf("%d of %d loads failed during concurrent saves; first: %v", failed, loads, first)
 	}
 }
