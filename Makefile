@@ -8,7 +8,7 @@ GO ?= go
 # Perf-trajectory knobs. When BENCH_BASELINE is set, benchjson also
 # gates the run: b/op or allocs/op regressions beyond BENCH_GATE_TOL
 # fail `make bench` (set BENCH_GATE=0 to record without gating).
-BENCH_N        ?= 32
+BENCH_N        ?= 34
 BENCH_OUT      ?= BENCH_$(BENCH_N).json
 BENCH_COUNT    ?= 3
 BENCH_REGEX    ?= .

@@ -147,14 +147,16 @@ func traverse(tr *obs.Tracer, in *memsys.Instance, core int, sp *memsys.Space, a
 }
 
 // countPasses adds a measurement's replayed, filled, derived and
-// stacked accesses, and its fills' install visits, to the tracer's
-// counters.
+// stacked accesses, its install visits, and the pages placed and
+// placement retries it reports, to the tracer's counters.
 func countPasses(tr *obs.Tracer, c memsys.PassCounts) {
 	tr.Count(obs.CounterMemsysReplayed, c.Replayed)
 	tr.Count(obs.CounterMemsysFilled, c.Filled)
 	tr.Count(obs.CounterMemsysDerived, c.Derived)
 	tr.Count(obs.CounterMemsysInstallVisits, c.InstallVisits)
 	tr.Count(obs.CounterMemsysStacked, c.Stacked)
+	tr.Count(obs.CounterMemsysPagesPlaced, c.Pages)
+	tr.Count(obs.CounterMemsysPlacementRetries, c.Retries)
 }
 
 // appendTraversalAddrs appends the address sequence of one strided

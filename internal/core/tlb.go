@@ -53,9 +53,12 @@ func DetectTLB(ctx context.Context, m *topology.Machine, coreID int, opt Options
 		if err := ctx.Err(); err != nil {
 			return DetectedTLB{}, false, err
 		}
-		in.ResetCaches()
 		arr := sp.Alloc(int64(np) * stride)
 		avg := traverse(tr, in, coreID, sp, arr, stride, opt.Passes, &probeCycles)
+		// Empty the caches before the free, which would otherwise
+		// install the traversal's pending end state only for the reset
+		// to drop it.
+		in.ResetCaches()
 		sp.Free(arr)
 		pages = append(pages, np)
 		cycles = append(cycles, avg)

@@ -28,23 +28,36 @@
 // cache on the core's plan is empty, the walk rises at one constant
 // stride of at least every level's line and the core's prefetcher
 // cannot follow it, each access provably misses at every level: the
-// warm-up is then filled — the caches are installed in one reverse
-// sweep, each set keeping the last lines mapped to it, MRU first — and
-// each access's miss cost is added in issue order. The sweep runs page
-// by page and translates each page once. A level whose set count is a
-// power of two sends the same offsets of every complete page to the
-// same sets of the page's color block (its frame, or virtual page,
-// modulo the level's colors), so once assoc+1 pages of a color have
-// filled those sets, later pages of that color skip the level. The TLB
-// is probed only when an access moves to a new page, and the
-// prefetcher, which cannot follow the stride, is set to its end state
-// in closed form. A warm-up that fails any of these checks is
-// simulated.
+// warm-up is then filled — each access's miss cost is added in issue
+// order, and each set ends holding the last lines mapped to it, MRU
+// first. The fill counts those lines per set rather than installing
+// them: a level whose set count is a power of two sends the same
+// offsets of every complete page to the same sets of the page's color
+// block (its frame, or virtual page, modulo the level's colors), so the
+// fill counts complete pages per color, reading one frame per page,
+// and expands the counts once into per-set counts; partial pages and
+// other levels are counted access by access. The TLB is probed only
+// when an access moves to a new page, and the prefetcher, which cannot
+// follow the stride, is set to its end state in closed form. A warm-up
+// that fails any of these checks is simulated.
+//
+// A filled walk's tags are installed only if something reads them. The
+// fill records its install as the instance's pending end state, and
+// every call that reads or changes cache contents — Access,
+// AccessStrideAccum, AccessStridePasses, RunConcurrentInto and
+// Space.Free — first settles it: one reverse sweep, page by page, that
+// appends each set's lines at its LRU end, a level skipping the pages
+// of a color once assoc+1 of them have filled its sets. ResetAt and
+// ResetCaches drop it unbuilt, as every probe does after its
+// measurement. The TLBs, prefetchers and occupancy flags are set
+// eagerly, so every later call observes exactly the state simulation
+// would have left.
 //
 // After a fill, the first measured pass is derived rather than
 // simulated: the fill records, at each level, the sets the walk
-// touches and which of them received more lines than they hold. The
-// proof visits those sets, never the accesses. A line goes on to the
+// touches, how many lines each receives, up to one more than it holds,
+// and which of them received more lines than they hold. The proof
+// visits those sets, never the accesses. A line goes on to the
 // next level only past a set that overflows. When each set of the next
 // level takes all of its lines from one set of this one (the levels
 // nest), or this level passes on all of its lines or none, every set
@@ -82,10 +95,10 @@
 // prefix: the leading private levels at which every set its walk
 // touches receives more lines than it holds. They miss on every access
 // whatever the interleaving and end each set with its last lines, MRU
-// first, so the fill installs the stream's whole walk there at once,
-// the state the run leaves, and empties the private levels after the
-// prefix for the merged sweep to fill. Each later access starts its
-// lookup after the prefix, in practice at the first shared level.
+// first, so the stream's whole walk there is the state the run leaves:
+// the fill counts it to find the prefix and leaves its install pending.
+// Each later access starts its lookup after the prefix, in practice at
+// the first shared level.
 //
 // When exactly two streams are coupled and their prefixes cover every
 // level but the last, which they share — a nehalem2s same-socket pair
@@ -99,9 +112,10 @@
 // per set and a stamp per walk position, the set's count at the line's
 // last access, give that distance. The TLB is probed once per page,
 // each access's cost is added in issue order, and the level's end
-// state is installed in one reverse sweep of the issue order that goes
-// back one walk per stream. Dunnington's L2-sharing pairs and
-// smt-quad's L1-sharing pairs still interleave.
+// state, the last passes of both walks in the order they were issued,
+// is left pending, recorded as one bit per access of those passes.
+// Dunnington's L2-sharing pairs and smt-quad's L1-sharing pairs still
+// interleave.
 //
 // Every cost an access can incur is an entry of one per-instance
 // lookup-cost table: the TLB term plus the latencies of the first k

@@ -158,7 +158,7 @@ func TestDerivedPassDeclinesMixedReach(t *testing.T) {
 	w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
 	var sc setCounts
 	total, measured := 0.0, 0.0
-	if _, ok := in.fill(0, &w, &total, &sc); !ok {
+	if !in.fill(0, &w, &total, &sc) {
 		t.Fatalf("the warm-up was not filled")
 	}
 	before, tlb := stateOf(in), slices.Clone(in.tlbs[0].vpages)
@@ -213,7 +213,7 @@ func TestCountedCostMatchesIssueOrder(t *testing.T) {
 			w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
 			var sc setCounts
 			var total float64
-			if _, ok := in.fill(0, &w, &total, &sc); !ok {
+			if !in.fill(0, &w, &total, &sc) {
 				t.Fatalf("%s/%d: the warm-up was not filled", name, bytes)
 			}
 			plan := in.planFor(0)
@@ -275,7 +275,7 @@ func TestDerivedPassNestedMixedFullness(t *testing.T) {
 	w := walk{sp: sp, base: a.Base, bytes: a.Bytes, stride: stride}
 	var sc setCounts
 	var total float64
-	if _, ok := in.fill(0, &w, &total, &sc); !ok {
+	if !in.fill(0, &w, &total, &sc) {
 		t.Fatalf("the warm-up was not filled")
 	}
 	var full, fit int

@@ -21,6 +21,7 @@ func RunConcurrent(in *Instance, streams []Stream, passes int) []StreamStats {
 // Cached reports whether the line containing vaddr is present at the
 // given cache level (1-based) for the core.
 func (in *Instance) Cached(level, core int, sp *Space, vaddr int64) bool {
+	in.settle()
 	c := in.planFor(core)[level-1].c
 	return c.contains(vaddr>>c.lineBits, sp.translate(vaddr)>>c.lineBits)
 }

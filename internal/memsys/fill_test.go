@@ -43,8 +43,10 @@ func stateOf(in *Instance) endState {
 }
 
 // stateExcept is stateOf leaving out the caches in.caches[li][k] for
-// which skip(li, k) holds.
+// which skip(li, k) holds. Like any call that reads the caches, it
+// first installs the instance's pending end state.
 func stateExcept(in *Instance, skip func(li, k int) bool) endState {
+	in.settle()
 	var s endState
 	for li, level := range in.caches {
 		for k, c := range level {

@@ -58,6 +58,13 @@ func shapeBytes(m *topology.Machine) []byte {
 // after the levels adds frac/100 cycles to each of them, mostly a
 // fraction float64 cannot represent, so sums of such costs round.
 func fuzzMachine(shape []byte) *topology.Machine {
+	m, _ := decodeMachine(shape)
+	return m
+}
+
+// decodeMachine is fuzzMachine, also returning the bytes of shape
+// after the frac byte, which the machine does not read.
+func decodeMachine(shape []byte) (*topology.Machine, []byte) {
 	next := func() int {
 		if len(shape) == 0 {
 			return 0
@@ -116,15 +123,47 @@ func fuzzMachine(shape []byte) *topology.Machine {
 	for m.PhysPagesPerNode < 64*colorCount(m) {
 		m.PhysPagesPerNode *= 2
 	}
-	return m
+	return m, shape
+}
+
+// Follow-up operations, which a fuzz input's optional trailing byte
+// picks (modulo 5) after its measurement, so that the measurement's
+// pending end state is read, extended, unmapped or dropped before the
+// end states are compared.
+const (
+	// followAccess loads one address of the walked array.
+	followAccess = iota
+	// followWalk runs the measurement again without a reset.
+	followWalk
+	// followRealloc frees the walked array, allocates one of the same
+	// size in its space and loads the new array's first address.
+	followRealloc
+	// followReset runs ResetCaches and then the measurement again.
+	followReset
+	// followTraverse runs one AccessStrideAccum traversal of the walked
+	// array.
+	followTraverse
+	// followNone is what a missing byte picks: no follow-up.
+	followNone = -1
+)
+
+// followOp returns the follow-up operation the bytes left after a fuzz
+// input's decoding pick: followNone when there are none.
+func followOp(rest []byte) int {
+	if len(rest) == 0 {
+		return followNone
+	}
+	return int(rest[0] % 5)
 }
 
 // strideTrace traverses one array with the given stride on core 0 and
 // then on the last core, recording each access's translation and cost,
-// and ends back at the array's base on core 0: a dirtied instance's
+// and goes back to the array's base on core 0: a dirtied instance's
 // last translated page is then exactly the page a reset instance
 // touches first, so page-table state that survived the reset would
-// show as a stale frame.
+// show as a stale frame. It ends with a strided measurement of the
+// array on core 0 over emptied caches, which leaves the end state of a
+// filled warm-up pending for the reset that follows a dirtying run.
 func strideTrace(in *Instance, bytes, stride int64) []float64 {
 	sp := in.NewSpace()
 	a := sp.Alloc(bytes)
@@ -135,7 +174,11 @@ func strideTrace(in *Instance, bytes, stride int64) []float64 {
 			trace = append(trace, float64(sp.translate(v)), in.Access(core, sp, v))
 		}
 	}
-	return append(trace, float64(sp.translate(a.Base)), in.Access(0, sp, a.Base))
+	trace = append(trace, float64(sp.translate(a.Base)), in.Access(0, sp, a.Base))
+	in.ResetCaches()
+	var total, measured float64
+	in.AccessStridePasses(0, sp, a.Base, bytes, stride, 2, &total, &measured)
+	return append(trace, total, measured)
 }
 
 // FuzzResetAtMatchesFresh: ResetAt(seed, keys...) on a dirtied pooled
@@ -150,6 +193,10 @@ func FuzzResetAtMatchesFresh(f *testing.F) {
 	colored := topology.Nehalem2S()
 	colored.PageColoring = true
 	f.Add(shapeBytes(colored), int64(7), []byte{1, 0xff, 3}, uint16(300), uint16(832))
+	// A 4 MiB walk at the 1 KiB probe stride, filled over all three
+	// nehalem2s levels: the dirtied instance's ResetAt drops its
+	// pending end state.
+	f.Add(shapeBytes(topology.Nehalem2S()), int64(8), []byte{3, 1}, uint16(65535), uint16(1023))
 	f.Fuzz(func(t *testing.T, shape []byte, seed int64, keyBytes []byte, lines, stride uint16) {
 		m := fuzzMachine(shape)
 		if err := m.Validate(); err != nil {
@@ -189,6 +236,14 @@ func FuzzResetAtMatchesFresh(f *testing.F) {
 // on that core's plan hold a line, or reverse the address list, so the
 // walk descends. Missing bytes read as zero.
 func concurrentStreams(in *Instance, spec []byte) []Stream {
+	streams, _, _ := decodeStreams(in, spec)
+	return streams
+}
+
+// decodeStreams is concurrentStreams, also returning each stream's
+// array, nil when the stream left it unallocated, and the bytes of
+// spec after the streams, which the streams do not read.
+func decodeStreams(in *Instance, spec []byte) ([]Stream, []*Array, []byte) {
 	next := func() int64 {
 		if len(spec) == 0 {
 			return 0
@@ -198,6 +253,7 @@ func concurrentStreams(in *Instance, spec []byte) []Stream {
 		return int64(b)
 	}
 	streams := make([]Stream, 1+next()%4)
+	arrays := make([]*Array, len(streams))
 	for i := range streams {
 		sp := in.NewSpace()
 		core := int(next() % int64(in.m.CoresPerNode))
@@ -211,7 +267,8 @@ func concurrentStreams(in *Instance, spec []byte) []Stream {
 		if edit == 7 {
 			continue
 		}
-		addrs := strided(sp.Alloc(n*stride), stride)
+		arrays[i] = sp.Alloc(n * stride)
+		addrs := strided(arrays[i], stride)
 		switch {
 		case edit == 6 && len(addrs) > 1:
 			j := int(at) % (len(addrs) - 1)
@@ -224,7 +281,7 @@ func concurrentStreams(in *Instance, spec []byte) []Stream {
 		}
 		streams[i].Addrs = addrs
 	}
-	return streams
+	return streams, arrays, spec
 }
 
 // FuzzRunConcurrentMatchesReference: over machine shapes decoded like
@@ -235,8 +292,10 @@ func concurrentStreams(in *Instance, spec []byte) []Stream {
 // passes when they rise at one stride and through the interleaver when
 // two of their addresses are swapped or their list is reversed — over
 // 1 to 4 passes, RunConcurrentInto's statistics equal the linear-scan
-// reference's bit for bit, and both instances end in the same state.
-// The seeds after the machine and nehalem2s ones are coupledSeeds.
+// reference's bit for bit, and both instances end in the same state,
+// after the follow-up an optional byte after the streams picks
+// (followOp). The seeds after the machine and nehalem2s ones are
+// coupledSeeds, then the follow-up ones.
 func FuzzRunConcurrentMatchesReference(f *testing.F) {
 	for _, m := range fastpathMachines() {
 		f.Add(shapeBytes(m), int64(1), []byte{1, 0, 0, 64, 63, 0, 0, 1, 0, 96, 63, 0, 0}, uint8(2))
@@ -250,6 +309,14 @@ func FuzzRunConcurrentMatchesReference(f *testing.F) {
 	for _, c := range coupledSeeds() {
 		f.Add(c.shape, int64(6), c.spec, uint8(2))
 	}
+	// Follow-ups, picked by a byte after the streams: after a stacked
+	// same-socket pair, whose private prefixes and shared L3 are
+	// pending, and after a pair on two sockets, each stream filled,
+	// derived and replayed alone with its walk pending.
+	for op := range byte(5) {
+		f.Add(nehalem, int64(7), []byte{1, 0, 7, 255, 63, 0, 0, 1, 7, 255, 63, 0, 0, op}, uint8(2))
+		f.Add(nehalem, int64(8), []byte{1, 0, 0, 96, 63, 0, 0, 4, 0, 160, 63, 0, 0, op}, uint8(2))
+	}
 	f.Fuzz(func(t *testing.T, shape []byte, seed int64, spec []byte, passes uint8) {
 		m := fuzzMachine(shape)
 		if err := m.Validate(); err != nil {
@@ -257,13 +324,55 @@ func FuzzRunConcurrentMatchesReference(f *testing.F) {
 		}
 		np := 1 + int(passes%4)
 		inRef, inRun := NewInstanceAt(m, seed), NewInstanceAt(m, seed)
-		strRef, strRun := concurrentStreams(inRef, spec), concurrentStreams(inRun, spec)
-		want := runConcurrentReference(inRef, strRef, np)
-		got := make([]StreamStats, len(strRun))
-		RunConcurrentInto(inRun, strRun, np, got)
-		for i := range want {
-			if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
-				t.Fatalf("stream %d: RunConcurrentInto %+v, reference %+v", i, got[i], want[i])
+		strRef, arrRef, rest := decodeStreams(inRef, spec)
+		strRun, arrRun, _ := decodeStreams(inRun, spec)
+		run := func(phase string) {
+			want := runConcurrentReference(inRef, strRef, np)
+			got := make([]StreamStats, len(strRun))
+			RunConcurrentInto(inRun, strRun, np, got)
+			for i := range want {
+				if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
+					t.Fatalf("%s, stream %d: RunConcurrentInto %+v, reference %+v", phase, i, got[i], want[i])
+				}
+			}
+		}
+		run("run")
+		// The follow-up acts on the first stream with an array.
+		k := slices.IndexFunc(arrRun, func(a *Array) bool { return a != nil })
+		load := func(phase string, sRef, sRun *Space, vRef, vRun int64) {
+			core := strRun[k].Core
+			if got, want := inRun.Access(core, sRun, vRun), inRef.Access(core, sRef, vRef); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Access costs %v, reference %v", phase, got, want)
+			}
+		}
+		op := followOp(rest)
+		if k < 0 && op != followWalk && op != followReset {
+			op = followNone
+		}
+		switch op {
+		case followAccess:
+			off := arrRun[k].Bytes / 2
+			load("access after the run", strRef[k].Space, strRun[k].Space, arrRef[k].Base+off, arrRun[k].Base+off)
+		case followWalk:
+			run("second run")
+		case followRealloc:
+			spRef, spRun := strRef[k].Space, strRun[k].Space
+			spRef.Free(arrRef[k])
+			spRun.Free(arrRun[k])
+			bRef, bRun := spRef.Alloc(arrRef[k].Bytes), spRun.Alloc(arrRun[k].Bytes)
+			load("access after free and alloc", spRef, spRun, bRef.Base, bRun.Base)
+		case followReset:
+			inRef.ResetCaches()
+			inRun.ResetCaches()
+			run("run after ResetCaches")
+		case followTraverse:
+			var got, want float64
+			const stride = 1024
+			core := strRun[k].Core
+			inRun.AccessStrideAccum(core, strRun[k].Space, arrRun[k].Base, arrRun[k].Bytes, stride, &got, nil)
+			inRef.AccessStrideAccum(core, strRef[k].Space, arrRef[k].Base, arrRef[k].Bytes, stride, &want, nil)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("traversal after the run costs %v, reference %v", got, want)
 			}
 		}
 		sRef, sRun := stateOf(inRef), stateOf(inRun)

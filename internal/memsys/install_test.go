@@ -10,8 +10,10 @@ import (
 
 // installWalkPerAccess is installWalk as one reverse loop over every
 // access, looking each one up at every plan level: the reference the
-// per-page installer must match in cache state, setFull marks and
-// touched lists.
+// per-page installer must match in cache state. When sc is non-nil it
+// also records, from what each append found, the sets the walk touches
+// and the ones it overflows: the facts countWalk must count without
+// installing.
 func (in *Instance) installWalkPerAccess(plan []planLevel, sp *Space, base, stride, n int64, sc *setCounts) {
 	occupy(plan)
 	shift, mask := in.pageShift, in.pageMask
@@ -61,15 +63,19 @@ func installLevel(sets int64, assoc int, indexing topology.Indexing) topology.Ca
 }
 
 // TestInstallWalkMatchesPerAccess: the per-page installWalk leaves every
-// cache on the plan, the setFull marks and each level's touched list,
-// in order, exactly as the per-access reference does, over walks whose
-// first and last pages are partial, strides that divide the page, equal
-// it, are a multiple of it or neither (every level then installed
+// cache on the plan exactly as the per-access reference does, and
+// countWalk, which installs nothing, counts what that install leaves:
+// at every level the same touched sets and setFull marks, and for each
+// set a count above assoc exactly when it is marked full and equal to
+// the set's installed length otherwise. The walks have first and last
+// pages that are partial, strides that divide the page, equal it, are
+// a multiple of it or neither (every level then installed and counted
 // access by access), levels whose sets span less than a page, athlon's
 // virtually indexed L1 spanning eight pages, nehalem2s's 128-color L3
-// over 8,000 pages, a non-power-of-two set count, and a nil sc. An aligned walk long enough to sweep more than assoc+1 complete
-// pages of a color must skip some (page, level) pairs; any other walk
-// visits every pair.
+// over 8,000 pages and a non-power-of-two set count; a nil-sc case is
+// a fill with no measured pass, which counts nothing. An aligned walk
+// long enough to sweep more than assoc+1 complete pages of a color must
+// skip some (page, level) pairs; any other walk visits every pair.
 func TestInstallWalkMatchesPerAccess(t *testing.T) {
 	nehalem := topology.Nehalem2S()
 	subPage := installMachine("sub-page sets",
@@ -104,37 +110,44 @@ func TestInstallWalkMatchesPerAccess(t *testing.T) {
 		{name: "192 sets, partial pages", m: nonPow2, offset: 3000, stride: 1024, n: 4*40 + 1, skips: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(perPage bool) (endState, *setCounts, int64) {
+			run := func(perPage bool) (*Instance, *setCounts, int64) {
 				in := NewInstanceAt(tc.m, 7)
 				sp := in.NewSpace()
 				a := sp.Alloc(tc.offset + (tc.n-1)*tc.stride + 1)
 				base := a.Base + tc.offset
 				plan := in.planFor(0)
-				var sc *setCounts
-				if !tc.nilSC {
-					sc = new(setCounts)
-					sc.reset(plan, base, tc.stride)
-				}
+				sc := new(setCounts)
+				sc.reset(plan, base, tc.stride)
 				visits := tc.n * int64(len(plan))
 				if perPage {
-					visits = in.installWalk(plan, sp, base, tc.stride, tc.n, sc)
+					if !tc.nilSC {
+						in.countWalk(plan, sp, base, tc.stride, tc.n, sc)
+					}
+					visits = in.installWalk(plan, sp, base, tc.stride, tc.n)
 				} else {
 					in.installWalkPerAccess(plan, sp, base, tc.stride, tc.n, sc)
 				}
-				return stateOf(in), sc, visits
+				return in, sc, visits
 			}
-			want, wantSC, all := run(false)
-			got, gotSC, visits := run(true)
+			inWant, wantSC, all := run(false)
+			inGot, gotSC, visits := run(true)
+			got, want := stateOf(inGot), stateOf(inWant)
 			if !slices.Equal(got.caches, want.caches) || got.cores != want.cores {
 				t.Fatal("cache state differs from the per-access install")
 			}
 			if !tc.nilSC {
-				for j := range wantSC.sets {
+				for j, pl := range inGot.planFor(0) {
 					if !slices.Equal(gotSC.sets[j], wantSC.sets[j]) {
-						t.Errorf("level %d: setFull marks differ from the per-access install", j)
+						t.Errorf("level %d: setFull marks differ from the per-access install's", j)
 					}
-					if !slices.Equal(gotSC.touched[j], wantSC.touched[j]) {
-						t.Errorf("level %d: touched %v, per-access %v", j, gotSC.touched[j], wantSC.touched[j])
+					if g, w := slices.Sorted(slices.Values(gotSC.touched[j])), slices.Sorted(slices.Values(wantSC.touched[j])); !slices.Equal(g, w) {
+						t.Errorf("level %d: touched %v, per-access install %v", j, g, w)
+					}
+					c := pl.c
+					for s, k := range gotSC.lines[j] {
+						if full := int64(k) > c.assoc; full != (gotSC.sets[j][s] == setFull) || int64(k) > c.assoc+1 || !full && k != c.lens[s] {
+							t.Fatalf("level %d set %d: counted %d lines, installed %d of %d ways, marked %d", j, s, k, c.lens[s], c.assoc, gotSC.sets[j][s])
+						}
 					}
 				}
 			}

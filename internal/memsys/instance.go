@@ -58,6 +58,9 @@ type Instance struct {
 	spaces []*Space
 	// rc is RunConcurrentInto's reusable interleaver scratch.
 	rc runScratch
+	// pend is the end state measurements proved but did not install
+	// (settle.go).
+	pend pending
 }
 
 // placementDomain separates the page-placement hash from every other
@@ -251,6 +254,9 @@ func (in *Instance) planFor(core int) []planLevel {
 // and may install the next line at no cost (stopping at page
 // boundaries, as hardware prefetchers do).
 func (in *Instance) Access(core int, sp *Space, vaddr int64) float64 {
+	if in.pend.waiting() {
+		in.settle()
+	}
 	return in.accessOne(in.planFor(core), 0, core, sp, vaddr)
 }
 
@@ -305,6 +311,7 @@ func (in *Instance) accessAt(plan []planLevel, skip, core int, vaddr, paddr, vpa
 // order of the probe loops (a running total plus a measured-pass
 // total).
 func (in *Instance) AccessStrideAccum(core int, sp *Space, base, bytes, stride int64, sumA, sumB *float64) {
+	in.settle()
 	plan := in.planFor(core)
 	shift, mask := in.pageShift, in.pageMask
 	// Translate only on page crossings: the page table walk drops out of
@@ -337,10 +344,12 @@ func (in *Instance) AccessStrideAccum(core int, sp *Space, base, bytes, stride i
 	}
 }
 
-// ResetCaches empties every cache instance and prefetcher, leaving
-// page tables intact. Probes call it between measurements. Cache
-// backing arrays keep their capacity — see cache.reset.
+// ResetCaches empties every cache instance, TLB and prefetcher,
+// leaving page tables intact, and drops the pending end state unbuilt.
+// Probes call it between measurements. Cache backing arrays keep their
+// capacity — see cache.reset.
 func (in *Instance) ResetCaches() {
+	in.dropPending()
 	for _, level := range in.caches {
 		for _, c := range level {
 			c.reset()
@@ -459,11 +468,11 @@ func earliest(idx []int32, st []streamState) int {
 // from the known miss costs and the caches are installed in one sweep
 // of the merged issue order. The same fill proves that every access of
 // a coupled stream misses at its private prefix, the leading private
-// levels at which every set its walk touches overflows, and installs
-// there at once the state the run leaves. Each later access of the
-// stream starts its lookup at the next level, with the prefix's
-// latencies charged from the lookup-cost table, so coupled streams are
-// simulated only from there on.
+// levels at which every set its walk touches overflows, where the
+// stream's whole walk is then the state the run leaves. Each later
+// access of the stream starts its lookup at the next level, with the
+// prefix's latencies charged from the lookup-cost table, so coupled
+// streams are simulated only from there on.
 //
 // A filled run of exactly two coupled streams whose private prefixes
 // cover every plan level but the last, which both plans share — a
@@ -473,6 +482,13 @@ func earliest(idx []int32, st []streamState) int {
 // each from its LRU stack distance there in O(1). A line hits iff it
 // was accessed before and either fewer than assoc accesses to its set
 // came since or the two walks map no more than assoc lines to the set.
+//
+// The statistics and the end state every later call observes are the
+// reference interleaver's bit for bit. Like AccessStridePasses,
+// RunConcurrentInto first settles the instance's pending end state, and
+// it leaves pending the installs no access of its own reads: the walks
+// of the strided streams it filled alone, the coupled streams' private
+// prefixes and a stacked pair's shared level (settle.go).
 //
 // The interleaver's buffers are pooled on the instance, so a warm
 // caller pays zero allocations per run. RunConcurrentInto returns how
@@ -488,6 +504,8 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 	if passes < 2 {
 		passes = 2
 	}
+	counts.InstallVisits = in.settle()
+	counts.Pages, counts.Retries = in.os.takePlaced()
 	st, idx := in.rc.grab(len(streams))
 	for i := range streams {
 		str := &streams[i]
@@ -515,7 +533,7 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 		switch {
 		case fill.Filled == 0:
 		case in.stackable(streams, idx, passes):
-			counts.add(in.runStacked(streams, idx, st, passes, stats, order))
+			counts.add(in.runStacked(streams, idx, st, passes, stats, *order))
 			return counts
 		default:
 			counts.InstallVisits += in.installMerged(streams, idx, st, *order)

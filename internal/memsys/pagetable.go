@@ -36,6 +36,19 @@ type osAllocator struct {
 	inUse    int64
 	coloring bool
 	colors   int64
+	// placed and retries count the pages placed and the taken
+	// candidates passed over since takePlaced last read them. Nothing
+	// else reads them, and reset leaves them, so every placement is
+	// reported once.
+	placed, retries int64
+}
+
+// takePlaced returns the pages placed and the candidates retried since
+// its last call, and starts both counts again from zero.
+func (o *osAllocator) takePlaced() (placed, retries int64) {
+	placed, retries = o.placed, o.retries
+	o.placed, o.retries = 0, 0
+	return placed, retries
 }
 
 func newOSAllocator(seed int64, physPages int64, coloring bool, colors int64) *osAllocator {
@@ -64,9 +77,12 @@ func (o *osAllocator) isUsed(p int64) bool {
 	return o.used[p>>6]&(1<<uint(p&63)) != 0
 }
 
-func (o *osAllocator) take(p int64) {
+// take marks frame p used, placed on the given attempt of its chain.
+func (o *osAllocator) take(p, attempt int64) {
 	o.used[p>>6] |= 1 << uint(p&63)
 	o.inUse++
+	o.placed++
+	o.retries += attempt
 }
 
 // allocPage returns a free physical page for the given (space, vpage)
@@ -91,7 +107,7 @@ func (o *osAllocator) allocPage(space, vpage int64) int64 {
 		for attempt := int64(0); attempt < 1_000_000; attempt++ {
 			p := color + o.colors*stats.MixBound(perColor, o.seed, space, vpage, attempt)
 			if !o.isUsed(p) {
-				o.take(p)
+				o.take(p, attempt)
 				return p
 			}
 		}
@@ -103,7 +119,7 @@ func (o *osAllocator) allocPage(space, vpage int64) int64 {
 	for attempt := int64(0); ; attempt++ {
 		p := stats.MixBound(o.physPages, o.seed, space, vpage, attempt)
 		if !o.isUsed(p) {
-			o.take(p)
+			o.take(p, attempt)
 			return p
 		}
 	}
@@ -216,7 +232,8 @@ func (sp *Space) Alloc(bytes int64) *Array {
 	return a
 }
 
-// Free unmaps the array and returns its frames to the OS. Unmapping
+// Free unmaps the array and returns its frames to the OS, after
+// installing the instance's pending end state (settle). Unmapping
 // performs the TLB shootdown real kernels do: the freed pages are
 // invalidated in every core's TLB, so no stale entry can serve a later
 // access, and a later access to them panics as unmapped.
@@ -225,6 +242,8 @@ func (sp *Space) Free(a *Array) {
 		panic("memsys: freeing array from another space")
 	}
 	in := sp.in
+	// A pending install translates pages this may unmap.
+	in.settle()
 	first := a.Base >> in.pageShift
 	npages := (a.Bytes + in.pageMask) >> in.pageShift
 	ri := sp.region(first)
@@ -292,6 +311,22 @@ func (sp *Space) translate(vaddr int64) int64 {
 	}
 	r := &sp.regions[ri]
 	return int64(r.ppages[vpage-r.first])<<in.pageShift + (vaddr & in.pageMask)
+}
+
+// frames returns the frames of the virtual pages first through last,
+// which one allocation must map: a walk of one array, whose pages the
+// page table holds in one region. It panics as translate does when the
+// region does not map them all.
+func (sp *Space) frames(first, last int64) []uint32 {
+	ri := sp.region(first)
+	if ri < 0 {
+		panic(fmt.Sprintf("memsys: access to unmapped address %#x", first<<sp.in.pageShift))
+	}
+	r := &sp.regions[ri]
+	if last-r.first >= int64(len(r.ppages)) {
+		panic(fmt.Sprintf("memsys: access to unmapped address %#x", (r.first+int64(len(r.ppages)))<<sp.in.pageShift))
+	}
+	return r.ppages[first-r.first : last-r.first+1]
 }
 
 // mapped reports whether the virtual address is mapped (the prefetcher

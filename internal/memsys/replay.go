@@ -11,41 +11,49 @@ import (
 // as little simulation as it can prove away, in three steps, each exact
 // and each falling back to simulation when its proof fails:
 //
-//   - fill installs a warm-up over empty caches that provably misses
-//     everywhere in one reverse sweep, page by page, recording at each
-//     level the sets it touched and which of them it overflowed; a
-//     level skips a page once the pages of its color have filled every
-//     set the page reaches, the TLB is probed once per page and the
-//     prefetcher's end state is set in closed form;
-//   - derivedPass proves from those per-set facts alone, visiting sets
+//   - fill costs a warm-up over empty caches that provably misses
+//     everywhere, probing the TLB once per page and setting the
+//     prefetcher's end state in closed form, and countWalk records at
+//     each level how many lines the walk maps to each set it touches, up
+//     to one more than the set holds, counting the complete pages of an
+//     aligned walk per color and expanding those counts once;
+//   - derivedPass proves from those per-set counts alone, visiting sets
 //     and not accesses, that the first measured pass after such a fill
 //     leaves the state where it found it, and costs it — with integral
 //     costs as one sum over the touched sets;
 //   - the d·k rule adds the remaining passes arithmetically, since each
 //     repeats the derived pass access for access.
 //
-// A walk fill or derivedPass declines is simulated pass by pass: no
-// state is snapshotted or compared. RunConcurrentInto runs each
-// concurrent stream that shares no cache and no core through the same
-// loop, as the strided walk its address list rises by, or through the
-// interleaver on its own when the list does not rise at one stride.
-// The coupled streams, which share one, interleave in one loop that
-// picks the stream of smallest (clock, index) by a scan in index
-// order until the last stream finishes. fillCoupled fills their cold
-// warm-up with the same proof, over the merged order in which the
-// interleaver would issue it. It also proves that each stream misses
-// throughout at its leading private levels and installs there, with
-// installWalk over the stream's whole walk, the state the run leaves;
-// the interleaver skips those levels, so coupled streams are
-// simulated only from the first level after that prefix on, in
-// practice the levels they share. When two streams are coupled and
-// their prefixes cover every level but a shared last one, runStacked
-// decides every access after the fill from its LRU stack distance at
-// that level instead: a line hits iff it was accessed before and
-// either fewer than assoc accesses to its set came since or both
-// walks together map no more than assoc lines to the set. Every
-// access costs an entry of the instance's one lookup-cost table
-// (Instance.costs), whichever of these paths finds it.
+// No step installs a tag: the fill's lines are the instance's pending
+// end state (settle.go), which installWalk builds, one reverse sweep
+// page by page, only when a later call reads the caches, and which a
+// reset drops unbuilt.
+//
+// A walk fill or derivedPass declines is simulated pass by pass, after
+// settling what is pending: no state is snapshotted or compared.
+// RunConcurrentInto runs each concurrent stream that shares no cache
+// and no core through the same loop, as the strided walk its address
+// list rises by, or through the interleaver on its own when the list
+// does not rise at one stride. The coupled streams, which share one,
+// interleave in one loop that picks the stream of smallest (clock,
+// index) by a scan in index order until the last stream finishes.
+// fillCoupled fills their cold warm-up with the same proof, over the
+// merged order in which the interleaver would issue it, and
+// installMerged installs it at once, since the interleaver reads it.
+// fillCoupled also proves, from countWalk's counts, that each stream
+// misses throughout at its leading private levels, where its whole
+// walk is then the state the run leaves and is left pending; the
+// interleaver skips those levels, so coupled streams are simulated
+// only from the first level after that prefix on, in practice the
+// levels they share. When two streams are coupled and their prefixes
+// cover every level but a shared last one, runStacked decides every
+// access after the fill from its LRU stack distance at that level
+// instead: a line hits iff it was accessed before and either fewer
+// than assoc accesses to its set came since or both walks together map
+// no more than assoc lines to the set; the level's end state is left
+// pending too. Every access costs an entry of the instance's one
+// lookup-cost table (Instance.costs), whichever of these paths finds
+// it.
 
 // exactLimit bounds the integers float64 represents exactly: every sum
 // of integers whose partial sums stay below it is exact, so it does
@@ -114,14 +122,15 @@ func (l *freeList[T]) put(s *T) {
 }
 
 var (
-	// setScratch holds fill's per-set facts for derivedPass, and
-	// fillCoupled's marks of the sets a coupled stream's walk overflows
-	// at its private levels.
+	// setScratch holds fill's per-set counts for derivedPass, and
+	// fillCoupled's counts of a coupled stream's walk at its private
+	// levels.
 	setScratch freeList[setCounts]
 	// issueOrders holds fillCoupled's merged issue order, one stream
 	// index per access.
 	issueOrders freeList[[]uint8]
-	// colorScratch holds installWalk's per-color page counts.
+	// colorScratch holds countWalk's and installWalk's per-color page
+	// counts.
 	colorScratch freeList[pageColors]
 	// stackScratch holds runStacked's per-set clocks and per-position
 	// stamps.
@@ -134,21 +143,29 @@ type PassCounts struct {
 	// Replayed counts measured accesses added arithmetically, as
 	// repeats of a derived pass.
 	Replayed int64
-	// Filled counts warm-up accesses installed by fill, or by
-	// fillCoupled for the coupled streams of RunConcurrentInto.
+	// Filled counts warm-up accesses filled by fill, or by fillCoupled
+	// for the coupled streams of RunConcurrentInto.
 	Filled int64
 	// Derived counts measured accesses costed by derivedPass from the
 	// per-set line counts of a filled walk.
 	Derived int64
-	// InstallVisits counts the (access, level) pairs the fills looked
-	// at to install their lines: installWalk's, those of
-	// installMerged's merged reverse sweep and those of runStacked's
-	// end-state sweep.
+	// InstallVisits counts the (access, level) pairs the call looked
+	// at to install cache lines: those of installMerged's merged
+	// reverse sweep, and those of every pending end state the call
+	// settled before it read the caches (installWalk's, and
+	// installPair's sweep of a stacked pair's shared level). An end
+	// state the call leaves pending is counted by whichever later call
+	// settles it, and by none when a reset drops it.
 	InstallVisits int64
 	// Stacked counts the accesses of a filled coupled pair after its
 	// fill that runStacked costed by their LRU stack distance at the
 	// pair's shared last level instead of looking them up.
 	Stacked int64
+	// Pages counts the pages the instance's spaces placed on frames
+	// since the instance's previous measurement returned: the pages of
+	// the arrays the measurement walks, in practice. Retries counts the
+	// candidate frames those placements found taken and passed over.
+	Pages, Retries int64
 }
 
 func (c *PassCounts) add(o PassCounts) {
@@ -157,6 +174,8 @@ func (c *PassCounts) add(o PassCounts) {
 	c.Derived += o.Derived
 	c.InstallVisits += o.InstallVisits
 	c.Stacked += o.Stacked
+	c.Pages += o.Pages
+	c.Retries += o.Retries
 }
 
 // AccessStridePasses runs a whole strided measurement on one core: a
@@ -166,10 +185,13 @@ func (c *PassCounts) add(o PassCounts) {
 // the accesses it did not simulate one by one.
 //
 // The result is bit-identical to a warm-up AccessStrideAccum followed
-// by `passes` measured ones, end state included. The warm-up is filled
-// when every cache on the core's plan is empty, the stride is at least
-// every plan level's line and the prefetcher cannot follow it; it is
-// simulated otherwise. After a fill the first measured pass is derived
+// by `passes` measured ones, end state included: the caches, TLB and
+// prefetcher every later call observes are the ones those traversals
+// leave, though a filled walk's lines are installed only when a later
+// call reads the caches (settle), and never when a reset comes first.
+// The warm-up is filled when every cache on the core's plan is empty,
+// the stride is at least every plan level's line and the prefetcher
+// cannot follow it; it is simulated otherwise. After a fill the first measured pass is derived
 // when derivedPass can prove its cost from the fill's per-set line
 // counts, and it then leaves the state as it found it, so every
 // remaining pass repeats it access for access and their cost is the
@@ -181,7 +203,11 @@ func (c *PassCounts) add(o PassCounts) {
 // remaining pass. A warm-up that is not filled, and a pass that is not
 // derived, is simulated, and so is every pass after it.
 func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) PassCounts {
-	return in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured)
+	visits := in.settle()
+	c := in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured)
+	c.InstallVisits += visits
+	c.Pages, c.Retries = in.os.takePlaced()
+	return c
 }
 
 // walk is the traversal a replayed measurement repeats: the strided
@@ -198,10 +224,14 @@ func (w *walk) accesses() int64 {
 	return (w.bytes + w.stride - 1) / w.stride
 }
 
-// traverse runs one traversal of w on the core, adding each access's
-// cost to *total and, when measured is non-nil, to *measured.
-func (in *Instance) traverse(core int, w *walk, total, measured *float64) {
+// traverse simulates one traversal of w on the core, adding each
+// access's cost to *total and, when measured is non-nil, to *measured,
+// after settling every pending end state; it returns the settle's
+// install visits.
+func (in *Instance) traverse(core int, w *walk, total, measured *float64) (visits int64) {
+	visits = in.settle()
 	in.AccessStrideAccum(core, w.sp, w.base, w.bytes, w.stride, total, measured)
+	return visits
 }
 
 // Per-set facts of a filled walk, one byte per set of each plan level.
@@ -213,35 +243,55 @@ const (
 	setReached
 )
 
-// setCounts is what fill records about a cold walk for derivedPass:
-// the walk's first address and stride, and for every plan level j the
-// per-set facts sets[j][s] of set s and the list touched[j] of the
-// sets the walk maps lines to, in the order installWalk first touched
-// them. Slabs are pooled on setScratch and only ever grow.
+// setCounts is what countWalk records about a cold walk for
+// derivedPass: the walk's first address and stride, and for every plan
+// level j the number of lines lines[j][s] the walk maps to set s,
+// capped at assoc+1, the per-set facts sets[j][s] and the list
+// touched[j] of the sets the walk maps lines to. Slabs are pooled on
+// setScratch and only ever grow.
 type setCounts struct {
 	base, stride int64
+	lines        [][]int32
 	sets         [][]uint8
 	touched      [][]int32
 }
 
-// reset sizes sc for the plan, clears every set's facts and empties
-// every touched list, with room for every set of its level, so
-// installWalk's appends never grow a list.
+// reset sizes sc for the plan, clears every set's count and facts and
+// empties every touched list, with room for every set of its level, so
+// add never grows a list.
 func (sc *setCounts) reset(plan []planLevel, base, stride int64) {
 	sc.base, sc.stride = base, stride
-	if cap(sc.sets) < len(plan) {
-		sc.sets = append(sc.sets[:cap(sc.sets)], make([][]uint8, len(plan)-cap(sc.sets))...)
-		sc.touched = append(sc.touched[:cap(sc.touched)], make([][]int32, len(plan)-cap(sc.touched))...)
-	}
-	sc.sets, sc.touched = sc.sets[:len(plan)], sc.touched[:len(plan)]
+	sc.lines, sc.sets, sc.touched = extend(sc.lines, len(plan)), extend(sc.sets, len(plan)), extend(sc.touched, len(plan))
 	for j := range plan {
 		n := int(plan[j].c.numSets)
-		if cap(sc.sets[j]) < n {
-			sc.sets[j] = make([]uint8, n)
-		}
-		sc.sets[j] = sc.sets[j][:n]
+		sc.lines[j], sc.sets[j] = extend(sc.lines[j], n), extend(sc.sets[j], n)
+		clear(sc.lines[j])
 		clear(sc.sets[j])
 		sc.touched[j] = slices.Grow(sc.touched[j][:0], n)
+	}
+}
+
+// extend returns s with length n, keeping the elements within its
+// capacity, so the per-level slabs of a longer plan stay pooled.
+func extend[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// add counts k more lines of the walk in set s of plan level j, whose
+// sets hold assoc lines: the set joins touched[j] with its first line,
+// its count stops at assoc+1, and it is marked setFull once the count
+// passes assoc.
+func (sc *setCounts) add(j int, s int64, k int32, assoc int64) {
+	count := &sc.lines[j][s]
+	if *count == 0 {
+		sc.touched[j] = append(sc.touched[j], int32(s))
+	}
+	*count = int32(min(int64(*count)+int64(k), assoc+1))
+	if int64(*count) > assoc {
+		sc.sets[j][s] = setFull
 	}
 }
 
@@ -308,12 +358,9 @@ func occupy(plan []planLevel) {
 // traversal that misses throughout leaves them: each set holds the
 // last min(k, assoc) of the k lines the walk maps to it, MRU first.
 // One reverse sweep builds that by appending at the LRU end of each set
-// not yet full — no tag scan and no shift. When sc is non-nil,
-// installWalk records at each plan level j the sets it touches, in
-// sc.touched[j], in the order it first meets them, and marks setFull in
-// sc.sets[j] each set it meets full, whose k > assoc; sc must have been
-// reset for the plan. It returns the number of (access, level) pairs
-// it looked at.
+// not yet full — no tag scan and no shift. It returns the number of
+// (access, level) pairs it looked at. Only settle, which installs the
+// end states measurements deferred, calls it.
 //
 // The sweep runs page by page, from the last page down, translating
 // each page once, and installs a page's accesses level by level, each
@@ -326,12 +373,12 @@ func occupy(plan []planLevel) {
 // page divides the stride, every complete page holds the same offsets,
 // so each complete page of a color appends a line to every set those
 // offsets reach in the color's block. After assoc+1 such pages each of
-// those sets is full and marked setFull, and a later page of the color
-// would append nothing and mark nothing new: the level skips it. Partial
-// first and last pages are installed access by access and not counted,
-// and so is every page at a level whose set count is not a power of two,
-// or of a walk with any other stride.
-func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int64, sc *setCounts) (visits int64) {
+// those sets is full, and a later page of the color would append
+// nothing: the level skips it. Partial first and last pages are
+// installed access by access and not counted, and so is every page at a
+// level whose set count is not a power of two, or of a walk with any
+// other stride.
+func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int64) (visits int64) {
 	occupy(plan)
 	shift, mask := in.pageShift, in.pageMask
 	pc := colorScratch.get()
@@ -352,7 +399,7 @@ func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int
 					key = vpage
 				}
 				swept := &pc.swept[cl.first+key&cl.mask]
-				if int64(*swept) > c.assoc {
+				if *swept > c.assoc {
 					continue
 				}
 				*swept++
@@ -360,15 +407,7 @@ func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int
 			visits += hi - lo + 1
 			for v := vaddr; v >= first; v -= stride {
 				pLine := (pbase + v&mask) >> c.lineBits
-				idx := c.setIndex(v>>c.lineBits, pLine)
-				if k := c.appendLRU(idx, pLine); sc != nil {
-					switch k {
-					case 0:
-						sc.touched[j] = append(sc.touched[j], int32(idx))
-					case c.assoc:
-						sc.sets[j][idx] = setFull
-					}
-				}
+				c.appendLRU(c.setIndex(v>>c.lineBits, pLine), pLine)
 			}
 		}
 		hi = lo - 1
@@ -376,18 +415,136 @@ func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int
 	return visits
 }
 
-// pageColors is installWalk's scratch: for every plan level, where its
-// per-color counts of the complete pages swept start in swept and the
-// mask that takes a page's frame or virtual page to its color. Slabs
-// are pooled on colorScratch and only ever grow.
+// countWalk records in sc, which must have been reset for the plan,
+// what a traversal that misses throughout — the n accesses base,
+// base+stride, ... of a walk in sp — would leave in the plan's empty
+// caches, without installing a line: at each plan level j the lines the
+// walk maps to each set, up to assoc+1, in sc.lines[j], the sets it
+// maps lines to in sc.touched[j], and setFull in sc.sets[j] for each set
+// that receives more lines than it holds. The proofs read these counts
+// alone, never the tags.
+//
+// A level whose set count is a power of two, of a walk whose stride
+// divides the page or is a multiple of it, counts the walk's complete
+// pages per color (pageColors), reading each page's frame, or its
+// virtual page for a virtually indexed level, and nothing else: every
+// complete page holds the same offsets, which reach the same sets of
+// its color block. Each color's count, up to assoc+1, is then added
+// once to every set a complete page's offsets reach. Partial first and
+// last pages, and every page at any other level, are counted access by
+// access.
+func (in *Instance) countWalk(plan []planLevel, sp *Space, base, stride, n int64, sc *setCounts) {
+	shift, mask := in.pageShift, in.pageMask
+	pc := colorScratch.get()
+	defer colorScratch.put(pc)
+	pc.reset(plan, shift, stride)
+	first := base >> shift
+	frames := sp.frames(first, (base+(n-1)*stride)>>shift)
+	paged, perAccess := false, false
+	for _, cl := range pc.levels {
+		paged = paged || cl.first >= 0
+		perAccess = perAccess || cl.first < 0
+	}
+	lo, hi := n, n
+	if paged {
+		lo, hi = completePages(base, stride, n, mask+1)
+	}
+	in.countAccesses(plan, pc, frames, base, stride, 0, lo, true, sc)
+	in.countAccesses(plan, pc, frames, base, stride, hi, n, true, sc)
+	if perAccess {
+		in.countAccesses(plan, pc, frames, base, stride, lo, hi, false, sc)
+	}
+	if lo == hi {
+		return
+	}
+	step := max(1, stride>>shift)
+	pageLo, pageHi := (base+lo*stride)>>shift, (base+(hi-1)*stride)>>shift
+	// Every complete page holds the offsets (base mod page) mod stride
+	// + i·stride below the page: one offset when the stride is a
+	// multiple of the page.
+	off := (base & mask) % stride
+	for j, cl := range pc.levels {
+		if cl.first < 0 {
+			continue
+		}
+		c := plan[j].c
+		swept := pc.swept[cl.first : cl.first+cl.mask+1]
+		switch {
+		case cl.mask == 0 || c.virtual && step&cl.mask == 0:
+			// Every page has the first one's color.
+			swept[pageLo&cl.mask] += (pageHi-pageLo)/step + 1
+		case c.virtual:
+			for q := pageLo; q <= pageHi; q += step {
+				swept[q&cl.mask]++
+			}
+		default:
+			for q := pageLo - first; q <= pageHi-first; q += step {
+				swept[int64(frames[q])&cl.mask]++
+			}
+		}
+		for color, k := range swept {
+			if k == 0 {
+				continue
+			}
+			k = min(k, c.assoc+1)
+			for o := off; o <= mask; o += stride {
+				line := (int64(color)<<shift + o) >> c.lineBits
+				sc.add(j, line&(c.numSets-1), int32(k), c.assoc)
+			}
+		}
+	}
+}
+
+// completePages returns the accesses lo ≤ i < hi of a walk of n
+// accesses from base that lie on its complete pages — those that hold
+// every offset the walk visits on a page — for a stride that divides
+// the page or is a multiple of it: every page when there is one access
+// per page, and otherwise the pages after a first page the walk enters
+// past its first offset and before a last page it leaves early.
+func completePages(base, stride, n, page int64) (lo, hi int64) {
+	if stride >= page {
+		return 0, n
+	}
+	if off := base & (page - 1); off >= stride {
+		lo = min(n, (page-off+stride-1)/stride)
+	}
+	perPage := page / stride
+	return lo, lo + (n-lo)/perPage*perPage
+}
+
+// countAccesses counts the accesses lo ≤ i < hi of a walk one by one,
+// at every plan level when all is set and otherwise at the levels pc
+// does not count by page. frames holds the frames of the walk's pages,
+// from base's on.
+func (in *Instance) countAccesses(plan []planLevel, pc *pageColors, frames []uint32, base, stride, lo, hi int64, all bool, sc *setCounts) {
+	shift, mask := in.pageShift, in.pageMask
+	first := base >> shift
+	for i, vaddr := lo, base+lo*stride; i < hi; i, vaddr = i+1, vaddr+stride {
+		paddr := int64(frames[vaddr>>shift-first])<<shift + vaddr&mask
+		for j := range plan {
+			if !all && pc.levels[j].first >= 0 {
+				continue
+			}
+			c := plan[j].c
+			pLine := paddr >> c.lineBits
+			sc.add(j, c.setIndex(vaddr>>c.lineBits, pLine), 1, c.assoc)
+		}
+	}
+}
+
+// pageColors is installWalk's and countWalk's scratch: for every plan
+// level, where its per-color counts of the complete pages swept start
+// in swept and the mask that takes a page's frame or virtual page to
+// its color. Slabs are pooled on colorScratch and only ever grow.
 type pageColors struct {
 	levels []colorLevel
-	swept  []int32
+	swept  []int64
 }
 
 // colorLevel is one plan level's part of pageColors: first is the
-// index of its first color in swept, or −1 when installWalk installs
-// the level access by access; mask is its color count less one.
+// index of its first color in swept, or −1 when countWalk counts and
+// installWalk installs the level access by access; mask is its color
+// count less one.
 type colorLevel struct {
 	first, mask int64
 }
@@ -418,27 +575,33 @@ func (pc *pageColors) reset(plan []planLevel, shift uint, stride int64) {
 
 // fill runs one traversal of w on the core, adding each access's cost
 // to *total, without simulating its cache accesses, when it can prove
-// that every access misses at every level, and returns installWalk's
-// visits; otherwise it changes nothing and returns false. The proof is
-// coldWalk's.
+// that every access misses at every level, and reports true; otherwise
+// it changes nothing and reports false. The proof is coldWalk's.
 //
-// installWalk then installs the walk, marking in sc, when sc is
-// non-nil, the sets it overflows. Each access adds what accessAt would
-// charge it, one at a time in issue order, so non-integral costs stay
-// exact. The TLB is probed only when an access moves to a new page: an
-// access on the page before it hits the MRU entry, which changes
-// nothing. The prefetcher, which coldWalk proved cannot follow the
-// stride, is left as observing every access would leave it
-// (observeWalk). fill allocates nothing once the plan's caches, sc and
-// the color scratch have been used.
-func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) (visits int64, ok bool) {
+// Each access adds what accessAt would charge it, one at a time in
+// issue order, so non-integral costs stay exact. The TLB is probed only
+// when an access moves to a new page: an access on the page before it
+// hits the MRU entry, which changes nothing. The prefetcher, which
+// coldWalk proved cannot follow the stride, is left as observing every
+// access would leave it (observeWalk), and every cache on the plan is
+// marked occupied. The walk's lines are not installed: fill records the
+// walk as the instance's pending end state (pendingWalk), which settle
+// installs before anything reads the caches and a reset drops, so the
+// caches are as the traversal leaves them to every later call. When sc
+// is non-nil, countWalk records in it the per-set line counts the
+// proofs read. fill allocates nothing once the plan's caches, sc, the
+// color scratch and the pending list have been used.
+func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool {
 	n, base, stride := w.accesses(), w.base, w.stride
 	if n <= 0 || !in.coldWalk(core, base, stride) {
-		return 0, false
+		return false
 	}
+	shift := in.pageShift
+	// Panic now, as the walk's accesses would, on a walk past the pages
+	// its space maps, and not when its pending end state is settled.
+	w.sp.frames(base>>shift, (base+(n-1)*stride)>>shift)
 
 	plan := in.planFor(core)
-	shift := in.pageShift
 	t := in.tlbs[core]
 	cost, tlbCost := in.costs[0][in.levels+1], in.costs[1][in.levels+1]
 	a := *total
@@ -458,8 +621,10 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) (visi
 
 	if sc != nil {
 		sc.reset(plan, base, stride)
+		in.countWalk(plan, w.sp, base, stride, n, sc)
 	}
-	return in.installWalk(plan, w.sp, base, stride, n, sc), true
+	in.postpone(plan, *w)
+	return true
 }
 
 // coupledFill is one coupled stream's part of installMerged's reverse
@@ -502,20 +667,20 @@ type coupledFill struct {
 // lines of the set came since its line last did. Every complete pass,
 // and so the run, ends with each such set holding its last assoc lines,
 // MRU first, as an installWalk of the whole walk leaves it. So
-// fillCoupled runs installWalk over the whole walk at the stream's
-// private levels, which are still empty, takes as the prefix the
-// leading levels at which every set with lines is marked setFull, and
-// empties the private levels after it. Nothing reads the prefix before
-// the run ends, as no other stream reaches it and the prefetcher never
-// fires, so it holds the run's end state from now on, and the
-// interleaver skips it (in.rc.skips): coupled streams are simulated
-// only from the first level after their prefix on.
+// fillCoupled runs countWalk over the whole walk at the stream's
+// private levels, which are still empty, and takes as the prefix the
+// leading levels at which every set with lines is marked setFull.
+// Nothing reads the prefix before the run ends, as no other stream
+// reaches it and the prefetcher never fires, so the whole walk there is
+// the run's end state from now on: fillCoupled records it as pending
+// (postpone), and the interleaver skips the prefix (in.rc.skips), so
+// coupled streams are simulated only from the first level after their
+// prefix on.
 //
 // The levels after the prefix and the prefetchers are left as they
-// were: runStacked or installMerged sets them.
-// fillCoupled returns the number of accesses filled and installWalk's
-// visits, and allocates nothing once the caches and the scratch slabs
-// have grown.
+// were: runStacked or installMerged sets them. fillCoupled returns the
+// number of accesses filled, and allocates nothing once the caches,
+// the scratch slabs and the pending list have grown.
 func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState, order *[]uint8) (counts PassCounts) {
 	if len(streams) > math.MaxUint8+1 {
 		return counts
@@ -574,10 +739,11 @@ func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState,
 				break
 			}
 		}
+		n := int64(len(str.Addrs))
 		skip := 0
 		if private > 0 {
 			sc.reset(plan[:private], base, stride)
-			counts.InstallVisits += in.installWalk(plan[:private], str.Space, base, stride, int64(len(str.Addrs)), sc)
+			in.countWalk(plan[:private], str.Space, base, stride, n, sc)
 		prefix:
 			for ; skip < private; skip++ {
 				for _, s := range sc.touched[skip] {
@@ -586,9 +752,9 @@ func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState,
 					}
 				}
 			}
-			for _, pl := range plan[skip:private] {
-				pl.c.reset()
-			}
+		}
+		if skip > 0 {
+			in.postpone(plan[:skip], walk{sp: str.Space, base: base, bytes: n * stride, stride: stride})
 		}
 		in.rc.skips[i] = skip
 	}
@@ -667,12 +833,11 @@ type stackSet struct {
 	lines, clock int32
 }
 
-// stackLine is one walk position in runStacked: the set and tag of its
-// line at the shared level, and its stamp, the set's clock just after
-// the line's last access, or 0 before its first.
+// stackLine is one walk position in runStacked: the set of its line at
+// the shared level, and its stamp, the set's clock just after the
+// line's last access, or 0 before its first.
 type stackLine struct {
 	set, stamp int32
-	tag        uint32
 }
 
 // stackCounts is runStacked's scratch: the shared level's sets, and
@@ -704,7 +869,7 @@ type stackCursor struct {
 }
 
 // runStacked finishes the run of the two coupled streams in idx, which
-// fillCoupled has filled in the merged issue order *order and
+// fillCoupled has filled in the merged issue order and
 // stackable admits, deciding every access after the fill by its LRU
 // stack distance at the shared last level C instead of looking its
 // line up. The fill proved that both streams miss throughout at every
@@ -724,9 +889,9 @@ type stackCursor struct {
 // before misses.
 //
 // So runStacked keeps, in slabs of stackScratch, one clock per set of
-// C, counting its accesses, and for each walk position the set and tag
-// of its line, found with one translation per page, and a stamp, its
-// set's clock just after the line's last access. A forward sweep over
+// C, counting its accesses, and for each walk position the set of its
+// line, found with one translation per page, and a stamp, its set's
+// clock just after the line's last access. A forward sweep over
 // the fill's order stamps the filled accesses. The passes then
 // interleave as RunConcurrentInto's loop would, the stream of smaller
 // (clock, index) issuing next, each core's TLB probed on its stream's
@@ -737,18 +902,16 @@ type stackCursor struct {
 // and, in a measured pass, to its cycles, in issue order, so the
 // statistics are the interleaver's bit for bit at any latencies.
 //
-// runStacked appends the run's issue order to *order, one stream index
-// per access, and installs C's end state with one reverse sweep of it
-// that goes back exactly one walk per stream: a stream's last walk
-// visits each of its lines once, and its earlier accesses repeat them,
-// so appending at the LRU end as installWalk does leaves each set with
-// its last lines, MRU first. Each core's prefetcher, which has seen
-// every access of its stream at a stride beyond it, is set in closed
-// form (endWalk). It
-// writes both streams' statistics, returns the accesses it decided and
-// its install visits, and allocates nothing once the scratch slabs have
+// Every line's last access falls in its stream's last pass, so C ends
+// as the last passes of both walks, in the order they were issued,
+// leave it. runStacked records that order, one bit per access of a
+// last pass, and leaves C's end state pending (pendingPair). Each
+// core's prefetcher, which has seen every access of its stream at a
+// stride beyond it, is set in closed form (endWalk). It writes both
+// streams' statistics, returns the accesses it decided, and allocates
+// nothing once the scratch slabs and the pending pair's bits have
 // grown.
-func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, passes int, stats []StreamStats, order *[]uint8) (counts PassCounts) {
+func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, passes int, stats []StreamStats, order []uint8) (counts PassCounts) {
 	ids := [2]int32{idx[0], idx[1]}
 	last := in.levels - 1
 	plan := in.planFor(streams[ids[0]].Core)
@@ -772,13 +935,12 @@ func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, 
 			}
 			pLine := (pbase + vaddr&mask) >> c.lineBits
 			s := c.setIndex(vaddr>>c.lineBits, pLine)
-			lines[cu.first+p] = stackLine{set: int32(s), tag: uint32(pLine)}
+			lines[cu.first+p] = stackLine{set: int32(s)}
 			sets[s].lines++
 		}
 	}
-	issued := *order
 	filled := [2]int{}
-	for _, i := range issued {
+	for _, i := range order {
 		k := 0
 		if int32(i) != ids[0] {
 			k = 1
@@ -790,7 +952,10 @@ func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, 
 		l.stamp = s.clock
 	}
 
-	issued = slices.Grow(issued, passes*(n0+n1)-len(issued))
+	pair := &in.pend.pair
+	pair.lastPass = extend(pair.lastPass[:0], (n0+n1+63)/64)
+	clear(pair.lastPass)
+	lastPass, issued := pair.lastPass, 0
 	costs := [2][2]float64{
 		{in.costs[0][in.levels], in.costs[0][in.levels+1]},
 		{in.costs[1][in.levels], in.costs[1][in.levels+1]},
@@ -826,7 +991,10 @@ run:
 		if cu.pass > 0 {
 			cu.cycles += cost
 		}
-		issued = append(issued, uint8(ids[k]))
+		if cu.pass == passes-1 {
+			lastPass[issued>>6] |= uint64(k) << (issued & 63)
+			issued++
+		}
 		if cu.pos++; cu.pos == len(addrs) {
 			cu.pos = 0
 			cu.pass++
@@ -844,44 +1012,32 @@ run:
 			k = 0
 		}
 	}
-	*order = issued
 
 	occupy(plan[last:])
-	left := [2]int{n0, n1}
-	for j, rest := len(issued)-1, n0+n1; rest > 0; j-- {
-		k := 0
-		if int32(issued[j]) != ids[0] {
-			k = 1
-		}
-		if left[k] == 0 {
-			continue
-		}
-		left[k]--
-		l := &lines[cur[k].first+left[k]]
-		c.appendLRU(int64(l.set), int64(l.tag))
-		rest--
-	}
+	pair.c = c
 	for k, i := range ids {
 		str := &streams[i]
 		n := len(str.Addrs)
 		in.pref[str.Core].endWalk(str.Addrs[n-2], str.Addrs[n-1])
 		stats[i] = StreamStats{Accesses: int64(passes-1) * int64(n), Cycles: cur[k].cycles}
+		stride := str.Addrs[1] - str.Addrs[0]
+		pair.walks[k] = walk{sp: str.Space, base: str.Addrs[0], bytes: int64(n) * stride, stride: stride}
 	}
-	counts.Stacked = int64(len(issued) - filled[0] - filled[1])
-	counts.InstallVisits = int64(n0 + n1)
+	counts.Stacked = int64(passes*(n0+n1) - filled[0] - filled[1])
 	return counts
 }
 
 // derivedPass costs one measured traversal of a walk fill has just
-// installed, from the per-set facts fill recorded in sc, without
-// simulating it, and leaves every piece of state as fill left it. It
+// filled, from the per-set counts fill recorded in sc, without
+// simulating it, and leaves every piece of state as fill left it, the
+// pending end state included. It
 // adds the pass's cost to *total and *measured, bit for bit what adding
 // each access's cost in issue order would give, and returns true when
 // provePass can prove that cost; otherwise it changes nothing, *total
 // and *measured included, and returns false.
 //
-// After the fill, each set at each level holds the last min(k, assoc)
-// of its k lines, MRU first. provePass shows from the per-set facts
+// After the fill, each set at each level holds — pending or installed —
+// the last min(k, assoc) of its k lines, MRU first. provePass shows from the per-set facts
 // alone that every set at every level is reached by all of its lines
 // or by none. A reached set then sees its own lines in the same cyclic
 // order again: with k ≤ assoc every access hits and restores the set's
@@ -993,8 +1149,8 @@ func (in *Instance) provePass(plan []planLevel, sc *setCounts) bool {
 
 // countedCost returns the cost of a pass provePass has proved, as one
 // sum over the touched sets: each line of a reached set that fits —
-// the set holds all of them, so its length counts them — hits there,
-// at costs[0][j+1] for level j, every other line misses
+// the set holds all of them, so its count in sc counts them — hits
+// there, at costs[0][j+1] for level j, every other line misses
 // everywhere, at costs[0][L+1], and when tlbPage is 1 each of the
 // pass's pages adds the TLB miss penalty once. With integral costs
 // every term is a non-negative integer, so the sum is exact whenever
@@ -1002,11 +1158,11 @@ func (in *Instance) provePass(plan []planLevel, sc *setCounts) bool {
 func (in *Instance) countedCost(plan []planLevel, sc *setCounts, n, pages int64, tlbPage int) float64 {
 	d, misses := 0.0, n
 	for j := range plan {
-		lens, sets := plan[j].c.lens, sc.sets[j]
+		lines, sets := sc.lines[j], sc.sets[j]
 		var hits int64
 		for _, s := range sc.touched[j] {
 			if sets[s] == setReached {
-				hits += int64(lens[s])
+				hits += int64(lines[s])
 			}
 		}
 		misses -= hits
@@ -1061,16 +1217,16 @@ func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *
 		sc = setScratch.get()
 		defer setScratch.put(sc)
 	}
-	visits, derive := in.fill(core, &w, total, sc)
+	derive := in.fill(core, &w, total, sc)
 	if derive {
-		c.Filled, c.InstallVisits = n, visits
+		c.Filled = n
 	} else {
-		in.traverse(core, &w, total, nil)
+		c.InstallVisits += in.traverse(core, &w, total, nil)
 	}
 	for pass := 1; pass <= passes; pass++ {
 		t0, m0 := *total, *measured
 		if derive = derive && in.derivedPass(core, &w, sc, total, measured); !derive {
-			in.traverse(core, &w, total, measured)
+			c.InstallVisits += in.traverse(core, &w, total, measured)
 			continue
 		}
 		c.Derived += n

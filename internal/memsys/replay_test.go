@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"servet/internal/topology"
@@ -9,20 +10,23 @@ import (
 
 // strideRun is one strided measurement and what it leaves behind: the
 // two accumulators, the accesses AccessStridePasses replayed, filled
-// and derived, and the per-access costs of one further traversal,
-// which differ between two instances whose end states differ.
+// and derived, the per-access costs of the follow-up operation and of
+// one further traversal, which differ between two instances whose end
+// states differ, and the end state after them.
 type strideRun struct {
 	total, measured           float64
 	replayed, filled, derived int64
 	after                     []float64
+	state                     endState
 }
 
 // runStridePasses measures bytes of an array, starting lead bytes into
 // it, on a fresh instance: one access every stride bytes of the lead-in
 // first, then the measurement, through AccessStridePasses when replay
 // is set and through the plain loop of AccessStrideAccum passes
-// otherwise.
-func runStridePasses(m *topology.Machine, seed int64, core int, lead, bytes, stride int64, passes int, total0 float64, replay bool) strideRun {
+// otherwise. The follow-up operation op (followNone for none) comes
+// next, then a further traversal of the walked bytes.
+func runStridePasses(m *topology.Machine, seed int64, core int, lead, bytes, stride int64, passes int, total0 float64, replay bool, op int) strideRun {
 	in := NewInstanceAt(m, seed)
 	sp := in.NewSpace()
 	a := sp.Alloc(lead + bytes)
@@ -31,29 +35,56 @@ func runStridePasses(m *topology.Machine, seed int64, core int, lead, bytes, str
 	}
 	base := a.Base + lead
 	r := strideRun{total: total0}
-	if replay {
-		c := in.AccessStridePasses(core, sp, base, bytes, stride, passes, &r.total, &r.measured)
-		r.replayed, r.filled, r.derived = c.Replayed, c.Filled, c.Derived
-	} else {
+	// measure runs the measurement; the counts are the first one's.
+	counted := false
+	measure := func() {
+		if replay {
+			c := in.AccessStridePasses(core, sp, base, bytes, stride, passes, &r.total, &r.measured)
+			if !counted {
+				r.replayed, r.filled, r.derived, counted = c.Replayed, c.Filled, c.Derived, true
+			}
+			return
+		}
 		in.AccessStrideAccum(core, sp, base, bytes, stride, &r.total, nil)
 		for pass := 1; pass <= passes; pass++ {
 			in.AccessStrideAccum(core, sp, base, bytes, stride, &r.total, &r.measured)
 		}
 	}
+	measure()
+	switch op {
+	case followAccess:
+		r.after = append(r.after, in.Access(core, sp, base+(bytes-1)/stride/2*stride))
+	case followWalk:
+		measure()
+	case followRealloc:
+		sp.Free(a)
+		a = sp.Alloc(lead + bytes)
+		base = a.Base + lead
+		r.after = append(r.after, in.Access(core, sp, base))
+	case followReset:
+		in.ResetCaches()
+		measure()
+	case followTraverse:
+		in.AccessStrideAccum(core, sp, base, bytes, stride, &r.total, nil)
+	}
 	for off := int64(0); off < bytes; off += stride {
 		r.after = append(r.after, in.Access(core, sp, base+off))
 	}
+	r.state = stateOf(in)
 	return r
 }
 
 // assertReplayMatches checks a replayed run against its simulated twin
-// bit for bit.
+// bit for bit, end state included.
 func assertReplayMatches(t *testing.T, got, want strideRun) {
 	t.Helper()
 	if math.Float64bits(got.total) != math.Float64bits(want.total) || math.Float64bits(got.measured) != math.Float64bits(want.measured) {
 		t.Fatalf("replayed total/measured %v/%v, simulated %v/%v", got.total, got.measured, want.total, want.measured)
 	}
 	assertTraceEqual(t, "replay", "further traversal", 0, nil, got.after, want.after)
+	if !slices.Equal(got.state.caches, want.state.caches) || got.state.cores != want.state.cores {
+		t.Fatalf("end state differs from the simulated one's:\n%s\nsimulated\n%s", got.state.cores, want.state.cores)
+	}
 }
 
 // FuzzStridePassesMatchSimulated: over machine shapes decoded like
@@ -63,7 +94,9 @@ func assertReplayMatches(t *testing.T, got, want strideRun) {
 // any starting total, AccessStridePasses equals the plain pass loop on
 // a twin instance bit for bit — whether it fills or simulates the
 // warm-up, whether it derives a pass and whether it replays or
-// declines — and leaves the same state behind. A lead-in leaves the
+// declines — and leaves the same state behind, as the follow-up an
+// optional byte after the shape picks (followOp) and a further
+// traversal observe it. A lead-in leaves the
 // core's caches occupied, so the warm-up fill declines; only a filled
 // warm-up is followed by derived passes, whole ones.
 func FuzzStridePassesMatchSimulated(f *testing.F) {
@@ -104,8 +137,18 @@ func FuzzStridePassesMatchSimulated(f *testing.F) {
 		installLevel(16, 4, topology.VirtuallyIndexed),
 		installLevel(64, 2, topology.PhysicallyIndexed)))
 	f.Add(subPage, int64(18), uint16(3500), uint16(255), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
+	// Follow-ups after a filled, derived and replayed walk over all
+	// three nehalem2s levels, whose end state is still pending: the
+	// shape's bytes after its frac byte pick one. A load or a traversal
+	// must install it before it looks a line up, and a free before it
+	// unmaps the frames the install translates; a second measurement
+	// installs it and then simulates, and a reset drops it.
+	for op := range byte(5) {
+		f.Add(append(slices.Clip(nehalem), 0, op), int64(19), uint16(40000), uint16(1023), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, shape []byte, seed int64, lines, stride uint16, passes uint8, start int32, exp int8, frac, lead uint8) {
-		m := fuzzMachine(shape)
+		m, rest := decodeMachine(shape)
+		op := followOp(rest)
 		// A non-zero frac adds frac/100 cycles to one level's latency,
 		// or to the memory latency: mostly a fraction float64 cannot
 		// represent, so sums of such costs round.
@@ -127,10 +170,10 @@ func FuzzStridePassesMatchSimulated(f *testing.F) {
 		core := int(uint64(seed) % uint64(m.CoresPerNode))
 		leadBytes := int64(lead) * 16
 
-		want := runStridePasses(m, seed, core, leadBytes, bytes, step, np, total0, false)
-		got := runStridePasses(m, seed, core, leadBytes, bytes, step, np, total0, true)
+		want := runStridePasses(m, seed, core, leadBytes, bytes, step, np, total0, false, op)
+		got := runStridePasses(m, seed, core, leadBytes, bytes, step, np, total0, true, op)
 		assertReplayMatches(t, got, want)
-		n := int64(len(got.after))
+		n := (bytes + step - 1) / step
 		if got.replayed < 0 || got.replayed > int64(np-1)*n || got.replayed%n != 0 {
 			t.Fatalf("replayed %d accesses of %d passes of %d", got.replayed, np, n)
 		}
@@ -193,11 +236,11 @@ func TestStridePassesDeclineMovedState(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, passes := range []int{2, 3} {
-			got := runStridePasses(tc.m, 1, 0, tc.lead, tc.bytes, 16, passes, 0, true)
+			got := runStridePasses(tc.m, 1, 0, tc.lead, tc.bytes, 16, passes, 0, true, followNone)
 			if got.replayed != 0 || got.derived != 0 {
 				t.Errorf("%s, %d passes: replayed %d and derived %d accesses, want 0", tc.name, passes, got.replayed, got.derived)
 			}
-			assertReplayMatches(t, got, runStridePasses(tc.m, 1, 0, tc.lead, tc.bytes, 16, passes, 0, false))
+			assertReplayMatches(t, got, runStridePasses(tc.m, 1, 0, tc.lead, tc.bytes, 16, passes, 0, false, followNone))
 		}
 	}
 }
@@ -238,11 +281,11 @@ func TestIntegralCostsGate(t *testing.T) {
 func TestStridePassesReplayBuiltinModels(t *testing.T) {
 	for name, m := range fastpathMachines() {
 		for _, bytes := range []int64{16 * topology.KB, 384 * topology.KB, 3 * topology.MB} {
-			got := runStridePasses(m, 1, 0, 0, bytes, 1024, 3, 0, true)
+			got := runStridePasses(m, 1, 0, 0, bytes, 1024, 3, 0, true, followNone)
 			if want := 2 * bytes / 1024; got.replayed != want {
 				t.Errorf("%s, %d bytes: replayed %d accesses, want %d", name, bytes, got.replayed, want)
 			}
-			assertReplayMatches(t, got, runStridePasses(m, 1, 0, 0, bytes, 1024, 3, 0, false))
+			assertReplayMatches(t, got, runStridePasses(m, 1, 0, 0, bytes, 1024, 3, 0, false, followNone))
 		}
 	}
 }

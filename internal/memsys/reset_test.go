@@ -82,6 +82,35 @@ func TestResetAtMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestResetAtDropsPendingEndState: a pooled instance whose last
+// measurement filled its warm-up and left that end state pending is
+// reset exactly: afterwards it reproduces a fresh instance's traces.
+func TestResetAtDropsPendingEndState(t *testing.T) {
+	m := topology.Nehalem2S()
+	pooled := NewInstanceAt(m, 3, 9)
+	sp := pooled.NewSpace()
+	a := sp.Alloc(4 * topology.MB)
+	var total, measured float64
+	if c := pooled.AccessStridePasses(0, sp, a.Base, a.Bytes, topology.KB, 2, &total, &measured); c.Filled == 0 || !pooled.pend.waiting() {
+		t.Fatalf("counts %+v: want a filled warm-up whose end state is pending", c)
+	}
+	pooled.ResetAt(1, 2)
+	if pooled.pend.waiting() {
+		t.Fatal("ResetAt left an end state pending")
+	}
+	for _, tr := range []struct {
+		name string
+		run  func(*Instance) []float64
+	}{
+		{"pooling", poolingTrace},
+		{"stride", func(in *Instance) []float64 { return strideTrace(in, 2*topology.MB, topology.KB) }},
+	} {
+		want := tr.run(NewInstanceAt(m, 1, 2))
+		assertTraceEqual(t, m.Name, tr.name, 1, []int64{2}, tr.run(pooled), want)
+		pooled.ResetAt(1, 2)
+	}
+}
+
 func assertTraceEqual(t *testing.T, machine, phase string, seed int64, keys []int64, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -53,28 +53,36 @@ const (
 	// other pass is proven to end where it started.
 	// CounterMemsysFilled counts the warm-up accesses the same calls
 	// filled instead of simulating: a warm-up pass over empty caches
-	// whose every access provably misses at every level installs its
-	// lines in one sweep. For streams that share a cache, the
-	// interleaved warm-up accesses issued before the first measured one
-	// are filled the same way, in one sweep of their merged order.
+	// whose every access provably misses at every level is costed in
+	// one loop and its lines counted per set. For streams that share a
+	// cache, the interleaved warm-up accesses issued before the first
+	// measured one are filled the same way, in their merged order.
 	// CounterMemsysDerived counts the measured accesses whose cost the
 	// same calls derived from the per-set line counts of a filled
 	// warm-up instead of simulating them: the first measured pass after
 	// a fill, when every set of every level is reached by all of its
 	// lines or by none. CounterMemsysInstallVisits counts the (access,
-	// level) pairs those fills looked at to install the warm-up's lines:
-	// work in cache operations, not accesses, so it moves when a fill
-	// installs the same lines with fewer visits. CounterMemsysStacked
+	// level) pairs the same calls looked at to install cache lines: a
+	// coupled warm-up's merged sweep, and any filled end state a call
+	// built because it was about to read the caches (one a reset drops
+	// is never built). It is work in cache operations, not accesses, so
+	// it moves when the same lines are installed with fewer visits, or
+	// not at all. CounterMemsysStacked
 	// counts the accesses of a filled pair of streams, after its fill,
 	// whose cost RunConcurrentInto decided from their LRU stack distance
 	// at the one cache level both streams reach instead of looking them
-	// up there.
-	CounterMemsysAccesses      = "memsys.accesses"
-	CounterMemsysReplayed      = "memsys.accesses_replayed"
-	CounterMemsysFilled        = "memsys.accesses_filled"
-	CounterMemsysDerived       = "memsys.accesses_derived"
-	CounterMemsysInstallVisits = "memsys.install_visits"
-	CounterMemsysStacked       = "memsys.accesses_stacked"
+	// up there. CounterMemsysPagesPlaced counts the pages the probes'
+	// arrays were placed on, and CounterMemsysPlacementRetries the
+	// candidate frames those placements found taken and passed over:
+	// the page allocator's work, in its own units.
+	CounterMemsysAccesses         = "memsys.accesses"
+	CounterMemsysReplayed         = "memsys.accesses_replayed"
+	CounterMemsysFilled           = "memsys.accesses_filled"
+	CounterMemsysDerived          = "memsys.accesses_derived"
+	CounterMemsysInstallVisits    = "memsys.install_visits"
+	CounterMemsysStacked          = "memsys.accesses_stacked"
+	CounterMemsysPagesPlaced      = "memsys.pages_placed"
+	CounterMemsysPlacementRetries = "memsys.placement_retries"
 	// CounterScratchFresh counts sweep scratch builds, one per worker;
 	// CounterScratchReused counts each later chunk a worker runs on the
 	// scratch it already holds.

@@ -17,7 +17,9 @@ import (
 // simulator on one model, counted by the engine's tracer. Simulated is
 // the accesses neither filled, derived, replayed nor stacked — the ones
 // the simulator still issued one by one. InstallVisits is the (access,
-// level) pairs the fills looked at to install their lines.
+// level) pairs the probe looked at to install cache lines. Pages and
+// Retries are the pages the probe's arrays were placed on and the
+// taken candidate frames those placements passed over.
 type workRow struct {
 	Model         string `json:"model"`
 	Probe         string `json:"probe"`
@@ -28,6 +30,8 @@ type workRow struct {
 	Stacked       int64  `json:"memsys.accesses_stacked"`
 	Simulated     int64  `json:"simulated"`
 	InstallVisits int64  `json:"memsys.install_visits"`
+	Pages         int64  `json:"memsys.pages_placed"`
+	Retries       int64  `json:"memsys.placement_retries"`
 	Measurements  int64  `json:"sweep.measurements"`
 	Resets        int64  `json:"memsys.instance.reset"`
 }
@@ -63,6 +67,8 @@ func workLedger(t *testing.T) []workRow {
 				Replayed:      tr.Counter(obs.CounterMemsysReplayed),
 				Stacked:       tr.Counter(obs.CounterMemsysStacked),
 				InstallVisits: tr.Counter(obs.CounterMemsysInstallVisits),
+				Pages:         tr.Counter(obs.CounterMemsysPagesPlaced),
+				Retries:       tr.Counter(obs.CounterMemsysPlacementRetries),
 				Measurements:  tr.Counter(obs.CounterSweepMeasurements),
 				Resets:        tr.Counter(obs.CounterMemsysReset),
 			}
@@ -75,7 +81,7 @@ func workLedger(t *testing.T) []workRow {
 
 // TestWorkLedger pins testdata/work.json, the simulator's work per
 // model and probe: it fails when a row's simulated accesses grow, and
-// when its fills' install visits grow, and when any other cell moves —
+// when its install visits grow, and when any other cell moves —
 // a change that proves more accesses away moves the filled, derived,
 // replayed or stacked cells, one that installs them with fewer visits
 // moves the install column, and either is recorded by re-running with
