@@ -44,11 +44,12 @@
 // A filled walk's tags are installed only if something reads them. The
 // fill records its install as the instance's pending end state, and
 // every call that reads or changes cache contents — Access,
-// AccessStrideAccum, AccessStridePasses, RunConcurrentInto and
-// Space.Free — first settles it: one reverse sweep, page by page, that
-// appends each set's lines at its LRU end, a level skipping the pages
-// of a color once assoc+1 of them have filled its sets. ResetAt and
-// ResetCaches drop it unbuilt, as every probe does after its
+// AccessStrideAccum, RunConcurrentInto, Space.Free, and
+// AccessStridePasses before the first pass it simulates — first
+// settles it: one reverse sweep that appends each set's lines at its
+// LRU end, translating once per page. A walk that one allocation does
+// not map, crossing a guard page into the next, is not filled. ResetAt
+// and ResetCaches drop it unbuilt, as every probe does after its
 // measurement. The TLBs, prefetchers and occupancy flags are set
 // eagerly, so every later call observes exactly the state simulation
 // would have left.

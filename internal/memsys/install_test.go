@@ -8,12 +8,10 @@ import (
 	"servet/internal/topology"
 )
 
-// installWalkPerAccess is installWalk as one reverse loop over every
-// access, looking each one up at every plan level: the reference the
-// per-page installer must match in cache state. When sc is non-nil it
-// also records, from what each append found, the sets the walk touches
-// and the ones it overflows: the facts countWalk must count without
-// installing.
+// installWalkPerAccess is installWalk written out with, when sc is
+// non-nil, a record of what each append found: the sets the walk
+// touches and the ones it overflows, the facts countWalk must count
+// without installing.
 func (in *Instance) installWalkPerAccess(plan []planLevel, sp *Space, base, stride, n int64, sc *setCounts) {
 	occupy(plan)
 	shift, mask := in.pageShift, in.pageMask
@@ -62,20 +60,20 @@ func installLevel(sets int64, assoc int, indexing topology.Indexing) topology.Ca
 	return topology.CacheLevel{SizeBytes: sets * int64(assoc) * 64, Assoc: assoc, Indexing: indexing}
 }
 
-// TestInstallWalkMatchesPerAccess: the per-page installWalk leaves every
-// cache on the plan exactly as the per-access reference does, and
-// countWalk, which installs nothing, counts what that install leaves:
+// TestInstallWalkMatchesPerAccess: installWalk leaves every cache on
+// the plan exactly as the recording reference does, visiting every
+// (access, level) pair, and countWalk, which installs nothing and
+// counts complete pages per color where it can, counts what that
+// install leaves:
 // at every level the same touched sets and setFull marks, and for each
 // set a count above assoc exactly when it is marked full and equal to
 // the set's installed length otherwise. The walks have first and last
 // pages that are partial, strides that divide the page, equal it, are
-// a multiple of it or neither (every level then installed and counted
-// access by access), levels whose sets span less than a page, athlon's
+// a multiple of it or neither (every level then counted access by
+// access), levels whose sets span less than a page, athlon's
 // virtually indexed L1 spanning eight pages, nehalem2s's 128-color L3
 // over 8,000 pages and a non-power-of-two set count; a nil-sc case is
-// a fill with no measured pass, which counts nothing. An aligned walk
-// long enough to sweep more than assoc+1 complete pages of a color must
-// skip some (page, level) pairs; any other walk visits every pair.
+// a fill with no measured pass, which counts nothing.
 func TestInstallWalkMatchesPerAccess(t *testing.T) {
 	nehalem := topology.Nehalem2S()
 	subPage := installMachine("sub-page sets",
@@ -86,31 +84,31 @@ func TestInstallWalkMatchesPerAccess(t *testing.T) {
 		installLevel(192, 8, topology.PhysicallyIndexed))
 	const page = 4 * topology.KB
 	for _, tc := range []struct {
-		name                      string
-		m                         *topology.Machine
-		offset, stride, n         int64
-		nilSC, skips, perAccessAt bool
+		name              string
+		m                 *topology.Machine
+		offset, stride, n int64
+		nilSC             bool
 	}{
-		{name: "nehalem2s aligned", m: nehalem, stride: 1024, n: 4 * 160, skips: true},
-		{name: "nehalem2s partial pages", m: nehalem, offset: 1000, stride: 1024, n: 4*160 + 2, skips: true},
-		{name: "nehalem2s partial pages, nil sc", m: nehalem, offset: 3 * 1024, stride: 1024, n: 4*80 + 3, nilSC: true, skips: true},
-		{name: "nehalem2s stride 64", m: nehalem, offset: 192, stride: 64, n: 64*12 - 5, skips: true},
-		{name: "nehalem2s stride = page", m: nehalem, offset: 512, stride: page, n: 100, skips: true},
-		{name: "nehalem2s stride 2 pages", m: nehalem, offset: 64, stride: 2 * page, n: 80, skips: true},
-		{name: "nehalem2s stride 1.5 KiB", m: nehalem, offset: 128, stride: 1536, n: 400, perAccessAt: true},
-		{name: "nehalem2s stride 3 pages + 1 KiB", m: nehalem, stride: 3*page + 1024, n: 60, perAccessAt: true},
+		{name: "nehalem2s aligned", m: nehalem, stride: 1024, n: 4 * 160},
+		{name: "nehalem2s partial pages", m: nehalem, offset: 1000, stride: 1024, n: 4*160 + 2},
+		{name: "nehalem2s partial pages, nil sc", m: nehalem, offset: 3 * 1024, stride: 1024, n: 4*80 + 3, nilSC: true},
+		{name: "nehalem2s stride 64", m: nehalem, offset: 192, stride: 64, n: 64*12 - 5},
+		{name: "nehalem2s stride = page", m: nehalem, offset: 512, stride: page, n: 100},
+		{name: "nehalem2s stride 2 pages", m: nehalem, offset: 64, stride: 2 * page, n: 80},
+		{name: "nehalem2s stride 1.5 KiB", m: nehalem, offset: 128, stride: 1536, n: 400},
+		{name: "nehalem2s stride 3 pages + 1 KiB", m: nehalem, stride: 3*page + 1024, n: 60},
 		{name: "nehalem2s one page", m: nehalem, offset: 256, stride: 1024, n: 3},
-		{name: "nehalem2s past 17 pages of L3 colors", m: nehalem, offset: 1000, stride: 1024, n: 4*8000 + 1, skips: true},
-		{name: "athlon3200 virtual L1 over 8 pages", m: topology.Athlon3200(), stride: 1024, n: 4 * 200, skips: true},
-		{name: "athlon3200 partial pages", m: topology.Athlon3200(), offset: 2048, stride: 1024, n: 4*200 + 1, skips: true},
-		{name: "sub-page sets", m: subPage, stride: 256, n: 16 * 12, skips: true},
-		{name: "sub-page sets, partial pages", m: subPage, offset: 768, stride: 256, n: 16*12 + 7, skips: true},
-		{name: "sub-page sets, nil sc", m: subPage, offset: 768, stride: 512, n: 8 * 12, nilSC: true, skips: true},
-		{name: "192 sets", m: nonPow2, stride: 1024, n: 4 * 40, skips: true},
-		{name: "192 sets, partial pages", m: nonPow2, offset: 3000, stride: 1024, n: 4*40 + 1, skips: true},
+		{name: "nehalem2s past 17 pages of L3 colors", m: nehalem, offset: 1000, stride: 1024, n: 4*8000 + 1},
+		{name: "athlon3200 virtual L1 over 8 pages", m: topology.Athlon3200(), stride: 1024, n: 4 * 200},
+		{name: "athlon3200 partial pages", m: topology.Athlon3200(), offset: 2048, stride: 1024, n: 4*200 + 1},
+		{name: "sub-page sets", m: subPage, stride: 256, n: 16 * 12},
+		{name: "sub-page sets, partial pages", m: subPage, offset: 768, stride: 256, n: 16*12 + 7},
+		{name: "sub-page sets, nil sc", m: subPage, offset: 768, stride: 512, n: 8 * 12, nilSC: true},
+		{name: "192 sets", m: nonPow2, stride: 1024, n: 4 * 40},
+		{name: "192 sets, partial pages", m: nonPow2, offset: 3000, stride: 1024, n: 4*40 + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(perPage bool) (*Instance, *setCounts, int64) {
+			run := func(reference bool) (*Instance, *setCounts, int64) {
 				in := NewInstanceAt(tc.m, 7)
 				sp := in.NewSpace()
 				a := sp.Alloc(tc.offset + (tc.n-1)*tc.stride + 1)
@@ -119,18 +117,18 @@ func TestInstallWalkMatchesPerAccess(t *testing.T) {
 				sc := new(setCounts)
 				sc.reset(plan, base, tc.stride)
 				visits := tc.n * int64(len(plan))
-				if perPage {
-					if !tc.nilSC {
-						in.countWalk(plan, sp, base, tc.stride, tc.n, sc)
-					}
-					visits = in.installWalk(plan, sp, base, tc.stride, tc.n)
-				} else {
+				if reference {
 					in.installWalkPerAccess(plan, sp, base, tc.stride, tc.n, sc)
+					return in, sc, visits
 				}
-				return in, sc, visits
+				if !tc.nilSC {
+					frames := sp.frames(base>>in.pageShift, (base+(tc.n-1)*tc.stride)>>in.pageShift)
+					in.countWalk(plan, frames, base, tc.stride, tc.n, sc)
+				}
+				return in, sc, in.installWalk(plan, sp, base, tc.stride, tc.n)
 			}
-			inWant, wantSC, all := run(false)
-			inGot, gotSC, visits := run(true)
+			inWant, wantSC, all := run(true)
+			inGot, gotSC, visits := run(false)
 			got, want := stateOf(inGot), stateOf(inWant)
 			if !slices.Equal(got.caches, want.caches) || got.cores != want.cores {
 				t.Fatal("cache state differs from the per-access install")
@@ -151,11 +149,8 @@ func TestInstallWalkMatchesPerAccess(t *testing.T) {
 					}
 				}
 			}
-			if skipped := visits < all; skipped != tc.skips || visits > all {
-				t.Errorf("visited %d of %d (access, level) pairs, want skips %v", visits, all, tc.skips)
-			}
-			if tc.perAccessAt && visits != all {
-				t.Errorf("a stride that neither divides nor is a multiple of the page visited %d of %d pairs", visits, all)
+			if visits != all {
+				t.Errorf("visited %d of %d (access, level) pairs", visits, all)
 			}
 		})
 	}

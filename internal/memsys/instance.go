@@ -309,39 +309,9 @@ func (in *Instance) accessAt(plan []planLevel, skip, core int, vaddr, paddr, vpa
 // accumulators: each access's cost is added to *sumA — and to *sumB
 // when non-nil — in issue order, preserving the exact float summation
 // order of the probe loops (a running total plus a measured-pass
-// total).
+// total). Like Access, it first settles the pending end state.
 func (in *Instance) AccessStrideAccum(core int, sp *Space, base, bytes, stride int64, sumA, sumB *float64) {
-	in.settle()
-	plan := in.planFor(core)
-	shift, mask := in.pageShift, in.pageMask
-	// Translate only on page crossings: the page table walk drops out of
-	// the per-access work entirely. Translation is cost-free in the
-	// model — the TLB, which does cost, is probed inside accessAt as
-	// always — so the returned cycles are identical to the per-access
-	// path.
-	curVpage, pbase := int64(-1), int64(0)
-	a := *sumA
-	var b float64
-	if sumB != nil {
-		b = *sumB
-	}
-	for off := int64(0); off < bytes; off += stride {
-		vaddr := base + off
-		vpage := vaddr >> shift
-		if vpage != curVpage {
-			pbase = sp.translate(vaddr) &^ mask
-			curVpage = vpage
-		}
-		c := in.accessAt(plan, 0, core, vaddr, pbase+vaddr&mask, vpage)
-		a += c
-		if sumB != nil {
-			b += c
-		}
-	}
-	*sumA = a
-	if sumB != nil {
-		*sumB = b
-	}
+	in.traverse(core, &walk{sp: sp, base: base, bytes: bytes, stride: stride}, sumA, sumB)
 }
 
 // ResetCaches empties every cache instance, TLB and prefetcher,
@@ -484,8 +454,8 @@ func earliest(idx []int32, st []streamState) int {
 // came since or the two walks map no more than assoc lines to the set.
 //
 // The statistics and the end state every later call observes are the
-// reference interleaver's bit for bit. Like AccessStridePasses,
-// RunConcurrentInto first settles the instance's pending end state, and
+// reference interleaver's bit for bit. RunConcurrentInto first settles
+// the instance's pending end state, and
 // it leaves pending the installs no access of its own reads: the walks
 // of the strided streams it filled alone, the coupled streams' private
 // prefixes and a stacked pair's shared level (settle.go).

@@ -313,18 +313,19 @@ func (sp *Space) translate(vaddr int64) int64 {
 	return int64(r.ppages[vpage-r.first])<<in.pageShift + (vaddr & in.pageMask)
 }
 
-// frames returns the frames of the virtual pages first through last,
-// which one allocation must map: a walk of one array, whose pages the
-// page table holds in one region. It panics as translate does when the
-// region does not map them all.
+// frames returns the frames of the virtual pages first through last
+// when one allocation maps them all — a walk of one array, whose pages
+// the page table holds in one region — and nil otherwise: a walk past
+// its array's pages, or one whose stride jumps the guard page into the
+// next allocation.
 func (sp *Space) frames(first, last int64) []uint32 {
 	ri := sp.region(first)
 	if ri < 0 {
-		panic(fmt.Sprintf("memsys: access to unmapped address %#x", first<<sp.in.pageShift))
+		return nil
 	}
 	r := &sp.regions[ri]
 	if last-r.first >= int64(len(r.ppages)) {
-		panic(fmt.Sprintf("memsys: access to unmapped address %#x", (r.first+int64(len(r.ppages)))<<sp.in.pageShift))
+		return nil
 	}
 	return r.ppages[first-r.first : last-r.first+1]
 }

@@ -26,8 +26,8 @@ import (
 //
 // No step installs a tag: the fill's lines are the instance's pending
 // end state (settle.go), which installWalk builds, one reverse sweep
-// page by page, only when a later call reads the caches, and which a
-// reset drops unbuilt.
+// translating once per page, only when a later call reads the caches,
+// and which a reset drops unbuilt.
 //
 // A walk fill or derivedPass declines is simulated pass by pass, after
 // settling what is pending: no state is snapshotted or compared.
@@ -129,8 +129,7 @@ var (
 	// issueOrders holds fillCoupled's merged issue order, one stream
 	// index per access.
 	issueOrders freeList[[]uint8]
-	// colorScratch holds countWalk's and installWalk's per-color page
-	// counts.
+	// colorScratch holds countWalk's per-color page counts.
 	colorScratch freeList[pageColors]
 	// stackScratch holds runStacked's per-set clocks and per-position
 	// stamps.
@@ -162,9 +161,10 @@ type PassCounts struct {
 	// pair's shared last level instead of looking them up.
 	Stacked int64
 	// Pages counts the pages the instance's spaces placed on frames
-	// since the instance's previous measurement returned: the pages of
-	// the arrays the measurement walks, in practice. Retries counts the
-	// candidate frames those placements found taken and passed over.
+	// between the instance's previous measurement and this one: the
+	// pages of the arrays the measurement walks, in practice. Retries
+	// counts the candidate frames those placements found taken and
+	// passed over.
 	Pages, Retries int64
 }
 
@@ -189,25 +189,28 @@ func (c *PassCounts) add(o PassCounts) {
 // prefetcher every later call observes are the ones those traversals
 // leave, though a filled walk's lines are installed only when a later
 // call reads the caches (settle), and never when a reset comes first.
+// What an earlier call left pending is settled before the first
+// traversal this call simulates (traverse). A fill needs no settle: a
+// cache that holds pending lines is occupied, so coldWalk declines it,
+// and pending lines in caches off the core's plan are never read.
 // The warm-up is filled when every cache on the core's plan is empty,
-// the stride is at least every plan level's line and the prefetcher
-// cannot follow it; it is simulated otherwise. After a fill the first measured pass is derived
-// when derivedPass can prove its cost from the fill's per-set line
-// counts, and it then leaves the state as it found it, so every
-// remaining pass repeats it access for access and their cost is the
-// pass's sum d times their count k. AccessStridePasses adds d·k in one
+// the stride is at least every plan level's line, the prefetcher
+// cannot follow it and one allocation maps the walk; it is simulated
+// otherwise. After a fill the first measured pass is derived when
+// derivedPass can prove its cost from the fill's per-set line counts,
+// and it then leaves the state as it found it, so every remaining pass
+// repeats it access for access and their cost is the pass's sum d
+// times their count k. AccessStridePasses adds d·k in one
 // step when that equals the k·n single additions bit for bit: every
 // access costs an integer number of cycles (integralCosts) and the
 // accumulators hold integers that stay below 2^53 throughout, so no
 // addition rounds. Otherwise the derived pass is derived again for each
 // remaining pass. A warm-up that is not filled, and a pass that is not
 // derived, is simulated, and so is every pass after it.
-func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) PassCounts {
-	visits := in.settle()
-	c := in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured)
-	c.InstallVisits += visits
-	c.Pages, c.Retries = in.os.takePlaced()
-	return c
+func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) (counts PassCounts) {
+	counts.Pages, counts.Retries = in.os.takePlaced()
+	counts.add(in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured))
+	return counts
 }
 
 // walk is the traversal a replayed measurement repeats: the strided
@@ -226,11 +229,40 @@ func (w *walk) accesses() int64 {
 
 // traverse simulates one traversal of w on the core, adding each
 // access's cost to *total and, when measured is non-nil, to *measured,
-// after settling every pending end state; it returns the settle's
-// install visits.
+// in issue order, after settling every pending end state; it returns
+// the settle's install visits. AccessStrideAccum is traverse.
 func (in *Instance) traverse(core int, w *walk, total, measured *float64) (visits int64) {
 	visits = in.settle()
-	in.AccessStrideAccum(core, w.sp, w.base, w.bytes, w.stride, total, measured)
+	plan := in.planFor(core)
+	shift, mask := in.pageShift, in.pageMask
+	// Translate only on page crossings: the page table walk drops out of
+	// the per-access work entirely. Translation is cost-free in the
+	// model — the TLB, which does cost, is probed inside accessAt as
+	// always — so the returned cycles are identical to the per-access
+	// path.
+	curVpage, pbase := int64(-1), int64(0)
+	a := *total
+	var b float64
+	if measured != nil {
+		b = *measured
+	}
+	for off := int64(0); off < w.bytes; off += w.stride {
+		vaddr := w.base + off
+		vpage := vaddr >> shift
+		if vpage != curVpage {
+			pbase = w.sp.translate(vaddr) &^ mask
+			curVpage = vpage
+		}
+		c := in.accessAt(plan, 0, core, vaddr, pbase+vaddr&mask, vpage)
+		a += c
+		if measured != nil {
+			b += c
+		}
+	}
+	*total = a
+	if measured != nil {
+		*measured = b
+	}
 	return visits
 }
 
@@ -358,66 +390,34 @@ func occupy(plan []planLevel) {
 // traversal that misses throughout leaves them: each set holds the
 // last min(k, assoc) of the k lines the walk maps to it, MRU first.
 // One reverse sweep builds that by appending at the LRU end of each set
-// not yet full — no tag scan and no shift. It returns the number of
-// (access, level) pairs it looked at. Only settle, which installs the
-// end states measurements deferred, calls it.
-//
-// The sweep runs page by page, from the last page down, translating
-// each page once, and installs a page's accesses level by level, each
-// level in reverse access order, so every level sees its lines in the
-// order of one reverse sweep over the accesses. A level whose set count
-// is a power of two maps an access to the set its offset selects in
-// its page's color block: the color is the page's frame, or its
-// virtual page for a virtually indexed level, modulo the level's
-// colors (pageColors.reset). When the stride divides the page, or the
-// page divides the stride, every complete page holds the same offsets,
-// so each complete page of a color appends a line to every set those
-// offsets reach in the color's block. After assoc+1 such pages each of
-// those sets is full, and a later page of the color would append
-// nothing: the level skips it. Partial first and last pages are
-// installed access by access and not counted, and so is every page at a
-// level whose set count is not a power of two, or of a walk with any
-// other stride.
+// not yet full — no tag scan and no shift — translating once per page.
+// It returns the number of (access, level) pairs it looked at. Only
+// settle, which installs the end states measurements deferred, calls
+// it.
 func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int64) (visits int64) {
 	occupy(plan)
 	shift, mask := in.pageShift, in.pageMask
-	pc := colorScratch.get()
-	defer colorScratch.put(pc)
-	pc.reset(plan, shift, stride)
-	perPage := max(1, (mask+1)/stride)
-	for hi := n - 1; hi >= 0; {
-		vaddr := base + hi*stride
-		vpage := vaddr >> shift
-		lo := max(0, hi-(vaddr&mask)/stride)
-		pbase, first := sp.translate(vaddr)&^mask, base+lo*stride
-		complete := hi-lo+1 == perPage
+	curVpage, pbase := int64(-1), int64(0)
+	for i := n - 1; i >= 0; i-- {
+		vaddr := base + i*stride
+		if vpage := vaddr >> shift; vpage != curVpage {
+			pbase = sp.translate(vaddr) &^ mask
+			curVpage = vpage
+		}
+		paddr := pbase + vaddr&mask
 		for j := range plan {
 			c := plan[j].c
-			if cl := pc.levels[j]; complete && cl.first >= 0 {
-				key := pbase >> shift
-				if c.virtual {
-					key = vpage
-				}
-				swept := &pc.swept[cl.first+key&cl.mask]
-				if *swept > c.assoc {
-					continue
-				}
-				*swept++
-			}
-			visits += hi - lo + 1
-			for v := vaddr; v >= first; v -= stride {
-				pLine := (pbase + v&mask) >> c.lineBits
-				c.appendLRU(c.setIndex(v>>c.lineBits, pLine), pLine)
-			}
+			pLine := paddr >> c.lineBits
+			c.appendLRU(c.setIndex(vaddr>>c.lineBits, pLine), pLine)
 		}
-		hi = lo - 1
 	}
-	return visits
+	return n * int64(len(plan))
 }
 
 // countWalk records in sc, which must have been reset for the plan,
 // what a traversal that misses throughout — the n accesses base,
-// base+stride, ... of a walk in sp — would leave in the plan's empty
+// base+stride, ... of a walk whose pages are on the given frames, the
+// first holding base — would leave in the plan's empty
 // caches, without installing a line: at each plan level j the lines the
 // walk maps to each set, up to assoc+1, in sc.lines[j], the sets it
 // maps lines to in sc.touched[j], and setFull in sc.sets[j] for each set
@@ -433,13 +433,12 @@ func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int
 // once to every set a complete page's offsets reach. Partial first and
 // last pages, and every page at any other level, are counted access by
 // access.
-func (in *Instance) countWalk(plan []planLevel, sp *Space, base, stride, n int64, sc *setCounts) {
+func (in *Instance) countWalk(plan []planLevel, frames []uint32, base, stride, n int64, sc *setCounts) {
 	shift, mask := in.pageShift, in.pageMask
 	pc := colorScratch.get()
 	defer colorScratch.put(pc)
 	pc.reset(plan, shift, stride)
 	first := base >> shift
-	frames := sp.frames(first, (base+(n-1)*stride)>>shift)
 	paged, perAccess := false, false
 	for _, cl := range pc.levels {
 		paged = paged || cl.first >= 0
@@ -532,7 +531,7 @@ func (in *Instance) countAccesses(plan []planLevel, pc *pageColors, frames []uin
 	}
 }
 
-// pageColors is installWalk's and countWalk's scratch: for every plan
+// pageColors is countWalk's scratch: for every plan
 // level, where its per-color counts of the complete pages swept start
 // in swept and the mask that takes a page's frame or virtual page to
 // its color. Slabs are pooled on colorScratch and only ever grow.
@@ -542,9 +541,8 @@ type pageColors struct {
 }
 
 // colorLevel is one plan level's part of pageColors: first is the
-// index of its first color in swept, or −1 when countWalk counts and
-// installWalk installs the level access by access; mask is its color
-// count less one.
+// index of its first color in swept, or −1 when countWalk counts the
+// level access by access; mask is its color count less one.
 type colorLevel struct {
 	first, mask int64
 }
@@ -552,7 +550,7 @@ type colorLevel struct {
 // reset sizes pc for the plan and a walk of the given stride, with
 // every count at 0. A level whose set count is a power of two has
 // max(1, numSets·line/page) colors, the pages whose lines share its
-// sets; every level is installed access by access when neither the
+// sets; every level is counted access by access when neither the
 // stride nor the page divides the other.
 func (pc *pageColors) reset(plan []planLevel, shift uint, stride int64) {
 	page := int64(1) << shift
@@ -576,7 +574,11 @@ func (pc *pageColors) reset(plan []planLevel, shift uint, stride int64) {
 // fill runs one traversal of w on the core, adding each access's cost
 // to *total, without simulating its cache accesses, when it can prove
 // that every access misses at every level, and reports true; otherwise
-// it changes nothing and reports false. The proof is coldWalk's.
+// it changes nothing and reports false. The proof is coldWalk's. fill
+// also declines a walk that one allocation of its space does not map
+// (Space.frames): the simulated traversal then crosses the guard page
+// into the next allocation as the walk's accesses would, or panics on
+// an unmapped page.
 //
 // Each access adds what accessAt would charge it, one at a time in
 // issue order, so non-integral costs stay exact. The TLB is probed only
@@ -597,9 +599,10 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool 
 		return false
 	}
 	shift := in.pageShift
-	// Panic now, as the walk's accesses would, on a walk past the pages
-	// its space maps, and not when its pending end state is settled.
-	w.sp.frames(base>>shift, (base+(n-1)*stride)>>shift)
+	frames := w.sp.frames(base>>shift, (base+(n-1)*stride)>>shift)
+	if frames == nil {
+		return false
+	}
 
 	plan := in.planFor(core)
 	t := in.tlbs[core]
@@ -621,7 +624,7 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool 
 
 	if sc != nil {
 		sc.reset(plan, base, stride)
-		in.countWalk(plan, w.sp, base, stride, n, sc)
+		in.countWalk(plan, frames, base, stride, n, sc)
 	}
 	in.postpone(plan, *w)
 	return true
@@ -669,8 +672,9 @@ type coupledFill struct {
 // MRU first, as an installWalk of the whole walk leaves it. So
 // fillCoupled runs countWalk over the whole walk at the stream's
 // private levels, which are still empty, and takes as the prefix the
-// leading levels at which every set with lines is marked setFull.
-// Nothing reads the prefix before the run ends, as no other stream
+// leading levels at which every set with lines is marked setFull; a
+// stream whose walk one allocation of its space does not map
+// (Space.frames) has none. Nothing reads the prefix before the run ends, as no other stream
 // reaches it and the prefetcher never fires, so the whole walk there is
 // the run's end state from now on: fillCoupled records it as pending
 // (postpone), and the interleaver skips the prefix (in.rc.skips), so
@@ -741,9 +745,9 @@ func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState,
 		}
 		n := int64(len(str.Addrs))
 		skip := 0
-		if private > 0 {
+		if frames := str.Space.frames(base>>shift, str.Addrs[n-1]>>shift); private > 0 && frames != nil {
 			sc.reset(plan[:private], base, stride)
-			in.countWalk(plan[:private], str.Space, base, stride, n, sc)
+			in.countWalk(plan[:private], frames, base, stride, n, sc)
 		prefix:
 			for ; skip < private; skip++ {
 				for _, s := range sc.touched[skip] {

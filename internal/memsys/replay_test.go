@@ -123,11 +123,11 @@ func FuzzStridePassesMatchSimulated(f *testing.F) {
 	// 33 accesses: one nehalem2s L1 set overflows, three fit, and the
 	// lines of the one that overflows go on to the L2 sets nested in it.
 	f.Add(nehalem, int64(12), uint16(2080), uint16(1023), uint8(3), int32(0), int8(0), uint8(0), uint8(0))
-	// Per-page installs: a partial last page; strides of two pages and
-	// of 1.5 KiB, which installWalk installs access by access; athlon's
+	// Per-page counts: a partial last page; strides of two pages and of
+	// 1.5 KiB, which countWalk counts access by access; athlon's
 	// virtually indexed L1 and the 192-set L2 over enough pages that
-	// their levels skip whole pages; and an L1 whose sets span a
-	// quarter page, several offsets of a page sharing each set.
+	// their sets overflow; and an L1 whose sets span a quarter page,
+	// several offsets of a page sharing each set.
 	f.Add(nehalem, int64(13), uint16(4150), uint16(1023), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
 	f.Add(nehalem, int64(14), uint16(65535), uint16(8191), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
 	f.Add(nehalem, int64(15), uint16(65535), uint16(1535), uint8(2), int32(0), int8(0), uint8(0), uint8(0))
@@ -288,4 +288,84 @@ func TestStridePassesReplayBuiltinModels(t *testing.T) {
 			assertReplayMatches(t, got, runStridePasses(m, 1, 0, 0, bytes, 1024, 3, 0, false, followNone))
 		}
 	}
+}
+
+// TestWalkAcrossGuardPage: a walk whose two-page stride jumps the guard
+// page from a one-page array into the next array of the same space is
+// not one allocation's, so it is not filled, and it matches the
+// per-access reference bit for bit, end state included: alone through
+// AccessStridePasses, and as both streams of a coupled same-socket
+// nehalem2s pair through RunConcurrentInto, whose fill then proves no
+// private prefix.
+func TestWalkAcrossGuardPage(t *testing.T) {
+	m := topology.Nehalem2S()
+	page := m.PageBytes
+	const n, passes = 40, 3
+	stride, bytes := 2*page, 2*n*page
+	// bridge allocates the two arrays the walk from the returned base
+	// visits: its first access on the first, every later one on the
+	// second.
+	bridge := func(sp *Space) int64 {
+		a := sp.Alloc(page)
+		if b := sp.Alloc(bytes - 3*page); b.Base != a.Base+stride {
+			t.Fatalf("second array at %#x, want %#x", b.Base, a.Base+stride)
+		}
+		return a.Base
+	}
+	t.Run("alone", func(t *testing.T) {
+		run := func(replay bool) (r strideRun) {
+			in := NewInstanceAt(m, 3)
+			sp := in.NewSpace()
+			base := bridge(sp)
+			if replay {
+				r.filled = in.AccessStridePasses(0, sp, base, bytes, stride, passes, &r.total, &r.measured).Filled
+			} else {
+				in.AccessStrideAccum(0, sp, base, bytes, stride, &r.total, nil)
+				for range passes {
+					in.AccessStrideAccum(0, sp, base, bytes, stride, &r.total, &r.measured)
+				}
+			}
+			for off := int64(0); off < bytes; off += stride {
+				r.after = append(r.after, in.Access(0, sp, base+off))
+			}
+			r.state = stateOf(in)
+			return r
+		}
+		got, want := run(true), run(false)
+		assertReplayMatches(t, got, want)
+		if got.filled != 0 {
+			t.Errorf("filled %d accesses of a walk across a guard page", got.filled)
+		}
+	})
+	t.Run("coupled pair", func(t *testing.T) {
+		build := func() (*Instance, []Stream) {
+			in := NewInstanceAt(m, 3)
+			streams := make([]Stream, 2)
+			for i := range streams {
+				sp := in.NewSpace()
+				base := bridge(sp)
+				streams[i] = Stream{Core: i, Space: sp}
+				for off := int64(0); off < bytes; off += stride {
+					streams[i].Addrs = append(streams[i].Addrs, base+off)
+				}
+			}
+			return in, streams
+		}
+		inRef, strRef := build()
+		inGot, strGot := build()
+		want := runConcurrentReference(inRef, strRef, passes)
+		got := make([]StreamStats, len(strGot))
+		filled := RunConcurrentInto(inGot, strGot, passes, got).Filled
+		for i := range want {
+			if math.Float64bits(got[i].Cycles) != math.Float64bits(want[i].Cycles) || got[i].Accesses != want[i].Accesses {
+				t.Fatalf("stream %d: RunConcurrentInto %+v != reference %+v", i, got[i], want[i])
+			}
+		}
+		if filled == 0 || !slices.Equal(skipsOf(inGot, 2), []int{0, 0}) {
+			t.Errorf("filled %d accesses, skipped levels %v; want a fill with no private prefix", filled, skipsOf(inGot, 2))
+		}
+		if g, w := stateOf(inGot), stateOf(inRef); !slices.Equal(g.caches, w.caches) || g.cores != w.cores {
+			t.Fatal("end state differs from the reference's")
+		}
+	})
 }

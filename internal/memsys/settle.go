@@ -8,9 +8,11 @@ package memsys
 // therefore record their installs as the instance's pending end state
 // instead of performing them. Every call that reads or changes cache
 // contents settles first, installing what is pending: Access,
-// AccessStrideAccum, AccessStridePasses, RunConcurrentInto and
-// Space.Free, whose frames the installs translate; so does the replay
-// loop before it simulates a pass. ResetAt and ResetCaches drop it.
+// AccessStrideAccum, RunConcurrentInto and Space.Free, whose frames the
+// installs translate. AccessStridePasses settles before the first pass
+// it simulates (traverse), since a fill reads no cache another fill
+// left pending: such a cache is occupied, and the fill declines it.
+// ResetAt and ResetCaches drop what is pending.
 // The TLBs, prefetchers and occupied flags are set eagerly, so only
 // the tags and set lengths wait.
 //
