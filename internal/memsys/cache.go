@@ -42,17 +42,21 @@
 // that fails any of these checks is simulated.
 //
 // A filled walk's tags are installed only if something reads them. The
-// fill records its install as the instance's pending end state, and
-// every call that reads or changes cache contents — Access,
+// fill records its walk as a run of the instance's pending end state,
+// and every call that reads or changes cache contents — Access,
 // AccessStrideAccum, RunConcurrentInto, Space.Free, and
 // AccessStridePasses before the first pass it simulates — first
-// settles it: one reverse sweep that appends each set's lines at its
-// LRU end, translating once per page. A walk that one allocation does
-// not map, crossing a guard page into the next, is not filled. ResetAt
-// and ResetCaches drop it unbuilt, as every probe does after its
-// measurement. The TLBs, prefetchers and occupancy flags are set
-// eagerly, so every later call observes exactly the state simulation
-// would have left.
+// settles it. One installer builds every filled end state: a run of
+// strided walks, each with the levels it fills, in one issue order, is
+// installed by one reverse sweep that appends each access's line at
+// the LRU end of its walk's levels, translating once per page per walk.
+// A walk that one allocation does not map, crossing a guard page into
+// the next, is not filled. ResetAt and ResetCaches drop it unbuilt, as
+// every probe does after its measurement. The TLBs, prefetchers and
+// occupancy flags are set eagerly, so every later call observes exactly
+// the state simulation would have left. The installer counts its
+// (access, level) visits on the instance, and the next measurement
+// reports them, whichever call settled.
 //
 // After a fill, the first measured pass is derived rather than
 // simulated: the fill records, at each level, the sets the walk
@@ -70,28 +74,29 @@
 // costs one sum over the touched sets: the lines of each reached set
 // that fits hit at its level, every other line misses everywhere, and
 // each page adds the TLB term once when the walk thrashes the TLB.
-// Otherwise each access's cost, down to the first level whose set
-// fits, is added in issue order. The proof runs before anything
-// changes. Every later pass repeats the
-// derived one access for access, so its cost is added arithmetically —
-// with integral access costs, as on every built-in model, exactly. A
-// walk that is not filled, or whose pass is not derived, is simulated
-// pass by pass: no state is snapshotted or compared.
+// With fractional costs, or accumulators that are not exact integers,
+// the pass is not derived. The proof runs before anything changes.
+// Every later pass repeats the derived one access for access, so its
+// cost is added arithmetically, exactly. A walk that is not filled, or
+// whose pass is not derived, is simulated pass by pass: no state is
+// snapshotted or compared.
 //
 // RunConcurrentInto runs the Fig. 5 concurrent streams. A stream that
 // shares no cache and no core with another stream runs alone, since no
 // other stream can change the cost of its accesses: through
 // AccessStridePasses when its addresses rise at one constant stride,
 // as every production stream's do, and through the interleaver on its
-// own otherwise. Streams that share a cache or a core — coupled
+// own otherwise. Each such stream is turned into a strided walk once,
+// and the fills, the installer and the stack-distance path read walks. Streams that share a cache or a core — coupled
 // streams — interleave in virtual-time order, one loop picking the
 // stream of smallest (clock, index) by a scan in index order. Their cold warm-up is filled too,
 // as far as the first access of any measured pass, when every coupled
 // stream has its own core and space and passes the single-core checks:
 // every such access misses everywhere whatever the interleaving, so
-// the issue order follows from the miss costs alone, and one reverse
-// sweep of the merged order installs the caches, private ones from
-// their own stream and shared ones from the merged order. The rest is
+// the issue order follows from the miss costs alone, and the installer
+// builds the merged run at once, private levels from their own stream
+// and shared ones from the merged order, since the interleaver reads
+// them. The rest is
 // simulated access by access, but only below each stream's private
 // prefix: the leading private levels at which every set its walk
 // touches receives more lines than it holds. They miss on every access
@@ -114,7 +119,8 @@
 // last access, give that distance. The TLB is probed once per page,
 // each access's cost is added in issue order, and the level's end
 // state, the last passes of both walks in the order they were issued,
-// is left pending, recorded as one bit per access of those passes.
+// is left pending as a run of both walks, its order one byte per
+// access of those passes.
 // Dunnington's L2-sharing pairs and smt-quad's L1-sharing pairs still
 // interleave.
 //

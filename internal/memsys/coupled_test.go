@@ -48,14 +48,15 @@ func referenceWarmPrefix(in *Instance, streams []Stream) warmPrefix {
 func coupledWarmPrefix(in *Instance, streams []Stream) warmPrefix {
 	st, idx := in.rc.grab(len(streams))
 	for i := range streams {
+		st[i].w = constantStride(streams[i].Space, streams[i].Addrs)
 		if len(streams[i].Addrs) > 0 && in.coupled(streams, i) {
 			idx = append(idx, int32(i))
 		}
 	}
-	order := new([]uint8)
-	w := warmPrefix{n: in.fillCoupled(streams, idx, st, order).Filled, clocks: make([]float64, len(streams)), pos: make([]int, len(streams))}
+	fill, warm := in.fillCoupled(streams, idx, st, new([]uint8))
+	w := warmPrefix{n: fill.Filled, clocks: make([]float64, len(streams)), pos: make([]int, len(streams))}
 	if w.n > 0 {
-		in.installMerged(streams, idx, st, *order)
+		in.install(warm)
 	}
 	for i, s := range st {
 		w.clocks[i] = s.clock

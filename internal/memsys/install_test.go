@@ -5,11 +5,12 @@ import (
 	"slices"
 	"testing"
 
+	"servet/internal/stats"
 	"servet/internal/topology"
 )
 
-// installWalkPerAccess is installWalk written out with, when sc is
-// non-nil, a record of what each append found: the sets the walk
+// installWalkPerAccess is a one-walk install written out with, when sc
+// is non-nil, a record of what each append found: the sets the walk
 // touches and the ones it overflows, the facts countWalk must count
 // without installing.
 func (in *Instance) installWalkPerAccess(plan []planLevel, sp *Space, base, stride, n int64, sc *setCounts) {
@@ -60,9 +61,10 @@ func installLevel(sets int64, assoc int, indexing topology.Indexing) topology.Ca
 	return topology.CacheLevel{SizeBytes: sets * int64(assoc) * 64, Assoc: assoc, Indexing: indexing}
 }
 
-// TestInstallWalkMatchesPerAccess: installWalk leaves every cache on
-// the plan exactly as the recording reference does, visiting every
-// (access, level) pair, and countWalk, which installs nothing and
+// TestInstallWalkMatchesPerAccess: install of a one-walk run leaves
+// every cache on the plan exactly as the recording reference does,
+// visiting every (access, level) pair, and countWalk, which installs
+// nothing and
 // counts complete pages per color where it can, counts what that
 // install leaves:
 // at every level the same touched sets and setFull marks, and for each
@@ -73,7 +75,9 @@ func installLevel(sets int64, assoc int, indexing topology.Indexing) topology.Ca
 // access), levels whose sets span less than a page, athlon's
 // virtually indexed L1 spanning eight pages, nehalem2s's 128-color L3
 // over 8,000 pages and a non-power-of-two set count; a nil-sc case is
-// a fill with no measured pass, which counts nothing.
+// a fill with no measured pass, which counts nothing. Runs of two walks
+// (installRunCases) leave the caches as issuing their accesses in the
+// run's order does.
 func TestInstallWalkMatchesPerAccess(t *testing.T) {
 	nehalem := topology.Nehalem2S()
 	subPage := installMachine("sub-page sets",
@@ -125,7 +129,8 @@ func TestInstallWalkMatchesPerAccess(t *testing.T) {
 					frames := sp.frames(base>>in.pageShift, (base+(tc.n-1)*tc.stride)>>in.pageShift)
 					in.countWalk(plan, frames, base, tc.stride, tc.n, sc)
 				}
-				return in, sc, in.installWalk(plan, sp, base, tc.stride, tc.n)
+				in.install(run{walks: []levelWalk{{walk: walk{sp: sp, base: base, bytes: tc.n * tc.stride, stride: tc.stride}, plan: plan}}})
+				return in, sc, in.installVisits
 			}
 			inWant, wantSC, all := run(true)
 			inGot, gotSC, visits := run(false)
@@ -153,6 +158,102 @@ func TestInstallWalkMatchesPerAccess(t *testing.T) {
 				t.Errorf("visited %d of %d (access, level) pairs", visits, all)
 			}
 		})
+	}
+	for _, tc := range installRunCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			inWant, want := tc.build()
+			issueForward(inWant, want)
+			inGot, got := tc.build()
+			inGot.install(got)
+			sGot, sWant := stateOf(inGot), stateOf(inWant)
+			if !slices.Equal(sGot.caches, sWant.caches) || sGot.cores != sWant.cores {
+				t.Fatal("cache state differs from issuing the run's accesses in order")
+			}
+			var all int64
+			for _, w := range got.walks {
+				all += w.accesses() * int64(len(w.plan))
+			}
+			if inGot.installVisits != all {
+				t.Errorf("visited %d of %d (access, level) pairs", inGot.installVisits, all)
+			}
+		})
+	}
+}
+
+// installRunCase is a run of two walks on the two cores of
+// pairMachine, built on a fresh instance.
+type installRunCase struct {
+	name  string
+	build func() (*Instance, run)
+}
+
+// pairMachine is a two-core machine with 4 KiB pages and 64-byte
+// lines: a private 16-set, 2-way L1 per core and a 32-set, 4-way L2
+// both cores share.
+func pairMachine() *topology.Machine {
+	m := installMachine("pair",
+		installLevel(16, 2, topology.PhysicallyIndexed),
+		installLevel(32, 4, topology.PhysicallyIndexed))
+	m.CoresPerNode = 2
+	m.Caches[0].Groups = topology.PrivateGroups(2)
+	m.Caches[1].Groups = [][]int{{0, 1}}
+	return m
+}
+
+// installRunCases are runs of two walks, each walk in its own space
+// and over several pages, whose lines overflow some sets of every level
+// and fit in others: walks interleaved in a mixed order, the first over
+// its core's whole plan and the second over the shared L2 alone; the
+// same with the second walk stopped early, as a coupled warm-up that
+// ends before the stream does; and a stacked pair, both walks over the
+// shared L2 alone.
+func installRunCases() []installRunCase {
+	// build allocates arrays of n0 and n1 accesses at the given strides,
+	// keeps the first k1 accesses of the second walk, and interleaves the
+	// walks in the order a hash of the access index picks, the walk that
+	// still has accesses taking the rest.
+	build := func(n0, n1, k1, stride0, stride1 int64, skip0, skip1 int) func() (*Instance, run) {
+		return func() (*Instance, run) {
+			in := NewInstanceAt(pairMachine(), 3)
+			var r run
+			for k, spec := range [][3]int64{{n0, n0, stride0}, {n1, k1, stride1}} {
+				sp := in.NewSpace()
+				a := sp.Alloc(spec[0] * spec[2])
+				plan := in.planFor(k)[[]int{skip0, skip1}[k]:]
+				r.walks = append(r.walks, levelWalk{walk: walk{sp: sp, base: a.Base + 64, bytes: spec[1] * spec[2], stride: spec[2]}, plan: plan})
+			}
+			left := [2]int64{n0, k1}
+			for i := uint64(0); left[0]+left[1] > 0; i++ {
+				k := int(stats.Mix64(i) & 1)
+				if left[k] == 0 {
+					k = 1 - k
+				}
+				left[k]--
+				r.order = append(r.order, uint8(k))
+			}
+			return in, r
+		}
+	}
+	return []installRunCase{
+		{"run: private and shared levels, interleaved", build(300, 200, 200, 64, 192, 0, 1)},
+		{"run: second walk stopped early", build(300, 200, 77, 192, 64, 0, 1)},
+		{"run: stacked pair over the shared level", build(150, 170, 170, 128, 320, 1, 1)},
+	}
+}
+
+// issueForward is the reference for install: it issues the run's
+// accesses in order, looking each one's line up at every level of its
+// walk as an access that misses there does.
+func issueForward(in *Instance, r run) {
+	pos := make([]int64, len(r.walks))
+	for _, k := range r.order {
+		w := &r.walks[k]
+		vaddr := w.base + pos[k]*w.stride
+		pos[k]++
+		paddr := w.sp.translate(vaddr)
+		for _, pl := range w.plan {
+			pl.c.access(vaddr>>pl.c.lineBits, paddr>>pl.c.lineBits)
+		}
 	}
 }
 

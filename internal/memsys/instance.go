@@ -61,6 +61,10 @@ type Instance struct {
 	// pend is the end state measurements proved but did not install
 	// (settle.go).
 	pend pending
+	// installVisits counts the (access, level) pairs install visited
+	// since takeWork last read them. Nothing else reads it, and resets
+	// leave it, so every install is reported once.
+	installVisits int64
 }
 
 // placementDomain separates the page-placement hash from every other
@@ -309,7 +313,8 @@ func (in *Instance) accessAt(plan []planLevel, skip, core int, vaddr, paddr, vpa
 // accumulators: each access's cost is added to *sumA — and to *sumB
 // when non-nil — in issue order, preserving the exact float summation
 // order of the probe loops (a running total plus a measured-pass
-// total). Like Access, it first settles the pending end state.
+// total). Like Access, it first settles the pending end state, whose
+// install visits the next measurement reports.
 func (in *Instance) AccessStrideAccum(core int, sp *Space, base, bytes, stride int64, sumA, sumB *float64) {
 	in.traverse(core, &walk{sp: sp, base: base, bytes: bytes, stride: stride}, sumA, sumB)
 }
@@ -363,34 +368,37 @@ func (s StreamStats) AvgCycles() float64 {
 	return s.Cycles / float64(s.Accesses)
 }
 
-// streamState is one stream's interleaver cursor and local clock.
+// streamState is one stream's interleaver cursor and local clock, and
+// the strided walk its addresses rise by, whose stride is 0 when they
+// do not rise at one stride.
 type streamState struct {
 	clock float64
 	pos   int
 	pass  int
+	w     walk
 }
 
 // runScratch holds RunConcurrentInto's per-call buffers — stream
-// cursors, the ascending index slice of the coupled streams,
-// installMerged's per-stream state and the levels each coupled stream
-// skips — pooled on the Instance so a reset-and-measure cycle reruns
+// states, the ascending index slice of the coupled streams, the levels
+// each coupled stream skips and the walks of fillCoupled's merged run —
+// pooled on the Instance so a reset-and-measure cycle reruns
 // concurrent streams without allocating.
 type runScratch struct {
 	st    []streamState
 	idx   []int32
-	fills []coupledFill
 	skips []int
+	warm  []levelWalk
 }
 
 // grab returns the scratch sized for ns streams, growing the slabs
-// only when a wider run arrives. fills and skips are sized along with
-// them, and every skip starts at 0.
+// only when a wider run arrives. skips and warm are sized along with
+// them; every stream state and skip starts at zero.
 func (rc *runScratch) grab(ns int) ([]streamState, []int32) {
 	if cap(rc.st) < ns {
 		rc.st = make([]streamState, ns)
 		rc.idx = make([]int32, 0, ns)
-		rc.fills = make([]coupledFill, ns)
 		rc.skips = make([]int, ns)
+		rc.warm = make([]levelWalk, 0, ns)
 	}
 	clear(rc.skips[:ns])
 	st := rc.st[:ns]
@@ -421,28 +429,31 @@ func earliest(idx []int32, st []streamState) int {
 // paper. Concurrent streams hitting a shared cache thrash each other
 // exactly as the Fig. 5 benchmark expects.
 //
-// Only coupled streams interleave: those with another non-empty stream
-// on the same core, or whose core's plan holds a cache another
-// non-empty stream's plan holds too. An access costs what the caches
-// on its core's plan, the core's TLB and its prefetcher make it cost —
-// translation is pure and Access models no contention — so the issue
-// order across streams cannot change the cost of any access of a
-// stream that is not coupled. Such a stream runs alone, with its sums
-// still accumulated in issue order: through the steady-state replay of
-// AccessStridePasses when its addresses rise at one constant stride,
-// and through the interleaver on its own otherwise. The coupled streams
+// Each non-empty stream whose addresses rise at one positive stride is
+// turned into a strided walk once (constantStride); the lone-stream
+// replay, fillCoupled, runStacked and install read those walks, not
+// the address lists. Only coupled streams interleave: those with
+// another non-empty stream on the same core, or whose core's plan holds
+// a cache another non-empty stream's plan holds too. An access costs
+// what the caches on its core's plan, the core's TLB and its
+// prefetcher make it cost — translation is pure and Access models no
+// contention — so the issue order across streams cannot change the
+// cost of any access of a stream that is not coupled. Such a stream
+// runs alone, with its sums still accumulated in issue order: through
+// the steady-state replay of AccessStridePasses when it is a walk, and
+// through the interleaver on its own otherwise. The coupled streams
 // interleave, each step scanning them in index order for the smallest
 // (clock, index). Their cold warm-up is first filled up to the first
 // access of any measured pass, when fillCoupled can prove that every
 // access before it misses at every level: then the issue order follows
-// from the known miss costs and the caches are installed in one sweep
-// of the merged issue order. The same fill proves that every access of
-// a coupled stream misses at its private prefix, the leading private
-// levels at which every set its walk touches overflows, where the
-// stream's whole walk is then the state the run leaves. Each later
-// access of the stream starts its lookup at the next level, with the
-// prefix's latencies charged from the lookup-cost table, so coupled
-// streams are simulated only from there on.
+// from the known miss costs, and install builds the warm-up's lines in
+// one reverse sweep of that merged order. The same fill proves that
+// every access of a coupled stream misses at its private prefix, the
+// leading private levels at which every set its walk touches
+// overflows, where the stream's whole walk is then the state the run
+// leaves. Each later access of the stream starts its lookup at the
+// next level, with the prefix's latencies charged from the lookup-cost
+// table, so coupled streams are simulated only from there on.
 //
 // A filled run of exactly two coupled streams whose private prefixes
 // cover every plan level but the last, which both plans share — a
@@ -455,10 +466,10 @@ func earliest(idx []int32, st []streamState) int {
 //
 // The statistics and the end state every later call observes are the
 // reference interleaver's bit for bit. RunConcurrentInto first settles
-// the instance's pending end state, and
-// it leaves pending the installs no access of its own reads: the walks
-// of the strided streams it filled alone, the coupled streams' private
-// prefixes and a stacked pair's shared level (settle.go).
+// the instance's pending end state, and it leaves pending the runs no
+// access of its own reads: the walks of the strided streams it filled
+// alone, the coupled streams' private prefixes and a stacked pair's
+// shared level (settle.go).
 //
 // The interleaver's buffers are pooled on the instance, so a warm
 // caller pays zero allocations per run. RunConcurrentInto returns how
@@ -466,6 +477,9 @@ func earliest(idx []int32, st []streamState) int {
 // streams that ran alone (see AccessStridePasses), the coupled warm-up
 // accesses it filled and the accesses runStacked decided. A coupled
 // access simulated only at the shared levels still counts as simulated.
+// Like AccessStridePasses, it also returns the work the instance
+// counted since the last measurement took it (takeWork): install
+// visits, its own included, pages placed and placement retries.
 func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []StreamStats) (counts PassCounts) {
 	if len(stats) != len(streams) {
 		panic(fmt.Sprintf("memsys: stats buffer for %d streams has length %d", len(streams), len(stats)))
@@ -474,22 +488,21 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 	if passes < 2 {
 		passes = 2
 	}
-	counts.InstallVisits = in.settle()
-	counts.Pages, counts.Retries = in.os.takePlaced()
+	in.settle()
 	st, idx := in.rc.grab(len(streams))
 	for i := range streams {
 		str := &streams[i]
 		if len(str.Addrs) == 0 {
 			continue
 		}
+		st[i].w = constantStride(str.Space, str.Addrs)
 		if in.coupled(streams, i) {
 			idx = append(idx, int32(i))
 			continue
 		}
-		n := int64(len(str.Addrs))
-		if base, stride, ok := constantStride(str.Addrs); ok && stride > 0 {
-			counts.add(in.replayPasses(str.Core, walk{sp: str.Space, base: base, bytes: n * stride, stride: stride}, passes-1, &st[i].clock, &stats[i].Cycles))
-			stats[i].Accesses = int64(passes-1) * n
+		if w := st[i].w; w.stride > 0 {
+			counts.add(in.replayPasses(str.Core, w, passes-1, &st[i].clock, &stats[i].Cycles))
+			stats[i].Accesses = int64(passes-1) * w.accesses()
 			continue
 		}
 		lone := [1]int32{int32(i)}
@@ -498,18 +511,19 @@ func RunConcurrentInto(in *Instance, streams []Stream, passes int, stats []Strea
 	if len(idx) > 1 {
 		order := issueOrders.get()
 		defer issueOrders.put(order)
-		fill := in.fillCoupled(streams, idx, st, order)
+		fill, warm := in.fillCoupled(streams, idx, st, order)
 		counts.add(fill)
 		switch {
 		case fill.Filled == 0:
-		case in.stackable(streams, idx, passes):
+		case in.stackable(streams, idx, st, passes):
 			counts.add(in.runStacked(streams, idx, st, passes, stats, *order))
-			return counts
+			idx = idx[:0] // runStacked finished the run
 		default:
-			counts.InstallVisits += in.installMerged(streams, idx, st, *order)
+			in.install(warm)
 		}
 	}
 	in.interleave(streams, idx, st, passes, stats)
+	in.takeWork(&counts)
 	return counts
 }
 

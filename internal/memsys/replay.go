@@ -19,15 +19,15 @@ import (
 //     aligned walk per color and expanding those counts once;
 //   - derivedPass proves from those per-set counts alone, visiting sets
 //     and not accesses, that the first measured pass after such a fill
-//     leaves the state where it found it, and costs it — with integral
-//     costs as one sum over the touched sets;
+//     leaves the state where it found it, and, when every cost and both
+//     accumulators are exact integers, costs it as one sum over the
+//     touched sets;
 //   - the d·k rule adds the remaining passes arithmetically, since each
 //     repeats the derived pass access for access.
 //
-// No step installs a tag: the fill's lines are the instance's pending
-// end state (settle.go), which installWalk builds, one reverse sweep
-// translating once per page, only when a later call reads the caches,
-// and which a reset drops unbuilt.
+// No step installs a tag: the fill's walk is a run of the instance's
+// pending end state (settle.go), which install builds only when a later
+// call reads the caches, and which a reset drops unbuilt.
 //
 // A walk fill or derivedPass declines is simulated pass by pass, after
 // settling what is pending: no state is snapshotted or compared.
@@ -38,8 +38,8 @@ import (
 // interleave in one loop that picks the stream of smallest (clock,
 // index) by a scan in index order until the last stream finishes.
 // fillCoupled fills their cold warm-up with the same proof, over the
-// merged order in which the interleaver would issue it, and
-// installMerged installs it at once, since the interleaver reads it.
+// merged order in which the interleaver would issue it, and install
+// builds that merged run at once, since the interleaver reads it.
 // fillCoupled also proves, from countWalk's counts, that each stream
 // misses throughout at its leading private levels, where its whole
 // walk is then the state the run leaves and is left pending; the
@@ -51,9 +51,9 @@ import (
 // instead: a line hits iff it was accessed before and either fewer
 // than assoc accesses to its set came since or both walks together map
 // no more than assoc lines to the set; the level's end state is left
-// pending too. Every access costs an entry of the instance's one
-// lookup-cost table (Instance.costs), whichever of these paths finds
-// it.
+// pending too, as the run of both walks' last passes. Every access
+// costs an entry of the instance's one lookup-cost table
+// (Instance.costs), whichever of these paths finds it.
 
 // exactLimit bounds the integers float64 represents exactly: every sum
 // of integers whose partial sums stay below it is exact, so it does
@@ -148,41 +148,48 @@ type PassCounts struct {
 	// Derived counts measured accesses costed by derivedPass from the
 	// per-set line counts of a filled walk.
 	Derived int64
-	// InstallVisits counts the (access, level) pairs the call looked
-	// at to install cache lines: those of installMerged's merged
-	// reverse sweep, and those of every pending end state the call
-	// settled before it read the caches (installWalk's, and
-	// installPair's sweep of a stacked pair's shared level). An end
-	// state the call leaves pending is counted by whichever later call
-	// settles it, and by none when a reset drops it.
+	// InstallVisits counts the (access, level) pairs install visited
+	// since the instance's previous measurement: the merged warm-up run
+	// of RunConcurrentInto's coupled streams, and every pending end
+	// state settled before a read, whichever call settled it — this
+	// measurement, or an Access, AccessStrideAccum or Space.Free since
+	// the last one. An end state a reset drops is never installed.
 	InstallVisits int64
 	// Stacked counts the accesses of a filled coupled pair after its
 	// fill that runStacked costed by their LRU stack distance at the
 	// pair's shared last level instead of looking them up.
 	Stacked int64
 	// Pages counts the pages the instance's spaces placed on frames
-	// between the instance's previous measurement and this one: the
-	// pages of the arrays the measurement walks, in practice. Retries
-	// counts the candidate frames those placements found taken and
-	// passed over.
+	// since its previous measurement: the pages of the arrays the
+	// measurement walks, in practice. Retries counts the candidate
+	// frames those placements found taken and passed over.
 	Pages, Retries int64
 }
 
+// takeWork moves into c the work the instance counted since it was
+// last taken — install visits, pages placed and placement retries — and
+// starts those counts again from zero. AccessStridePasses and
+// RunConcurrentInto call it once, at their end.
+func (in *Instance) takeWork(c *PassCounts) {
+	c.Pages, c.Retries = in.os.takePlaced()
+	c.InstallVisits, in.installVisits = in.installVisits, 0
+}
+
+// add adds o's access counts to c; the work counts are taken once, by
+// takeWork.
 func (c *PassCounts) add(o PassCounts) {
 	c.Replayed += o.Replayed
 	c.Filled += o.Filled
 	c.Derived += o.Derived
-	c.InstallVisits += o.InstallVisits
 	c.Stacked += o.Stacked
-	c.Pages += o.Pages
-	c.Retries += o.Retries
 }
 
 // AccessStridePasses runs a whole strided measurement on one core: a
 // warm-up traversal of base, base+stride, ... below base+bytes, whose
 // costs are added to *total, then `passes` measured traversals, whose
 // costs are added to both *total and *measured. It returns how many of
-// the accesses it did not simulate one by one.
+// the accesses it did not simulate one by one, and the work the
+// instance counted since the last measurement took it (takeWork).
 //
 // The result is bit-identical to a warm-up AccessStrideAccum followed
 // by `passes` measured ones, end state included: the caches, TLB and
@@ -197,19 +204,19 @@ func (c *PassCounts) add(o PassCounts) {
 // the stride is at least every plan level's line, the prefetcher
 // cannot follow it and one allocation maps the walk; it is simulated
 // otherwise. After a fill the first measured pass is derived when
-// derivedPass can prove its cost from the fill's per-set line counts,
-// and it then leaves the state as it found it, so every remaining pass
-// repeats it access for access and their cost is the pass's sum d
-// times their count k. AccessStridePasses adds d·k in one
-// step when that equals the k·n single additions bit for bit: every
-// access costs an integer number of cycles (integralCosts) and the
-// accumulators hold integers that stay below 2^53 throughout, so no
-// addition rounds. Otherwise the derived pass is derived again for each
-// remaining pass. A warm-up that is not filled, and a pass that is not
-// derived, is simulated, and so is every pass after it.
-func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) (counts PassCounts) {
-	counts.Pages, counts.Retries = in.os.takePlaced()
-	counts.add(in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured))
+// every access costs an integer number of cycles (integralCosts), both
+// accumulators hold integers below 2^53 and derivedPass can prove the
+// pass's cost from the fill's per-set line counts. It then leaves the
+// state as it found it, so every remaining pass repeats it access for
+// access and their cost is the pass's sum d times their count k.
+// AccessStridePasses adds d·k in one step when that stays below 2^53,
+// so that it equals the k·n single additions bit for bit; otherwise the
+// pass is derived again for each remaining pass. A warm-up that is not
+// filled, and a pass that is not derived, is simulated, and so is every
+// pass after it.
+func (in *Instance) AccessStridePasses(core int, sp *Space, base, bytes, stride int64, passes int, total, measured *float64) PassCounts {
+	counts := in.replayPasses(core, walk{sp: sp, base: base, bytes: bytes, stride: stride}, passes, total, measured)
+	in.takeWork(&counts)
 	return counts
 }
 
@@ -229,10 +236,10 @@ func (w *walk) accesses() int64 {
 
 // traverse simulates one traversal of w on the core, adding each
 // access's cost to *total and, when measured is non-nil, to *measured,
-// in issue order, after settling every pending end state; it returns
-// the settle's install visits. AccessStrideAccum is traverse.
-func (in *Instance) traverse(core int, w *walk, total, measured *float64) (visits int64) {
-	visits = in.settle()
+// in issue order, after settling every pending end state.
+// AccessStrideAccum is traverse.
+func (in *Instance) traverse(core int, w *walk, total, measured *float64) {
+	in.settle()
 	plan := in.planFor(core)
 	shift, mask := in.pageShift, in.pageMask
 	// Translate only on page crossings: the page table walk drops out of
@@ -263,7 +270,6 @@ func (in *Instance) traverse(core int, w *walk, total, measured *float64) (visit
 	if measured != nil {
 		*measured = b
 	}
-	return visits
 }
 
 // Per-set facts of a filled walk, one byte per set of each plan level.
@@ -327,20 +333,21 @@ func (sc *setCounts) add(j int, s int64, k int32, assoc int64) {
 	}
 }
 
-// constantStride returns the first address and the stride of an
-// address list that moves by one constant stride, and false for any
-// other list: one of fewer than two addresses has no stride.
-func constantStride(addrs []int64) (base, stride int64, ok bool) {
-	if len(addrs) < 2 {
-		return 0, 0, false
+// constantStride returns the strided walk in sp of an address list
+// that rises by one constant stride, and the zero walk, whose stride is
+// 0, for any other list: one of fewer than two addresses has no
+// stride.
+func constantStride(sp *Space, addrs []int64) walk {
+	if len(addrs) < 2 || addrs[1] <= addrs[0] {
+		return walk{}
 	}
-	base, stride = addrs[0], addrs[1]-addrs[0]
+	stride := addrs[1] - addrs[0]
 	for i := 2; i < len(addrs); i++ {
 		if addrs[i]-addrs[i-1] != stride {
-			return 0, 0, false
+			return walk{}
 		}
 	}
-	return base, stride, true
+	return walk{sp: sp, base: addrs[0], bytes: int64(len(addrs)) * stride, stride: stride}
 }
 
 // coldWalk reports whether every access of a walk on the core from
@@ -383,35 +390,6 @@ func occupy(plan []planLevel) {
 		}
 		pl.c.occupied = true
 	}
-}
-
-// installWalk installs, in the plan's caches, which hold none of its
-// lines, the n accesses base, base+stride, ... of a walk in sp as one
-// traversal that misses throughout leaves them: each set holds the
-// last min(k, assoc) of the k lines the walk maps to it, MRU first.
-// One reverse sweep builds that by appending at the LRU end of each set
-// not yet full — no tag scan and no shift — translating once per page.
-// It returns the number of (access, level) pairs it looked at. Only
-// settle, which installs the end states measurements deferred, calls
-// it.
-func (in *Instance) installWalk(plan []planLevel, sp *Space, base, stride, n int64) (visits int64) {
-	occupy(plan)
-	shift, mask := in.pageShift, in.pageMask
-	curVpage, pbase := int64(-1), int64(0)
-	for i := n - 1; i >= 0; i-- {
-		vaddr := base + i*stride
-		if vpage := vaddr >> shift; vpage != curVpage {
-			pbase = sp.translate(vaddr) &^ mask
-			curVpage = vpage
-		}
-		paddr := pbase + vaddr&mask
-		for j := range plan {
-			c := plan[j].c
-			pLine := paddr >> c.lineBits
-			c.appendLRU(c.setIndex(vaddr>>c.lineBits, pLine), pLine)
-		}
-	}
-	return n * int64(len(plan))
 }
 
 // countWalk records in sc, which must have been reset for the plan,
@@ -587,12 +565,12 @@ func (pc *pageColors) reset(plan []planLevel, shift uint, stride int64) {
 // coldWalk proved cannot follow the stride, is left as observing every
 // access would leave it (observeWalk), and every cache on the plan is
 // marked occupied. The walk's lines are not installed: fill records the
-// walk as the instance's pending end state (pendingWalk), which settle
-// installs before anything reads the caches and a reset drops, so the
-// caches are as the traversal leaves them to every later call. When sc
-// is non-nil, countWalk records in it the per-set line counts the
-// proofs read. fill allocates nothing once the plan's caches, sc, the
-// color scratch and the pending list have been used.
+// walk over the whole plan as a run of the instance's pending end
+// state, which settle installs before anything reads the caches and a
+// reset drops, so the caches are as the traversal leaves them to every
+// later call. When sc is non-nil, countWalk records in it the per-set
+// line counts the proofs read. fill allocates nothing once the plan's
+// caches, sc, the color scratch and the pending slabs have been used.
 func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool {
 	n, base, stride := w.accesses(), w.base, w.stride
 	if n <= 0 || !in.coldWalk(core, base, stride) {
@@ -626,39 +604,33 @@ func (in *Instance) fill(core int, w *walk, total *float64, sc *setCounts) bool 
 		sc.reset(plan, base, stride)
 		in.countWalk(plan, frames, base, stride, n, sc)
 	}
-	in.postpone(plan, *w)
+	in.postpone(nil, levelWalk{walk: *w, plan: plan})
 	return true
 }
 
-// coupledFill is one coupled stream's part of installMerged's reverse
-// sweep: how many of its filled accesses remain and the page it last
-// translated.
-type coupledFill struct {
-	left         int
-	vpage, pbase int64
-}
-
 // fillCoupled fills the cold warm-up of the coupled streams in idx —
-// the streams RunConcurrentInto interleaves, with their cursors and
-// clocks in st — as far as the first access of any measured pass,
-// when it can prove that every access before it misses at every level
-// whatever the interleaving; otherwise it changes nothing and returns
-// 0. The proof needs, for every coupled stream:
+// the streams RunConcurrentInto interleaves, with their cursors, clocks
+// and walks in st — as far as the first access of
+// any measured pass, when it can prove that every access before it
+// misses at every level whatever the interleaving; otherwise it
+// changes nothing and returns no fill. The proof needs, for every
+// coupled stream:
 //
 //   - a core and a Space no other coupled stream has, so its core's
 //     TLB and prefetcher see its accesses alone, and
 //     its lines sit on frames no other stream maps, which the other
 //     streams' misses never bring into a shared cache;
-//   - addresses that rise at one constant stride for which coldWalk
-//     holds on its core.
+//   - a strided walk for which coldWalk holds on its core.
 //
 // Each access then costs what accessAt charges a miss everywhere, with
 // the TLB term when its core's TLB misses, so the interleaving follows
 // from those costs alone. fillCoupled runs the interleaver's (clock,
 // index) order over them, adding each cost to its stream's clock in
 // issue order and simulating each core's TLB access by access, and
-// records the merged issue order in *order, one stream index per
-// access.
+// records the merged issue order in *order, one position in idx per
+// access. Each core's prefetcher, which sees its own stream alone at a
+// stride coldWalk proved beyond it, is set from the stream's filled
+// accesses in closed form (observeWalk).
 //
 // It then proves, for each stream, a private prefix: the leading plan
 // levels whose cache instance no other coupled stream's plan holds and
@@ -669,59 +641,59 @@ type coupledFill struct {
 // access, the warm-up's and every later one, since assoc or more other
 // lines of the set came since its line last did. Every complete pass,
 // and so the run, ends with each such set holding its last assoc lines,
-// MRU first, as an installWalk of the whole walk leaves it. So
+// MRU first, as an install of the whole walk leaves it. So
 // fillCoupled runs countWalk over the whole walk at the stream's
 // private levels, which are still empty, and takes as the prefix the
 // leading levels at which every set with lines is marked setFull; a
 // stream whose walk one allocation of its space does not map
-// (Space.frames) has none. Nothing reads the prefix before the run ends, as no other stream
-// reaches it and the prefetcher never fires, so the whole walk there is
-// the run's end state from now on: fillCoupled records it as pending
-// (postpone), and the interleaver skips the prefix (in.rc.skips), so
-// coupled streams are simulated only from the first level after their
-// prefix on.
+// (Space.frames) has none. Nothing reads the prefix before the run
+// ends, as no other stream reaches it and the prefetcher never fires,
+// so the whole walk there is the run's end state from now on:
+// fillCoupled records it as a pending run (postpone), and the
+// interleaver skips the prefix (in.rc.skips), so coupled streams are
+// simulated only from the first level after their prefix on.
 //
-// The levels after the prefix and the prefetchers are left as they
-// were: runStacked or installMerged sets them. fillCoupled returns the
-// number of accesses filled, and allocates nothing once the caches,
-// the scratch slabs and the pending list have grown.
-func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState, order *[]uint8) (counts PassCounts) {
-	if len(streams) > math.MaxUint8+1 {
-		return counts
+// fillCoupled returns the number of accesses filled and the warm-up
+// run: each stream's filled accesses over the levels after its prefix,
+// in the merged order. RunConcurrentInto installs it, unless runStacked
+// finishes the run. fillCoupled allocates nothing once the caches, the
+// scratch slabs and the pending slabs have grown.
+func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState, order *[]uint8) (counts PassCounts, warm run) {
+	if len(idx) > math.MaxUint8+1 {
+		return counts, warm
 	}
-	total := 0
+	total := int64(0)
 	for k, i := range idx {
-		str := &streams[i]
-		base, stride, ok := constantStride(str.Addrs)
-		if !ok || !in.coldWalk(str.Core, base, stride) {
-			return counts
+		str, w := &streams[i], &st[i].w
+		if w.stride == 0 || !in.coldWalk(str.Core, w.base, w.stride) {
+			return counts, warm
 		}
 		for _, j := range idx[:k] {
 			if streams[j].Core == str.Core || streams[j].Space == str.Space {
-				return counts
+				return counts, warm
 			}
 		}
-		total += len(str.Addrs)
+		total += w.accesses()
 	}
 
-	issued := slices.Grow((*order)[:0], total)
+	issued := slices.Grow((*order)[:0], int(total))
 	shift := in.pageShift
 	cost, tlbCost := in.costs[0][in.levels+1], in.costs[1][in.levels+1]
 	for {
-		sel := idx[earliest(idx, st)]
-		s := &st[sel]
+		k := earliest(idx, st)
+		s := &st[idx[k]]
+		w := &s.w
 		if s.pass > 0 {
 			break
 		}
-		str := &streams[sel]
-		vaddr := str.Addrs[s.pos]
-		if t := in.tlbs[str.Core]; t != nil && !t.access(vaddr>>shift) {
+		off := int64(s.pos) * w.stride
+		if t := in.tlbs[streams[idx[k]].Core]; t != nil && !t.access((w.base+off)>>shift) {
 			s.clock += tlbCost
 		} else {
 			s.clock += cost
 		}
-		issued = append(issued, uint8(sel))
-		if s.pos++; s.pos == len(str.Addrs) {
+		issued = append(issued, uint8(k))
+		if s.pos++; off+w.stride >= w.bytes {
 			s.pos, s.pass = 0, 1
 		}
 	}
@@ -729,10 +701,10 @@ func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState,
 
 	sc := setScratch.get()
 	defer setScratch.put(sc)
+	warm = run{walks: in.rc.warm[:0], order: issued}
 	for _, i := range idx {
-		str := &streams[i]
+		str, w := &streams[i], st[i].w
 		plan := in.planFor(str.Core)
-		base, stride := str.Addrs[0], str.Addrs[1]-str.Addrs[0]
 		private := 0
 		for ; private < len(plan); private++ {
 			shared := false
@@ -743,11 +715,11 @@ func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState,
 				break
 			}
 		}
-		n := int64(len(str.Addrs))
+		n := w.accesses()
 		skip := 0
-		if frames := str.Space.frames(base>>shift, str.Addrs[n-1]>>shift); private > 0 && frames != nil {
-			sc.reset(plan[:private], base, stride)
-			in.countWalk(plan[:private], frames, base, stride, n, sc)
+		if frames := w.sp.frames(w.base>>shift, (w.base+(n-1)*w.stride)>>shift); private > 0 && frames != nil {
+			sc.reset(plan[:private], w.base, w.stride)
+			in.countWalk(plan[:private], frames, w.base, w.stride, n, sc)
 		prefix:
 			for ; skip < private; skip++ {
 				for _, s := range sc.touched[skip] {
@@ -758,68 +730,24 @@ func (in *Instance) fillCoupled(streams []Stream, idx []int32, st []streamState,
 			}
 		}
 		if skip > 0 {
-			in.postpone(plan[:skip], walk{sp: str.Space, base: base, bytes: n * stride, stride: stride})
+			in.postpone(nil, levelWalk{walk: w, plan: plan[:skip]})
 		}
 		in.rc.skips[i] = skip
+		filled := int64(st[i].pos + st[i].pass*int(n))
+		in.pref[str.Core].observeWalk(w.base, w.stride, filled, shift)
+		w.bytes = filled * w.stride
+		warm.walks = append(warm.walks, levelWalk{walk: w, plan: plan[skip:]})
 	}
 	counts.Filled = int64(len(issued))
-	return counts
-}
-
-// installMerged leaves the coupled streams in idx, which fillCoupled has
-// filled in the given merged issue order, where the interleaver would
-// have left them at the fill's end, and returns its install visits.
-// One reverse sweep of the order installs every plan level after each
-// stream's private prefix, appending at the LRU end as installWalk
-// does: a private cache takes its own stream's lines, a shared cache
-// the merged order's, each set the last lines mapped to it, MRU first.
-// Each core's prefetcher sees its own stream alone, at a stride
-// coldWalk proved beyond it, so it is set from the stream's filled
-// accesses in closed form (observeWalk). installMerged allocates
-// nothing once the caches have grown.
-func (in *Instance) installMerged(streams []Stream, idx []int32, st []streamState, order []uint8) (visits int64) {
-	fs := in.rc.fills[:len(streams)]
-	shift, mask := in.pageShift, in.pageMask
-	for _, i := range idx {
-		str := &streams[i]
-		plan := in.planFor(str.Core)
-		skip := in.rc.skips[i]
-		left := st[i].pos
-		if st[i].pass > 0 {
-			left = len(str.Addrs)
-		}
-		fs[i] = coupledFill{left: left, vpage: -1}
-		visits += int64(left) * int64(len(plan)-skip)
-		in.pref[str.Core].observeWalk(str.Addrs[0], str.Addrs[1]-str.Addrs[0], int64(left), shift)
-		if left > 0 {
-			occupy(plan[skip:])
-		}
-	}
-	for k := len(order) - 1; k >= 0; k-- {
-		i := order[k]
-		f, str := &fs[i], &streams[i]
-		f.left--
-		vaddr := str.Addrs[f.left]
-		if vpage := vaddr >> shift; vpage != f.vpage {
-			f.pbase = str.Space.translate(vaddr) &^ mask
-			f.vpage = vpage
-		}
-		paddr := f.pbase + vaddr&mask
-		for _, pl := range in.planFor(str.Core)[in.rc.skips[i]:] {
-			c := pl.c
-			pLine := paddr >> c.lineBits
-			c.appendLRU(c.setIndex(vaddr>>c.lineBits, pLine), pLine)
-		}
-	}
-	return visits
+	return counts, warm
 }
 
 // stackable reports whether runStacked can finish the run of the
-// coupled streams in idx after fillCoupled has filled them: there are
-// two, each skips every plan level but the last, both plans end in one
-// cache instance, and the run's accesses, passes of both walks, fit
-// runStacked's 32-bit clocks.
-func (in *Instance) stackable(streams []Stream, idx []int32, passes int) bool {
+// coupled streams in idx, whose walks are in st, after fillCoupled has
+// filled them: there are two, each skips every plan level but the
+// last, both plans end in one cache instance, and the run's accesses,
+// passes of both walks, fit runStacked's 32-bit clocks.
+func (in *Instance) stackable(streams []Stream, idx []int32, st []streamState, passes int) bool {
 	if len(idx) != 2 {
 		return false
 	}
@@ -827,7 +755,7 @@ func (in *Instance) stackable(streams []Stream, idx []int32, passes int) bool {
 	a, b := idx[0], idx[1]
 	return in.rc.skips[a] == last && in.rc.skips[b] == last &&
 		in.planFor(streams[a].Core)[last].c == in.planFor(streams[b].Core)[last].c &&
-		int64(passes)*int64(len(streams[a].Addrs)+len(streams[b].Addrs)) <= math.MaxInt32
+		int64(passes)*(st[a].w.accesses()+st[b].w.accesses()) <= math.MaxInt32
 }
 
 // stackSet is one set of the shared level in runStacked: how many
@@ -861,24 +789,25 @@ func (sk *stackCounts) reset(sets, lines int) {
 	sk.lines = slices.Grow(sk.lines[:0], lines)[:lines]
 }
 
-// stackCursor is one stream's interleaver cursor in runStacked: where
-// its positions start in stackCounts.lines, its place in the run, its
-// clock and measured cycles, its core's TLB and the page runStacked
-// last probed it for, −1 before the first.
+// stackCursor is one stream's interleaver cursor in runStacked: its
+// walk, where its positions start in stackCounts.lines, its place in
+// the run, its clock and measured cycles, its core's TLB and the page
+// runStacked last probed it for, −1 before the first.
 type stackCursor struct {
-	first, pos, pass int
-	clock, cycles    float64
-	tlb              *tlb
-	vpage            int64
+	w                   *walk
+	first, n, pos, pass int
+	clock, cycles       float64
+	tlb                 *tlb
+	vpage               int64
 }
 
-// runStacked finishes the run of the two coupled streams in idx, which
-// fillCoupled has filled in the merged issue order and
-// stackable admits, deciding every access after the fill by its LRU
-// stack distance at the shared last level C instead of looking its
-// line up. The fill proved that both streams miss throughout at every
-// level above C, so every access of the run looks its line up at C,
-// and nothing else does: each stream has its own core and space, and
+// runStacked finishes the run of the two coupled streams in idx, whose
+// walks are in st, which fillCoupled has filled in the merged issue
+// order and stackable admits, deciding every access after the fill by
+// its LRU stack distance at the shared last level C instead of looking
+// its line up. The fill proved that both streams miss throughout at
+// every level above C, so every access of the run looks its line up at
+// C, and nothing else does: each stream has its own core and space, and
 // no prefetcher fires, since the stride and the wrap-around jump are
 // both beyond it. The two walks' lines are distinct, and each walk
 // visits the lines it maps to a set s of C in one cyclic order. LRU
@@ -908,20 +837,18 @@ type stackCursor struct {
 //
 // Every line's last access falls in its stream's last pass, so C ends
 // as the last passes of both walks, in the order they were issued,
-// leave it. runStacked records that order, one bit per access of a
-// last pass, and leaves C's end state pending (pendingPair). Each
-// core's prefetcher, which has seen every access of its stream at a
-// stride beyond it, is set in closed form (endWalk). It writes both
-// streams' statistics, returns the accesses it decided, and allocates
-// nothing once the scratch slabs and the pending pair's bits have
-// grown.
+// leave it. runStacked records that order in the instance's pending
+// order slab and leaves the two walks over C pending, as one run in
+// that order. Each core's prefetcher, which has seen every access of
+// its stream at a stride beyond it, is set in closed form (endWalk).
+// It writes both streams' statistics, returns the accesses it decided,
+// and allocates nothing once the scratch and pending slabs have grown.
 func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, passes int, stats []StreamStats, order []uint8) (counts PassCounts) {
 	ids := [2]int32{idx[0], idx[1]}
 	last := in.levels - 1
-	plan := in.planFor(streams[ids[0]].Core)
-	c := plan[last].c
+	c := in.planFor(streams[ids[0]].Core)[last].c
 	shift, mask := in.pageShift, in.pageMask
-	n0, n1 := len(streams[ids[0]].Addrs), len(streams[ids[1]].Addrs)
+	n0, n1 := int(st[ids[0]].w.accesses()), int(st[ids[1]].w.accesses())
 	sk := stackScratch.get()
 	defer stackScratch.put(sk)
 	sk.reset(int(c.numSets), n0+n1)
@@ -929,13 +856,14 @@ func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, 
 
 	var cur [2]stackCursor
 	for k, i := range ids {
-		str := &streams[i]
+		w := &st[i].w
 		cu := &cur[k]
-		*cu = stackCursor{first: k * n0, pos: st[i].pos, pass: st[i].pass, clock: st[i].clock, tlb: in.tlbs[str.Core], vpage: -1}
+		*cu = stackCursor{w: w, first: k * n0, n: int(w.accesses()), pos: st[i].pos, pass: st[i].pass, clock: st[i].clock, tlb: in.tlbs[streams[i].Core], vpage: -1}
 		vpage, pbase := int64(-1), int64(0)
-		for p, vaddr := range str.Addrs {
+		for p := range cu.n {
+			vaddr := w.base + int64(p)*w.stride
 			if vp := vaddr >> shift; vp != vpage {
-				vpage, pbase = vp, str.Space.translate(vaddr)&^mask
+				vpage, pbase = vp, w.sp.translate(vaddr)&^mask
 			}
 			pLine := (pbase + vaddr&mask) >> c.lineBits
 			s := c.setIndex(vaddr>>c.lineBits, pLine)
@@ -944,11 +872,7 @@ func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, 
 		}
 	}
 	filled := [2]int{}
-	for _, i := range order {
-		k := 0
-		if int32(i) != ids[0] {
-			k = 1
-		}
+	for _, k := range order {
 		l := &lines[cur[k].first+filled[k]]
 		filled[k]++
 		s := &sets[l.set]
@@ -956,10 +880,8 @@ func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, 
 		l.stamp = s.clock
 	}
 
-	pair := &in.pend.pair
-	pair.lastPass = extend(pair.lastPass[:0], (n0+n1+63)/64)
-	clear(pair.lastPass)
-	lastPass, issued := pair.lastPass, 0
+	lo := len(in.pend.order)
+	lastPass := slices.Grow(in.pend.order, n0+n1)
 	costs := [2][2]float64{
 		{in.costs[0][in.levels], in.costs[0][in.levels+1]},
 		{in.costs[1][in.levels], in.costs[1][in.levels+1]},
@@ -969,13 +891,12 @@ func (in *Instance) runStacked(streams []Stream, idx []int32, st []streamState, 
 	if cur[1].clock < cur[0].clock {
 		k = 1
 	}
-run:
+issue:
 	for {
 		cu := &cur[k]
-		addrs := streams[ids[k]].Addrs
 		t := 0
 		if cu.tlb != nil {
-			if vp := addrs[cu.pos] >> shift; vp != cu.vpage {
+			if vp := (cu.w.base + int64(cu.pos)*cu.w.stride) >> shift; vp != cu.vpage {
 				cu.vpage = vp
 				if !cu.tlb.access(vp) {
 					t = 1
@@ -996,16 +917,15 @@ run:
 			cu.cycles += cost
 		}
 		if cu.pass == passes-1 {
-			lastPass[issued>>6] |= uint64(k) << (issued & 63)
-			issued++
+			lastPass = append(lastPass, uint8(k))
 		}
-		if cu.pos++; cu.pos == len(addrs) {
+		if cu.pos++; cu.pos == cu.n {
 			cu.pos = 0
 			cu.pass++
 		}
 		switch {
 		case cur[0].pass == passes && cur[1].pass == passes:
-			break run
+			break issue
 		case cur[0].pass == passes:
 			k = 1
 		case cur[1].pass == passes:
@@ -1017,16 +937,15 @@ run:
 		}
 	}
 
-	occupy(plan[last:])
-	pair.c = c
+	in.pend.order = lastPass
+	var pair [2]levelWalk
 	for k, i := range ids {
-		str := &streams[i]
-		n := len(str.Addrs)
-		in.pref[str.Core].endWalk(str.Addrs[n-2], str.Addrs[n-1])
-		stats[i] = StreamStats{Accesses: int64(passes-1) * int64(n), Cycles: cur[k].cycles}
-		stride := str.Addrs[1] - str.Addrs[0]
-		pair.walks[k] = walk{sp: str.Space, base: str.Addrs[0], bytes: int64(n) * stride, stride: stride}
+		w, core := cur[k].w, streams[i].Core
+		in.pref[core].endWalk(w.base+int64(cur[k].n-2)*w.stride, w.base+int64(cur[k].n-1)*w.stride)
+		stats[i] = StreamStats{Accesses: int64(passes-1) * int64(cur[k].n), Cycles: cur[k].cycles}
+		pair[k] = levelWalk{walk: *w, plan: in.planFor(core)[last:]}
 	}
+	in.postpone(lastPass[lo:len(lastPass):len(lastPass)], pair[:]...)
 	counts.Stacked = int64(passes*(n0+n1) - filled[0] - filled[1])
 	return counts
 }
@@ -1034,11 +953,13 @@ run:
 // derivedPass costs one measured traversal of a walk fill has just
 // filled, from the per-set counts fill recorded in sc, without
 // simulating it, and leaves every piece of state as fill left it, the
-// pending end state included. It
-// adds the pass's cost to *total and *measured, bit for bit what adding
-// each access's cost in issue order would give, and returns true when
-// provePass can prove that cost; otherwise it changes nothing, *total
-// and *measured included, and returns false.
+// pending end state included. It adds the pass's cost to *total and
+// *measured, bit for bit what adding each access's cost in issue order
+// would give, and returns true when every access costs an integer
+// number of cycles, both accumulators and their sums with the pass's
+// cost are integers below 2^53 and provePass can prove that cost;
+// otherwise it changes nothing, *total and *measured included, and
+// returns false.
 //
 // After the fill, each set at each level holds — pending or installed —
 // the last min(k, assoc) of its k lines, MRU first. provePass shows from the per-set facts
@@ -1057,28 +978,24 @@ run:
 // the wrap-around jump is larger still — and with at least two
 // accesses a pass leaves it where the fill did.
 //
-// With integral costs and integer accumulators the pass's cost is one
-// sum over the touched sets (countedCost), added once when both
-// accumulators stay exact integers, as every partial sum of the
-// issue-order additions then did. Otherwise issueOrderCost adds each
-// access's cost in issue order. derivedPass allocates nothing once sc
-// has been used on the plan.
+// The pass's cost is then one sum over the touched sets (countedCost).
+// Every term is a non-negative integer, so with integer accumulators
+// every partial sum of the issue-order additions is exact, and adding
+// the sum once gives the same bits. derivedPass allocates nothing once
+// sc has been used on the plan.
 func (in *Instance) derivedPass(core int, w *walk, sc *setCounts, total, measured *float64) bool {
 	n := w.accesses()
 	plan := in.planFor(core)
-	if n < 2 || !in.provePass(plan, sc) {
+	if n < 2 || !in.exact || !exactInt(*total) || !exactInt(*measured) || !in.provePass(plan, sc) {
 		return false
 	}
 	pages, tlbPage := in.passPages(core, sc, n)
-	if in.exact && exactInt(*total) && exactInt(*measured) {
-		d := in.countedCost(plan, sc, n, pages, tlbPage)
-		if exactInt(d) && exactInt(*total+d) && exactInt(*measured+d) {
-			*total += d
-			*measured += d
-			return true
-		}
+	d := in.countedCost(plan, sc, n, pages, tlbPage)
+	if !exactInt(d) || !exactInt(*total+d) || !exactInt(*measured+d) {
+		return false
 	}
-	in.issueOrderCost(plan, w, sc, tlbPage, total, measured)
+	*total += d
+	*measured += d
 	return true
 }
 
@@ -1175,39 +1092,6 @@ func (in *Instance) countedCost(plan []planLevel, sc *setCounts, n, pages int64,
 	return d + float64(misses)*in.costs[0][len(plan)+1] + float64(int64(tlbPage)*pages)*in.tlbMiss
 }
 
-// issueOrderCost adds the cost of each access of a pass provePass has
-// proved to *total and *measured in issue order: the access hits at
-// the first level whose set fits its lines, or misses everywhere, and
-// the first access of each page adds the TLB term when tlbPage is 1.
-func (in *Instance) issueOrderCost(plan []planLevel, w *walk, sc *setCounts, tlbPage int, total, measured *float64) {
-	n := w.accesses()
-	shift, mask := in.pageShift, in.pageMask
-	a, b := *total, *measured
-	curVpage, pbase := int64(-1), int64(0)
-	vaddr := sc.base
-	for i := int64(0); i < n; i, vaddr = i+1, vaddr+sc.stride {
-		t := 0
-		if vpage := vaddr >> shift; vpage != curVpage {
-			pbase = w.sp.translate(vaddr) &^ mask
-			curVpage = vpage
-			t = tlbPage
-		}
-		paddr := pbase + vaddr&mask
-		h := len(plan)
-		for j := range plan {
-			c := plan[j].c
-			if sc.sets[j][c.setIndex(vaddr>>c.lineBits, paddr>>c.lineBits)]&setFull == 0 {
-				h = j
-				break
-			}
-		}
-		cost := in.costs[t][h+1]
-		a += cost
-		b += cost
-	}
-	*total, *measured = a, b
-}
-
 // replayPasses is the measurement loop of AccessStridePasses and of
 // RunConcurrentInto's lone strided streams: a warm-up traversal,
 // filled when fill can prove it misses everywhere, then `passes`
@@ -1225,21 +1109,18 @@ func (in *Instance) replayPasses(core int, w walk, passes int, total, measured *
 	if derive {
 		c.Filled = n
 	} else {
-		c.InstallVisits += in.traverse(core, &w, total, nil)
+		in.traverse(core, &w, total, nil)
 	}
 	for pass := 1; pass <= passes; pass++ {
-		t0, m0 := *total, *measured
+		m0 := *measured
 		if derive = derive && in.derivedPass(core, &w, sc, total, measured); !derive {
-			c.InstallVisits += in.traverse(core, &w, total, measured)
+			in.traverse(core, &w, total, measured)
 			continue
 		}
 		c.Derived += n
-		if pass == passes || !in.exact || !exactInt(t0) || !exactInt(m0) || !exactInt(*total) || !exactInt(*measured) {
-			continue
-		}
-		// The accumulators moved from integers to integers below 2^53
-		// by non-negative integer steps, so every partial sum was
-		// exact and d is the pass's exact cost.
+		// derivedPass moved the accumulators from integers to integers
+		// below 2^53 by non-negative integer steps, so every partial sum
+		// was exact and d is the pass's exact cost.
 		k := passes - pass
 		d := *measured - m0
 		dk := d * float64(k)

@@ -369,3 +369,38 @@ func TestWalkAcrossGuardPage(t *testing.T) {
 		}
 	})
 }
+
+// TestSettledVisitsReachNextMeasurement: install visits are counted on
+// the instance, so a settle no measurement performs still reaches the
+// ledger. A filled nehalem2s walk of n accesses leaves its three levels
+// pending and reports no visit; Space.Free of an unrelated array
+// settles it, and the next AccessStridePasses reports those n·3 visits.
+// That measurement's own walk, on another core's empty caches, is left
+// pending again and settled by an Access, whose visits the next
+// RunConcurrentInto reports; a pending walk a reset drops is never
+// counted.
+func TestSettledVisitsReachNextMeasurement(t *testing.T) {
+	const bytes, stride, passes = 64 * topology.KB, 1024, 2
+	in := NewInstanceAt(topology.Nehalem2S(), 1)
+	sp := in.NewSpace()
+	a, b, other := sp.Alloc(bytes), sp.Alloc(bytes), sp.Alloc(bytes)
+	var total, measured float64
+	want := int64(bytes / stride * 3)
+	if c := in.AccessStridePasses(0, sp, a.Base, bytes, stride, passes, &total, &measured); c.Filled == 0 || c.InstallVisits != 0 {
+		t.Fatalf("first measurement: %+v, want a fill and no install visit", c)
+	}
+	sp.Free(other)
+	if c := in.AccessStridePasses(4, sp, b.Base, bytes, stride, passes, &total, &measured); c.Filled == 0 || c.InstallVisits != want {
+		t.Fatalf("measurement after a settling Free: %+v, want a fill and %d install visits", c, want)
+	}
+	in.Access(0, sp, a.Base)
+	if c := RunConcurrentInto(in, nil, passes, nil); c.InstallVisits != want {
+		t.Fatalf("run after a settling Access: %+v, want %d install visits", c, want)
+	}
+	in.ResetCaches()
+	in.AccessStridePasses(0, sp, a.Base, bytes, stride, passes, &total, &measured)
+	in.ResetCaches()
+	if c := in.AccessStridePasses(0, sp, a.Base, bytes, stride, passes, &total, &measured); c.Filled == 0 || c.InstallVisits != 0 {
+		t.Fatalf("measurement after a reset dropped a pending walk: %+v, want a fill and no install visit", c)
+	}
+}

@@ -62,16 +62,18 @@ const (
 	// warm-up instead of simulating them: the first measured pass after
 	// a fill, when every set of every level is reached by all of its
 	// lines or by none. CounterMemsysInstallVisits counts the (access,
-	// level) pairs the same calls looked at to install cache lines: a
-	// coupled warm-up's merged sweep, and any filled end state a call
-	// built because it was about to read the caches (one a reset drops
-	// is never built). It is work in cache operations, not accesses, so
-	// it moves when the same lines are installed with fewer visits, or
-	// not at all. CounterMemsysStacked
-	// counts the accesses of a filled pair of streams, after its fill,
-	// whose cost RunConcurrentInto decided from their LRU stack distance
-	// at the one cache level both streams reach instead of looking them
-	// up there. CounterMemsysPagesPlaced counts the pages the probes'
+	// level) pairs memsys's one installer visited to install cache
+	// lines: a coupled warm-up's merged run, and any filled end state
+	// built because some call was about to read the caches (one a reset
+	// drops is never built). The instance counts them, and each
+	// measurement reports those counted since the previous one, so an
+	// install settled between measurements is reported by the next. It
+	// is work in cache operations, not accesses, so it moves when the
+	// same lines are installed with fewer visits, or not at all.
+	// CounterMemsysStacked counts the accesses of a filled pair of
+	// streams, after its fill, whose cost RunConcurrentInto decided from
+	// their LRU stack distance at the one cache level both streams reach
+	// instead of looking them up there. CounterMemsysPagesPlaced counts the pages the probes'
 	// arrays were placed on, and CounterMemsysPlacementRetries the
 	// candidate frames those placements found taken and passed over:
 	// the page allocator's work, in its own units.
