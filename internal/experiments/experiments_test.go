@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"servet/internal/obs"
+	"servet/internal/report"
 )
 
 var quick = Opt{Seed: 1, Quick: true}
@@ -236,6 +237,52 @@ func TestTable1Runs(t *testing.T) {
 		if !strings.Contains(res.Text, want) {
 			t.Errorf("table1 missing %q:\n%s", want, res.Text)
 		}
+	}
+}
+
+// TestTable1Golden pins quick Table I — a cold full suite on
+// dunnington and on two-node finisterrae, whose simulated column shows
+// every probe's cost accounting — against testdata/table1_quick.json.
+// The wall column is host time, so it is masked to "-" and the table
+// re-rendered.
+func TestTable1Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suites")
+	}
+	res, err := Run(context.Background(), "table1", quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(res.Text, "\n"), "\n")
+	headers := strings.Fields(lines[0])
+	var rows [][]string
+	for _, line := range lines[2:] {
+		row := strings.Fields(line)
+		if len(row) != len(headers) {
+			t.Fatalf("table1 row %q: %d cells, want %d", line, len(row), len(headers))
+		}
+		row[2] = "-"
+		rows = append(rows, row)
+	}
+	res.Text = report.Table(headers, rows)
+	got, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "table1_quick.json")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: table1 differs from the committed golden (re-run with -update only for an intended change)", path)
 	}
 }
 
