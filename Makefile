@@ -36,8 +36,13 @@ lint:
 	./bin/servet-vet ./...
 
 # Benchmarks only (-run '^$' skips tests); -benchmem so the trajectory
-# tracks allocations, -count so benchjson can keep the best run.
+# tracks allocations, -count so benchjson can keep the best run. The
+# target refuses to write its output over the baseline it gates
+# against, so a gate run against a committed BENCH_*.json names its
+# own BENCH_OUT.
 bench:
+	$(if $(BENCH_BASELINE),$(if $(filter $(abspath $(BENCH_OUT)),$(abspath $(BENCH_BASELINE))),\
+		$(error BENCH_OUT=$(BENCH_OUT) would overwrite BENCH_BASELINE; set BENCH_OUT to another file)))
 	@mkdir -p bin
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' -bench '$(BENCH_REGEX)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) \

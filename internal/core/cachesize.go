@@ -29,6 +29,16 @@ type DetectedCache struct {
 // produces isolated blips below this.
 const sharpMin = 2.0
 
+// ratioThreshold flags a pair as sharing a cache when its concurrent
+// cycle count exceeds this multiple of the isolated reference, as in
+// Fig. 5.
+const ratioThreshold = 2.0
+
+// similarTol is the relative tolerance of the first-match "similar
+// value" clustering of the memory-overhead and communication-costs
+// benchmarks (Figs. 6 and 7).
+const similarTol = 0.10
+
 // candidate associativities tried by the probabilistic estimator.
 var candidateAssocs = []int{2, 4, 6, 8, 9, 12, 16, 18, 24, 32}
 

@@ -14,11 +14,12 @@ import (
 // CommunicationCostsContext implements the Fig. 7 benchmark and its two
 // follow-ups. First it measures the one-way latency of an L1-sized
 // message between every pair of cluster cores and clusters the pairs
-// into communication layers (first-match within SimilarTol, as the
-// paper's L/Pl arrays). Then, per layer, it micro-benchmarks a
-// representative pair across message sizes (Fig. 10(c)/(d)) and
-// measures the layer's scalability by sending concurrent messages over
-// a maximal matching of its pairs (Fig. 10(b)).
+// into communication layers (stats.Cluster within similarTol, the
+// paper's first-match loop over its L/Pl arrays). Then, per layer, it
+// micro-benchmarks a representative pair across message sizes
+// (Fig. 10(c)/(d)) and measures the layer's scalability by sending
+// concurrent messages over a maximal matching of its pairs
+// (Fig. 10(b)).
 //
 // messageBytes is the probe message size; the suite passes the
 // detected L1 capacity, "because it allows to find differences in
@@ -32,9 +33,9 @@ import (
 // whatever Options.Parallelism says: the O(n²) pair sweep, and the
 // per-layer bandwidth and scalability micro-benchmarks as one
 // measurement per layer. The sweeps only record raw latencies into
-// their slots; probe-cost accounting, noise perturbation and layer
-// clustering all happen in a sequential merge over the measurements in
-// pair order, and noise is drawn statelessly per measurement
+// their slots; probe-cost accounting and noise perturbation happen in
+// a sequential merge over the measurements in pair order, before the
+// layer clustering, and noise is drawn statelessly per measurement
 // (perturbAt).
 func CommunicationCostsContext(ctx context.Context, m *topology.Machine, messageBytes int64, opt Options) (report.CommResult, float64, error) {
 	opt = opt.withDefaults(m)
@@ -97,50 +98,36 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 	if err != nil {
 		return res, probeNS, err
 	}
-	rawLats := make([][]float64, len(pairs))
-	for i := range pairs {
-		rawLats[i] = repLats[classOf[i]]
-	}
 
-	// Merge in pair order: account probe costs, perturb, and cluster
-	// pairs into layers (first-match within SimilarTol across every
-	// layer size).
-	similarVec := func(a, b []float64) bool {
-		for i := range a {
-			if !stats.Similar(a[i], b[i], opt.SimilarTol) {
-				return false
-			}
-		}
-		return true
-	}
-	var lats [][]float64 // latency vector per layer, one entry per layer size
-	var pairsPerLayer [][][2]int
-	for i, raw := range rawLats {
+	// Merge in pair order: account probe costs and perturb, then
+	// cluster pairs into layers (stats.Cluster within similarTol across
+	// every layer size).
+	vecs := make([][]float64, len(pairs))
+	for i, ci := range classOf {
+		raw := repLats[ci]
 		vec := make([]float64, len(raw))
 		for si, l := range raw {
 			probeNS += l * float64(2*(opt.CommReps+1))
 			vec[si] = perturbAt(l, opt.NoiseSigma, opt.Seed, noiseComm, commNoiseLatency, int64(i), int64(si))
 		}
-		placed := false
-		for li, rep := range lats {
-			if similarVec(vec, rep) {
-				pairsPerLayer[li] = append(pairsPerLayer[li], pairs[i])
-				placed = true
-				break
+		vecs[i] = vec
+	}
+	assign, founders := stats.Cluster(len(pairs), func(i, rep int) bool {
+		for si, l := range vecs[i] {
+			if !stats.Similar(l, vecs[rep][si], similarTol) {
+				return false
 			}
 		}
-		if !placed {
-			lats = append(lats, vec)
-			pairsPerLayer = append(pairsPerLayer, [][2]int{pairs[i]})
-		}
-	}
+		return true
+	})
+	pairsPerLayer := groupPairs(pairs, assign, len(founders))
 
 	// Phase 2: per-layer micro-benchmarks — the bandwidth and
 	// scalability sweeps of one layer are one measurement of a sweep
 	// over the layers. The matchings are deterministic functions of the
 	// (already fixed) layer pair lists.
-	matchings := make([][][2]int, len(lats))
-	counts := make([][]int, len(lats))
+	matchings := make([][][2]int, len(founders))
+	counts := make([][]int, len(founders))
 	for i, pp := range pairsPerLayer {
 		matchings[i] = stats.GreedyMatching(pp)
 		counts[i] = scalCounts(len(matchings[i]))
@@ -149,7 +136,7 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 		bw   []float64
 		scal []float64
 	}
-	layerRaws, err := sched.Sweep(ctx, "layer", len(lats), cheapSweep, nil, func(_ struct{}, i int) (layerRaw, error) {
+	layerRaws, err := sched.Sweep(ctx, "layer", len(founders), cheapSweep, nil, func(_ struct{}, i int) (layerRaw, error) {
 		rep := pairsPerLayer[i][0]
 		raw := layerRaw{
 			bw:   make([]float64, len(opt.BWSizes)),
@@ -189,12 +176,12 @@ func CommunicationCostsContext(ctx context.Context, m *topology.Machine, message
 	// Merge in layer order, accounting and perturbing each layer's
 	// bandwidth points before its scalability points — the accumulation
 	// order of the original sequential sweep.
-	for i, latVec := range lats {
+	for i, founder := range founders {
 		pp := pairsPerLayer[i]
 		rep := pp[0]
 		layer := report.CommLayer{
 			Name:           mpisim.ChannelNameBetween(m, rep[0], rep[1]),
-			LatencyUS:      latVec[0] / 1000,
+			LatencyUS:      vecs[founder][0] / 1000,
 			Pairs:          pp,
 			Representative: rep,
 		}

@@ -18,7 +18,7 @@ const memProbeBytes = 16 * topology.MB
 // STREAM-copy bandwidth of an isolated core (the reference), then of
 // one core of every pair while both access memory concurrently.
 // Bandwidths below the reference are clustered into overhead levels
-// (first-match within SimilarTol, exactly as the paper's algorithm
+// (stats.Cluster within similarTol, the paper's first-match loop that
 // appends to BW/Pm); each level's pairs are folded into core groups
 // and one group per level is swept to produce the effective-bandwidth
 // scalability curve of Fig. 9(b). The returned simulated-probe
@@ -62,32 +62,26 @@ func MemoryOverheadContext(ctx context.Context, m *topology.Machine, opt Options
 	}
 
 	// Sequential merge in measurement order: reference first, then the
-	// pairs, clustered exactly as the paper's n/BW/Pm loop.
+	// pairs, keeping those with an overhead for the clustering, which
+	// runs once every pair is accounted.
 	account(raw[0])
 	res := report.MemoryResult{RefBandwidthGBs: perturb(raw[0], memNoiseRef)}
 	ref := res.RefBandwidthGBs
-
-	var bws []float64
-	var pairsPerLevel [][][2]int
+	var kept [][2]int
+	var keptBW []float64
 	for i, p := range pairs {
 		account(raw[1+i])
 		bw := perturb(raw[1+i], memNoisePair, int64(p[0]), int64(p[1]))
-		if bw >= ref || stats.Similar(bw, ref, opt.SimilarTol) {
+		if bw >= ref || stats.Similar(bw, ref, similarTol) {
 			continue // no overhead
 		}
-		placed := false
-		for li, level := range bws {
-			if stats.Similar(bw, level, opt.SimilarTol) {
-				pairsPerLevel[li] = append(pairsPerLevel[li], p)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			bws = append(bws, bw)
-			pairsPerLevel = append(pairsPerLevel, [][2]int{p})
-		}
+		kept = append(kept, p)
+		keptBW = append(keptBW, bw)
 	}
+	assign, reps := stats.Cluster(len(kept), func(i, rep int) bool {
+		return stats.Similar(keptBW[i], keptBW[rep], similarTol)
+	})
+	pairsPerLevel := groupPairs(kept, assign, len(reps))
 
 	// The scalability curves depend on the clustering above, so they
 	// stay in the sequential merge; measure folds raw measurement,
@@ -97,9 +91,9 @@ func MemoryOverheadContext(ctx context.Context, m *topology.Machine, opt Options
 		account(bw)
 		return perturb(bw, keys...)
 	}
-	for i, bw := range bws {
+	for i, rep := range reps {
 		lvl := report.OverheadLevel{
-			BandwidthGBs: bw,
+			BandwidthGBs: keptBW[rep],
 			Pairs:        pairsPerLevel[i],
 			Groups:       stats.Components(pairsPerLevel[i]),
 		}
@@ -107,6 +101,16 @@ func MemoryOverheadContext(ctx context.Context, m *topology.Machine, opt Options
 		res.Levels = append(res.Levels, lvl)
 	}
 	return res, probeNS, nil
+}
+
+// groupPairs lists the pairs of each of n classes in pair order, given
+// each pair's class from stats.Cluster.
+func groupPairs(pairs [][2]int, assign []int, n int) [][][2]int {
+	out := make([][][2]int, n)
+	for i, p := range pairs {
+		out[assign[i]] = append(out[assign[i]], p)
+	}
+	return out
 }
 
 // scaleGroup measures the effective bandwidth while activating the

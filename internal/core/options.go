@@ -28,7 +28,10 @@ import (
 const cheapSweep = 1
 
 // Options tunes the suite. The zero value means "use the defaults from
-// the paper" (1 KB stride, ratio threshold 2, 10% similarity, ...).
+// the paper" (4 KB–48 MB arrays at a 1 KB stride, 25 ping-pong round
+// trips, 1 KB–4 MB bandwidth messages, ...). The paper's fixed
+// decision thresholds are constants, not options: ratioThreshold,
+// similarTol and sharpMin.
 type Options struct {
 	// MinCacheBytes is the smallest array mcalibrator traverses
 	// (default 4 KB).
@@ -54,15 +57,8 @@ type Options struct {
 	// PeakMin is the minimum peak gradient for a run to count as a
 	// transition (default 1.30).
 	PeakMin float64
-	// RatioThreshold flags a pair as sharing a cache when its
-	// concurrent cycle count exceeds this multiple of the reference
-	// (default 2, as in Fig. 5).
-	RatioThreshold float64
-	// SimilarTol is the relative tolerance of the "similar value"
-	// clustering in the overhead and latency benchmarks (default 0.10).
-	SimilarTol float64
 	// CommReps is the number of measured ping-pong round trips
-	// (default 3).
+	// (default 25).
 	CommReps int
 	// BWSizes are the message sizes of the per-layer bandwidth sweep
 	// (default 1 KB ... 4 MB in powers of two).
@@ -120,12 +116,6 @@ func (o Options) withDefaults(m *topology.Machine) Options {
 	}
 	if o.PeakMin <= 0 {
 		o.PeakMin = 1.30
-	}
-	if o.RatioThreshold <= 0 {
-		o.RatioThreshold = 2.0
-	}
-	if o.SimilarTol <= 0 {
-		o.SimilarTol = 0.10
 	}
 	if o.CommReps <= 0 {
 		o.CommReps = 25

@@ -100,6 +100,9 @@ func (sharedCachesProbe) Run(ctx context.Context, m *topology.Machine, opt Optio
 // per-measurement allocation count the sweep averages over. The probe
 // also reads the cache-size probe's section, but dependency
 // freshness is the cache walk's job (Suite.Run), not the digest's.
+// The ratioThreshold and similarTol constants are digested under the
+// field names RatioThreshold and SimilarTol, which stored entries'
+// digests were computed with.
 func (sharedCachesProbe) scope(o Options) any {
 	return struct {
 		Seed           int64
@@ -108,7 +111,7 @@ func (sharedCachesProbe) scope(o Options) any {
 		Passes         int
 		Allocations    int
 		RatioThreshold float64
-	}{o.Seed, o.NoiseSigma, o.StrideBytes, o.Passes, o.Allocations, o.RatioThreshold}
+	}{o.Seed, o.NoiseSigma, o.StrideBytes, o.Passes, o.Allocations, ratioThreshold}
 }
 
 // restore copies the sharing groups onto the levels already in dst.
@@ -149,7 +152,7 @@ func (memoryOverheadProbe) scope(o Options) any {
 		Seed       int64
 		NoiseSigma float64
 		SimilarTol float64
-	}{o.Seed, o.NoiseSigma, o.SimilarTol}
+	}{o.Seed, o.NoiseSigma, similarTol}
 }
 
 // restore copies the memory section.
@@ -193,7 +196,7 @@ func (commCostsProbe) scope(o Options) any {
 		CommReps   int
 		BWSizes    []int64
 		LayerSizes []int64
-	}{o.Seed, o.NoiseSigma, o.SimilarTol, o.CommReps, o.BWSizes, o.LayerSizes}
+	}{o.Seed, o.NoiseSigma, similarTol, o.CommReps, o.BWSizes, o.LayerSizes}
 }
 
 // restore copies the communication section. A ran probe always

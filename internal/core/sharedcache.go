@@ -44,7 +44,7 @@ type SharedCacheLevel struct {
 // SharedCachesContext implements the Fig. 5 benchmark: for every
 // detected cache level, traverse a (2/3)·CS array on one isolated core
 // as reference, then on every pair of node-local cores concurrently; a
-// pair whose cycle count is more than RatioThreshold times the
+// pair whose cycle count is more than ratioThreshold times the
 // reference shares the level's cache. Machines with one core have no
 // pairs and report every level private. Cancelling the context aborts
 // the sweep between measurements.
@@ -213,7 +213,7 @@ func SharedCachePairsContext(ctx context.Context, m *topology.Machine, levels []
 			res.ProbeCycles += s.total
 			ratio := ratioVs(c, res.RefCycles)
 			res.Ratios = append(res.Ratios, PairRatio{A: pair[0], B: pair[1], Ratio: ratio})
-			if ratio > opt.RatioThreshold {
+			if ratio > ratioThreshold {
 				res.SharedPairs = append(res.SharedPairs, pair)
 			}
 		}

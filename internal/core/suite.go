@@ -39,15 +39,6 @@ func (s *Suite) Machine() *topology.Machine { return s.m }
 // Options returns the effective (default-filled) options.
 func (s *Suite) Options() Options { return s.opt }
 
-// DetectCaches runs the adaptive standalone cache detection on core 0:
-// mcalibrator over the standard grid, then refined re-measurement of
-// each smeared transition window (see the package-level DetectCaches).
-// The in-suite cache-size probe fits the raw curve instead, whose
-// probe-cost accounting Table I pins.
-func (s *Suite) DetectCaches(ctx context.Context) ([]DetectedCache, Calibration, error) {
-	return DetectCaches(ctx, s.m, 0, s.opt)
-}
-
 // CalibrateCores runs the Fig. 1 calibration loop on each of the given
 // node-local cores (no cores means all of them), fanning the per-core
 // runs through sched.Sweep under Options.Parallelism. Each

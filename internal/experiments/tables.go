@@ -11,15 +11,10 @@ import (
 )
 
 // sectionIVA reproduces the §IV-A evaluation: detect every cache on
-// the four paper machines and compare against the specifications
-// (10 caches in total, all expected to match).
+// the four paper machines and compare against the specifications,
+// the cache sizes of the machine models (10 caches in total, all
+// expected to match).
 func sectionIVA(ctx context.Context, o Opt) (*Result, error) {
-	specs := map[string][]int64{
-		"dunnington":  {32 * topology.KB, 3 * topology.MB, 12 * topology.MB},
-		"finisterrae": {16 * topology.KB, 256 * topology.KB, 9 * topology.MB},
-		"dempsey":     {16 * topology.KB, 2 * topology.MB},
-		"athlon3200":  {64 * topology.KB, 512 * topology.KB},
-	}
 	machines := []*topology.Machine{
 		topology.Dunnington(), topology.FinisTerrae(1),
 		topology.Dempsey(), topology.Athlon3200(),
@@ -31,8 +26,8 @@ func sectionIVA(ctx context.Context, o Opt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec := specs[m.Name]
-		for i, want := range spec {
+		for i, c := range m.Caches {
+			want := c.SizeBytes
 			got := int64(0)
 			method := "-"
 			if i < len(det) {
@@ -143,12 +138,9 @@ func ablationStride(ctx context.Context, o Opt) (*Result, error) {
 
 // ablationNaive compares the naive "read sizes off gradient peaks"
 // baseline against the probabilistic estimator (§III-A: the naive rule
-// reports 1 MB for Dempsey's 2 MB L2).
+// reports 1 MB for Dempsey's 2 MB L2), with the machine models' cache
+// sizes as the specifications.
 func ablationNaive(ctx context.Context, o Opt) (*Result, error) {
-	specs := map[string][]int64{
-		"dempsey":    {16 * topology.KB, 2 * topology.MB},
-		"dunnington": {32 * topology.KB, 3 * topology.MB, 12 * topology.MB},
-	}
 	var rows [][]string
 	res := &Result{}
 	for _, m := range []*topology.Machine{topology.Dempsey(), topology.Dunnington()} {
@@ -161,8 +153,8 @@ func ablationNaive(ctx context.Context, o Opt) (*Result, error) {
 			return nil, err
 		}
 		naive := core.NaiveCacheSizes(cal, opt)
-		spec := specs[m.Name]
-		for i, want := range spec {
+		for i, c := range m.Caches {
+			want := c.SizeBytes
 			n, f := int64(0), int64(0)
 			if i < len(naive) {
 				n = naive[i].SizeBytes

@@ -10,16 +10,16 @@ const (
 	classNodeDefault = -3
 )
 
-// ChannelClass identifies the transport parameters channelFor selects
-// between two global cores, without building a world: -1 for the
-// cross-node network, -2 for a self-send, -3 for the node-default
-// fallback, otherwise the index of the matching m.Comm.Channels entry.
+// ChannelClass is the channel selection between two global cores: -1
+// for the cross-node network, -2 for a self-send, -3 for the
+// node-default fallback, otherwise the index of the first
+// m.Comm.Channels entry whose shared cache level matches the pair's
+// (0 matches any). channelFor builds its transport from the class, and
+// ChannelNameBetween names it, so neither selects on its own.
 //
 // Two directed core pairs with the same class are served by channels
 // with identical latency, bandwidth, eager-threshold and contention
-// parameters. It must mirror channelFor's selection exactly; the
-// TestChannelClassMatchesChannelFor property test pins the two
-// together across every machine model.
+// parameters.
 func ChannelClass(m *topology.Machine, srcCore, dstCore int) int {
 	srcNode, srcLocal := m.SplitCore(srcCore)
 	dstNode, dstLocal := m.SplitCore(dstCore)
@@ -49,4 +49,18 @@ func ChannelClass(m *topology.Machine, srcCore, dstCore int) int {
 // share the raw result (see core.CommunicationCostsContext).
 func PairClass(m *topology.Machine, a, b int) [2]int {
 	return [2]int{ChannelClass(m, a, b), ChannelClass(m, b, a)}
+}
+
+// className names the transport of a class, as reported in the
+// communication layers.
+func className(m *topology.Machine, class int) string {
+	switch class {
+	case classNetwork:
+		return "network"
+	case classSelf:
+		return "self"
+	case classNodeDefault:
+		return "node-default"
+	}
+	return m.Comm.Channels[class].Name
 }

@@ -90,7 +90,7 @@ func IdentityPlacement(n int) []int {
 // Run is safe for concurrent callers sharing one *topology.Machine:
 // every call builds its own kernel, mailboxes, shared-memory
 // resources and network fabric, and the machine description is only
-// read (channelFor, SplitCore, SharedCacheLevel), never mutated. The
+// read (ChannelClass, SplitCore, SharedCacheLevel), never mutated. The
 // sharded communication-costs sweep relies on this — see
 // TestConcurrentWorldsShareMachine, which runs under -race in CI.
 // Within one world, rank bodies execute strictly one at a time under
@@ -147,82 +147,67 @@ func Run(m *topology.Machine, nranks int, placement []int, body func(r *Rank)) (
 	return k.Now(), nil
 }
 
-// channelFor classifies the transport between two global cores.
+// channelFor builds the transport ChannelClass selects between two
+// global cores: the fabric for the network class, a memcpy for a
+// self-send, the matching m.Comm.Channels entry, or the node-default
+// memory-bandwidth path when no entry matches.
 func (w *World) channelFor(srcCore, dstCore int) channel {
 	m := w.m
-	srcNode, srcLocal := m.SplitCore(srcCore)
-	dstNode, dstLocal := m.SplitCore(dstCore)
-	if srcNode != dstNode {
+	srcNode, _ := m.SplitCore(srcCore)
+	class := ChannelClass(m, srcCore, dstCore)
+	name := className(m, class)
+	switch class {
+	case classNetwork:
 		return channel{
-			name:            "network",
+			name:            name,
 			latencyNS:       w.fabric.LatencyNS(),
 			serializationNS: w.fabric.SerializationNS,
 			res:             nil, // the fabric owns the NIC resource
 			eager:           w.fabric.EagerThreshold(),
 			network:         true,
 		}
-	}
-	swNS := m.Comm.SoftwareOverheadUS * 1000
-	if srcCore == dstCore {
-		// Self-send: a memcpy in the rank's own cache.
+	case classSelf:
+		// A memcpy in the rank's own cache.
 		return channel{
-			name:            "self",
-			latencyNS:       sim.NS(swNS / 2),
+			name:            name,
+			latencyNS:       sim.NS(m.Comm.SoftwareOverheadUS * 1000 / 2),
 			serializationNS: func(bytes int64) int64 { return sim.NS(float64(bytes) / (2 * m.Memory.PerCoreGBs)) },
 			eager:           m.Comm.EagerThresholdBytes,
 		}
-	}
-	shared := m.SharedCacheLevel(srcLocal, dstLocal)
-	for i := range m.Comm.Channels {
-		ch := &m.Comm.Channels[i]
-		if ch.SharedCacheLevel != 0 && ch.SharedCacheLevel != shared {
-			continue
-		}
-		var res *sim.Resource
-		if ch.Contended {
-			res = w.shm[srcNode]
-		}
-		bw, largeBW, largeAt := ch.BandwidthGBs, ch.LargeBandwidthGBs, ch.LargeBytes
+	case classNodeDefault:
 		return channel{
-			name:      ch.Name,
-			latencyNS: sim.NS(ch.LatencyUS * 1000),
-			serializationNS: func(bytes int64) int64 {
-				b := bw
-				if largeAt > 0 && bytes > largeAt && largeBW > 0 {
-					b = largeBW
-				}
-				return sim.NS(float64(bytes) / b)
-			},
-			res:   res,
-			eager: m.Comm.EagerThresholdBytes,
+			name:            name,
+			latencyNS:       sim.NS(1000),
+			serializationNS: func(bytes int64) int64 { return sim.NS(float64(bytes) / m.Memory.PerCoreGBs) },
+			res:             w.shm[srcNode],
+			eager:           m.Comm.EagerThresholdBytes,
 		}
 	}
-	// No channel configured: fall back to a memory-bandwidth path.
+	ch := &m.Comm.Channels[class]
+	var res *sim.Resource
+	if ch.Contended {
+		res = w.shm[srcNode]
+	}
+	bw, largeBW, largeAt := ch.BandwidthGBs, ch.LargeBandwidthGBs, ch.LargeBytes
 	return channel{
-		name:            "node-default",
-		latencyNS:       sim.NS(1000),
-		serializationNS: func(bytes int64) int64 { return sim.NS(float64(bytes) / m.Memory.PerCoreGBs) },
-		res:             w.shm[srcNode],
-		eager:           m.Comm.EagerThresholdBytes,
+		name:      name,
+		latencyNS: sim.NS(ch.LatencyUS * 1000),
+		serializationNS: func(bytes int64) int64 {
+			b := bw
+			if largeAt > 0 && bytes > largeAt && largeBW > 0 {
+				b = largeBW
+			}
+			return sim.NS(float64(bytes) / b)
+		},
+		res:   res,
+		eager: m.Comm.EagerThresholdBytes,
 	}
 }
 
-// ChannelName reports which transport serves a pair of global cores
-// ("same-L2", "intra-node", "network", ...). Exposed for the
-// communication-layer reports.
-func (w *World) ChannelName(srcCore, dstCore int) string {
-	return w.channelFor(srcCore, dstCore).name
-}
-
-// ChannelNameBetween is a package-level helper that classifies a core
-// pair without running a simulation.
+// ChannelNameBetween reports which transport serves a pair of global
+// cores ("same-L2", "intra-node", "network", ...), for the
+// communication-layer reports. It reads the name off ChannelClass and
+// builds no world.
 func ChannelNameBetween(m *topology.Machine, srcCore, dstCore int) string {
-	w := &World{m: m, k: sim.New(), shm: make([]*sim.Resource, m.Nodes)}
-	if m.Net != nil {
-		w.fabric = netsim.New(w.k, m.Net, m.Nodes)
-	}
-	for i := range w.shm {
-		w.shm[i] = sim.NewResource(w.k)
-	}
-	return w.ChannelName(srcCore, dstCore)
+	return className(m, ChannelClass(m, srcCore, dstCore))
 }

@@ -1,5 +1,9 @@
 package server
 
-// DecodeTune exposes decodeTune to the fuzz target of the external
-// test package, which shares its request fixtures.
-var DecodeTune = decodeTune
+// DecodeRun and DecodeTune expose the request decoders to the fuzz
+// targets of the external test package, which shares its request
+// fixtures.
+var (
+	DecodeRun  = decodeRun
+	DecodeTune = decodeTune
+)

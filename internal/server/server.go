@@ -21,6 +21,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -322,7 +323,9 @@ func (reg *Registry) handleGetProbe(w http.ResponseWriter, req *http.Request) {
 // anything derives from it, so requests that differ only in
 // spelled-out defaults ({"machine":"dempsey"} vs
 // {...,"nodes":2,"seed":1}) build the same machine and the same
-// coalescing key. It returns the resolved machine model.
+// coalescing key, and rejects unknown machine models and probe names
+// (a *servet.UnknownProbeError). It returns the resolved machine
+// model.
 func normalizeRun(rr *regproto.RunRequest) (*servet.Machine, error) {
 	if rr.Nodes <= 0 {
 		rr.Nodes = 2
@@ -334,7 +337,27 @@ func normalizeRun(rr *regproto.RunRequest) (*servet.Machine, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown machine model %q", rr.Machine)
 	}
+	known := servet.ProbeNames()
+	for _, name := range rr.Probes {
+		if !slices.Contains(known, name) {
+			return nil, &servet.UnknownProbeError{Name: name, Known: known}
+		}
+	}
 	return m, nil
+}
+
+// decodeRun decodes a POST /v1/run body and validates it before any
+// flight or lock is taken: bad bodies, machines and probe names are
+// the client's fault and never reach an engine run. Every error it
+// returns is a bad request. The request comes back normalized, with
+// its machine.
+func decodeRun(body io.Reader) (regproto.RunRequest, *servet.Machine, error) {
+	var rr regproto.RunRequest
+	if err := json.NewDecoder(body).Decode(&rr); err != nil {
+		return rr, nil, fmt.Errorf("malformed run request: %w", err)
+	}
+	m, err := normalizeRun(&rr)
+	return rr, m, err
 }
 
 // handleRun serves POST /v1/run: produce a report for a machine
@@ -343,25 +366,13 @@ func normalizeRun(rr *regproto.RunRequest) (*servet.Machine, error) {
 // response header Servet-Run reports "coalesced" for the piggybacked
 // ones); the stored entry is updated before anyone gets the report.
 func (reg *Registry) handleRun(w http.ResponseWriter, req *http.Request) {
-	var rr regproto.RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxReportBytes)).Decode(&rr); err != nil {
-		writeError(w, http.StatusBadRequest, regproto.Error{
-			Code: regproto.CodeBadRequest, Message: "malformed run request: " + err.Error(),
-		})
-		return
-	}
-	m, err := normalizeRun(&rr)
+	rr, m, err := decodeRun(http.MaxBytesReader(w, req.Body, maxReportBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, regproto.Error{Code: regproto.CodeBadRequest, Message: err.Error()})
 		return
 	}
 	rep, shared, err := reg.resolveRun(m, rr)
 	if err != nil {
-		var unknown *servet.UnknownProbeError
-		if errors.As(err, &unknown) {
-			writeError(w, http.StatusBadRequest, regproto.Error{Code: regproto.CodeBadRequest, Message: err.Error()})
-			return
-		}
 		writeError(w, http.StatusInternalServerError, regproto.Error{Code: regproto.CodeInternal, Message: err.Error()})
 		return
 	}
@@ -468,8 +479,7 @@ func (reg *Registry) handleTune(w http.ResponseWriter, req *http.Request) {
 		reg.counts[tunesCoalesced].Add(1)
 	}
 	if err != nil {
-		var unknown *servet.UnknownProbeError
-		if errors.As(err, &unknown) || errors.Is(err, tune.ErrUnhostable) {
+		if errors.Is(err, tune.ErrUnhostable) {
 			writeError(w, http.StatusBadRequest, regproto.Error{Code: regproto.CodeBadRequest, Message: err.Error()})
 			return
 		}

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"servet"
 	"servet/internal/regproto"
 	"servet/internal/report"
 	"servet/internal/server"
@@ -203,6 +205,56 @@ func TestRunBadRequests(t *testing.T) {
 			t.Errorf("%s: code = %q", name, e.Code)
 		}
 	}
+}
+
+// FuzzRunRequest: run-request decoding never panics, and a request it
+// accepts names a known model, at least one node and known probes, and
+// is normalized: encoding it and decoding that again gives the same
+// coalescing key. It only decodes; no engine runs.
+func FuzzRunRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"machine":"dempsey","quick":true,"probes":["cache-size"]}`,
+		`{"machine":"finisterrae","nodes":4,"seed":-3,"noise":0.02,"probes":["tlb","communication-costs"]}`,
+		`{"machine":"dempsey","quick":true,"probes":["no-such-probe"]}`,
+		`{"machine":"no-such-box"}`,
+		`{"machine":"dunnington","nodes":-1,"probes":[]}`,
+		`{{{`,
+		`{"machine":"dempsey"} trailing`,
+	} {
+		f.Add(body)
+	}
+	known := servet.ProbeNames()
+	f.Fuzz(func(t *testing.T, body string) {
+		rr, m, err := server.DecodeRun(strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		if m == nil {
+			t.Fatalf("%q: accepted without a machine", body)
+		}
+		if _, ok := servet.Model(rr.Machine, rr.Nodes); !ok {
+			t.Fatalf("%q: accepted unknown model %q", body, rr.Machine)
+		}
+		if rr.Nodes < 1 {
+			t.Fatalf("%q: accepted with %d nodes", body, rr.Nodes)
+		}
+		for _, p := range rr.Probes {
+			if !slices.Contains(known, p) {
+				t.Fatalf("%q: accepted unknown probe %q", body, p)
+			}
+		}
+		key, err := json.Marshal(rr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := server.DecodeRun(bytes.NewReader(key))
+		if err != nil {
+			t.Fatalf("%q: normalized request %s rejected: %v", body, key, err)
+		}
+		if key2, _ := json.Marshal(again); !bytes.Equal(key2, key) {
+			t.Fatalf("%q: normalization not idempotent: %s then %s", body, key, key2)
+		}
+	})
 }
 
 // TestRunStoresAndRestores: the first run for a fingerprint executes

@@ -228,6 +228,7 @@ func TestTuneBadRequests(t *testing.T) {
 	}{
 		{"malformed body", `{`},
 		{"unknown machine", `{"run":{"machine":"warp-core"},"space":{"axes":[{"name":"x","kind":"pow2","min":1,"max":2}]},"objective":{"name":"tiled-kernel"}}`},
+		{"unknown probe", `{"run":{"machine":"dempsey","probes":["no-such-probe"]},"space":{"axes":[{"name":"x","kind":"pow2","min":1,"max":2}]},"objective":{"name":"tiled-kernel"}}`},
 		{"empty space", `{"run":{"machine":"dempsey"},"space":{},"objective":{"name":"tiled-kernel"}}`},
 		{"bad axis", `{"run":{"machine":"dempsey"},"space":{"axes":[{"name":"x","kind":"pow2","min":3,"max":8}]},"objective":{"name":"tiled-kernel"}}`},
 		{"full int64 range", `{"run":{"machine":"dempsey"},"space":{"axes":[{"name":"x","kind":"int-range","min":-9223372036854775808,"max":9223372036854775807,"step":1}]},"objective":{"name":"tiled-kernel"}}`},

@@ -77,20 +77,6 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// RunUntil processes events with time <= t, then advances the clock to
-// t. Parked processes are not a deadlock here; they may be waiting for
-// events beyond the horizon.
-func (k *Kernel) RunUntil(t int64) {
-	for len(k.events) > 0 && k.events[0].t <= t {
-		ev := k.events.pop()
-		k.now = ev.t
-		ev.fn()
-	}
-	if t > k.now {
-		k.now = t
-	}
-}
-
 // DeadlockError reports processes left parked after the event queue
 // drained.
 type DeadlockError struct {

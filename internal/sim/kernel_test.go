@@ -66,24 +66,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	k.After(-1, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	k := New()
-	fired := 0
-	k.After(10, func() { fired++ })
-	k.After(20, func() { fired++ })
-	k.RunUntil(15)
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1", fired)
-	}
-	if k.Now() != 15 {
-		t.Errorf("Now = %d, want 15", k.Now())
-	}
-	k.RunUntil(25)
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2", fired)
-	}
-}
-
 func TestEventHeapOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

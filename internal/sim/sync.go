@@ -59,24 +59,6 @@ func (r *Resource) Use(p *Proc, d int64) {
 	p.Sleep(r.busyUntil - r.k.now)
 }
 
-// Schedule reserves d nanoseconds of work without blocking and returns
-// the completion time. Event-context users (message deliveries) use it
-// to model serialization without a process.
-func (r *Resource) Schedule(d int64) (done int64) {
-	if d < 0 {
-		panic("sim: negative resource work")
-	}
-	start := r.k.now
-	if r.busyUntil > start {
-		start = r.busyUntil
-	}
-	r.busyUntil = start + d
-	return r.busyUntil
-}
-
-// BusyUntil returns the current busy horizon of the resource.
-func (r *Resource) BusyUntil() int64 { return r.busyUntil }
-
 // Message is a unit carried by a Mailbox. The mpisim package layers
 // MPI-style matching (source, tag, protocol kind) on these fields.
 type Message struct {
@@ -85,7 +67,6 @@ type Message struct {
 	Kind    int   // protocol kind (mpisim: eager, RTS, CTS, data)
 	Bytes   int64 // payload size
 	Arrived int64 // virtual arrival time
-	Payload any   // optional application payload
 }
 
 // Mailbox is an ordered message store with blocking, predicate-matched

@@ -85,19 +85,6 @@ func TestResourceIdleGap(t *testing.T) {
 	}
 }
 
-func TestResourceSchedule(t *testing.T) {
-	k := New()
-	r := NewResource(k)
-	d1 := r.Schedule(100)
-	d2 := r.Schedule(50)
-	if d1 != 100 || d2 != 150 {
-		t.Errorf("Schedule = %d,%d want 100,150", d1, d2)
-	}
-	if r.BusyUntil() != 150 {
-		t.Errorf("BusyUntil = %d", r.BusyUntil())
-	}
-}
-
 func TestResourceNegativePanics(t *testing.T) {
 	k := New()
 	r := NewResource(k)
@@ -106,7 +93,7 @@ func TestResourceNegativePanics(t *testing.T) {
 			t.Error("negative work did not panic")
 		}
 	}()
-	r.Schedule(-1)
+	r.Use(nil, -1) // the check precedes any use of the process
 }
 
 func TestMailboxRecvBeforeDeliver(t *testing.T) {

@@ -56,6 +56,3 @@ func BinomialTail(n int, p float64, k int) float64 {
 	}
 	return tail
 }
-
-// BinomialMean returns the mean n*p of B(n, p).
-func BinomialMean(n int, p float64) float64 { return float64(n) * p }

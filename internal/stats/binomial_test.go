@@ -130,9 +130,3 @@ func TestBinomialTailMonotoneInK(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBinomialMean(t *testing.T) {
-	if got := BinomialMean(512, 1.0/64); got != 8 {
-		t.Errorf("BinomialMean = %g, want 8", got)
-	}
-}

@@ -2,32 +2,32 @@ package stats
 
 import "sort"
 
-// Cluster groups a sequence of positive measurements into classes of
-// "similar" values, exactly as the benchmarks of Figs. 6 and 7 of the
-// paper do: values are examined in order, and each value joins the
-// first existing class whose representative is within relTol relative
-// distance; otherwise it founds a new class.
+// Cluster is the first-match "similar value" grouping of the
+// benchmarks of Figs. 6 and 7 of the paper: items 0..n-1 are examined
+// in order, and each joins the first existing class whose founding
+// item it is similar to; otherwise it founds a new class. similar(i,
+// rep) compares item i with the founding item rep of an existing
+// class.
 //
-// The returned assignment maps each input index to its class id;
-// representatives holds the founding value of each class in creation
-// order.
-func Cluster(values []float64, relTol float64) (assignment []int, representatives []float64) {
-	assignment = make([]int, len(values))
-	for i, v := range values {
+// The returned assignment maps each item to its class id; reps holds
+// each class's founding item in creation order.
+func Cluster(n int, similar func(i, rep int) bool) (assignment, reps []int) {
+	assignment = make([]int, n)
+	for i := range assignment {
 		found := -1
-		for c, rep := range representatives {
-			if Similar(v, rep, relTol) {
+		for c, rep := range reps {
+			if similar(i, rep) {
 				found = c
 				break
 			}
 		}
 		if found < 0 {
-			found = len(representatives)
-			representatives = append(representatives, v)
+			found = len(reps)
+			reps = append(reps, i)
 		}
 		assignment[i] = found
 	}
-	return assignment, representatives
+	return assignment, reps
 }
 
 // Similar reports whether two positive values are within relTol

@@ -7,9 +7,21 @@ import (
 	"testing/quick"
 )
 
+// clusterValues clusters values by relative similarity within relTol
+// and returns the assignment with each class's founding value.
+func clusterValues(values []float64, relTol float64) (assignment []int, representatives []float64) {
+	assignment, reps := Cluster(len(values), func(i, rep int) bool {
+		return Similar(values[i], values[rep], relTol)
+	})
+	for _, rep := range reps {
+		representatives = append(representatives, values[rep])
+	}
+	return assignment, representatives
+}
+
 func TestClusterBasic(t *testing.T) {
 	values := []float64{100, 102, 50, 98, 51}
-	assign, reps := Cluster(values, 0.10)
+	assign, reps := clusterValues(values, 0.10)
 	want := []int{0, 0, 1, 0, 1}
 	if !reflect.DeepEqual(assign, want) {
 		t.Errorf("assignment = %v, want %v", assign, want)
@@ -19,9 +31,23 @@ func TestClusterBasic(t *testing.T) {
 	}
 }
 
+// TestClusterFirstMatch: an item similar to several classes joins the
+// first one created, and a class is compared by its founding item, not
+// its latest member.
+func TestClusterFirstMatch(t *testing.T) {
+	// 107 is within 10% of both 100 and 116.
+	if assign, _ := clusterValues([]float64{100, 116, 107}, 0.10); !reflect.DeepEqual(assign, []int{0, 1, 0}) {
+		t.Errorf("assignment = %v, want [0 1 0]", assign)
+	}
+	// 117 is within 10% of 109 but not of the founder 100.
+	if assign, _ := clusterValues([]float64{100, 109, 117}, 0.10); !reflect.DeepEqual(assign, []int{0, 0, 1}) {
+		t.Errorf("assignment = %v, want [0 0 1]", assign)
+	}
+}
+
 func TestClusterAllDistinct(t *testing.T) {
 	values := []float64{1, 10, 100}
-	assign, reps := Cluster(values, 0.05)
+	assign, reps := clusterValues(values, 0.05)
 	if len(reps) != 3 {
 		t.Errorf("want 3 classes, got %d", len(reps))
 	}
@@ -31,7 +57,7 @@ func TestClusterAllDistinct(t *testing.T) {
 }
 
 func TestClusterEmpty(t *testing.T) {
-	assign, reps := Cluster(nil, 0.1)
+	assign, reps := clusterValues(nil, 0.1)
 	if len(assign) != 0 || len(reps) != 0 {
 		t.Errorf("empty input produced %v / %v", assign, reps)
 	}
@@ -48,8 +74,8 @@ func TestClusterIdempotentProperty(t *testing.T) {
 		for i := range values {
 			values[i] = rng.Float64()*1000 + 1
 		}
-		_, reps := Cluster(values, 0.1)
-		_, reps2 := Cluster(reps, 0.1)
+		_, reps := clusterValues(values, 0.1)
+		_, reps2 := clusterValues(reps, 0.1)
 		return len(reps2) == len(reps)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -94,15 +94,3 @@ func MinMax(xs []float64) (min, max float64) {
 	}
 	return min, max
 }
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs))
-}

@@ -93,15 +93,6 @@ func TestMinMax(t *testing.T) {
 	MinMax(nil)
 }
 
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{2, 4, 6}); got != 4 {
-		t.Errorf("Mean = %g, want 4", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %g, want 0", got)
-	}
-}
-
 func TestGradientThenRunsEndToEnd(t *testing.T) {
 	// Synthetic mcalibrator-like curve: flat at 3 cycles until a sharp
 	// 4x jump, then flat, then a smeared rise.

@@ -175,7 +175,7 @@ func (s *Session) Run(ctx context.Context, probes ...string) (*Report, error) {
 // returns the detected levels along with the raw calibration curve.
 // Cancelling the context aborts the calibration or refinement sweep.
 func (s *Session) DetectCaches(ctx context.Context) ([]DetectedCache, Calibration, error) {
-	return s.suite.DetectCaches(ctx)
+	return core.DetectCaches(ctx, s.suite.Machine(), 0, s.suite.Options())
 }
 
 // CalibrateCores runs the raw calibration loop of Fig. 1 on each of
